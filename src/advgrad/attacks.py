@@ -9,7 +9,7 @@ source models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.ndimage
@@ -32,8 +32,6 @@ __all__ = [
     "dim_transform",
     "tim_smooth",
     "sim_gradient",
-    "vt_gradient",
-    "emi_gradient",
     "ensemble_gradient",
     "ensemble_loss",
     "apply_step",
@@ -45,7 +43,7 @@ __all__ = [
 
 
 class DegenerateGradientError(RuntimeError):
-    """Raised when the attack gradient vanishes and no step can be taken."""
+    """Raised when the attack gradient vanishes or is not finite."""
 
 
 # -- step rules -------------------------------------------------------------
@@ -93,6 +91,8 @@ class Dim:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        if not 0.0 < self.min_fraction <= 1.0:
+            raise ValueError("min_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,12 @@ class Tim:
 
     k: int = 3
     sigma: float | None = None
+
+    def __post_init__(self):
+        if self.k < 1 or self.k % 2 == 0:
+            raise ValueError("k must be odd and >= 1")
+        if self.sigma is not None and not self.sigma > 0:
+            raise ValueError("sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,8 @@ class AttackConfig:
 
     momentum=None runs the plain (BIM-style) pipeline on the raw gradient;
     a float value enables the L1-normalized momentum accumulator with that
-    decay.
+    decay.  An adaptive rule's generator has one parameter set per step,
+    so steps must equal its step count.
     """
 
     epsilon: float
@@ -154,7 +161,6 @@ class AttackConfig:
     transforms: tuple = ()
     targeted: bool = False
     target_label: int | None = None
-    bounds: tuple[float, float] = (0.0, 255.0)
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -165,6 +171,11 @@ class AttackConfig:
             raise ValueError("momentum decay must be >= 0")
         if self.targeted and self.target_label is None:
             raise ValueError("targeted attack needs a target_label")
+        if isinstance(self.step_rule, AdaptiveStep):
+            trained = self.step_rule.generator.steps
+            if self.steps != trained:
+                raise ValueError(
+                    f"generator was trained for {trained} steps, requested {self.steps}")
         self.transforms = tuple(self.transforms)
 
 
@@ -250,27 +261,6 @@ def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
     return total / m
 
 
-def vt_gradient(models, x, y, prev_variance, n, beta, epsilon, rng):
-    """Variance-tuned gradient; returns (tuned gradient, next variance)."""
-    current = ensemble_gradient(models, x, y)
-    tuned = current + prev_variance
-    radius = beta * epsilon
-    acc = np.zeros_like(current)
-    for _ in range(n):
-        probe = x + rng.uniform(-radius, radius, size=x.shape)
-        acc += ensemble_gradient(models, probe, y)
-    return tuned, acc / n - current
-
-
-def emi_gradient(models, x, y, prev_grad_dir, n, eta, rng):
-    """Mean gradient over n points x + c_i * eta * prev_dir, c_i ~ U[-1, 1]."""
-    acc = np.zeros_like(np.asarray(x, dtype=np.float64))
-    for _ in range(n):
-        c = rng.uniform(-1.0, 1.0)
-        acc += ensemble_gradient(models, x + c * eta * prev_grad_dir, y)
-    return acc / n
-
-
 def apply_step(x_adv, direction, rule, gamma_override: float | None = None):
     """One unprojected update; sign(0) = 0 in the sign rule."""
     if x_adv.shape != direction.shape:
@@ -350,14 +340,25 @@ def run_attack(source_models, target_models, x, y, cfg: AttackConfig,
     """Full iterative attack; returns the final example and per-target flags.
 
     With steps=1, SignStep(alpha=epsilon) and no momentum this is exactly
-    the one-step fast gradient sign attack.
+    the one-step fast gradient sign attack.  A target's flag is set when its
+    prediction differs from y, or equals target_label when targeted; with
+    steps=0 this scores the clean input.
     """
+    return _attack_loop(source_models, target_models, x, y, cfg, rng)
+
+
+def _attack_loop(source_models, target_models, x, y, cfg, rng):
+    # run_attack and generator.run_attack_adaptive both enter here, so a
+    # profiler wrapping the public functions counts each attack once
     if not source_models:
         raise ValueError("need at least one source model")
     if cfg.targeted and cfg.target_label == y:
         raise ValueError("target label must differ from the true label")
-    rng = rng if rng is not None else make_rng(0)
+    if rng is None and cfg.transforms:
+        rng = make_rng(0)  # only the transforms draw random numbers
     x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("input image has non-finite pixels")
     x_adv = x.copy()
     attack_label = cfg.target_label if cfg.targeted else y
     flip = -1.0 if cfg.targeted else 1.0
@@ -372,9 +373,12 @@ def run_attack(source_models, target_models, x, y, cfg: AttackConfig,
         if dim is not None:
             x_eval = dim_transform(x_adv, dim.p, rng, dim.min_fraction)
         grad = flip * _pipeline_gradient(source_models, x_eval, attack_label, cfg, state, rng)
-        if np.abs(grad).sum() == 0.0:
+        l1 = np.abs(grad).sum()
+        if l1 == 0.0:
             early = True
             break
+        if not math.isfinite(l1):
+            raise DegenerateGradientError(f"non-finite gradient at step {t}")
         if cfg.momentum is not None:
             g_mom = momentum_accumulate(g_mom, grad, cfg.momentum)
             direction = g_mom
@@ -407,27 +411,27 @@ def run_attack(source_models, target_models, x, y, cfg: AttackConfig,
 
 # -- JSON config serialization ---------------------------------------------
 
+_TRANSFORMS = {"dim": Dim, "tim": Tim, "sim": Sim, "vt": Vt, "emi": Emi}
+_TRANSFORM_KINDS = {cls: kind for kind, cls in _TRANSFORMS.items()}
+
 
 def config_to_dict(cfg: AttackConfig) -> dict:
+    """JSON-ready form of cfg; an adaptive rule's generator is not stored."""
     rule = cfg.step_rule
     if isinstance(rule, SignStep):
         rule_doc = {"type": "sign", "alpha": rule.alpha}
     elif isinstance(rule, FixedScaleStep):
         rule_doc = {"type": "fixed", "gamma": rule.gamma}
-    else:
+    elif isinstance(rule, AdaptiveStep):
         rule_doc = {"type": "adaptive"}
+    else:
+        raise TypeError(f"unknown step rule {rule!r}")
     transforms = []
     for t in cfg.transforms:
-        if isinstance(t, Dim):
-            transforms.append({"type": "dim", "p": t.p, "min_fraction": t.min_fraction})
-        elif isinstance(t, Tim):
-            transforms.append({"type": "tim", "k": t.k, "sigma": t.sigma})
-        elif isinstance(t, Sim):
-            transforms.append({"type": "sim", "m": t.m})
-        elif isinstance(t, Vt):
-            transforms.append({"type": "vt", "n": t.n, "beta": t.beta})
-        elif isinstance(t, Emi):
-            transforms.append({"type": "emi", "n": t.n, "eta": t.eta})
+        kind = _TRANSFORM_KINDS.get(type(t))
+        if kind is None:
+            raise TypeError(f"unknown transform {t!r}")
+        transforms.append({"type": kind, **asdict(t)})
     return {
         "epsilon": cfg.epsilon,
         "steps": cfg.steps,
@@ -440,6 +444,7 @@ def config_to_dict(cfg: AttackConfig) -> dict:
 
 
 def config_from_dict(doc: dict, generator=None) -> AttackConfig:
+    """Inverse of config_to_dict; an adaptive rule takes `generator`."""
     rule_doc = doc["step_rule"]
     if rule_doc["type"] == "sign":
         rule = SignStep(alpha=rule_doc["alpha"])
@@ -453,19 +458,10 @@ def config_from_dict(doc: dict, generator=None) -> AttackConfig:
         raise ValueError(f"unknown step rule type {rule_doc['type']!r}")
     transforms = []
     for t in doc.get("transforms", []):
-        kind = t["type"]
-        if kind == "dim":
-            transforms.append(Dim(p=t["p"], min_fraction=t.get("min_fraction", 0.9)))
-        elif kind == "tim":
-            transforms.append(Tim(k=t["k"], sigma=t.get("sigma")))
-        elif kind == "sim":
-            transforms.append(Sim(m=t["m"]))
-        elif kind == "vt":
-            transforms.append(Vt(n=t["n"], beta=t["beta"]))
-        elif kind == "emi":
-            transforms.append(Emi(n=t["n"], eta=t["eta"]))
-        else:
-            raise ValueError(f"unknown transform type {kind!r}")
+        cls = _TRANSFORMS.get(t["type"])
+        if cls is None:
+            raise ValueError(f"unknown transform type {t['type']!r}")
+        transforms.append(cls(**{k: v for k, v in t.items() if k != "type"}))
     return AttackConfig(
         epsilon=doc["epsilon"],
         steps=doc["steps"],

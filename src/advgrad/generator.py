@@ -1,10 +1,11 @@
-"""Trainable per-step scaling-factor generator and the adaptive attack loop.
+"""Trainable per-step scaling-factor generator for the adaptive attack.
 
 One independent parameter set per attack step maps (current iterate,
 gradient) to a positive scalar step scale.  Two architectures share the
 same linear tail: an MLP over the concatenated flattened inputs, and a
 strided conv stack with instance normalization for image inputs of side
->= 8.  All gradients are hand-written and finite-difference checked.
+>= 8.  All gradients are hand-written and finite-difference checked.  The
+attack itself is attacks.run_attack with an AdaptiveStep rule.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackResult, ensemble_gradient, ensemble_loss, project
+from .attacks import AdaptiveStep, AttackConfig, AttackResult, _attack_loop, project
 from .numerics import ImageShape, make_rng
 
 __all__ = [
@@ -290,30 +291,14 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
 def run_attack_adaptive(gen: ScalingFactorGenerator, models, x, y,
                         epsilon: float, steps: int,
                         target_models=None) -> AttackResult:
-    """Iterative attack on the white-box ensemble with generated step scales."""
-    if steps != gen.steps:
-        raise ValueError(
-            f"generator was trained for {gen.steps} steps, requested {steps}"
-        )
-    if not models:
-        raise ValueError("need at least one white-box model")
-    x = np.asarray(x, dtype=np.float64)
-    x_adv = x.copy()
-    trace = []
-    for t in range(steps):
-        grad = ensemble_gradient(models, x_adv, y)
-        gamma = gen.gamma_forward(t, x_adv, grad)
-        x_adv = project(x_adv + gamma * grad, x, epsilon)
-        trace.append(gamma)
-    evals = target_models if target_models is not None else models
-    success = [m.predict(x_adv) != y for m in evals]
-    return AttackResult(
-        adversarial=x_adv,
-        step_trace=trace,
-        success=success,
-        final_loss=ensemble_loss(models, x_adv, y),
-        steps_used=steps,
-    )
+    """run_attack on the white-box ensemble with AdaptiveStep(gen).
+
+    No momentum or transforms; success is scored on target_models, or on
+    the white-box models when none are given.
+    """
+    cfg = AttackConfig(epsilon=epsilon, steps=steps, step_rule=AdaptiveStep(gen))
+    targets = models if target_models is None else target_models
+    return _attack_loop(models, targets, x, y, cfg, None)
 
 
 def save_generator(gen: ScalingFactorGenerator, path: str):

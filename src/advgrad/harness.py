@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -191,27 +191,22 @@ class MetricsRow:
             raise ValueError("expected mad <= rmsd <= epsilon")
 
 
-def compute_metrics(originals, adversarials, predictions, labels,
-                    targeted: bool = False, target_labels=None, *,
+def compute_metrics(originals, adversarials, success, *,
                     method: str, source: str, target: str,
                     epsilon: float, steps: int, seed: int = 0) -> MetricsRow:
     """Aggregate ASR / MAD / RMSD over one attack cell.
 
-    ASR counts all evaluated images, including those the target already
-    misclassifies clean.  MAD/RMSD average over all pixels of all images.
+    `success` holds run_attack's per-example flags for this target, so ASR
+    follows the attack's own success rule.  ASR counts all evaluated images,
+    including those the target already misclassifies clean.  MAD/RMSD
+    average over all pixels of all images.
     """
     originals = np.asarray(originals)
     adversarials = np.asarray(adversarials)
-    predictions = np.asarray(predictions)
-    labels = np.asarray(labels)
-    if not (len(originals) == len(adversarials) == len(predictions) == len(labels)):
+    success = np.asarray(success, dtype=bool)
+    if not (len(originals) == len(adversarials) == len(success)):
         raise ValueError("metric inputs must have matching lengths")
-    if targeted:
-        if target_labels is None:
-            raise ValueError("targeted metrics need target labels")
-        asr = float(np.mean(predictions == np.asarray(target_labels)))
-    else:
-        asr = float(np.mean(predictions != labels))
+    asr = float(np.mean(success))
     delta = adversarials - originals
     mad = float(np.abs(delta).mean())
     rmsd = float(np.sqrt((delta**2).mean()))
@@ -297,23 +292,14 @@ def _resolve_source(pool, source_name):
     return [pool[part] for part in source_name.split("+")]
 
 
-def _attack_cell(source_models, target_models, eval_set, cfg_dict, gen, seed, epsilon=None):
+def _attack_cell(source_models, target_models, eval_set, acfg, seed):
     """Run one attack over the eval set; returns per-example records."""
     records = []
     for i in range(len(eval_set)):
         x = eval_set.images[i]
         y = int(eval_set.labels[i])
         rng = make_rng(seed, stream=1000 + i)
-        if cfg_dict["step_rule"]["type"] == "adaptive":
-            eps = epsilon if epsilon is not None else cfg_dict["epsilon"]
-            res = gen_mod.run_attack_adaptive(
-                gen, source_models, x, y, eps, gen.steps, target_models=target_models
-            )
-        else:
-            acfg = attacks.config_from_dict(cfg_dict, generator=gen)
-            if epsilon is not None:
-                acfg.epsilon = epsilon
-            res = attacks.run_attack(source_models, target_models, x, y, acfg, rng=rng)
+        res = attacks.run_attack(source_models, target_models, x, y, acfg, rng=rng)
         records.append((i, x, y, res))
     return records
 
@@ -322,7 +308,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train/load the pool, run the attack matrix, write CSV/JSON reports.
 
     Fully deterministic for a fixed config: per-example RNG streams are
-    derived from (seed, example index).
+    derived from (seed, example index).  The interaction pass scores the
+    matrix's own adversarial examples from cell (seeds[0], method,
+    sources[0]).
     """
     dataset = build_dataset(cfg.dataset)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -331,13 +319,19 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     n_train = int(cfg.train_fraction * len(dataset))
     train_set = dataset.subset(order[:n_train])
     eval_set = dataset.subset(order[n_train:][: cfg.eval_count])
-    pool = _prepare_models(cfg, train_set)
     gen = None
     if cfg.generator_checkpoint:
         if not os.path.exists(cfg.generator_checkpoint):
             raise FileNotFoundError(f"missing generator checkpoint {cfg.generator_checkpoint!r}")
         gen = gen_mod.load_generator(cfg.generator_checkpoint)
+    attack_cfgs = [attacks.config_from_dict(doc["config"], generator=gen)
+                   for doc in cfg.attacks]
+    pool = _prepare_models(cfg, train_set)
+    target_models = [pool[t] for t in cfg.targets]
 
+    spec = cfg.interaction or {}
+    count = min(spec.get("examples", 50), len(eval_set))
+    kept = {}  # method -> first `count` records of cell (seeds[0], method, sources[0])
     raw_path = os.path.join(cfg.output_dir, "results.csv")
     rows = []
     with open(raw_path, "w", newline="") as fh:
@@ -345,19 +339,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         writer.writerow(["example_id", "method", "source", "target", "success",
                          "linf", "mad", "rmsd", "steps_used", "seed"])
         for seed in cfg.seeds:
-            for attack_doc in cfg.attacks:
+            for attack_doc, acfg in zip(cfg.attacks, attack_cfgs):
                 method = attack_doc["name"]
-                cfg_dict = attack_doc["config"]
                 for source_name in cfg.sources:
                     source_models = _resolve_source(pool, source_name)
-                    target_models = [pool[t] for t in cfg.targets]
                     records = _attack_cell(source_models, target_models, eval_set,
-                                           cfg_dict, gen, seed)
+                                           acfg, seed)
+                    if (spec and seed == cfg.seeds[0] and source_name == cfg.sources[0]
+                            and (not spec.get("methods") or method in spec["methods"])):
+                        kept[method] = records[:count]
                     for t_idx, target_name in enumerate(cfg.targets):
-                        originals, advs, preds, labels = [], [], [], []
                         for i, x, y, res in records:
                             delta = res.adversarial - x
-                            pred = target_models[t_idx].predict(res.adversarial)
                             writer.writerow([
                                 i, method, source_name, target_name,
                                 int(res.success[t_idx]),
@@ -366,30 +359,22 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                                 f"{np.sqrt((delta**2).mean()):.6f}",
                                 res.steps_used, seed,
                             ])
-                            originals.append(x)
-                            advs.append(res.adversarial)
-                            preds.append(pred)
-                            labels.append(y)
                         rows.append(compute_metrics(
-                            originals, advs, preds, labels,
-                            targeted=cfg_dict.get("targeted", False),
-                            target_labels=[cfg_dict.get("target_label")] * len(labels)
-                            if cfg_dict.get("targeted") else None,
+                            [x for _, x, _, _ in records],
+                            [res.adversarial for _, _, _, res in records],
+                            [res.success[t_idx] for _, _, _, res in records],
                             method=method, source=source_name, target=target_name,
-                            epsilon=cfg_dict["epsilon"], steps=cfg_dict["steps"],
-                            seed=seed,
+                            epsilon=acfg.epsilon, steps=acfg.steps, seed=seed,
                         ))
 
     sweep_data = []
     if cfg.epsilon_grid:
         for eps in cfg.epsilon_grid:
-            for attack_doc in cfg.attacks:
-                cfg_dict = attack_doc["config"]
+            for attack_doc, acfg in zip(cfg.attacks, attack_cfgs):
                 for source_name in cfg.sources:
                     source_models = _resolve_source(pool, source_name)
-                    target_models = [pool[t] for t in cfg.targets]
                     records = _attack_cell(source_models, target_models, eval_set,
-                                           cfg_dict, gen, cfg.seeds[0], epsilon=eps)
+                                           replace(acfg, epsilon=eps), cfg.seeds[0])
                     for t_idx, target_name in enumerate(cfg.targets):
                         asr = float(np.mean([res.success[t_idx] for _, _, _, res in records]))
                         sweep_data.append({
@@ -398,34 +383,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                         })
 
     histograms = {}
-    if cfg.interaction:
-        spec = cfg.interaction
-        count = min(spec.get("examples", 50), len(eval_set))
+    if spec:
         scorer = pool[spec.get("model", cfg.targets[0])]
-        for attack_doc in cfg.attacks:
-            if spec.get("methods") and attack_doc["name"] not in spec["methods"]:
-                continue
-            cfg_dict = attack_doc["config"]
-            source_models = _resolve_source(pool, cfg.sources[0])
+        for method, records in kept.items():
             estimates = []
-            for i in range(count):
-                x = eval_set.images[i]
-                y = int(eval_set.labels[i])
-                rng = make_rng(cfg.seeds[0], stream=2000 + i)
-                if cfg_dict["step_rule"]["type"] == "adaptive":
-                    res = gen_mod.run_attack_adaptive(
-                        gen, source_models, x, y, cfg_dict["epsilon"], gen.steps)
-                else:
-                    acfg = attacks.config_from_dict(cfg_dict, generator=gen)
-                    res = attacks.run_attack(source_models, [scorer], x, y, acfg, rng=rng)
-                delta = res.adversarial - x
-                v, n = interaction.make_model_setfn(scorer, x, delta, y)
+            for i, x, y, res in records:
+                v, n = interaction.make_model_setfn(scorer, x, res.adversarial - x, y)
                 est = interaction.expected_interaction_sampled(
                     v, n, spec.get("num_pairs", 10), spec.get("num_subsets", 5),
                     rng=make_rng(cfg.seeds[0], stream=3000 + i),
                 )
                 estimates.append(est.value)
-            histograms[attack_doc["name"]] = np.asarray(estimates)
+            histograms[method] = np.asarray(estimates)
 
     return emit_report(rows, sweep_data, histograms, cfg)
 

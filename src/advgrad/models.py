@@ -52,8 +52,9 @@ class LabeledDataset:
             raise ValueError("images and labels must have matching length")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
-        if self.images.size and (self.images.min() < 0 or self.images.max() > 255):
-            raise ValueError("pixels must lie in [0, 255]")
+        # min() and max() propagate NaN, which fails both comparisons
+        if self.images.size and not (0 <= self.images.min() and self.images.max() <= 255):
+            raise ValueError("pixels must be finite and lie in [0, 255]")
 
     def __len__(self):
         return len(self.images)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from advgrad.attacks import (
+    AdaptiveStep,
     AttackConfig,
     DegenerateGradientError,
     Dim,
@@ -28,6 +29,7 @@ from advgrad.attacks import (
     sim_gradient,
     tim_smooth,
 )
+from advgrad.generator import ScalingFactorGenerator
 from advgrad.models import build_model
 from advgrad.numerics import ImageShape, make_rng
 
@@ -149,6 +151,11 @@ class TestDimTransform:
         with pytest.raises(ValueError):
             dim_transform(np.zeros((4, 4)), 0.5, make_rng(0))
 
+    @pytest.mark.parametrize("min_fraction", [0.0, -0.5, 1.5, float("nan")])
+    def test_rejects_min_fraction_outside_unit_interval(self, min_fraction):
+        with pytest.raises(ValueError, match="min_fraction"):
+            Dim(p=1.0, min_fraction=min_fraction)
+
 
 class TestTimSmooth:
     def test_uniform_field_is_fixed_point(self):
@@ -170,6 +177,16 @@ class TestTimSmooth:
         out = tim_smooth(g, 3, 1.0)
         assert np.allclose(out[:, :, 0], 1.0)
         assert np.allclose(out[:, :, 1], 0.0)
+
+    @pytest.mark.parametrize("k", [4, 0, -1])
+    def test_rejects_even_or_nonpositive_k(self, k):
+        with pytest.raises(ValueError, match="odd"):
+            Tim(k=k)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_rejects_nonpositive_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            Tim(k=3, sigma=sigma)
 
 
 class TestGradientHelpers:
@@ -300,6 +317,42 @@ class TestAttackLoop:
         assert res.steps_used == 0
         assert np.array_equal(res.adversarial, random_image(17))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        models = make_models(1)
+        x = random_image(18)
+        x[3, 4, 0] = bad
+        cfg = AttackConfig(epsilon=8.0, steps=2, step_rule=SignStep(1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            run_attack(models, models, x, 0, cfg, make_rng(0))
+
+    def test_rejects_non_finite_gradient(self):
+        model = build_model("softmax-linear", SHAPE, 3, seed=0)
+        model.params["W"].flat[0] = np.nan
+        cfg = AttackConfig(epsilon=8.0, steps=2, step_rule=SignStep(1.0), momentum=1.0)
+        with pytest.raises(DegenerateGradientError, match="non-finite"):
+            run_attack([model], [model], random_image(19), 0, cfg, make_rng(0))
+
+    def test_adaptive_steps_must_match_generator(self):
+        gen = ScalingFactorGenerator(3, SHAPE, hidden=(4, 2))
+        AttackConfig(epsilon=8.0, steps=3, step_rule=AdaptiveStep(gen))
+        with pytest.raises(ValueError, match="trained for 3 steps"):
+            AttackConfig(epsilon=8.0, steps=4, step_rule=AdaptiveStep(gen))
+
+    def test_adaptive_rule_combines_with_momentum_transforms_and_targets(self):
+        models = make_models(1, kind="mlp-1-hidden")
+        gen = ScalingFactorGenerator(3, SHAPE, hidden=(4, 2), head_scale=1e3)
+        x = random_image(20)
+        cfg = AttackConfig(epsilon=8.0, steps=3, step_rule=AdaptiveStep(gen), momentum=1.0,
+                           transforms=(Dim(), Tim(), Sim(), Vt(n=2), Emi(n=2)),
+                           targeted=True, target_label=2)
+        res = run_attack(models, models, x, 0, cfg, make_rng(1))
+        again = run_attack(models, models, x, 0, cfg, make_rng(1))
+        assert np.array_equal(res.adversarial, again.adversarial)
+        assert len(res.step_trace) == 3 and all(g > 0 for g in res.step_trace)
+        assert np.abs(res.adversarial - x).max() <= 8.0 + 1e-9
+        assert res.success == [models[0].predict(res.adversarial) == 2]
+
 
 class TestSignScaleEquivalence:
     def test_constant_magnitude_field_trajectories_coincide(self):
@@ -350,6 +403,46 @@ class TestConfigSerialization:
         cfg = AttackConfig(epsilon=16.0, steps=5, step_rule=FixedScaleStep(8.0))
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_lossless_roundtrip(self, data):
+        steps = data.draw(st.integers(0, 4), label="steps")
+        gen = ScalingFactorGenerator(max(steps, 1), SHAPE, hidden=(4, 2))
+        pos = st.floats(1e-3, 1e3)
+        rule = data.draw(st.one_of(
+            st.builds(SignStep, pos), st.builds(FixedScaleStep, pos),
+            st.just(AdaptiveStep(gen)) if steps >= 1 else st.nothing()), label="rule")
+        transforms = data.draw(st.lists(st.one_of(
+            st.builds(Dim, st.floats(0.0, 1.0), st.floats(0.01, 1.0)),
+            st.builds(Tim, st.sampled_from([1, 3, 5, 7]), st.none() | pos),
+            st.builds(Sim, st.integers(1, 4)),
+            st.builds(Vt, st.integers(1, 30), st.floats(0.0, 3.0)),
+            st.builds(Emi, st.integers(1, 20), st.floats(0.0, 10.0)),
+        ), max_size=5), label="transforms")
+        target = data.draw(st.none() | st.integers(0, 9), label="target_label")
+        cfg = AttackConfig(
+            epsilon=data.draw(st.floats(0.0, 255.0), label="epsilon"), steps=steps,
+            step_rule=rule, momentum=data.draw(st.none() | st.floats(0.0, 2.0), label="mu"),
+            transforms=transforms, targeted=target is not None and data.draw(st.booleans()),
+            target_label=target,
+        )
+        assert config_from_dict(config_to_dict(cfg), generator=gen) == cfg
+
+    def test_unknown_kinds_raise_both_ways(self):
+        class Jitter:
+            pass
+
+        with pytest.raises(TypeError):
+            config_to_dict(AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0),
+                                        transforms=(Jitter(),)))
+        with pytest.raises(TypeError):
+            config_to_dict(AttackConfig(epsilon=8.0, steps=1, step_rule=Jitter()))
+        doc = config_to_dict(AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0)))
+        with pytest.raises(ValueError, match="transform"):
+            config_from_dict({**doc, "transforms": [{"type": "jitter"}]})
+        with pytest.raises(ValueError, match="step rule"):
+            config_from_dict({**doc, "step_rule": {"type": "jitter"}})
 
     def test_dict_is_json_serializable(self):
         import json

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from advgrad.attacks import ensemble_gradient, ensemble_loss, project
 from advgrad.generator import (
     GeneratorTrainConfig,
     ScalingFactorGenerator,
@@ -204,6 +205,38 @@ class TestAdaptiveAttack:
         x, _ = random_pair(7)
         with pytest.raises(ValueError):
             run_attack_adaptive(gen, [model], x, 0, epsilon=8.0, steps=5)
+
+    @pytest.mark.parametrize("arch", ["mlp", "conv"])
+    def test_matches_the_plain_adaptive_loop(self, arch):
+        # reference: the adaptive loop as written before AdaptiveStep ran in
+        # run_attack, without momentum or transforms
+        def reference(gen, models, x, y, epsilon, targets):
+            x_adv = x.copy()
+            trace = []
+            for t in range(gen.steps):
+                grad = ensemble_gradient(models, x_adv, y)
+                gamma = gen.gamma_forward(t, x_adv, grad)
+                x_adv = project(x_adv + gamma * grad, x, epsilon)
+                trace.append(gamma)
+            return (x_adv, trace, [m.predict(x_adv) != y for m in targets],
+                    ensemble_loss(models, x_adv, y))
+
+        gen = ScalingFactorGenerator(4, SHAPE, arch=arch, seed=3, hidden=(12, 6),
+                                     conv_channels=4, head_scale=1e4)
+        sources = [build_model(k, SHAPE, 3, seed=s)
+                   for s, k in enumerate(("mlp-1-hidden", "tiny-conv"))]
+        targets = sources + [build_model("softmax-linear", SHAPE, 3, seed=9)]
+        rng = make_rng(11, 64)
+        for i in range(6):
+            x = rng.uniform(0, 255, size=SHAPE.dims)
+            y = i % 3
+            adv, trace, success, loss = reference(gen, sources, x, y, 4.0, targets)
+            res = run_attack_adaptive(gen, sources, x, y, 4.0, 4, target_models=targets)
+            assert np.array_equal(res.adversarial, adv)
+            assert res.step_trace == trace
+            assert res.success == success
+            assert res.final_loss == loss
+            assert res.steps_used == 4 and not res.early_stopped
 
     def test_needs_a_model(self):
         gen = small_generator(steps=2)

@@ -20,7 +20,10 @@ from advgrad.harness import (
     write_cifar_binary,
     write_idx,
 )
-from advgrad.models import LabeledDataset
+from advgrad import attacks, interaction
+from advgrad.attacks import AttackConfig, SignStep, run_attack
+from advgrad.generator import ScalingFactorGenerator, save_generator
+from advgrad.models import LabeledDataset, build_model, save_model
 from advgrad.numerics import ImageShape, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
@@ -144,7 +147,7 @@ class TestMetrics:
         orig = np.zeros((1, 2, 2, 1))
         adv = orig.copy()
         adv[0, 0, 0, 0] = 8.0
-        row = compute_metrics(orig, adv, np.array([1]), np.array([0]),
+        row = compute_metrics(orig, adv, [True],
                               method="m", source="s", target="t",
                               epsilon=8.0, steps=1)
         assert row.mad == pytest.approx(2.0)
@@ -152,21 +155,35 @@ class TestMetrics:
         assert row.asr == 1.0
 
     def test_asr_counts_clean_misclassifications(self):
-        # prediction differs from the label on both examples, even though the
-        # second was never perturbed: ASR = 1.0 by convention
-        orig = np.zeros((2, 2, 2, 1))
-        row = compute_metrics(orig, orig, np.array([1, 2]), np.array([0, 0]),
+        # a zero-step attack on an input the target already misclassifies
+        # succeeds, even though nothing was perturbed: ASR = 1.0 by convention
+        model = build_model("softmax-linear", SHAPE, 3, seed=0)
+        x = make_rng(0, 72).uniform(0, 255, size=SHAPE.dims)
+        y = (model.predict(x) + 1) % 3
+        cfg = AttackConfig(epsilon=8.0, steps=0, step_rule=SignStep(1.0))
+        res = run_attack([model], [model], x, y, cfg)
+        assert res.success == [True]
+        row = compute_metrics([x], [res.adversarial], res.success,
                               method="m", source="s", target="t",
-                              epsilon=8.0, steps=1)
+                              epsilon=8.0, steps=0)
         assert row.asr == 1.0
 
     def test_targeted_asr(self):
-        orig = np.zeros((3, 1, 1, 1))
-        row = compute_metrics(orig, orig, np.array([2, 2, 0]), np.array([0, 0, 0]),
-                              targeted=True, target_labels=np.array([2, 2, 2]),
-                              method="m", source="s", target="t",
-                              epsilon=8.0, steps=1)
-        assert row.asr == pytest.approx(2 / 3)
+        # targeted success means pred == target_label, not pred != y
+        models = [build_model("softmax-linear", SHAPE, 3, seed=s) for s in range(6)]
+        x = make_rng(1, 72).uniform(0, 255, size=SHAPE.dims)
+        preds = [m.predict(x) for m in models]
+        target = max(set(preds), key=preds.count)
+        y = next(c for c in range(3) if c != target)
+        cfg = AttackConfig(epsilon=8.0, steps=0, step_rule=SignStep(1.0),
+                           targeted=True, target_label=target)
+        res = run_attack(models[:1], models, x, y, cfg)
+        assert res.success == [p == target for p in preds]
+        assert 0 < sum(res.success) < len(models)
+        row = compute_metrics([x] * len(models), [res.adversarial] * len(models),
+                              res.success, method="m", source="s", target="t",
+                              epsilon=8.0, steps=0)
+        assert row.asr == pytest.approx(preds.count(target) / len(models))
 
     def test_row_invariant_mad_le_rmsd_le_eps(self):
         with pytest.raises(ValueError):
@@ -182,10 +199,11 @@ class TestMetrics:
                        mad=1.0, rmsd=1.0, epsilon=8.0, steps=1)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compute_metrics(np.zeros((2, 1, 1, 1)), np.zeros((3, 1, 1, 1)),
-                            np.zeros(2), np.zeros(2), method="m", source="s",
-                            target="t", epsilon=8.0, steps=1)
+        for n_adv, n_success in ((3, 2), (2, 3)):
+            with pytest.raises(ValueError):
+                compute_metrics(np.zeros((2, 1, 1, 1)), np.zeros((n_adv, 1, 1, 1)),
+                                [True] * n_success, method="m", source="s",
+                                target="t", epsilon=8.0, steps=1)
 
 
 class TestAggregate:
@@ -277,6 +295,80 @@ class TestExperimentRunner:
         with open(paths["histogram"], newline="") as fh:
             hist = list(csv.DictReader(fh))
         assert sum(int(r["count"]) for r in hist) == 3
+
+    def test_interaction_pass_scores_the_matrix_examples(self, tmp_path, monkeypatch):
+        # the pass re-attacks nothing: it scores the first records of cell
+        # (seeds[0], method, sources[0]), rng stream 1000 + i included
+        cfg = self.base_config(tmp_path, attacks=[
+            {"name": "dim", "config": {
+                "epsilon": 8.0, "steps": 3, "step_rule": {"type": "sign", "alpha": 2.0},
+                "transforms": [{"type": "dim", "p": 1.0, "min_fraction": 0.5}]}}])
+        cfg.interaction = {"examples": 3, "num_pairs": 3, "num_subsets": 2}
+        attacked, scored = [], []
+        run_attack, make_setfn = attacks.run_attack, interaction.make_model_setfn
+
+        def spy_attack(source_models, target_models, x, y, acfg, rng=None):
+            res = run_attack(source_models, target_models, x, y, acfg, rng)
+            attacked.append(res.adversarial - x)
+            return res
+
+        def spy_setfn(model, x, delta, y):
+            scored.append(delta)
+            return make_setfn(model, x, delta, y)
+
+        monkeypatch.setattr(attacks, "run_attack", spy_attack)
+        monkeypatch.setattr(interaction, "make_model_setfn", spy_setfn)
+        run_experiment(cfg)
+        assert len(attacked) == cfg.eval_count
+        assert len(scored) == 3
+        for delta, expected in zip(scored, attacked):
+            assert np.array_equal(delta, expected)
+
+    def gen_checkpoint(self, tmp_path, steps=3):
+        path = str(tmp_path / "gen.json")
+        save_generator(ScalingFactorGenerator(steps, SHAPE, hidden=(12, 6), head_scale=1e4),
+                       path)
+        return path
+
+    def test_targeted_adaptive_success_matches_asr(self, tmp_path):
+        # models come from checkpoints, so the eval data can leave out the
+        # target class (run_attack rejects y == target_label)
+        models = []
+        for name, kind, seed in (("mlp", "mlp-1-hidden", 0), ("conv", "tiny-conv", 1)):
+            path = str(tmp_path / f"{name}.json")
+            save_model(build_model(kind, SHAPE, 3, seed=seed), path)
+            models.append({"name": name, "checkpoint": path})
+        ds = synth_dataset("blobs", 90, SHAPE, seed=0)
+        ip, lp = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
+        write_idx(ds.subset(np.flatnonzero(ds.labels != 2)), ip, lp)
+        cfg = self.base_config(
+            tmp_path, dataset={"kind": "idx", "images": ip, "labels": lp},
+            models=models, generator_checkpoint=self.gen_checkpoint(tmp_path),
+            eval_count=12, attacks=[{"name": "ada", "config": {
+                "epsilon": 32.0, "steps": 3, "momentum": 1.0, "targeted": True,
+                "target_label": 2, "step_rule": {"type": "adaptive"}}}])
+        paths = run_experiment(cfg)
+        with open(paths["results"], newline="") as fh:
+            results = list(csv.DictReader(fh))
+        with open(paths["metrics"], newline="") as fh:
+            metrics = list(csv.DictReader(fh))
+        assert len(metrics) == 2
+        for row in metrics:
+            flags = [int(r["success"]) for r in results if r["target"] == row["target"]]
+            assert len(flags) == 12
+            assert float(row["asr"]) == pytest.approx(np.mean(flags), abs=1e-6)
+
+    def test_adaptive_step_mismatch_fails_before_attacking(self, tmp_path, monkeypatch):
+        def no_attack(*args, **kwargs):
+            raise AssertionError("an attack ran")
+
+        monkeypatch.setattr(attacks, "run_attack", no_attack)
+        cfg = self.base_config(
+            tmp_path, generator_checkpoint=self.gen_checkpoint(tmp_path, steps=3),
+            attacks=[{"name": "ada", "config": {
+                "epsilon": 8.0, "steps": 5, "step_rule": {"type": "adaptive"}}}])
+        with pytest.raises(ValueError, match="trained for 3 steps"):
+            run_experiment(cfg)
 
     def test_summary_states_conventions(self, tmp_path):
         paths = run_experiment(self.base_config(tmp_path))

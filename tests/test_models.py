@@ -47,6 +47,13 @@ class TestLabeledDataset:
         with pytest.raises(ValueError):
             LabeledDataset(np.full((2, 4, 4, 1), 300.0), np.zeros(2, dtype=int), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pixels(self, bad):
+        images = np.zeros((2, 4, 4, 1))
+        images[1, 2, 3, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LabeledDataset(images, np.zeros(2, dtype=int), 2)
+
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 4, 4, 1)), np.array([0, 5]), 3)
