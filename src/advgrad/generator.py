@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attacks import AdaptiveStep, AttackConfig, AttackResult, _attack_loop, project
-from .numerics import ImageShape, make_rng
+from .numerics import (
+    ImageShape, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays, make_rng,
+)
 
 __all__ = [
     "GeneratorTrainConfig",
@@ -44,6 +46,8 @@ class GeneratorTrainConfig:
             raise ValueError("learning rate must be positive")
         if self.attack_steps < 1:
             raise ValueError("attack_steps must be >= 1")
+        if self.total_steps < 0:
+            raise ValueError("total_steps must be >= 0")
 
 
 def _softplus(raw: float) -> float:
@@ -54,36 +58,10 @@ def _sigmoid(raw: float) -> float:
     return float(1.0 / (1.0 + np.exp(-raw))) if raw >= 0 else float(np.exp(raw) / (1.0 + np.exp(raw)))
 
 
-def _conv_s2(x, W, b):
-    """3x3 stride-2 convolution with padding 1; x: (H, W, Cin)."""
-    H, Wd, _ = x.shape
-    ho, wo = H // 2, Wd // 2
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    out = np.zeros((ho, wo, W.shape[3]))
-    for di in range(3):
-        for dj in range(3):
-            out += np.tensordot(
-                xp[di:di + 2 * ho:2, dj:dj + 2 * wo:2, :], W[di, dj], axes=([2], [0])
-            )
-    return out + b, xp
-
-
-def _conv_s2_backward(dout, xp, W):
-    ho, wo, _ = dout.shape
-    dW = np.zeros_like(W)
-    dxp = np.zeros_like(xp)
-    for di in range(3):
-        for dj in range(3):
-            sl = np.s_[di:di + 2 * ho:2, dj:dj + 2 * wo:2, :]
-            dW[di, dj] = np.tensordot(xp[sl], dout, axes=([0, 1], [0, 1]))
-            dxp[sl] += np.tensordot(dout, W[di, dj], axes=([2], [1]))
-    return dW, dout.sum(axis=(0, 1))
-
-
 def _instance_norm(x):
-    """Per-channel spatial normalization without affine parameters."""
-    m = x.mean(axis=(0, 1), keepdims=True)
-    v = x.var(axis=(0, 1), keepdims=True)
+    """Per-channel spatial normalization without affine parameters; x: (N, H, W, C)."""
+    m = x.mean(axis=(1, 2), keepdims=True)
+    v = x.var(axis=(1, 2), keepdims=True)
     inv = 1.0 / np.sqrt(v + _IN_EPS)
     xhat = (x - m) * inv
     return xhat, (xhat, inv)
@@ -91,9 +69,9 @@ def _instance_norm(x):
 
 def _instance_norm_backward(dy, cache):
     xhat, inv = cache
-    n = xhat.shape[0] * xhat.shape[1]
-    s1 = dy.sum(axis=(0, 1), keepdims=True)
-    s2 = (dy * xhat).sum(axis=(0, 1), keepdims=True)
+    n = xhat.shape[1] * xhat.shape[2]
+    s1 = dy.sum(axis=(1, 2), keepdims=True)
+    s2 = (dy * xhat).sum(axis=(1, 2), keepdims=True)
     return (inv / n) * (n * dy - s1 - xhat * s2)
 
 
@@ -175,17 +153,16 @@ class ScalingFactorGenerator:
             raw = float(p["W3"] @ h2 + p["b3"][0])
             cache = ("mlp", v, h1, h2, raw)
         else:
-            img = np.concatenate([xs, gs], axis=2)
-            z1, xp1 = _conv_s2(img, p["K1"], p["c1"])
-            n1, nc1 = _instance_norm(z1)
-            z2, xp2 = _conv_s2(n1, p["K2"], p["c2"])
-            n2, nc2 = _instance_norm(z2)
-            z3, xp3 = _conv_s2(n2, p["K3"], p["c3"])
-            n3, nc3 = _instance_norm(z3)
-            flat = n3.reshape(-1)
+            a = np.concatenate([xs, gs], axis=2)[None]
+            layers = []  # (conv cache, instance-norm cache) of conv stages 1, 2, 3
+            for i in (1, 2, 3):
+                z, conv_cache = _conv3x3(a, p[f"K{i}"], p[f"c{i}"], stride=2)
+                a, norm_cache = _instance_norm(z)
+                layers.append((conv_cache, norm_cache))
+            flat = a.reshape(-1)
             h = p["W1"] @ flat + p["b1"]
             raw = float(p["W2"] @ h + p["b2"][0])
-            cache = ("conv", xp1, nc1, xp2, nc2, xp3, nc3, n3.shape, flat, h, raw)
+            cache = ("conv", layers, a.shape, flat, h, raw)
         gamma = self.head_scale * _softplus(raw)
         return gamma, cache
 
@@ -215,35 +192,16 @@ class ScalingFactorGenerator:
             grads["W1"] = np.outer(da1, v)
             grads["b1"] = da1
             return grads
-        _, xp1, nc1, xp2, nc2, xp3, nc3, n3_shape, flat, h, _ = cache
+        _, layers, a_shape, flat, h, _ = cache
         grads = {"W2": draw * h, "b2": np.array([draw])}
         dh = draw * p["W2"]
         grads["W1"] = np.outer(dh, flat)
         grads["b1"] = dh
-        dn3 = (p["W1"].T @ dh).reshape(n3_shape)
-        dz3 = _instance_norm_backward(dn3, nc3)
-        grads["K3"], grads["c3"] = _conv_s2_backward(dz3, xp3, p["K3"])
-        dn2_full = np.zeros_like(xp3)
-        # propagate through conv3 input to keep the chain exact
-        ho, wo = dz3.shape[0], dz3.shape[1]
-        for di in range(3):
-            for dj in range(3):
-                dn2_full[di:di + 2 * ho:2, dj:dj + 2 * wo:2, :] += np.tensordot(
-                    dz3, p["K3"][di, dj], axes=([2], [1])
-                )
-        dn2 = dn2_full[1:-1, 1:-1, :]
-        dz2 = _instance_norm_backward(dn2, nc2)
-        grads["K2"], grads["c2"] = _conv_s2_backward(dz2, xp2, p["K2"])
-        dn1_full = np.zeros_like(xp2)
-        ho, wo = dz2.shape[0], dz2.shape[1]
-        for di in range(3):
-            for dj in range(3):
-                dn1_full[di:di + 2 * ho:2, dj:dj + 2 * wo:2, :] += np.tensordot(
-                    dz2, p["K2"][di, dj], axes=([2], [1])
-                )
-        dn1 = dn1_full[1:-1, 1:-1, :]
-        dz1 = _instance_norm_backward(dn1, nc1)
-        grads["K1"], grads["c1"] = _conv_s2_backward(dz1, xp1, p["K1"])
+        da = (p["W1"].T @ dh).reshape(a_shape)
+        for i in (3, 2, 1):
+            conv_cache, norm_cache = layers[i - 1]
+            dz = _instance_norm_backward(da, norm_cache)
+            da, grads[f"K{i}"], grads[f"c{i}"] = _conv3x3_backward(dz, conv_cache, p[f"K{i}"])
         return grads
 
 
@@ -310,11 +268,7 @@ def save_generator(gen: ScalingFactorGenerator, path: str):
         "hidden": list(gen.hidden),
         "conv_channels": gen.conv_channels,
         "image_shape": list(gen.image_shape.dims),
-        "theta": [
-            {k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
-             for k, v in step.items()}
-            for step in gen.theta
-        ],
+        "theta": [_encode_arrays(step) for step in gen.theta],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -330,9 +284,5 @@ def load_generator(path: str) -> ScalingFactorGenerator:
         head_scale=doc["head_scale"], hidden=tuple(doc["hidden"]),
         conv_channels=doc["conv_channels"],
     )
-    gen.theta = [
-        {k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-         for k, spec in step.items()}
-        for step in doc["theta"]
-    ]
+    gen.theta = [_decode_arrays(step) for step in doc["theta"]]
     return gen

@@ -293,11 +293,16 @@ def _resolve_source(pool, source_name):
 
 
 def _attack_cell(source_models, target_models, eval_set, acfg, seed):
-    """Run one attack over the eval set; returns per-example records."""
+    """Run one attack over the eval set; returns per-example records.
+
+    A targeted attack skips the examples whose label is its target.
+    """
     records = []
     for i in range(len(eval_set)):
         x = eval_set.images[i]
         y = int(eval_set.labels[i])
+        if acfg.targeted and y == acfg.target_label:
+            continue
         rng = make_rng(seed, stream=1000 + i)
         res = attacks.run_attack(source_models, target_models, x, y, acfg, rng=rng)
         records.append((i, x, y, res))
@@ -326,11 +331,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         gen = gen_mod.load_generator(cfg.generator_checkpoint)
     attack_cfgs = [attacks.config_from_dict(doc["config"], generator=gen)
                    for doc in cfg.attacks]
+    skipped = {doc["name"]: int(np.sum(eval_set.labels == acfg.target_label))
+               for doc, acfg in zip(cfg.attacks, attack_cfgs) if acfg.targeted}
+    for name, n_skipped in skipped.items():
+        if n_skipped == len(eval_set):
+            raise ValueError(f"targeted attack {name!r}: every eval example has the target label")
     pool = _prepare_models(cfg, train_set)
     target_models = [pool[t] for t in cfg.targets]
 
-    spec = cfg.interaction or {}
-    count = min(spec.get("examples", 50), len(eval_set))
+    spec = cfg.interaction  # None skips the interaction pass; {} runs it with defaults
+    count = 0 if spec is None else min(spec.get("examples", 50), len(eval_set))
     kept = {}  # method -> first `count` records of cell (seeds[0], method, sources[0])
     raw_path = os.path.join(cfg.output_dir, "results.csv")
     rows = []
@@ -345,7 +355,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     source_models = _resolve_source(pool, source_name)
                     records = _attack_cell(source_models, target_models, eval_set,
                                            acfg, seed)
-                    if (spec and seed == cfg.seeds[0] and source_name == cfg.sources[0]
+                    if (spec is not None and seed == cfg.seeds[0]
+                            and source_name == cfg.sources[0]
                             and (not spec.get("methods") or method in spec["methods"])):
                         kept[method] = records[:count]
                     for t_idx, target_name in enumerate(cfg.targets):
@@ -382,21 +393,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                             "source": source_name, "target": target_name, "asr": asr,
                         })
 
-    histograms = {}
-    if spec:
+    histograms = {}  # method -> {example_id: interaction estimate}
+    if spec is not None:
         scorer = pool[spec.get("model", cfg.targets[0])]
         for method, records in kept.items():
-            estimates = []
+            estimates = {}
             for i, x, y, res in records:
                 v, n = interaction.make_model_setfn(scorer, x, res.adversarial - x, y)
                 est = interaction.expected_interaction_sampled(
                     v, n, spec.get("num_pairs", 10), spec.get("num_subsets", 5),
                     rng=make_rng(cfg.seeds[0], stream=3000 + i),
                 )
-                estimates.append(est.value)
-            histograms[method] = np.asarray(estimates)
+                estimates[i] = est.value
+            histograms[method] = estimates
 
-    return emit_report(rows, sweep_data, histograms, cfg)
+    return emit_report(rows, sweep_data, histograms, cfg, skipped=skipped)
 
 
 def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
@@ -416,8 +427,14 @@ def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
     return out
 
 
-def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig) -> dict:
-    """Write metrics.csv, optional sweep.csv / histogram.csv, and summary.json."""
+def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig,
+                skipped: dict | None = None) -> dict:
+    """Write metrics.csv, optional sweep.csv / histogram.csv, and summary.json.
+
+    `histograms` maps a method to {example_id: interaction estimate};
+    `skipped` maps a targeted method to the number of eval examples it left
+    out because their label was its target.
+    """
     if not rows:
         raise ValueError("need at least one metrics row")
     out = cfg.output_dir
@@ -445,14 +462,14 @@ def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig) -> dict:
         paths["sweep"] = sweep_path
 
     if histograms:
-        all_values = np.concatenate(list(histograms.values()))
+        all_values = np.concatenate([list(v.values()) for v in histograms.values()])
         edges = np.histogram_bin_edges(all_values, bins=20)
         hist_path = os.path.join(out, "histogram.csv")
         with open(hist_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "bin_left", "bin_right", "count"])
             for method, values in histograms.items():
-                counts, _ = np.histogram(values, bins=edges)
+                counts, _ = np.histogram(list(values.values()), bins=edges)
                 for left, right, cnt in zip(edges[:-1], edges[1:], counts):
                     writer.writerow([method, f"{left:.8g}", f"{right:.8g}", int(cnt)])
         raw_path = os.path.join(out, "interaction.csv")
@@ -460,7 +477,7 @@ def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig) -> dict:
             writer = csv.writer(fh)
             writer.writerow(["method", "example_id", "estimate"])
             for method, values in histograms.items():
-                for i, value in enumerate(values):
+                for i, value in values.items():
                     writer.writerow([method, i, f"{value:.8g}"])
         paths["histogram"] = hist_path
         paths["interaction"] = raw_path
@@ -470,6 +487,8 @@ def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig) -> dict:
         "asr_convention": "counts all evaluated images, including clean misclassifications",
         "distance_convention": "MAD/RMSD over all images, 0-255 scale",
     }
+    if skipped:
+        summary["skipped_examples"] = skipped
     summary_path = os.path.join(out, "summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ImageShape, make_rng
+from .numerics import (
+    ImageShape, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays, make_rng,
+)
 
 __all__ = [
     "LabeledDataset",
@@ -77,14 +79,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
+    """Softmax over the last axis of one logit vector or a batch of them."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -93,7 +98,11 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """Base classifier: subclasses implement _forward and _backward."""
+    """Base classifier: subclasses implement the batch-first _forward and _backward.
+
+    The public methods take one image; train_classifier and accuracy run the
+    core on whole minibatches.
+    """
 
     kind: str = ""
 
@@ -112,20 +121,28 @@ class Model:
             )
         return x
 
+    def _check_label(self, y: int):
+        if not 0 <= y < self.num_classes:
+            raise ValueError(f"label {y} out of range for {self.num_classes} classes")
+
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return x / 255.0 - 0.5
 
-    def _forward(self, x: np.ndarray):
-        """Return (logits, cache). Cache feeds _backward."""
+    def _forward(self, z: np.ndarray):
+        """Return (logits, cache) for standardized z of shape (N, H, W, C) or (H, W, C).
+
+        Logits are (N, num_classes) or (num_classes,); the cache feeds _backward.
+        """
         raise NotImplementedError
 
-    def _backward(self, dlogits: np.ndarray, cache):
-        """Return (dx_standardized, param_grads)."""
+    def _backward(self, dlogits: np.ndarray, cache, params: bool):
+        """Return (dz, param_grads): dz has z's shape, param_grads are summed over
+        the batch, or None when params is False.  Parameter gradients need a
+        batched z."""
         raise NotImplementedError
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x)
-        out, _ = self._forward(self._standardize(x))
+        out, _ = self._forward(self._standardize(self._check_input(x)))
         return out
 
     def predict(self, x: np.ndarray) -> int:
@@ -133,32 +150,34 @@ class Model:
         return int(np.argmax(self.logits(x)))
 
     def cross_entropy_loss(self, x: np.ndarray, y: int) -> float:
-        if not 0 <= y < self.num_classes:
-            raise ValueError(f"label {y} out of range for {self.num_classes} classes")
+        self._check_label(y)
         return float(-_log_softmax(self.logits(x))[y])
 
     # -- gradients ---------------------------------------------------------
 
-    def _loss_backward(self, x: np.ndarray, y: int):
-        x = self._check_input(x)
-        if not 0 <= y < self.num_classes:
-            raise ValueError(f"label {y} out of range for {self.num_classes} classes")
-        z = self._standardize(x)
-        logits, cache = self._forward(z)
-        p = _softmax(logits)
-        dlogits = p.copy()
-        dlogits[y] -= 1.0
-        dz, grads = self._backward(dlogits, cache)
-        return dz / 255.0, grads, logits
+    def _loss_backward(self, x: np.ndarray, y, params: bool):
+        """Cross-entropy backward for one image and an int label, or for a batch
+        (N, H, W, C) and an (N,) label array.  Returns (dx on the 0-255 scale,
+        param_grads summed over the batch or None)."""
+        logits, cache = self._forward(self._standardize(x))
+        dlogits = _softmax(logits)
+        if dlogits.ndim == 2:
+            dlogits[np.arange(len(dlogits)), y] -= 1.0
+        else:
+            dlogits[y] -= 1.0
+        dz, grads = self._backward(dlogits, cache, params)
+        return dz / 255.0, grads
 
     def input_gradient(self, x: np.ndarray, y: int) -> np.ndarray:
         """Exact gradient of the cross-entropy loss w.r.t. 0-255 pixels."""
-        dx, _, _ = self._loss_backward(x, y)
-        return dx
+        x = self._check_input(x)
+        self._check_label(y)
+        return self._loss_backward(x, y, params=False)[0]
 
     def parameter_gradients(self, x: np.ndarray, y: int) -> dict[str, np.ndarray]:
-        _, grads, _ = self._loss_backward(x, y)
-        return grads
+        x = self._check_input(x)
+        self._check_label(y)
+        return self._loss_backward(x[None], np.array([y]), params=True)[1]
 
 
 class SoftmaxLinear(Model):
@@ -175,13 +194,14 @@ class SoftmaxLinear(Model):
         }
 
     def _forward(self, z):
-        zf = z.reshape(-1)
-        return self.params["W"] @ zf + self.params["b"], zf
+        # (H, W, C) -> (d,) and (N, H, W, C) -> (N, d); z @ W.T serves both
+        zf = z.reshape(len(z), -1) if z.ndim == 4 else z.reshape(-1)
+        return zf @ self.params["W"].T + self.params["b"], zf
 
-    def _backward(self, dlogits, zf):
-        grads = {"W": np.outer(dlogits, zf), "b": dlogits.copy()}
-        dz = self.params["W"].T @ dlogits
-        return dz.reshape(self.image_shape.dims), grads
+    def _backward(self, dlogits, zf, params):
+        grads = {"W": dlogits.T @ zf, "b": dlogits.sum(axis=0)} if params else None
+        dz = dlogits @ self.params["W"]
+        return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
 
 
 class TanhMLP(Model):
@@ -202,55 +222,33 @@ class TanhMLP(Model):
         }
 
     def _forward(self, z):
-        zf = z.reshape(-1)
-        h = np.tanh(self.params["W1"] @ zf + self.params["b1"])
-        logits = self.params["W2"] @ h + self.params["b2"]
+        zf = z.reshape(len(z), -1) if z.ndim == 4 else z.reshape(-1)
+        h = np.tanh(zf @ self.params["W1"].T + self.params["b1"])
+        logits = h @ self.params["W2"].T + self.params["b2"]
         return logits, (zf, h)
 
-    def _backward(self, dlogits, cache):
+    def _backward(self, dlogits, cache, params):
         zf, h = cache
-        dh = self.params["W2"].T @ dlogits
-        da1 = dh * (1.0 - h * h)
-        grads = {
-            "W2": np.outer(dlogits, h),
-            "b2": dlogits.copy(),
-            "W1": np.outer(da1, zf),
-            "b1": da1,
-        }
-        dz = self.params["W1"].T @ da1
-        return dz.reshape(self.image_shape.dims), grads
-
-
-def _conv_same(x, W, b):
-    """3x3 same-padded convolution, x: (H, W, Cin), W: (3, 3, Cin, Cout)."""
-    H, Wd, _ = x.shape
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    out = np.zeros((H, Wd, W.shape[3]))
-    for di in range(3):
-        for dj in range(3):
-            out += np.tensordot(xp[di:di + H, dj:dj + Wd, :], W[di, dj], axes=([2], [0]))
-    return out + b, xp
-
-
-def _conv_same_backward(dout, xp, W):
-    H, Wd, _ = dout.shape
-    dW = np.zeros_like(W)
-    dxp = np.zeros_like(xp)
-    for di in range(3):
-        for dj in range(3):
-            dW[di, dj] = np.tensordot(xp[di:di + H, dj:dj + Wd, :], dout, axes=([0, 1], [0, 1]))
-            dxp[di:di + H, dj:dj + Wd, :] += np.tensordot(dout, W[di, dj], axes=([2], [1]))
-    db = dout.sum(axis=(0, 1))
-    return dxp[1:1 + H, 1:1 + Wd, :], dW, db
+        da1 = (dlogits @ self.params["W2"]) * (1.0 - h * h)
+        grads = None
+        if params:
+            grads = {
+                "W2": dlogits.T @ h,
+                "b2": dlogits.sum(axis=0),
+                "W1": da1.T @ zf,
+                "b1": da1.sum(axis=0),
+            }
+        dz = da1 @ self.params["W1"]
+        return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
 
 
 def _avgpool2(x):
-    H, W, C = x.shape
-    return x.reshape(H // 2, 2, W // 2, 2, C).mean(axis=(1, 3))
+    n, h, w, c = x.shape
+    return x.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
 
 
 def _avgpool2_backward(d):
-    return np.repeat(np.repeat(d, 2, axis=0), 2, axis=1) / 4.0
+    return np.repeat(np.repeat(d, 2, axis=1), 2, axis=2) / 4.0
 
 
 class TinyConv(Model):
@@ -277,27 +275,29 @@ class TinyConv(Model):
         }
 
     def _forward(self, z):
-        c1, xp1 = _conv_same(z, self.params["W1"], self.params["b1"])
+        lead = z.shape[:-3]
+        c1, conv1 = _conv3x3(z.reshape((-1,) + z.shape[-3:]), self.params["W1"], self.params["b1"])
         t1 = np.tanh(c1)
-        p1 = _avgpool2(t1)
-        c2, xp2 = _conv_same(p1, self.params["W2"], self.params["b2"])
+        c2, conv2 = _conv3x3(_avgpool2(t1), self.params["W2"], self.params["b2"])
         t2 = np.tanh(c2)
-        p2 = _avgpool2(t2)
-        flat = p2.reshape(-1)
-        logits = self.params["W3"] @ flat + self.params["b3"]
-        return logits, (xp1, t1, xp2, t2, p2.shape, flat)
+        flat = _avgpool2(t2).reshape(len(t2), -1)
+        logits = flat @ self.params["W3"].T + self.params["b3"]
+        return logits.reshape(lead + (-1,)), (lead, conv1, t1, conv2, t2, flat)
 
-    def _backward(self, dlogits, cache):
-        xp1, t1, xp2, t2, p2_shape, flat = cache
-        grads = {"W3": np.outer(dlogits, flat), "b3": dlogits.copy()}
-        dp2 = (self.params["W3"].T @ dlogits).reshape(p2_shape)
-        dt2 = _avgpool2_backward(dp2)
-        dc2 = dt2 * (1.0 - t2 * t2)
-        dp1, grads["W2"], grads["b2"] = _conv_same_backward(dc2, xp2, self.params["W2"])
-        dt1 = _avgpool2_backward(dp1)
-        dc1 = dt1 * (1.0 - t1 * t1)
-        dz, grads["W1"], grads["b1"] = _conv_same_backward(dc1, xp1, self.params["W1"])
-        return dz, grads
+    def _backward(self, dlogits, cache, params):
+        lead, conv1, t1, conv2, t2, flat = cache
+        dlogits = dlogits.reshape(len(flat), -1)
+        n, h, w, c = t2.shape
+        dp2 = (dlogits @ self.params["W3"]).reshape(n, h // 2, w // 2, c)
+        dc2 = _avgpool2_backward(dp2) * (1.0 - t2 * t2)
+        dp1, dW2, db2 = _conv3x3_backward(dc2, conv2, self.params["W2"])
+        dc1 = _avgpool2_backward(dp1) * (1.0 - t1 * t1)
+        dz, dW1, db1 = _conv3x3_backward(dc1, conv1, self.params["W1"])
+        grads = None
+        if params:
+            grads = {"W3": dlogits.T @ flat, "b3": dlogits.sum(axis=0),
+                     "W2": dW2, "b2": db2, "W1": dW1, "b1": db1}
+        return dz.reshape(lead + self.image_shape.dims), grads
 
 
 def build_model(kind: str, image_shape: ImageShape, num_classes: int, seed: int = 0, **kwargs) -> Model:
@@ -325,22 +325,24 @@ def train_classifier(dataset: LabeledDataset, kind: str, cfg: TrainConfig, **kwa
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            total = {k: np.zeros_like(v) for k, v in model.params.items()}
-            for i in batch:
-                for k, g in model.parameter_gradients(dataset.images[i], int(dataset.labels[i])).items():
-                    total[k] += g
+            _, grads = model._loss_backward(dataset.images[batch], dataset.labels[batch],
+                                            params=True)
             scale = cfg.learning_rate / len(batch)
             for k in model.params:
-                model.params[k] -= scale * total[k]
+                model.params[k] -= scale * grads[k]
     return model, accuracy(model, dataset)
 
 
 def accuracy(model: Model, dataset: LabeledDataset) -> float:
     if len(dataset) == 0:
         return 0.0
-    correct = sum(
-        model.predict(x) == int(y) for x, y in zip(dataset.images, dataset.labels)
-    )
+    correct = 0
+    step = 32  # minibatch-sized chunks keep the im2col buffers, and so peak memory, small
+    for start in range(0, len(dataset), step):
+        chunk = slice(start, start + step)
+        logits, _ = model._forward(model._standardize(dataset.images[chunk]))
+        # np.argmax breaks ties toward the lowest class index, as predict does
+        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[chunk]))
     return correct / len(dataset)
 
 
@@ -352,10 +354,7 @@ def save_model(model: Model, path: str):
         "image_shape": list(model.image_shape.dims),
         "num_classes": model.num_classes,
         "hyper": {},
-        "params": {
-            k: {"shape": list(v.shape), "data": v.reshape(-1).tolist()}
-            for k, v in model.params.items()
-        },
+        "params": _encode_arrays(model.params),
     }
     if isinstance(model, TanhMLP):
         doc["hyper"]["hidden"] = model.hidden
@@ -378,6 +377,5 @@ def load_model(path: str) -> Model:
     if doc["kind"] == "tiny-conv" and "channels" in hyper:
         kwargs["channels"] = tuple(hyper["channels"])
     model = build_model(doc["kind"], shape, doc["num_classes"], **kwargs)
-    for k, spec in doc["params"].items():
-        model.params[k] = np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+    model.params.update(_decode_arrays(doc["params"]))
     return model

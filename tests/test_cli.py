@@ -88,6 +88,16 @@ def test_interaction_subcommand(tmp_path):
     assert (tmp_path / "out" / "interaction.csv").exists()
 
 
+def test_interaction_subcommand_without_interaction_block(tmp_path, capsys):
+    # no "interaction" block: the subcommand runs the pass with its defaults
+    cfg = experiment_config(tmp_path, eval_count=2)
+    main(["interaction", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert "histogram: " in out and "interaction: " in out
+    assert (tmp_path / "out" / "histogram.csv").exists()
+    assert (tmp_path / "out" / "interaction.csv").exists()
+
+
 def test_verify_props_prints_pass_lines(capsys):
     main(["verify-props"])
     out = capsys.readouterr().out

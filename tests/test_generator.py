@@ -1,5 +1,7 @@
 """Tests for the per-step scaling-factor generator and adaptive attack."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,11 @@ class TestConstruction:
     def test_rejects_nonpositive_head_scale(self):
         with pytest.raises(ValueError):
             ScalingFactorGenerator(3, SHAPE, head_scale=0.0)
+
+    def test_train_config_rejects_negative_total_steps(self):
+        with pytest.raises(ValueError, match="total_steps"):
+            GeneratorTrainConfig(total_steps=-1, attack_steps=2, learning_rate=0.1,
+                                 epsilon=8.0)
 
 
 class TestForward:
@@ -130,6 +137,102 @@ class TestParameterGradient:
                 flat[i] = old
                 fd = upstream * (up - down) / (2 * h)
                 assert g.reshape(-1)[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+
+    def test_conv_kernels_match_finite_differences_on_16x16(self):
+        # on 8x8 inputs the K gradients are identically zero (see below), so
+        # the oracle above cannot see the conv stack; 16x16 can
+        shape = ImageShape(16, 16, 1)
+        gen = ScalingFactorGenerator(1, shape, arch="conv", seed=8, hidden=(12, 6),
+                                     conv_channels=4)
+        rng = make_rng(5, 63)
+        x = rng.uniform(0, 255, size=shape.dims)
+        grad = rng.normal(scale=1e-4, size=shape.dims)
+        analytic = gen.parameter_gradient(0, x, grad, 1.0)
+        h = 1e-6
+        for name in ("K1", "K2", "K3"):
+            flat = gen.theta[0][name].reshape(-1)
+            for i in rng.choice(flat.size, size=4, replace=False):
+                old = flat[i]
+                flat[i] = old + h
+                up = gen.gamma_forward(0, x, grad)
+                flat[i] = old - h
+                down = gen.gamma_forward(0, x, grad)
+                flat[i] = old
+                fd = (up - down) / (2 * h)
+                assert analytic[name].reshape(-1)[i] == pytest.approx(fd, rel=1e-4, abs=1e-10)
+            assert np.abs(analytic[name]).max() > 1e-6
+
+    def test_conv_arch_matches_per_tap_loops(self):
+        # reference: the conv stack as written with per-tap tensordot loops,
+        # before it used the shared im2col conv primitive
+        def conv_s2(x, W, b):
+            ho, wo = x.shape[0] // 2, x.shape[1] // 2
+            xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
+            out = np.zeros((ho, wo, W.shape[3]))
+            for di in range(3):
+                for dj in range(3):
+                    out += np.tensordot(xp[di:di + 2 * ho:2, dj:dj + 2 * wo:2], W[di, dj],
+                                        axes=([2], [0]))
+            return out + b, xp
+
+        def conv_s2_backward(dout, xp, W):
+            ho, wo, _ = dout.shape
+            dW, dxp = np.zeros_like(W), np.zeros_like(xp)
+            for di in range(3):
+                for dj in range(3):
+                    sl = np.s_[di:di + 2 * ho:2, dj:dj + 2 * wo:2]
+                    dW[di, dj] = np.tensordot(xp[sl], dout, axes=([0, 1], [0, 1]))
+                    dxp[sl] += np.tensordot(dout, W[di, dj], axes=([2], [1]))
+            return dxp[1:-1, 1:-1], dW, dout.sum(axis=(0, 1))
+
+        def norm(z):
+            inv = 1.0 / np.sqrt(z.var(axis=(0, 1)) + 1e-5)
+            return (z - z.mean(axis=(0, 1))) * inv, inv
+
+        def norm_backward(dy, xhat, inv):
+            n = xhat.shape[0] * xhat.shape[1]
+            return (inv / n) * (n * dy - dy.sum(axis=(0, 1)) - xhat * (dy * xhat).sum(axis=(0, 1)))
+
+        def reference(p, x, grad, upstream, head_scale):
+            a = np.concatenate([x / 255.0 - 0.5, grad / np.abs(grad).max()], axis=2)
+            stages = []
+            for i in (1, 2, 3):
+                z, xp = conv_s2(a, p[f"K{i}"], p[f"c{i}"])
+                a, inv = norm(z)
+                stages.append((xp, a, inv))
+            h = p["W1"] @ a.reshape(-1) + p["b1"]
+            raw = float(p["W2"] @ h + p["b2"][0])
+            draw = upstream * head_scale / (1.0 + np.exp(-raw))
+            dh = draw * p["W2"]
+            grads = {"W2": draw * h, "b2": np.array([draw]),
+                     "W1": np.outer(dh, a.reshape(-1)), "b1": dh}
+            da = (p["W1"].T @ dh).reshape(a.shape)
+            for i in (3, 2, 1):
+                xp, xhat, inv = stages[i - 1]
+                da, grads[f"K{i}"], grads[f"c{i}"] = conv_s2_backward(
+                    norm_backward(da, xhat, inv), xp, p[f"K{i}"])
+            return head_scale * np.logaddexp(0.0, raw), grads
+
+        # 16x16 keeps a 2x2 map after three stride-2 stages; on 8x8 the last
+        # instance norm sees a 1x1 map, outputs zeros and zeroes the K grads
+        shape = ImageShape(16, 16, 2)
+        gen = ScalingFactorGenerator(2, shape, arch="conv", seed=6, hidden=(12, 6),
+                                     conv_channels=4)
+        rng = make_rng(12, 60)
+        for _ in range(3):
+            x = rng.uniform(0, 255, size=shape.dims)
+            grad = rng.normal(scale=1e-4, size=shape.dims)
+            for t in range(gen.steps):
+                gamma, want = reference(gen.theta[t], x, grad, 0.7, gen.head_scale)
+                assert gen.gamma_forward(t, x, grad) == pytest.approx(gamma, rel=1e-12)
+                got = gen.parameter_gradient(t, x, grad, 0.7)
+                assert list(got) == list(want)
+                assert all(np.abs(want[f"K{i}"]).max() > 0 for i in (1, 2, 3))
+                # the c_i gradients are zero up to rounding (instance norm
+                # removes a bias), so the tolerance follows the largest entry
+                scale = max(np.abs(v).max() for v in want.values())
+                for k in want:
+                    np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-12 * scale)
 
     def test_other_steps_untouched_by_update(self):
         gen = small_generator(steps=3)
@@ -264,3 +367,31 @@ class TestCheckpoints:
         path.write_text('{"format": "not-a-generator"}')
         with pytest.raises(ValueError):
             load_generator(str(path))
+
+    def test_loads_the_v1_layout(self, tmp_path):
+        # a checkpoint in the advgrad-generator-v1 layout, written by hand
+        step = {
+            "W1": {"shape": [2, 2], "data": [0.1, -0.2, 0.3, 0.4]},
+            "b1": {"shape": [2], "data": [0.0, 0.1]},
+            "W2": {"shape": [1, 2], "data": [0.5, -0.5]},
+            "b2": {"shape": [1], "data": [0.2]},
+            "W3": {"shape": [1], "data": [1.5]},
+            "b3": {"shape": [1], "data": [-0.3]},
+        }
+        doc = {"format": "advgrad-generator-v1", "arch": "mlp", "steps": 1,
+               "head_scale": 2.0, "hidden": [2, 1], "conv_channels": 32,
+               "image_shape": [1, 1, 1], "theta": [step]}
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        gen = load_generator(str(path))
+        assert (gen.arch, gen.steps, gen.hidden) == ("mlp", 1, (2, 1))
+        assert np.array_equal(gen.theta[0]["W1"], np.array([[0.1, -0.2], [0.3, 0.4]]))
+        x, grad = np.array([[[255.0]]]), np.array([[[-3.0]]])
+        v = np.array([0.5, -1.0])  # standardized pixel, peak-normalized gradient
+        h1 = np.tanh(np.array([[0.1, -0.2], [0.3, 0.4]]) @ v + np.array([0.0, 0.1]))
+        h2 = np.tanh(np.array([[0.5, -0.5]]) @ h1 + 0.2)
+        raw = 1.5 * h2[0] - 0.3
+        assert gen.gamma_forward(0, x, grad) == pytest.approx(
+            2.0 * np.logaddexp(0.0, raw), rel=1e-12)
+        save_generator(gen, str(tmp_path / "again.json"))
+        assert json.loads((tmp_path / "again.json").read_text()) == doc

@@ -11,6 +11,7 @@ from advgrad.harness import (
     ExperimentConfig,
     MetricsRow,
     aggregate_rows,
+    build_dataset,
     compute_metrics,
     load_cifar_binary,
     load_idx,
@@ -230,6 +231,14 @@ class TestAggregate:
         assert len(aggregate_rows(rows)) == 2
 
 
+def build_dataset_labels(cfg):
+    """Labels of the eval split run_experiment draws for cfg."""
+    ds = build_dataset(cfg.dataset)
+    order = make_rng(cfg.dataset.get("seed", 0), stream=13).permutation(len(ds))
+    n_train = int(cfg.train_fraction * len(ds))
+    return [int(y) for y in ds.labels[order[n_train:][: cfg.eval_count]]]
+
+
 class TestExperimentRunner:
     def base_config(self, tmp_path, **overrides):
         doc = {
@@ -357,6 +366,45 @@ class TestExperimentRunner:
             flags = [int(r["success"]) for r in results if r["target"] == row["target"]]
             assert len(flags) == 12
             assert float(row["asr"]) == pytest.approx(np.mean(flags), abs=1e-6)
+
+    def test_targeted_cell_skips_examples_of_the_target_class(self, tmp_path):
+        # 3-class blobs and a pool trained in process: the eval set holds
+        # examples of class 0, which a target_label 0 attack cannot target
+        cfg = self.base_config(tmp_path, eval_count=12, epsilon_grid=[8.0],
+                               attacks=[{"name": "tgt", "config": {
+                                   "epsilon": 32.0, "steps": 3, "targeted": True,
+                                   "target_label": 0,
+                                   "step_rule": {"type": "sign", "alpha": 12.0}}}])
+        cfg.interaction = {"examples": 4, "num_pairs": 2, "num_subsets": 2}
+        paths = run_experiment(cfg)
+        with open(paths["results"], newline="") as fh:
+            results = list(csv.DictReader(fh))
+        with open(paths["metrics"], newline="") as fh:
+            metrics = list(csv.DictReader(fh))
+        with open(paths["interaction"], newline="") as fh:
+            scored = [int(r["example_id"]) for r in csv.DictReader(fh)]
+        summary = json.load(open(paths["summary"]))
+        labels = build_dataset_labels(cfg)
+        kept = [i for i, y in enumerate(labels) if y != 0]
+        assert 0 < summary["skipped_examples"]["tgt"] == len(labels) - len(kept)
+        assert len(metrics) == 2
+        for row in metrics:
+            rows = [r for r in results if r["target"] == row["target"]]
+            assert [int(r["example_id"]) for r in rows] == kept
+            flags = [int(r["success"]) for r in rows]
+            assert float(row["asr"]) == pytest.approx(np.mean(flags), abs=1e-6)
+        assert scored == kept[:4]
+
+    def test_targeted_attack_with_only_target_examples_fails_early(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.setattr(attacks, "run_attack", lambda *a, **k: pytest.fail("attacked"))
+        cfg = self.base_config(tmp_path, dataset={
+            "kind": "blobs", "n": 20, "image_shape": [8, 8, 1], "seed": 0,
+            "num_classes": 1}, attacks=[{"name": "tgt", "config": {
+                "epsilon": 8.0, "steps": 2, "targeted": True, "target_label": 0,
+                "step_rule": {"type": "sign", "alpha": 4.0}}}])
+        with pytest.raises(ValueError, match="every eval example"):
+            run_experiment(cfg)
 
     def test_adaptive_step_mismatch_fails_before_attacking(self, tmp_path, monkeypatch):
         def no_attack(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Tests for the desk-scale classifiers and their hand-written gradients."""
 
+import json
 import math
 
 import numpy as np
@@ -165,6 +166,71 @@ class TestGradients:
         assert np.allclose(model.input_gradient(x, 2), expected, atol=1e-12)
 
 
+def per_image_sgd(dataset, kind, cfg):
+    """Reference: the SGD loop before batching, one parameter_gradients call
+    per image summed into the minibatch gradient."""
+    model = build_model(kind, dataset.image_shape, dataset.num_classes, seed=cfg.seed)
+    rng = make_rng(cfg.seed, stream=1)
+    n = len(dataset)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            total = {k: np.zeros_like(v) for k, v in model.params.items()}
+            for i in batch:
+                for k, g in model.parameter_gradients(dataset.images[i],
+                                                      int(dataset.labels[i])).items():
+                    total[k] += g
+            scale = cfg.learning_rate / len(batch)
+            for k in model.params:
+                model.params[k] -= scale * total[k]
+    return model
+
+
+class TestBatchedCore:
+    @pytest.mark.parametrize("n", [1, 7, 32])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_matches_single_images(self, kind, n):
+        model = build_model(kind, SHAPE, 3, seed=4)
+        ds = tiny_dataset(n, seed=n)
+        logits, _ = model._forward(model._standardize(ds.images))
+        dx, grads = model._loss_backward(ds.images, ds.labels, params=True)
+        dx_only, none = model._loss_backward(ds.images, ds.labels, params=False)
+        assert none is None
+        assert np.array_equal(dx_only, dx)
+        total = {k: np.zeros_like(v) for k, v in model.params.items()}
+        for i, (x, y) in enumerate(zip(ds.images, ds.labels)):
+            np.testing.assert_allclose(logits[i], model.logits(x), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dx[i], model.input_gradient(x, int(y)),
+                                       rtol=0, atol=1e-12)
+            for k, g in model.parameter_gradients(x, int(y)).items():
+                total[k] += g
+        assert set(grads) == set(model.params)
+        for k in total:
+            np.testing.assert_allclose(grads[k], total[k], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_matches_per_image_loop(self, kind):
+        # 30 images in minibatches of 8 leave a ragged last batch
+        ds = tiny_dataset(30, seed=6)
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.1, seed=2)
+        trained, acc = train_classifier(ds, kind, cfg)
+        reference = per_image_sgd(ds, kind, cfg)
+        for k in reference.params:
+            np.testing.assert_allclose(trained.params[k], reference.params[k],
+                                       rtol=0, atol=1e-12)
+        assert acc == np.mean([reference.predict(x) == y
+                               for x, y in zip(ds.images, ds.labels)])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_accuracy_matches_predict_across_chunks(self, kind):
+        # 70 images span several forward chunks, the last one partial
+        ds = tiny_dataset(70, seed=8)
+        model = build_model(kind, SHAPE, 3, seed=5)
+        expected = np.mean([model.predict(x) == y for x, y in zip(ds.images, ds.labels)])
+        assert accuracy(model, ds) == expected
+
+
 class TestTraining:
     def test_training_reaches_high_accuracy_on_separable_data(self):
         from advgrad.harness import synth_dataset
@@ -188,6 +254,11 @@ class TestTraining:
         fresh = build_model("softmax-linear", SHAPE, 3, seed=3)
         assert np.array_equal(trained.params["W"], fresh.params["W"])
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+
     def test_rejects_empty_dataset(self):
         empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=int), 3)
         with pytest.raises(ValueError):
@@ -210,3 +281,29 @@ class TestCheckpoints:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    def test_loads_the_v1_layout(self, tmp_path):
+        # a checkpoint in the advgrad-model-v1 layout, written by hand
+        doc = {
+            "format": "advgrad-model-v1", "kind": "mlp-1-hidden",
+            "image_shape": [1, 2, 1], "num_classes": 2, "hyper": {"hidden": 2},
+            "params": {
+                "W1": {"shape": [2, 2], "data": [0.1, -0.2, 0.3, 0.4]},
+                "b1": {"shape": [2], "data": [0.5, -0.5]},
+                "W2": {"shape": [2, 2], "data": [1.0, 2.0, -1.0, 0.0]},
+                "b2": {"shape": [2], "data": [0.25, -0.25]},
+            },
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc))
+        model = load_model(str(path))
+        assert model.kind == "mlp-1-hidden" and model.hidden == 2
+        assert np.array_equal(model.params["W2"], np.array([[1.0, 2.0], [-1.0, 0.0]]))
+        x = np.array([[[0.0], [255.0]]])
+        h = np.tanh(np.array([[0.1, -0.2], [0.3, 0.4]]) @ np.array([-0.5, 0.5])
+                    + np.array([0.5, -0.5]))
+        expected = np.array([[1.0, 2.0], [-1.0, 0.0]]) @ h + np.array([0.25, -0.25])
+        np.testing.assert_allclose(model.logits(x), expected, rtol=0, atol=1e-12)
+        # and saving writes the same layout back
+        save_model(model, str(tmp_path / "again.json"))
+        assert json.loads((tmp_path / "again.json").read_text()) == doc

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from advgrad.numerics import (
     ImageShape,
+    _conv3x3,
+    _conv3x3_backward,
     finite_diff_gradient,
     finite_diff_hessian,
     gaussian_kernel_2d,
@@ -126,3 +128,50 @@ class TestGaussianKernel:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             gaussian_kernel_2d(3, 0.0)
+
+
+def conv3x3_reference(x, W, b, stride, dout):
+    """Nested-loop 3x3 convolution with zero padding 1, and its gradients for
+    the upstream gradient dout, straight from the definition."""
+    n, h, w, cin = x.shape
+    cout = W.shape[3]
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    xp = np.zeros((n, h + 2, w + 2, cin))
+    xp[:, 1:h + 1, 1:w + 1] = x
+    out = np.zeros((n, ho, wo, cout))
+    dxp = np.zeros_like(xp)
+    dW = np.zeros_like(W)
+    db = np.zeros(cout)
+    for m in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for co in range(cout):
+                    out[m, i, j, co] = b[co]
+                    db[co] += dout[m, i, j, co]
+                    for di in range(3):
+                        for dj in range(3):
+                            for ci in range(cin):
+                                r, c = stride * i + di, stride * j + dj
+                                out[m, i, j, co] += xp[m, r, c, ci] * W[di, dj, ci, co]
+                                dW[di, dj, ci, co] += xp[m, r, c, ci] * dout[m, i, j, co]
+                                dxp[m, r, c, ci] += W[di, dj, ci, co] * dout[m, i, j, co]
+    return out, dxp[:, 1:h + 1, 1:w + 1], dW, db
+
+
+class TestConv3x3:
+    @given(n=st.integers(1, 3), h=st.integers(1, 6), w=st.integers(1, 6),
+           cin=st.integers(1, 3), cout=st.integers(1, 3), stride=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_nested_loops(self, n, h, w, cin, cout, stride, seed):
+        rng = make_rng(seed, 80)
+        x = rng.normal(size=(n, h, w, cin))
+        W = rng.normal(size=(3, 3, cin, cout))
+        b = rng.normal(size=cout)
+        out, cache = _conv3x3(x, W, b, stride=stride)
+        dout = rng.normal(size=out.shape)
+        dx, dW, db = _conv3x3_backward(dout, cache, W)
+        ref_out, ref_dx, ref_dW, ref_db = conv3x3_reference(x, W, b, stride, dout)
+        assert out.shape == ref_out.shape
+        for got, want in ((out, ref_out), (dx, ref_dx), (dW, ref_dW), (db, ref_db)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
