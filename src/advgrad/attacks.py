@@ -9,12 +9,12 @@ source models.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.ndimage
 
-from .numerics import gaussian_kernel_2d, make_rng
+from .numerics import _from_doc, gaussian_kernel_2d, make_rng
 
 __all__ = [
     "DegenerateGradientError",
@@ -75,7 +75,7 @@ class FixedScaleStep:
 class AdaptiveStep:
     """Per-step gamma supplied by a trained scaling-factor generator."""
 
-    generator: object
+    generator: object = field(metadata={"json": False})  # given to config_from_dict
 
 
 # -- gradient transforms ----------------------------------------------------
@@ -172,6 +172,8 @@ class AttackConfig:
         if self.targeted and self.target_label is None:
             raise ValueError("targeted attack needs a target_label")
         if isinstance(self.step_rule, AdaptiveStep):
+            if self.step_rule.generator is None:
+                raise ValueError("adaptive step rule needs a generator instance")
             trained = self.step_rule.generator.steps
             if self.steps != trained:
                 raise ValueError(
@@ -411,63 +413,43 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
 
 # -- JSON config serialization ---------------------------------------------
 
-_TRANSFORMS = {"dim": Dim, "tim": Tim, "sim": Sim, "vt": Vt, "emi": Emi}
-_TRANSFORM_KINDS = {cls: kind for kind, cls in _TRANSFORMS.items()}
+# what -> {kind: class}; a JSON object is {"type": kind, **the class's fields},
+# leaving out the fields declared with metadata={"json": False}
+_KINDS = {
+    "step rule": {"sign": SignStep, "fixed": FixedScaleStep, "adaptive": AdaptiveStep},
+    "transform": {"dim": Dim, "tim": Tim, "sim": Sim, "vt": Vt, "emi": Emi},
+}
+
+
+def _encode(obj, what):
+    for kind, cls in _KINDS[what].items():
+        if type(obj) is cls:
+            return {"type": kind, **{f.name: getattr(obj, f.name) for f in fields(cls)
+                                     if f.metadata.get("json", True)}}
+    raise TypeError(f"unknown {what} {obj!r}")
+
+
+def _decode(doc, what, **runtime):
+    kind = doc.get("type") if isinstance(doc, dict) else None
+    cls = _KINDS[what].get(kind)
+    if cls is None:  # a missing "type" reads as None
+        raise ValueError(f"unknown {what} type {kind!r}")
+    return _from_doc(cls, {k: v for k, v in doc.items() if k != "type"}, what, **runtime)
 
 
 def config_to_dict(cfg: AttackConfig) -> dict:
     """JSON-ready form of cfg; an adaptive rule's generator is not stored."""
-    rule = cfg.step_rule
-    if isinstance(rule, SignStep):
-        rule_doc = {"type": "sign", "alpha": rule.alpha}
-    elif isinstance(rule, FixedScaleStep):
-        rule_doc = {"type": "fixed", "gamma": rule.gamma}
-    elif isinstance(rule, AdaptiveStep):
-        rule_doc = {"type": "adaptive"}
-    else:
-        raise TypeError(f"unknown step rule {rule!r}")
-    transforms = []
-    for t in cfg.transforms:
-        kind = _TRANSFORM_KINDS.get(type(t))
-        if kind is None:
-            raise TypeError(f"unknown transform {t!r}")
-        transforms.append({"type": kind, **asdict(t)})
-    return {
-        "epsilon": cfg.epsilon,
-        "steps": cfg.steps,
-        "momentum": cfg.momentum,
-        "step_rule": rule_doc,
-        "transforms": transforms,
-        "targeted": cfg.targeted,
-        "target_label": cfg.target_label,
-    }
+    return {**{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+            "step_rule": _encode(cfg.step_rule, "step rule"),
+            "transforms": [_encode(t, "transform") for t in cfg.transforms]}
 
 
 def config_from_dict(doc: dict, generator=None) -> AttackConfig:
-    """Inverse of config_to_dict; an adaptive rule takes `generator`."""
-    rule_doc = doc["step_rule"]
-    if rule_doc["type"] == "sign":
-        rule = SignStep(alpha=rule_doc["alpha"])
-    elif rule_doc["type"] == "fixed":
-        rule = FixedScaleStep(gamma=rule_doc["gamma"])
-    elif rule_doc["type"] == "adaptive":
-        if generator is None:
-            raise ValueError("adaptive step rule needs a generator instance")
-        rule = AdaptiveStep(generator=generator)
-    else:
-        raise ValueError(f"unknown step rule type {rule_doc['type']!r}")
-    transforms = []
-    for t in doc.get("transforms", []):
-        cls = _TRANSFORMS.get(t["type"])
-        if cls is None:
-            raise ValueError(f"unknown transform type {t['type']!r}")
-        transforms.append(cls(**{k: v for k, v in t.items() if k != "type"}))
-    return AttackConfig(
-        epsilon=doc["epsilon"],
-        steps=doc["steps"],
-        step_rule=rule,
-        momentum=doc.get("momentum"),
-        transforms=tuple(transforms),
-        targeted=doc.get("targeted", False),
-        target_label=doc.get("target_label"),
-    )
+    """Inverse of config_to_dict; an adaptive rule takes `generator`.
+
+    An unknown key, or a missing required one, raises ValueError naming it.
+    """
+    return _from_doc(AttackConfig, doc, "attack config", {
+        "step_rule": lambda rule: _decode(rule, "step rule", generator=generator),
+        "transforms": lambda ts: tuple(_decode(t, "transform") for t in ts),
+    })

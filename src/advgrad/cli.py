@@ -10,7 +10,6 @@ import sys
 from . import harness
 from .generator import GeneratorTrainConfig, save_generator, train_generator
 from .models import TrainConfig, load_model, save_model, train_classifier
-from .numerics import ImageShape
 
 
 def _add_dataset_flags(parser):
@@ -29,13 +28,15 @@ def _add_dataset_flags(parser):
 
 def _build_dataset(args):
     if args.cifar:
-        return harness.load_cifar_binary(args.cifar)
-    if args.idx_images:
+        spec = {"kind": "cifar", "path": args.cifar}
+    elif args.idx_images:
         if not args.idx_labels:
             sys.exit("--idx-images needs --idx-labels")
-        return harness.load_idx(args.idx_images, args.idx_labels)
-    return harness.synth_dataset(args.dataset, args.n, ImageShape(*args.shape),
-                                 args.data_seed, num_classes=args.classes)
+        spec = {"kind": "idx", "images": args.idx_images, "labels": args.idx_labels}
+    else:
+        spec = {"kind": args.dataset, "n": args.n, "image_shape": args.shape,
+                "seed": args.data_seed, "num_classes": args.classes}
+    return harness.build_dataset(spec)
 
 
 def _cmd_train_model(args):
@@ -71,28 +72,27 @@ def _load_experiment(path):
         return harness.ExperimentConfig.from_dict(json.load(fh))
 
 
-def _cmd_attack(args):
-    paths = harness.run_experiment(_load_experiment(args.config))
-    for name, path in paths.items():
+def _run_and_print(cfg):
+    for name, path in harness.run_experiment(cfg).items():
         print(f"{name}: {path}")
+
+
+def _cmd_attack(args):
+    _run_and_print(_load_experiment(args.config))
 
 
 def _cmd_sweep(args):
     cfg = _load_experiment(args.config)
     if not cfg.epsilon_grid:
         cfg.epsilon_grid = list(harness.DEFAULT_EPSILON_GRID)
-    paths = harness.run_experiment(cfg)
-    for name, path in paths.items():
-        print(f"{name}: {path}")
+    _run_and_print(cfg)
 
 
 def _cmd_interaction(args):
     cfg = _load_experiment(args.config)
     if cfg.interaction is None:
         cfg.interaction = {}
-    paths = harness.run_experiment(cfg)
-    for name, path in paths.items():
-        print(f"{name}: {path}")
+    _run_and_print(cfg)
 
 
 def _cmd_verify_props(args):
@@ -133,10 +133,11 @@ def main(argv=None):
     _add_dataset_flags(p)
     p.add_argument("--kind", required=True,
                    choices=["softmax-linear", "mlp-1-hidden", "tiny-conv"])
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    train = TrainConfig()
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--lr", type=float, default=train.learning_rate)
+    p.add_argument("--seed", type=int, default=train.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_model)
 

@@ -11,7 +11,7 @@ import csv
 import json
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .models import (
     save_model,
     train_classifier,
 )
-from .numerics import ImageShape, make_rng
+from .numerics import ImageShape, _check_keys, _from_doc, make_rng
 
 __all__ = [
     "MetricsRow",
@@ -219,6 +219,8 @@ def compute_metrics(originals, adversarials, success, *,
 
 @dataclass
 class ExperimentConfig:
+    """An experiment document; run_experiment parses the nested JSON blocks."""
+
     dataset: dict
     models: list
     attacks: list
@@ -242,50 +244,47 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        return cls(
-            dataset=doc["dataset"],
-            models=doc["models"],
-            attacks=doc["attacks"],
-            sources=doc["sources"],
-            targets=doc["targets"],
-            seeds=list(doc["seeds"]),
-            output_dir=doc["output_dir"],
-            train_fraction=doc.get("train_fraction", 0.8),
-            eval_count=doc.get("eval_count", 100),
-            generator_checkpoint=doc.get("generator_checkpoint"),
-            epsilon_grid=doc.get("epsilon_grid"),
-            interaction=doc.get("interaction"),
-        )
+        """Build from a JSON document; an unknown or missing key raises ValueError."""
+        return _from_doc(cls, doc, "experiment config", {"seeds": list})
 
 
 def build_dataset(spec: dict) -> LabeledDataset:
-    kind = spec["kind"]
+    """Load or synthesize a dataset; `seed`, valid for every kind, also seeds the split."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind == "idx":
+        _check_keys(spec, {"kind", "seed", "images", "labels"}, ("images", "labels"),
+                    "dataset spec")
         return load_idx(spec["images"], spec["labels"])
     if kind == "cifar":
+        _check_keys(spec, {"kind", "seed", "path"}, ("path",), "dataset spec")
         return load_cifar_binary(spec["path"])
+    _check_keys(spec, {"kind", "seed", "n", "image_shape", "num_classes"}, ("kind", "n"),
+                "dataset spec")
     shape = ImageShape(*spec.get("image_shape", (8, 8, 1)))
     return synth_dataset(kind, spec["n"], shape, spec.get("seed", 0),
                          num_classes=spec.get("num_classes", 3))
 
 
-def _prepare_models(cfg: ExperimentConfig, train_set: LabeledDataset):
-    pool = {}
-    for spec in cfg.models:
-        name = spec["name"]
-        if "checkpoint" in spec:
-            if not os.path.exists(spec["checkpoint"]):
-                raise FileNotFoundError(f"missing model checkpoint {spec['checkpoint']!r}")
-            pool[name] = load_model(spec["checkpoint"])
+def _prepare_models(specs, train_set: LabeledDataset):
+    """Load or train the pool; every spec is checked before any model trains.
+
+    A spec is `name` plus either `checkpoint`, or `kind` and TrainConfig's fields.
+    """
+    plans = []  # (name, checkpoint path or model kind, TrainConfig or None)
+    for doc in specs:
+        if isinstance(doc, dict) and "checkpoint" in doc:
+            _check_keys(doc, {"name", "checkpoint"}, ("name",), "model spec")
+            if not os.path.exists(doc["checkpoint"]):
+                raise FileNotFoundError(f"missing model checkpoint {doc['checkpoint']!r}")
+            plans.append((doc["name"], doc["checkpoint"], None))
         else:
-            tc = TrainConfig(
-                epochs=spec.get("epochs", 15),
-                batch_size=spec.get("batch_size", 32),
-                learning_rate=spec.get("learning_rate", 0.2),
-                seed=spec.get("seed", 0),
-            )
-            pool[name], _ = train_classifier(train_set, spec["kind"], tc)
-    return pool
+            _check_keys(doc, {"name", "kind", *(f.name for f in fields(TrainConfig))},
+                        ("name", "kind"), "model spec")
+            train = {k: v for k, v in doc.items() if k not in ("name", "kind")}
+            plans.append((doc["name"], doc["kind"], TrainConfig(**train)))
+    return {name: load_model(source) if train is None
+            else train_classifier(train_set, source, train)[0]
+            for name, source, train in plans}
 
 
 def _resolve_source(pool, source_name):
@@ -309,15 +308,30 @@ def _attack_cell(source_models, target_models, eval_set, acfg, seed):
     return records
 
 
+def _interaction_estimates(scorer, records, spec: dict, seed):
+    """{example_id: sampled interaction estimate} of each record's perturbation."""
+    estimates = {}
+    for i, x, y, res in records:
+        v, n = interaction.make_model_setfn(scorer, x, res.adversarial - x, y)
+        estimates[i] = interaction.expected_interaction_sampled(
+            v, n, spec.get("num_pairs", 10), spec.get("num_subsets", 5),
+            rng=make_rng(seed, stream=3000 + i)).value
+    return estimates
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train/load the pool, run the attack matrix, write CSV/JSON reports.
 
-    Fully deterministic for a fixed config: per-example RNG streams are
-    derived from (seed, example index).  The interaction pass scores the
-    matrix's own adversarial examples from cell (seeds[0], method,
-    sources[0]).
+    Every block of cfg is checked before any model trains.  The sweep reuses
+    the seeds[0] cell of a config whose epsilon is on the grid, and the
+    interaction pass scores cell (seeds[0], method, sources[0]).  Per-example
+    RNG streams derive from (seed, example index), so runs are deterministic.
     """
     dataset = build_dataset(cfg.dataset)
+    spec = cfg.interaction  # None skips the interaction pass; {} runs it with defaults
+    if spec is not None:
+        _check_keys(spec, {"examples", "methods", "model", "num_pairs", "num_subsets"}, (),
+                    "interaction block")
     os.makedirs(cfg.output_dir, exist_ok=True)
     split_rng = make_rng(cfg.dataset.get("seed", 0), stream=13)
     order = split_rng.permutation(len(dataset))
@@ -329,85 +343,78 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if not os.path.exists(cfg.generator_checkpoint):
             raise FileNotFoundError(f"missing generator checkpoint {cfg.generator_checkpoint!r}")
         gen = gen_mod.load_generator(cfg.generator_checkpoint)
-    attack_cfgs = [attacks.config_from_dict(doc["config"], generator=gen)
-                   for doc in cfg.attacks]
-    skipped = {doc["name"]: int(np.sum(eval_set.labels == acfg.target_label))
-               for doc, acfg in zip(cfg.attacks, attack_cfgs) if acfg.targeted}
+    for doc in cfg.attacks:
+        _check_keys(doc, {"name", "config"}, ("name", "config"), "attack entry")
+    methods = {doc["name"]: attacks.config_from_dict(doc["config"], generator=gen)
+               for doc in cfg.attacks}
+    if len(methods) < len(cfg.attacks):
+        raise ValueError("attack names must be unique")
+    skipped = {name: int(np.sum(eval_set.labels == acfg.target_label))
+               for name, acfg in methods.items() if acfg.targeted}
     for name, n_skipped in skipped.items():
         if n_skipped == len(eval_set):
             raise ValueError(f"targeted attack {name!r}: every eval example has the target label")
-    pool = _prepare_models(cfg, train_set)
+    pool = _prepare_models(cfg.models, train_set)
     target_models = [pool[t] for t in cfg.targets]
 
-    spec = cfg.interaction  # None skips the interaction pass; {} runs it with defaults
-    count = 0 if spec is None else min(spec.get("examples", 50), len(eval_set))
-    kept = {}  # method -> first `count` records of cell (seeds[0], method, sources[0])
-    raw_path = os.path.join(cfg.output_dir, "results.csv")
-    rows = []
-    with open(raw_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["example_id", "method", "source", "target", "success",
-                         "linf", "mad", "rmsd", "steps_used", "seed"])
-        for seed in cfg.seeds:
-            for attack_doc, acfg in zip(cfg.attacks, attack_cfgs):
-                method = attack_doc["name"]
-                for source_name in cfg.sources:
-                    source_models = _resolve_source(pool, source_name)
-                    records = _attack_cell(source_models, target_models, eval_set,
-                                           acfg, seed)
-                    if (spec is not None and seed == cfg.seeds[0]
-                            and source_name == cfg.sources[0]
-                            and (not spec.get("methods") or method in spec["methods"])):
-                        kept[method] = records[:count]
-                    for t_idx, target_name in enumerate(cfg.targets):
-                        for i, x, y, res in records:
-                            delta = res.adversarial - x
-                            writer.writerow([
-                                i, method, source_name, target_name,
-                                int(res.success[t_idx]),
-                                f"{np.abs(delta).max():.6f}",
-                                f"{np.abs(delta).mean():.6f}",
-                                f"{np.sqrt((delta**2).mean()):.6f}",
-                                res.steps_used, seed,
-                            ])
-                        rows.append(compute_metrics(
-                            [x for _, x, _, _ in records],
-                            [res.adversarial for _, _, _, res in records],
-                            [res.success[t_idx] for _, _, _, res in records],
-                            method=method, source=source_name, target=target_name,
-                            epsilon=acfg.epsilon, steps=acfg.steps, seed=seed,
-                        ))
+    results, rows, histograms = [], [], {}
+    for seed in cfg.seeds:
+        for method, acfg in methods.items():
+            for source_name in cfg.sources:
+                records = _attack_cell(_resolve_source(pool, source_name), target_models,
+                                       eval_set, acfg, seed)
+                if (spec is not None and seed == cfg.seeds[0] and source_name == cfg.sources[0]
+                        and (not spec.get("methods") or method in spec["methods"])):
+                    histograms[method] = _interaction_estimates(
+                        pool[spec.get("model", cfg.targets[0])],
+                        records[:spec.get("examples", 50)], spec, seed)
+                for t_idx, target_name in enumerate(cfg.targets):
+                    for i, x, y, res in records:
+                        delta = res.adversarial - x
+                        results.append([
+                            i, method, source_name, target_name,
+                            int(res.success[t_idx]),
+                            f"{np.abs(delta).max():.6f}",
+                            f"{np.abs(delta).mean():.6f}",
+                            f"{np.sqrt((delta**2).mean()):.6f}",
+                            res.steps_used, seed,
+                        ])
+                    rows.append(compute_metrics(
+                        [x for _, x, _, _ in records],
+                        [res.adversarial for _, _, _, res in records],
+                        [res.success[t_idx] for _, _, _, res in records],
+                        method=method, source=source_name, target=target_name,
+                        epsilon=acfg.epsilon, steps=acfg.steps, seed=seed,
+                    ))
 
+    # a grid epsilon equal to the config's own reads the ASR of its seeds[0] cell
+    first_asr = {(r.method, r.source, r.target): r.asr for r in rows if r.seed == cfg.seeds[0]}
     sweep_data = []
-    if cfg.epsilon_grid:
-        for eps in cfg.epsilon_grid:
-            for attack_doc, acfg in zip(cfg.attacks, attack_cfgs):
-                for source_name in cfg.sources:
-                    source_models = _resolve_source(pool, source_name)
-                    records = _attack_cell(source_models, target_models, eval_set,
-                                           replace(acfg, epsilon=eps), cfg.seeds[0])
-                    for t_idx, target_name in enumerate(cfg.targets):
-                        asr = float(np.mean([res.success[t_idx] for _, _, _, res in records]))
-                        sweep_data.append({
-                            "method": attack_doc["name"], "epsilon": eps,
-                            "source": source_name, "target": target_name, "asr": asr,
-                        })
+    for eps in cfg.epsilon_grid or ():
+        for method, acfg in methods.items():
+            for source_name in cfg.sources:
+                if eps != acfg.epsilon:
+                    records = _attack_cell(_resolve_source(pool, source_name), target_models,
+                                           eval_set, replace(acfg, epsilon=eps), cfg.seeds[0])
+                for t_idx, target_name in enumerate(cfg.targets):
+                    asr = (first_asr[method, source_name, target_name] if eps == acfg.epsilon
+                           else float(np.mean([res.success[t_idx] for *_, res in records])))
+                    sweep_data.append({"method": method, "epsilon": eps, "source": source_name,
+                                       "target": target_name, "asr": asr})
 
-    histograms = {}  # method -> {example_id: interaction estimate}
-    if spec is not None:
-        scorer = pool[spec.get("model", cfg.targets[0])]
-        for method, records in kept.items():
-            estimates = {}
-            for i, x, y, res in records:
-                v, n = interaction.make_model_setfn(scorer, x, res.adversarial - x, y)
-                est = interaction.expected_interaction_sampled(
-                    v, n, spec.get("num_pairs", 10), spec.get("num_subsets", 5),
-                    rng=make_rng(cfg.seeds[0], stream=3000 + i),
-                )
-                estimates[i] = est.value
-            histograms[method] = estimates
-
+    _write_csv(os.path.join(cfg.output_dir, "results.csv"),
+               ["example_id", "method", "source", "target", "success",
+                "linf", "mad", "rmsd", "steps_used", "seed"], results)
     return emit_report(rows, sweep_data, histograms, cfg, skipped=skipped)
+
+
+def _write_csv(path, header, rows):
+    """Write a header line, then `rows`, to a CSV file; returns path."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
@@ -440,47 +447,29 @@ def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig,
     out = cfg.output_dir
     os.makedirs(out, exist_ok=True)
     paths = {"results": os.path.join(out, "results.csv")}
-
-    metrics_path = os.path.join(out, "metrics.csv")
-    with open(metrics_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "source", "target", "seed", "asr", "mad", "rmsd",
-                         "epsilon", "steps"])
-        for r in rows:
-            writer.writerow([r.method, r.source, r.target, r.seed, f"{r.asr:.6f}",
-                             f"{r.mad:.6f}", f"{r.rmsd:.6f}", r.epsilon, r.steps])
-    paths["metrics"] = metrics_path
-
+    paths["metrics"] = _write_csv(
+        os.path.join(out, "metrics.csv"),
+        ["method", "source", "target", "seed", "asr", "mad", "rmsd", "epsilon", "steps"],
+        ([r.method, r.source, r.target, r.seed, f"{r.asr:.6f}", f"{r.mad:.6f}",
+          f"{r.rmsd:.6f}", r.epsilon, r.steps] for r in rows))
     if sweep_data:
-        sweep_path = os.path.join(out, "sweep.csv")
-        with open(sweep_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "epsilon", "source", "target", "asr"])
-            for d in sweep_data:
-                writer.writerow([d["method"], d["epsilon"], d["source"], d["target"],
-                                 f"{d['asr']:.6f}"])
-        paths["sweep"] = sweep_path
-
+        paths["sweep"] = _write_csv(
+            os.path.join(out, "sweep.csv"), ["method", "epsilon", "source", "target", "asr"],
+            ([d["method"], d["epsilon"], d["source"], d["target"], f"{d['asr']:.6f}"]
+             for d in sweep_data))
     if histograms:
         all_values = np.concatenate([list(v.values()) for v in histograms.values()])
         edges = np.histogram_bin_edges(all_values, bins=20)
-        hist_path = os.path.join(out, "histogram.csv")
-        with open(hist_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "bin_left", "bin_right", "count"])
-            for method, values in histograms.items():
-                counts, _ = np.histogram(list(values.values()), bins=edges)
-                for left, right, cnt in zip(edges[:-1], edges[1:], counts):
-                    writer.writerow([method, f"{left:.8g}", f"{right:.8g}", int(cnt)])
-        raw_path = os.path.join(out, "interaction.csv")
-        with open(raw_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "example_id", "estimate"])
-            for method, values in histograms.items():
-                for i, value in values.items():
-                    writer.writerow([method, i, f"{value:.8g}"])
-        paths["histogram"] = hist_path
-        paths["interaction"] = raw_path
+        counts = {method: np.histogram(list(values.values()), bins=edges)[0]
+                  for method, values in histograms.items()}
+        paths["histogram"] = _write_csv(
+            os.path.join(out, "histogram.csv"), ["method", "bin_left", "bin_right", "count"],
+            ([method, f"{left:.8g}", f"{right:.8g}", int(cnt)] for method, cnts in counts.items()
+             for left, right, cnt in zip(edges[:-1], edges[1:], cnts)))
+        paths["interaction"] = _write_csv(
+            os.path.join(out, "interaction.csv"), ["method", "example_id", "estimate"],
+            ([method, i, f"{value:.8g}"]
+             for method, values in histograms.items() for i, value in values.items()))
 
     summary = {
         "aggregate": aggregate_rows(rows),

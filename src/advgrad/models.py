@@ -71,7 +71,7 @@ class LabeledDataset:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 20
+    epochs: int = 15
     batch_size: int = 32
     learning_rate: float = 0.2
     seed: int = 0

@@ -1,5 +1,5 @@
 """Shared numeric utilities: seeded RNG streams, finite-difference oracles,
-and the Gaussian kernel used for gradient smoothing.
+the Gaussian smoothing kernel, the conv primitive and the JSON codec helpers.
 
 All array data is 64-bit float, and images are row-major ``(H, W, C)``
 arrays on the 0-255 pixel scale unless stated otherwise.
@@ -7,7 +7,7 @@ arrays on the 0-255 pixel scale unless stated otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -152,3 +152,29 @@ def _decode_arrays(doc: dict) -> dict:
     """Inverse of `_encode_arrays`: float64 arrays of the recorded shapes."""
     return {k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
             for k, spec in doc.items()}
+
+
+def _check_keys(doc, known, required, what: str):
+    """ValueError naming the key if `doc` has a key outside `known` or lacks a `required` one."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {what}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{what} is missing required key {key!r}")
+
+
+def _from_doc(cls, doc, what: str, convert=None, **runtime):
+    """Build dataclass `cls` from a JSON object keyed by its fields, strictly (see
+    _check_keys).  `convert` maps a key to the parser of its value; a field
+    declared with ``metadata={"json": False}`` comes from `runtime`, not `doc`.
+    """
+    stored = [f for f in fields(cls) if f.init and f.metadata.get("json", True)]
+    _check_keys(doc, {f.name for f in stored},
+                [f.name for f in stored
+                 if f.default is MISSING and f.default_factory is MISSING], what)
+    args = {k: convert[k](v) if convert and k in convert else v for k, v in doc.items()}
+    args.update((f.name, runtime[f.name]) for f in fields(cls) if f.init and f not in stored)
+    return cls(**args)

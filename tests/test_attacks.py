@@ -444,6 +444,25 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="step rule"):
             config_from_dict({**doc, "step_rule": {"type": "jitter"}})
 
+    BASE = {"epsilon": 8.0, "steps": 2, "step_rule": {"type": "sign", "alpha": 1.0}}
+    BAD_KEYS = [
+        ("momentun", {**BASE, "momentun": 1.0}),
+        ("alpha", {**BASE, "step_rule": {"type": "fixed", "gamma": 2.0, "alpha": 1.0}}),
+        ("prob", {**BASE, "transforms": [{"type": "dim", "prob": 0.5}]}),
+        ("steps", {"epsilon": 8.0, "step_rule": {"type": "sign", "alpha": 1.0}}),
+        ("gamma", {**BASE, "step_rule": {"type": "fixed"}}),
+    ]
+
+    @pytest.mark.parametrize("key,doc", BAD_KEYS, ids=[key for key, _ in BAD_KEYS])
+    def test_unknown_or_missing_key_names_it(self, key, doc):
+        # at the parent a misspelled key was dropped: "momentun" ran with no momentum
+        with pytest.raises(ValueError, match=repr(key)):
+            config_from_dict(doc)
+
+    def test_adaptive_rule_needs_a_generator(self):
+        with pytest.raises(ValueError, match="generator instance"):
+            config_from_dict({**self.BASE, "step_rule": {"type": "adaptive"}})
+
     def test_dict_is_json_serializable(self):
         import json
         cfg = AttackConfig(epsilon=8.0, steps=10, step_rule=FixedScaleStep(2.0),

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from advgrad import cli
 from advgrad.cli import main
 from advgrad.generator import load_generator
-from advgrad.models import load_model
+from advgrad.harness import synth_dataset, write_idx
+from advgrad.models import TrainConfig, load_model, train_classifier
+from advgrad.numerics import ImageShape
 
 
 def test_train_model_writes_checkpoint(tmp_path, capsys):
@@ -17,6 +20,33 @@ def test_train_model_writes_checkpoint(tmp_path, capsys):
     model = load_model(str(out))
     assert model.kind == "mlp-1-hidden"
     assert "train accuracy" in capsys.readouterr().out
+
+
+def test_train_model_defaults_are_train_config_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(dataset, kind, cfg):
+        seen.append(cfg)
+        return train_classifier(dataset, kind, TrainConfig(epochs=0))
+
+    monkeypatch.setattr(cli, "train_classifier", spy)
+    main(["train-model", "--kind", "softmax-linear", "--n", "30",
+          "--out", str(tmp_path / "lin.json")])
+    assert seen == [TrainConfig()]
+
+
+def test_train_model_reads_idx_files(tmp_path, capsys):
+    ds = synth_dataset("blobs", 12, ImageShape(6, 5, 1), seed=0)
+    ip, lp = str(tmp_path / "img.idx"), str(tmp_path / "lab.idx")
+    write_idx(ds, ip, lp)
+    out = tmp_path / "lin.json"
+    main(["train-model", "--kind", "softmax-linear", "--epochs", "1",
+          "--idx-images", ip, "--idx-labels", lp, "--out", str(out)])
+    assert load_model(str(out)).image_shape == ImageShape(6, 5, 1)
+    assert "on 12 examples" in capsys.readouterr().out
+    with pytest.raises(SystemExit, match="--idx-images needs --idx-labels"):
+        main(["train-model", "--kind", "softmax-linear", "--idx-images", ip,
+              "--out", str(out)])
 
 
 def test_train_generator_requires_two_checkpoints(tmp_path):

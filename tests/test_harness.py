@@ -3,6 +3,7 @@
 import csv
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,13 +22,23 @@ from advgrad.harness import (
     write_cifar_binary,
     write_idx,
 )
-from advgrad import attacks, interaction
-from advgrad.attacks import AttackConfig, SignStep, run_attack
+from advgrad import attacks, harness, interaction
+from advgrad.attacks import (
+    AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Sim, Tim, Vt, run_attack,
+)
 from advgrad.generator import ScalingFactorGenerator, save_generator
-from advgrad.models import LabeledDataset, build_model, save_model
+from advgrad.models import (
+    LabeledDataset, TrainConfig, build_model, save_model, train_classifier,
+)
 from advgrad.numerics import ImageShape, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
+REPO = Path(__file__).resolve().parents[1]
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestIdxFormat:
@@ -437,6 +448,92 @@ class TestExperimentRunner:
         with pytest.raises(FileNotFoundError):
             run_experiment(cfg)
 
+    def test_sweep_reuses_the_matrix_cell_at_the_config_epsilon(self, tmp_path, monkeypatch):
+        calls = []
+        run_attack = attacks.run_attack
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return run_attack(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "run_attack", spy)
+        own = {"bim": 8.0, "scaled": 4.0}
+        cfg = self.base_config(
+            tmp_path, seeds=[0, 1], sources=["mlp", "mlp+conv"], epsilon_grid=[4.0, 8, 16.0],
+            attacks=[{"name": "bim", "config": {
+                         "epsilon": own["bim"], "steps": 3,
+                         "step_rule": {"type": "sign", "alpha": 2.0}}},
+                     {"name": "scaled", "config": {
+                         "epsilon": own["scaled"], "steps": 3, "momentum": 1.0,
+                         "step_rule": {"type": "fixed", "gamma": 4.0}}}])
+        paths = run_experiment(cfg)
+        matrix_cells = 2 * 2 * 2  # seeds x attacks x sources
+        fresh_sweep_cells = 2 * 2 * 2  # attacks x grid values off their epsilon x sources
+        assert len(calls) == (matrix_cells + fresh_sweep_cells) * cfg.eval_count
+        first_seed = {(r["method"], r["source"], r["target"]): r["asr"]
+                      for r in read_csv(paths["metrics"]) if r["seed"] == "0"}
+        reused = [r for r in read_csv(paths["sweep"])
+                  if float(r["epsilon"]) == own[r["method"]]]
+        assert len(reused) == 2 * 2 * 2  # attacks x sources x targets
+        for r in reused:
+            assert r["asr"] == first_seed[r["method"], r["source"], r["target"]]
+
+    def test_misspelled_experiment_key_names_it(self, tmp_path):
+        # at the parent "epsilon_grd" was dropped, and with it the sweep
+        with pytest.raises(ValueError, match="'epsilon_grd'"):
+            self.base_config(tmp_path, epsilon_grd=[2, 8])
+        with pytest.raises(ValueError, match="'output_dir'"):
+            ExperimentConfig.from_dict({"dataset": {}, "models": [], "attacks": [{}],
+                                        "sources": [], "targets": ["a"], "seeds": [0]})
+
+    CONV = {"name": "conv", "kind": "tiny-conv", "epochs": 3, "seed": 1}
+    BAD_BLOCKS = [
+        ("epoch", {"models": [{"name": "mlp", "kind": "mlp-1-hidden", "epoch": 3}, CONV]}),
+        ("kind", {"models": [{"name": "mlp", "checkpoint": "mlp.json",
+                              "kind": "mlp-1-hidden"}, CONV]}),
+        ("name", {"models": [{"kind": "mlp-1-hidden"}, CONV]}),
+        ("num_pair", {"interaction": {"examples": 2, "num_pair": 3}}),
+        ("image_shap", {"dataset": {"kind": "blobs", "n": 60, "image_shap": [8, 8, 1]}}),
+        ("path", {"dataset": {"kind": "idx", "path": "x.idx"}}),
+        ("confg", {"attacks": [{"name": "bim", "confg": {}}]}),
+        ("momentun", {"attacks": [{"name": "mi", "config": {
+            "epsilon": 8.0, "steps": 3, "momentun": 1.0,
+            "step_rule": {"type": "sign", "alpha": 2.0}}}]}),
+    ]
+
+    @pytest.mark.parametrize("key,override", BAD_BLOCKS, ids=[key for key, _ in BAD_BLOCKS])
+    def test_misspelled_block_key_fails_before_training(self, tmp_path, monkeypatch,
+                                                        key, override):
+        monkeypatch.setattr(harness, "train_classifier",
+                            lambda *args: pytest.fail("a model trained"))
+        with pytest.raises(ValueError, match=repr(key)):
+            run_experiment(self.base_config(tmp_path, **override))
+
+    def test_model_spec_training_defaults_are_train_config_defaults(self, tmp_path,
+                                                                   monkeypatch):
+        trained = []
+
+        def spy(train_set, kind, train_cfg):
+            model, acc = train_classifier(train_set, kind, train_cfg)
+            trained.append((train_set, kind, model))
+            return model, acc
+
+        monkeypatch.setattr(harness, "train_classifier", spy)
+        run_experiment(self.base_config(
+            tmp_path, models=[{"name": "mlp", "kind": "mlp-1-hidden", "seed": 4}],
+            targets=["mlp"]))
+        [(train_set, kind, model)] = trained
+        expected, _ = train_classifier(train_set, kind, TrainConfig(epochs=15, seed=4))
+        assert model.params.keys() == expected.params.keys()
+        for name, value in expected.params.items():
+            assert np.array_equal(model.params[name], value)
+
+    def test_duplicate_attack_names_rejected(self, tmp_path):
+        bim = {"name": "bim", "config": {"epsilon": 8.0, "steps": 1,
+                                         "step_rule": {"type": "sign", "alpha": 8.0}}}
+        with pytest.raises(ValueError, match="unique"):
+            run_experiment(self.base_config(tmp_path, attacks=[bim, bim]))
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             self.base_config(tmp_path, attacks=[])
@@ -450,3 +547,27 @@ class TestVerifyPropositions:
         assert len(results) == 5
         for name, ok, detail in results:
             assert ok, f"{name}: {detail}"
+
+
+class TestShippedConfigs:
+    def test_benchmark_experiment_config_passes_the_strict_parse(self, tmp_path, monkeypatch):
+        doc = json.loads((REPO / "perfbench" / "experiment.json").read_text())
+        cfg = ExperimentConfig.from_dict({**doc, "output_dir": str(tmp_path / "out")})
+        parsed = [attacks.config_from_dict(entry["config"]) for entry in doc["attacks"]]
+        for acfg in parsed:
+            assert attacks.config_from_dict(attacks.config_to_dict(acfg)) == acfg
+        assert parsed[-1] == AttackConfig(
+            epsilon=16.0, steps=10, step_rule=FixedScaleStep(16.0), momentum=1.0,
+            transforms=(Dim(0.5, 0.75), Tim(3, 1.0), Sim(2), Vt(4, 1.5), Emi(3, 7.0)))
+
+        class Parsed(Exception):
+            pass
+
+        def stop(*args):
+            raise Parsed
+
+        # the dataset, interaction, attack and model blocks all pass their key
+        # checks: the run gets as far as training the first model
+        monkeypatch.setattr(harness, "train_classifier", stop)
+        with pytest.raises(Parsed):
+            run_experiment(cfg)
