@@ -17,6 +17,7 @@ import numpy as np
 
 from . import attacks, generator as gen_mod, interaction
 from .models import (
+    MODEL_KINDS,
     LabeledDataset,
     TrainConfig,
     accuracy,
@@ -265,26 +266,36 @@ def build_dataset(spec: dict) -> LabeledDataset:
                          num_classes=spec.get("num_classes", 3))
 
 
-def _prepare_models(specs, train_set: LabeledDataset):
-    """Load or train the pool; every spec is checked before any model trains.
+def _prepare_models(specs, references, train_set: LabeledDataset):
+    """Load or train the pool.  Every spec, and every (where, name) pair in
+    `references` that names a model, is checked before any model trains.
 
     A spec is `name` plus either `checkpoint`, or `kind` and TrainConfig's fields.
     """
-    plans = []  # (name, checkpoint path or model kind, TrainConfig or None)
+    plans = {}  # name -> (checkpoint path or model kind, TrainConfig or None)
     for doc in specs:
         if isinstance(doc, dict) and "checkpoint" in doc:
             _check_keys(doc, {"name", "checkpoint"}, ("name",), "model spec")
             if not os.path.exists(doc["checkpoint"]):
                 raise FileNotFoundError(f"missing model checkpoint {doc['checkpoint']!r}")
-            plans.append((doc["name"], doc["checkpoint"], None))
+            plan = (doc["checkpoint"], None)
         else:
             _check_keys(doc, {"name", "kind", *(f.name for f in fields(TrainConfig))},
                         ("name", "kind"), "model spec")
+            if doc["kind"] not in MODEL_KINDS:
+                raise ValueError(f"model spec {doc['name']!r}: unknown kind {doc['kind']!r}, "
+                                 f"expected one of {MODEL_KINDS}")
             train = {k: v for k, v in doc.items() if k not in ("name", "kind")}
-            plans.append((doc["name"], doc["kind"], TrainConfig(**train)))
+            plan = (doc["kind"], TrainConfig(**train))
+        if doc["name"] in plans:
+            raise ValueError(f"two model specs are named {doc['name']!r}")
+        plans[doc["name"]] = plan
+    for where, name in references:
+        if name not in plans:
+            raise ValueError(f"{where} entry {name!r} names no model spec")
     return {name: load_model(source) if train is None
             else train_classifier(train_set, source, train)[0]
-            for name, source, train in plans}
+            for name, (source, train) in plans.items()}
 
 
 def _resolve_source(pool, source_name):
@@ -309,13 +320,13 @@ def _attack_cell(source_models, target_models, eval_set, acfg, seed):
 
 
 def _interaction_estimates(scorer, records, spec: dict, seed):
-    """{example_id: sampled interaction estimate} of each record's perturbation."""
+    """{example_id: InteractionEstimate} of each record's perturbation."""
     estimates = {}
     for i, x, y, res in records:
         v, n = interaction.make_model_setfn(scorer, x, res.adversarial - x, y)
         estimates[i] = interaction.expected_interaction_sampled(
             v, n, spec.get("num_pairs", 10), spec.get("num_subsets", 5),
-            rng=make_rng(seed, stream=3000 + i)).value
+            rng=make_rng(seed, stream=3000 + i))
     return estimates
 
 
@@ -354,7 +365,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for name, n_skipped in skipped.items():
         if n_skipped == len(eval_set):
             raise ValueError(f"targeted attack {name!r}: every eval example has the target label")
-    pool = _prepare_models(cfg.models, train_set)
+    references = [("targets", name) for name in cfg.targets]
+    references += [("sources", part) for name in cfg.sources for part in name.split("+")]
+    if spec is not None:
+        references.append(("interaction model", spec.get("model", cfg.targets[0])))
+    pool = _prepare_models(cfg.models, references, train_set)
     target_models = [pool[t] for t in cfg.targets]
 
     results, rows, histograms = [], [], {}
@@ -438,7 +453,7 @@ def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig,
                 skipped: dict | None = None) -> dict:
     """Write metrics.csv, optional sweep.csv / histogram.csv, and summary.json.
 
-    `histograms` maps a method to {example_id: interaction estimate};
+    `histograms` maps a method to {example_id: InteractionEstimate};
     `skipped` maps a targeted method to the number of eval examples it left
     out because their label was its target.
     """
@@ -458,18 +473,18 @@ def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig,
             ([d["method"], d["epsilon"], d["source"], d["target"], f"{d['asr']:.6f}"]
              for d in sweep_data))
     if histograms:
-        all_values = np.concatenate([list(v.values()) for v in histograms.values()])
-        edges = np.histogram_bin_edges(all_values, bins=20)
-        counts = {method: np.histogram(list(values.values()), bins=edges)[0]
-                  for method, values in histograms.items()}
+        values = {method: [est.value for est in ests.values()]
+                  for method, ests in histograms.items()}
+        edges = np.histogram_bin_edges(np.concatenate(list(values.values())), bins=20)
+        counts = {method: np.histogram(vals, bins=edges)[0] for method, vals in values.items()}
         paths["histogram"] = _write_csv(
             os.path.join(out, "histogram.csv"), ["method", "bin_left", "bin_right", "count"],
             ([method, f"{left:.8g}", f"{right:.8g}", int(cnt)] for method, cnts in counts.items()
              for left, right, cnt in zip(edges[:-1], edges[1:], cnts)))
         paths["interaction"] = _write_csv(
-            os.path.join(out, "interaction.csv"), ["method", "example_id", "estimate"],
-            ([method, i, f"{value:.8g}"]
-             for method, values in histograms.items() for i, value in values.items()))
+            os.path.join(out, "interaction.csv"), ["method", "example_id", "estimate", "stderr"],
+            ([method, i, f"{est.value:.8g}", f"{est.stderr:.8g}"]
+             for method, ests in histograms.items() for i, est in ests.items()))
 
     summary = {
         "aggregate": aggregate_rows(rows),

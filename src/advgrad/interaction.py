@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 EXACT_PLAYER_LIMIT = 20
+# rows per batched forward pass of a model set function; chunks keep the
+# im2col buffers, and so peak memory, small on large images
+SETFN_CHUNK = 32
 
 
 @dataclass
@@ -150,29 +153,71 @@ def game_reward(game: AnalyticGame, delta_subset: np.ndarray) -> float:
     return float(game.g @ d + 0.5 * d @ game.H @ d)
 
 
-def make_model_setfn(model, x: np.ndarray, delta: np.ndarray, y: int):
-    """Set function v(S) over flattened perturbation units of a classifier."""
-    flat = delta.reshape(-1)
+def _check_masks(masks, n: int) -> np.ndarray:
+    masks = np.asarray(masks)
+    if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != n:
+        raise ValueError(f"masks must be a (k, {n}) bool array, got {masks.dtype} {masks.shape}")
+    return masks
+
+
+def _subset_setfn(batch, n: int):
+    """Return (v, n): v(subset) scores one subset through batch, and v.batch is batch."""
 
     def v(subset):
-        masked = np.zeros_like(flat)
-        idx = list(subset)
-        masked[idx] = flat[idx]
-        return reward(model, x, masked.reshape(delta.shape), y)
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, list(subset)] = True
+        return float(batch(mask)[0])
 
-    return v, flat.size
+    v.batch = batch
+    return v, n
+
+
+def make_model_setfn(model, x: np.ndarray, delta: np.ndarray, y: int):
+    """Set function over the flattened perturbation units of a classifier.
+
+    Returns (v, n).  v(subset) is the reward of x plus the units of delta in
+    subset; v.batch(masks) maps a (k, n) bool mask array to the (k,) rewards
+    of its rows, with one batched forward pass per SETFN_CHUNK rows.  The
+    inputs are checked here, once, because the batched path skips the model's
+    per-call input check.
+    """
+    dims = model.image_shape.dims
+    x = np.asarray(x, dtype=np.float64)
+    flat = np.asarray(delta, dtype=np.float64).reshape(-1)
+    if x.shape != dims or np.shape(delta) != dims:
+        raise ValueError(f"x {x.shape} and delta {np.shape(delta)} must both have "
+                         f"the model's image shape {dims}")
+    if not (np.isfinite(x).all() and np.isfinite(flat).all()):
+        raise ValueError("x and delta must be finite")
+    if model.num_classes < 2:
+        raise ValueError("reward needs at least two classes")
+    if not 0 <= y < model.num_classes:
+        raise ValueError(f"label {y} out of range for {model.num_classes} classes")
+
+    def batch(masks):
+        masks = _check_masks(masks, flat.size)
+        logits = np.empty((len(masks), model.num_classes))
+        for start in range(0, len(masks), SETFN_CHUNK):
+            chunk = masks[start:start + SETFN_CHUNK]
+            inputs = x + (chunk * flat).reshape((-1,) + dims)
+            logits[start:start + len(chunk)] = model._forward(model._standardize(inputs))[0]
+        return np.delete(logits, y, axis=1).max(axis=1) - logits[:, y]
+
+    return _subset_setfn(batch, flat.size)
 
 
 def make_game_setfn(game: AnalyticGame, delta: np.ndarray):
+    """Set function of the quadratic surrogate over the units of delta; as
+    make_model_setfn, it returns (v, n) and v.batch scores a mask array."""
     flat = np.asarray(delta, dtype=np.float64).reshape(-1)
+    if flat.size != game.g.size:
+        raise ValueError(f"delta has {flat.size} units, the game has {game.g.size}")
 
-    def v(subset):
-        masked = np.zeros_like(flat)
-        idx = list(subset)
-        masked[idx] = flat[idx]
-        return game_reward(game, masked)
+    def batch(masks):
+        d = _check_masks(masks, flat.size) * flat
+        return d @ game.g + 0.5 * ((d @ game.H) * d).sum(axis=1)
 
-    return v, flat.size
+    return _subset_setfn(batch, flat.size)
 
 
 # -- exact Shapley machinery ------------------------------------------------
@@ -238,28 +283,39 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
     """Monte Carlo mean pairwise interaction via discrete second differences.
 
     Pairs are uniform over unordered distinct (a, b); per pair, subset sizes
-    are uniform in {0, ..., n-2} and subsets uniform at that size.
+    are uniform in {0, ..., n-2} and subsets uniform at that size.  v must be
+    a set function from make_model_setfn or make_game_setfn: all four
+    evaluations of every sample are scored by one v.batch call.
     """
     if n < 2:
         raise ValueError("need at least two players")
     if num_pairs < 1 or num_subsets < 1:
         raise ValueError("need at least one pair and one subset")
+    if not callable(getattr(v, "batch", None)):
+        raise TypeError("v needs a batch(masks) evaluator; build it with "
+                        "make_model_setfn or make_game_setfn")
     rng = rng if rng is not None else make_rng(0)
-    samples = []
+    pairs, subsets = [], []
     for _ in range(num_pairs):
         a, b = (int(p) for p in rng.choice(n, size=2, replace=False))
-        others = np.array([p for p in range(n) if p not in (a, b)], dtype=int)
+        others = np.delete(np.arange(n), (a, b))
         for _ in range(num_subsets):
             size = int(rng.integers(0, n - 1))
-            subset = tuple(int(p) for p in rng.choice(others, size=size, replace=False))
-            d = (
-                v(subset + (a, b))
-                - v(subset + (a,))
-                - v(subset + (b,))
-                + v(subset)
-            )
-            samples.append(d)
-    arr = np.asarray(samples)
+            subsets.append(rng.choice(others, size=size, replace=False))
+            pairs.append((a, b))
+    # rows 4j .. 4j+3 of the mask array are S u {a, b}, S u {a}, S u {b} and S
+    # of sample j: every row holds S, rows 4j and 4j+1 hold a, rows 4j and 4j+2 b
+    k = len(pairs)
+    first = 4 * np.arange(k)
+    sample = np.repeat(np.arange(k), [len(s) for s in subsets])
+    pa, pb = np.array(pairs).T
+    rows = np.concatenate([(4 * sample[:, None] + np.arange(4)).ravel(),
+                           first, first + 1, first, first + 2])
+    cols = np.concatenate([np.repeat(np.concatenate(subsets), 4), pa, pa, pb, pb])
+    masks = np.zeros((4 * k, n), dtype=bool)
+    masks[rows, cols] = True
+    vals = v.batch(masks).reshape(k, 4)
+    arr = vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]
     stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return InteractionEstimate(
         value=float(arr.mean()), stderr=stderr,

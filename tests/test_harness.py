@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -508,6 +509,45 @@ class TestExperimentRunner:
                             lambda *args: pytest.fail("a model trained"))
         with pytest.raises(ValueError, match=repr(key)):
             run_experiment(self.base_config(tmp_path, **override))
+
+    MLP = {"name": "mlp", "kind": "mlp-1-hidden", "epochs": 3, "seed": 0}
+    BAD_REFERENCES = [
+        ("targets entry 'nope'", {"targets": ["mlp", "nope"]}),
+        ("sources entry 'nope'", {"sources": ["mlp+nope"]}),
+        ("interaction model entry 'nope'", {"interaction": {"model": "nope"}}),
+        ("model spec 'conv': unknown kind 'convnet'",
+         {"models": [MLP, {**CONV, "kind": "convnet"}]}),
+        ("two model specs are named 'mlp'", {"models": [MLP, {**CONV, "name": "mlp"}]}),
+    ]
+
+    @pytest.mark.parametrize("message,override", BAD_REFERENCES,
+                             ids=["target", "source", "interaction-model", "kind", "duplicate"])
+    def test_bad_model_reference_fails_before_training(self, tmp_path, monkeypatch,
+                                                       message, override):
+        # at the parent these trained models first (or kept the last of two
+        # same-named specs) and then raised a bare KeyError, or nothing
+        trained = []
+        monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(self.base_config(tmp_path, **override))
+        assert trained == []
+
+    def test_interaction_csv_reports_the_estimator_stderr(self, tmp_path, monkeypatch):
+        estimates = []
+        sampled = interaction.expected_interaction_sampled
+
+        def spy(*args, **kwargs):
+            estimates.append(sampled(*args, **kwargs))
+            return estimates[-1]
+
+        monkeypatch.setattr(interaction, "expected_interaction_sampled", spy)
+        cfg = self.base_config(tmp_path)
+        cfg.interaction = {"examples": 3, "num_pairs": 3, "num_subsets": 2}
+        rows = read_csv(run_experiment(cfg)["interaction"])
+        assert len(rows) == len(estimates) == 3
+        assert all(e.stderr > 0 for e in estimates)
+        assert [r["stderr"] for r in rows] == [f"{e.stderr:.8g}" for e in estimates]
+        assert [r["estimate"] for r in rows] == [f"{e.value:.8g}" for e in estimates]
 
     def test_model_spec_training_defaults_are_train_config_defaults(self, tmp_path,
                                                                    monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from advgrad.interaction import (
     EXACT_PLAYER_LIMIT,
+    SETFN_CHUNK,
     AnalyticGame,
     coefficients,
     coefficients_exact,
@@ -26,7 +27,7 @@ from advgrad.interaction import (
     shapley_value_exact,
     simulate_raw,
 )
-from advgrad.models import build_model
+from advgrad.models import MODEL_KINDS, build_model
 from advgrad.numerics import ImageShape, make_rng
 
 
@@ -176,6 +177,89 @@ class TestRewards:
         assert v(()) == pytest.approx(reward(model, x, np.zeros_like(delta), 0), rel=1e-12)
 
 
+class TestModelSetfnChecks:
+    SHAPE = ImageShape(4, 4, 1)
+
+    def setfn_args(self, **overrides):
+        rng = make_rng(25)
+        args = {"model": build_model("mlp-1-hidden", self.SHAPE, 3, seed=1),
+                "x": rng.uniform(0, 255, size=self.SHAPE.dims),
+                "delta": rng.uniform(-8, 8, size=self.SHAPE.dims), "y": 0}
+        args.update(overrides)
+        return args
+
+    def test_valid_inputs_build(self):
+        make_model_setfn(**self.setfn_args(y=2))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("x", np.zeros((4, 4)), "image shape"),
+        ("delta", np.zeros((16,)), "image shape"),
+        ("x", np.full((4, 4, 1), np.inf), "finite"),
+        ("delta", np.full((4, 4, 1), np.nan), "finite"),
+        ("y", -1, "out of range"),
+        ("y", 3, "out of range"),
+    ], ids=["x-shape", "delta-shape", "x-inf", "delta-nan", "label-negative", "label-too-big"])
+    def test_rejects_bad_input(self, field, value, message):
+        # at the parent y=-1 scored the last class, and a NaN delta gave NaN rewards
+        with pytest.raises(ValueError, match=message):
+            make_model_setfn(**self.setfn_args(**{field: value}))
+
+    def test_rejects_a_one_class_model(self):
+        model = build_model("softmax-linear", self.SHAPE, 1, seed=0)
+        with pytest.raises(ValueError, match="two classes"):
+            make_model_setfn(**self.setfn_args(model=model))
+
+
+class TestBatchedSetfn:
+    def masks(self, rng, n):
+        # a row count off the chunk grid, with the empty and the full subset
+        masks = rng.random((2 * SETFN_CHUNK + 5, n)) < 0.5
+        masks[0], masks[-1] = False, True
+        return masks
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_model_batch_matches_reward(self, kind):
+        shape = ImageShape(4, 4, 2)
+        model = build_model(kind, shape, 4, seed=2)
+        rng = make_rng(26)
+        x = rng.uniform(0, 255, size=shape.dims)
+        delta = rng.uniform(-16, 16, size=shape.dims)
+        v, n = make_model_setfn(model, x, delta, 1)
+        masks = self.masks(rng, n)
+        expected = [reward(model, x, np.where(row.reshape(shape.dims), delta, 0.0), 1)
+                    for row in masks]
+        got = v.batch(masks)
+        assert got.shape == (len(masks),)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_game_batch_matches_game_reward(self):
+        rng = make_rng(27)
+        game = random_game(rng, 9)
+        delta = rng.normal(size=9)
+        v, n = make_game_setfn(game, delta)
+        masks = self.masks(rng, n)
+        expected = [game_reward(game, np.where(row, delta, 0.0)) for row in masks]
+        np.testing.assert_allclose(v.batch(masks), expected, rtol=1e-12, atol=1e-12)
+
+    def test_subset_call_is_a_one_row_batch(self):
+        v, n = make_game_setfn(random_game(make_rng(28), 5), make_rng(29).normal(size=5))
+        mask = np.zeros((1, n), dtype=bool)
+        mask[0, [1, 3]] = True
+        assert v((3, 1)) == v.batch(mask)[0]
+
+    def test_game_setfn_rejects_a_delta_of_another_size(self):
+        with pytest.raises(ValueError, match="units"):
+            make_game_setfn(random_game(make_rng(30), 5), np.ones(4))
+
+    @pytest.mark.parametrize("masks", [np.ones((2, 5)), np.ones((2, 4), dtype=bool),
+                                       np.ones(5, dtype=bool)],
+                             ids=["float", "wrong-width", "one-dim"])
+    def test_rejects_bad_masks(self, masks):
+        v, _ = make_game_setfn(random_game(make_rng(30), 5), np.ones(5))
+        with pytest.raises(ValueError, match="bool array"):
+            v.batch(masks)
+
+
 class TestShapleyExact:
     def test_additive_game_attribution(self):
         # for v(S) = sum of weights in S, the Shapley value of i is weights[i]
@@ -295,6 +379,62 @@ class TestSampledInteraction:
     def test_needs_two_players(self):
         with pytest.raises(ValueError):
             expected_interaction_sampled(lambda s: 0.0, 1, 1, 1)
+
+    def test_plain_callable_is_rejected_before_any_draw(self):
+        rng = make_rng(31)
+        before = rng.bit_generator.state
+        with pytest.raises(TypeError, match="batch"):
+            expected_interaction_sampled(lambda s: 0.0, 4, 2, 2, rng=rng)
+        np.testing.assert_equal(rng.bit_generator.state, before)
+
+
+def per_subset_sampled_interaction(v, n, num_pairs, num_subsets, rng):
+    """The per-subset loop expected_interaction_sampled ran before it scored
+    all its subsets in one batch, kept verbatim as the reference."""
+    samples = []
+    for _ in range(num_pairs):
+        a, b = (int(p) for p in rng.choice(n, size=2, replace=False))
+        others = np.array([p for p in range(n) if p not in (a, b)], dtype=int)
+        for _ in range(num_subsets):
+            size = int(rng.integers(0, n - 1))
+            subset = tuple(int(p) for p in rng.choice(others, size=size, replace=False))
+            d = (
+                v(subset + (a, b))
+                - v(subset + (a,))
+                - v(subset + (b,))
+                + v(subset)
+            )
+            samples.append(d)
+    arr = np.asarray(samples)
+    stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return float(arr.mean()), stderr
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), num_pairs=st.integers(1, 5), num_subsets=st.integers(1, 5),
+       seed=st.integers(0, 2**16))
+def test_batched_sampler_matches_the_per_subset_loop(n, num_pairs, num_subsets, seed):
+    # an MLP, not the quadratic game: there the second difference does not
+    # depend on the subset S, so a sampler that lost S would still agree
+    shape = ImageShape(1, n, 1)
+    model = build_model("mlp-1-hidden", shape, 3, seed=seed)
+    rng = make_rng(seed, 32)
+    x = rng.uniform(0, 255, size=shape.dims)
+    delta = rng.uniform(-64, 64, size=shape.dims)
+    v, _ = make_model_setfn(model, x, delta, 2)
+
+    def v_reference(subset):  # the set function as built before v.batch existed
+        masked = np.zeros(n)
+        masked[list(subset)] = delta.reshape(-1)[list(subset)]
+        return reward(model, x, masked.reshape(shape.dims), 2)
+
+    batched_rng, loop_rng = make_rng(seed, 33), make_rng(seed, 33)
+    est = expected_interaction_sampled(v, n, num_pairs, num_subsets, rng=batched_rng)
+    value, stderr = per_subset_sampled_interaction(v_reference, n, num_pairs, num_subsets,
+                                                   loop_rng)
+    assert est.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-12)
+    np.testing.assert_equal(batched_rng.bit_generator.state, loop_rng.bit_generator.state)
 
 
 class TestPredictedInteraction:
