@@ -3,9 +3,13 @@
 One independent parameter set per attack step maps (current iterate,
 gradient) to a positive scalar step scale.  Two architectures share the
 same linear tail: an MLP over the concatenated flattened inputs, and a
-strided conv stack with instance normalization for image inputs of side
->= 8.  All gradients are hand-written and finite-difference checked.  The
-attack itself is attacks.run_attack with an AdaptiveStep rule.
+strided conv stack with instance normalization for image sides divisible
+by 8.  The conv stack only works from side 16 up: at 8x8 its third
+stride-2 stage leaves a 1x1 map, which instance normalization sends to
+exactly 0, so gamma ignores the iterate and the gradient and the conv
+kernels get zero gradient.  All gradients are hand-written and
+finite-difference checked.  The attack itself is attacks.run_attack with
+an AdaptiveStep rule.
 """
 
 from __future__ import annotations

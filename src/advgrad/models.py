@@ -93,15 +93,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    """Log-softmax over the last axis of one logit vector or a batch of them."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 class Model:
     """Base classifier: subclasses implement the batch-first _forward and _backward.
 
-    The public methods take one image; train_classifier and accuracy run the
-    core on whole minibatches.
+    The public methods take one image; input_gradient also takes a batch, and
+    train_classifier and accuracy run the core on whole minibatches.
     """
 
     kind: str = ""
@@ -124,6 +125,22 @@ class Model:
     def _check_label(self, y: int):
         if not 0 <= y < self.num_classes:
             raise ValueError(f"label {y} out of range for {self.num_classes} classes")
+
+    def _check_batch(self, x: np.ndarray, y) -> np.ndarray:
+        """(N,) int64 labels for batch x from one int label or an (N,) integer array."""
+        if x.shape[1:] != self.image_shape.dims:
+            raise ValueError(f"batch shape {x.shape} does not match model shape "
+                             f"(N,) + {self.image_shape.dims}")
+        labels = np.asarray(y)
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got {labels.dtype}")
+        if labels.ndim == 0:
+            labels = np.full(len(x), labels, dtype=np.int64)
+        elif labels.shape != (len(x),):
+            raise ValueError(f"got {labels.shape} labels for a batch of {len(x)} images")
+        if len(labels) and (labels.min() < 0 or labels.max() >= self.num_classes):
+            raise ValueError(f"labels out of range for {self.num_classes} classes")
+        return labels
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return x / 255.0 - 0.5
@@ -168,8 +185,17 @@ class Model:
         dz, grads = self._backward(dlogits, cache, params)
         return dz / 255.0, grads
 
-    def input_gradient(self, x: np.ndarray, y: int) -> np.ndarray:
-        """Exact gradient of the cross-entropy loss w.r.t. 0-255 pixels."""
+    def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
+        """Exact gradient of the cross-entropy loss w.r.t. 0-255 pixels.
+
+        x is one (H, W, C) image with an int label, or an (N, H, W, C) batch
+        with one int label for every row or an (N,) label array; the result has
+        x's shape.  A batch row can differ from the same image's single-image
+        gradient in the last bits (a batch runs matrix-matrix products).
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 4:
+            return self._loss_backward(x, self._check_batch(x, y), params=False)[0]
         x = self._check_input(x)
         self._check_label(y)
         return self._loss_backward(x, y, params=False)[0]

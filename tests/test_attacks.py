@@ -1,11 +1,15 @@
 """Tests for the attack pipeline: step rules, transforms, projection, loop."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from advgrad import attacks
 from advgrad.attacks import (
     AdaptiveStep,
     AttackConfig,
@@ -31,7 +35,7 @@ from advgrad.attacks import (
 )
 from advgrad.generator import ScalingFactorGenerator
 from advgrad.models import build_model
-from advgrad.numerics import ImageShape, make_rng
+from advgrad.numerics import ImageShape, gaussian_kernel_2d, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
 
@@ -177,6 +181,28 @@ class TestTimSmooth:
         out = tim_smooth(g, 3, 1.0)
         assert np.allclose(out[:, :, 0], 1.0)
         assert np.allclose(out[:, :, 1], 0.0)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_one_convolve_matches_the_per_channel_loop_bit_for_bit(self, channels):
+        g = make_rng(channels, 60).normal(size=(8, 8, channels))
+        for k, sigma in ((3, 1.0), (5, None), (1, 0.5)):
+            kernel = gaussian_kernel_2d(k, k / 3.0 if sigma is None else sigma)
+            loop = np.empty_like(g)
+            for c in range(channels):
+                loop[:, :, c] = scipy.ndimage.convolve(g[:, :, c], kernel, mode="nearest")
+            assert np.array_equal(tim_smooth(g, k, sigma), loop)
+
+    def test_cached_kernel_is_read_only_and_the_public_kernel_is_not(self):
+        mine = gaussian_kernel_2d(3, 1.0)
+        mine[1, 1] = 100.0  # a caller may mutate its own kernel
+        g = make_rng(0, 61).normal(size=(5, 5, 2))
+        first = tim_smooth(g, 3, 1.0)
+        cached = attacks._tim_kernel(3, 1.0)
+        assert cached is attacks._tim_kernel(3, 1.0)
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 1.0
+        assert gaussian_kernel_2d(3, 1.0)[1, 1] != 100.0
+        assert np.array_equal(tim_smooth(g, 3, 1.0), first)
 
     @pytest.mark.parametrize("k", [4, 0, -1])
     def test_rejects_even_or_nonpositive_k(self, k):
@@ -352,6 +378,156 @@ class TestAttackLoop:
         assert len(res.step_trace) == 3 and all(g > 0 for g in res.step_trace)
         assert np.abs(res.adversarial - x).max() <= 8.0 + 1e-9
         assert res.success == [models[0].predict(res.adversarial) == 2]
+
+
+def per_point_sim_gradient(models, x, y, m):
+    """Reference: sim_gradient before batching, one ensemble call per scale."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    total = np.zeros_like(np.asarray(x, dtype=np.float64))
+    for i in range(m):
+        scale = 0.5 ** i
+        total += scale * ensemble_gradient(models, x * scale, y)
+    return total / m
+
+
+def per_point_pipeline_gradient(models, x_eval, label, cfg, state, rng):
+    """Reference: _pipeline_gradient before batching, one gradient call per
+    EMI point, VT neighbour and SIM copy, each on a single image."""
+    sim = attacks._find(cfg.transforms, Sim)
+    vt = attacks._find(cfg.transforms, Vt)
+    emi = attacks._find(cfg.transforms, Emi)
+    tim = attacks._find(cfg.transforms, Tim)
+
+    def base(pt):
+        if sim is not None:
+            return per_point_sim_gradient(models, pt, label, sim.m)
+        return ensemble_gradient(models, pt, label)
+
+    if emi is not None:
+        grad = np.zeros_like(x_eval)
+        for _ in range(emi.n):
+            c = rng.uniform(-1.0, 1.0)
+            grad += base(x_eval + c * emi.eta * state["emi_dir"])
+        grad /= emi.n
+    else:
+        grad = base(x_eval)
+
+    if vt is not None:
+        tuned = grad + state["vt_var"]
+        radius = vt.beta * cfg.epsilon
+        acc = np.zeros_like(grad)
+        for _ in range(vt.n):
+            acc += base(x_eval + rng.uniform(-radius, radius, size=x_eval.shape))
+        state["vt_var"] = acc / vt.n - grad
+        grad = tuned
+
+    if emi is not None:
+        l1 = np.abs(grad).sum()
+        state["emi_dir"] = grad / l1 if l1 > 0 else np.zeros_like(grad)
+
+    if tim is not None:
+        grad = tim_smooth(grad, tim.k, tim.sigma)
+    return grad
+
+
+def count_input_gradient_calls(models):
+    """Wrap each model's input_gradient; returns one list of input shapes per model."""
+    shapes = [[] for _ in models]
+    for model, seen in zip(models, shapes):
+        def spy(x, y, _inner=model.input_gradient, _seen=seen):
+            _seen.append(np.shape(x))
+            return _inner(x, y)
+        model.input_gradient = spy
+    return shapes
+
+
+class TestBatchedPipeline:
+    @pytest.mark.parametrize("kind", ["softmax-linear", "mlp-1-hidden", "tiny-conv"])
+    @pytest.mark.parametrize("n_models", [1, 2])
+    def test_batched_helpers_equal_stacked_single_points(self, kind, n_models):
+        models = [build_model(kind, SHAPE, 3, seed=s) for s in range(n_models)]
+        points = make_rng(n_models, 62).uniform(0.0, 255.0, size=(5,) + SHAPE.dims)
+        np.testing.assert_allclose(
+            ensemble_gradient(models, points, 1),
+            np.stack([ensemble_gradient(models, p, 1) for p in points]), rtol=1e-12, atol=0)
+        for m in (1, 3):
+            np.testing.assert_allclose(
+                sim_gradient(models, points, 2, m),
+                np.stack([per_point_sim_gradient(models, p, 2, m) for p in points]),
+                rtol=1e-12, atol=0)
+            np.testing.assert_allclose(sim_gradient(models, points[0], 2, m),
+                                       per_point_sim_gradient(models, points[0], 2, m),
+                                       rtol=1e-12, atol=0)
+
+    # rows per step: (EMI n, or 1, plus VT n) x SIM m
+    STACKS = [((Sim(m=2), Vt(n=4), Emi(n=3)), 14), ((Vt(n=4), Emi(n=3)), 7),
+              ((Vt(n=2),), 3), ((Emi(n=3),), 3), ((Sim(m=3),), 3)]
+
+    @pytest.mark.parametrize("stack,rows", STACKS, ids=["sim-vt-emi", "vt-emi", "vt", "emi", "sim"])
+    def test_stacked_step_makes_one_input_gradient_call_per_source_model(self, stack, rows):
+        models = make_models(2, kind="mlp-1-hidden")
+        shapes = count_input_gradient_calls(models)
+        cfg = AttackConfig(epsilon=16.0, steps=3, step_rule=FixedScaleStep(16.0), momentum=1.0,
+                           transforms=(Dim(), Tim()) + stack)
+        run_attack(models, [], random_image(22), 0, cfg, make_rng(5))
+        assert shapes == [[(rows,) + SHAPE.dims] * 3] * 2
+
+    def test_one_point_step_keeps_the_single_image_call(self):
+        models = make_models(2, kind="mlp-1-hidden")
+        shapes = count_input_gradient_calls(models)
+        cfg = AttackConfig(epsilon=16.0, steps=2, step_rule=SignStep(1.6), momentum=1.0,
+                           transforms=(Dim(), Tim(), Emi(n=1)))
+        run_attack(models, [], random_image(23), 0, cfg, make_rng(5))
+        assert shapes == [[SHAPE.dims] * 2] * 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["softmax-linear", "mlp-1-hidden", "tiny-conv"]),
+        shape=st.sampled_from([SHAPE, ImageShape(4, 4, 3)]),
+        n_models=st.integers(1, 2),
+        stack=st.sets(st.sampled_from(["sim", "emi", "vt"]), min_size=1),
+        dim=st.booleans(),
+        tim=st.booleans(),
+        momentum=st.sampled_from([None, 1.0, 0.5]),
+        rule=st.sampled_from(["sign", "fixed", "adaptive"]),
+        targeted=st.booleans(),
+        steps=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_run_attack_matches_the_per_point_loop(self, kind, shape, n_models, stack, dim, tim,
+                                                   momentum, rule, targeted, steps, seed):
+        models = [build_model(kind, shape, 3, seed=seed + s) for s in range(n_models)]
+        x = make_rng(seed, 63).uniform(0.0, 255.0, size=shape.dims)
+        transforms = [Dim(p=0.8, min_fraction=0.75)] if dim else []
+        transforms += [Tim(k=3)] if tim else []
+        transforms += [Sim(m=2)] if "sim" in stack else []
+        transforms += [Vt(n=3, beta=1.5)] if "vt" in stack else []
+        transforms += [Emi(n=2, eta=7.0)] if "emi" in stack else []
+        step_rule = {
+            "sign": lambda: SignStep(1.6),
+            "fixed": lambda: FixedScaleStep(1e4 if momentum is None else 16.0),
+            "adaptive": lambda: AdaptiveStep(ScalingFactorGenerator(
+                steps, shape, hidden=(4, 2), seed=seed, head_scale=1e3)),
+        }[rule]()
+        cfg = AttackConfig(epsilon=16.0, steps=steps, step_rule=step_rule, momentum=momentum,
+                           transforms=tuple(transforms), targeted=targeted,
+                           target_label=2 if targeted else None)
+        rng_new, rng_ref = make_rng(seed, 64), make_rng(seed, 64)
+        new = run_attack(models, models, x, 0, cfg, rng_new)
+        with mock.patch.object(attacks, "_pipeline_gradient", per_point_pipeline_gradient):
+            ref = run_attack(models, models, x, 0, cfg, rng_ref)
+        np.testing.assert_allclose(new.adversarial, ref.adversarial, rtol=1e-12, atol=1e-12)
+        # the Philox state holds small arrays, which repr prints in full
+        assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
+        assert new.success == ref.success
+        assert (new.steps_used, new.early_stopped) == (ref.steps_used, ref.early_stopped)
+        if rule == "adaptive":
+            # the generator's gamma is computed from the direction, so it
+            # inherits the direction's last-bit differences
+            np.testing.assert_allclose(new.step_trace, ref.step_trace, rtol=1e-12, atol=0)
+        else:
+            assert new.step_trace == ref.step_trace
 
 
 class TestSignScaleEquivalence:

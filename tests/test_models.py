@@ -8,6 +8,7 @@ import pytest
 
 from advgrad.models import (
     LabeledDataset,
+    _log_softmax,
     TrainConfig,
     accuracy,
     build_model,
@@ -229,6 +230,61 @@ class TestBatchedCore:
         model = build_model(kind, SHAPE, 3, seed=5)
         expected = np.mean([model.predict(x) == y for x, y in zip(ds.images, ds.labels)])
         assert accuracy(model, ds) == expected
+
+
+def log_softmax_whole_array(logits):
+    """Reference: the log-softmax before it took an axis, reducing over the
+    whole array (correct for one logit vector only)."""
+    shifted = logits - logits.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+class TestLogSoftmax:
+    def test_vector_matches_the_whole_array_form_bit_for_bit(self):
+        rng = make_rng(12)
+        for scale in (1e-3, 1.0, 50.0, 800.0):
+            logits = rng.normal(size=7) * scale
+            assert np.array_equal(_log_softmax(logits), log_softmax_whole_array(logits))
+
+    def test_each_row_of_a_batch_is_normalized_on_its_own(self):
+        logits = make_rng(13).normal(size=(5, 4)) * 30.0
+        out = _log_softmax(logits)
+        for i, row in enumerate(logits):
+            assert np.array_equal(out[i], _log_softmax(row))
+        np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+class TestBatchedInputGradient:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_matches_stacked_single_images(self, kind):
+        model = build_model(kind, SHAPE, 3, seed=7)
+        ds = tiny_dataset(6, seed=11)
+        stacked = np.stack([model.input_gradient(x, int(y))
+                            for x, y in zip(ds.images, ds.labels)])
+        np.testing.assert_allclose(model.input_gradient(ds.images, ds.labels), stacked,
+                                   rtol=1e-12, atol=1e-15)
+        one_label = np.stack([model.input_gradient(x, 2) for x in ds.images])
+        np.testing.assert_allclose(model.input_gradient(ds.images, 2), one_label,
+                                   rtol=1e-12, atol=1e-15)
+
+    BAD = [
+        ("trailing shape", np.zeros((2, 4, 4, 1)), 0, "shape"),
+        ("label count", np.zeros((3,) + SHAPE.dims), np.array([0, 1]), "labels for a batch"),
+        ("float label", np.zeros((2,) + SHAPE.dims), 1.0, "integers"),
+        ("float labels", np.zeros((2,) + SHAPE.dims), np.array([0.0, 1.0]), "integers"),
+        ("label range", np.zeros((2,) + SHAPE.dims), np.array([0, 3]), "out of range"),
+        ("negative label", np.zeros((2,) + SHAPE.dims), -1, "out of range"),
+    ]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("x,y,match", [b[1:] for b in BAD], ids=[b[0] for b in BAD])
+    def test_bad_batch_raises_before_any_forward_pass(self, kind, x, y, match, monkeypatch):
+        model = build_model(kind, SHAPE, 3, seed=0)
+        forwards = []
+        monkeypatch.setattr(model, "_forward", lambda z: forwards.append(z))
+        with pytest.raises(ValueError, match=match):
+            model.input_gradient(x, y)
+        assert forwards == []
 
 
 class TestTraining:
