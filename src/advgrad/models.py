@@ -123,6 +123,9 @@ class Model:
         return x
 
     def _check_label(self, y: int):
+        # bool is an int subclass, and a float label would only fail later in indexing
+        if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
+            raise ValueError(f"label must be an integer, got {y!r}")
         if not 0 <= y < self.num_classes:
             raise ValueError(f"label {y} out of range for {self.num_classes} classes")
 
@@ -270,11 +273,14 @@ class TanhMLP(Model):
 
 def _avgpool2(x):
     n, h, w, c = x.shape
-    return x.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4))
+    # the sum and division np.mean(axis=(2, 4)) runs, without its Python overhead
+    return x.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4)) / 4.0
 
 
 def _avgpool2_backward(d):
-    return np.repeat(np.repeat(d, 2, axis=1), 2, axis=2) / 4.0
+    n, h, w, c = d.shape
+    quarter = (d / 4.0)[:, :, None, :, None]
+    return np.broadcast_to(quarter, (n, h, 2, w, 2, c)).reshape(n, 2 * h, 2 * w, c)
 
 
 class TinyConv(Model):
@@ -316,9 +322,9 @@ class TinyConv(Model):
         n, h, w, c = t2.shape
         dp2 = (dlogits @ self.params["W3"]).reshape(n, h // 2, w // 2, c)
         dc2 = _avgpool2_backward(dp2) * (1.0 - t2 * t2)
-        dp1, dW2, db2 = _conv3x3_backward(dc2, conv2, self.params["W2"])
+        dp1, dW2, db2 = _conv3x3_backward(dc2, conv2, self.params["W2"], params)
         dc1 = _avgpool2_backward(dp1) * (1.0 - t1 * t1)
-        dz, dW1, db1 = _conv3x3_backward(dc1, conv1, self.params["W1"])
+        dz, dW1, db1 = _conv3x3_backward(dc1, conv1, self.params["W1"], params)
         grads = None
         if params:
             grads = {"W3": dlogits.T @ flat, "b3": dlogits.sum(axis=0),

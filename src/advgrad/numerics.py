@@ -3,14 +3,19 @@ the Gaussian smoothing kernel, the conv primitive and the JSON codec helpers.
 
 All array data is 64-bit float, and images are row-major ``(H, W, C)``
 arrays on the 0-255 pixel scale unless stated otherwise.
+
+The conv primitive (`_conv3x3`, `_conv3x3_backward`) is im2col on cached,
+read-only flat-index tables, built once per ``(H, W, C, stride)``: the forward
+pass gathers the 3x3 windows in one indexing call, and the backward pass
+scatters the window gradients back with one `np.bincount`.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ImageShape",
@@ -111,35 +116,83 @@ def gaussian_kernel_2d(k: int, sigma: float) -> np.ndarray:
     return kernel / kernel.sum()
 
 
+@lru_cache(maxsize=32)
+def _conv3x3_gather(h: int, w: int, c: int, stride: int) -> np.ndarray:
+    """Read-only table of flat indices into an image flattened to H * W * C
+    values plus one trailing zero: the row-major (Ho * Wo, 9 * C) im2col
+    matrix of the image, stored flat.
+
+    Row ``i * Wo + j`` lists the 3x3 window of output pixel (i, j) in the row
+    order of ``W.reshape(9 * C, Cout)``, that is (di, dj, c); a tap that falls
+    on the zero padding points at the trailing zero, index H * W * C.
+    """
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    r = stride * np.arange(ho)[:, None, None, None, None] + np.arange(3)[:, None, None] - 1
+    q = stride * np.arange(wo)[None, :, None, None, None] + np.arange(3)[:, None] - 1
+    flat = (r * w + q) * c + np.arange(c)
+    inside = (r >= 0) & (r < h) & (q >= 0) & (q < w)
+    table = np.where(inside, flat, h * w * c).reshape(-1)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=32)
+def _conv3x3_scatter(h: int, w: int, c: int, stride: int, n: int) -> np.ndarray:
+    """Read-only `np.bincount` bins of the window gradients of an n-image batch:
+    the (n * Ho * Wo, 9 * C) im2col matrix of bins with its rows in reverse
+    order, stored flat.
+
+    Image m owns the H * W * C + 1 bins from ``m * (H * W * C + 1)``; the last
+    of them collects the padding taps.
+    """
+    offsets = np.arange(n)[:, None] * (h * w * c + 1)
+    rows = (offsets + _conv3x3_gather(h, w, c, stride)).reshape(-1, 9 * c)
+    bins = rows[::-1].reshape(-1)
+    bins.flags.writeable = False
+    return bins
+
+
 def _conv3x3(x: np.ndarray, W: np.ndarray, b: np.ndarray, stride: int = 1):
     """3x3 convolution with zero padding 1 over a batch ``x`` of shape (N, H, W, Cin).
 
-    ``W`` is (3, 3, Cin, Cout) and ``b`` is (Cout,).  im2col on a sliding-window
-    view, then one matmul.  Returns ``(out, cache)``: ``out`` has shape
-    (N, (H - 1) // stride + 1, (W - 1) // stride + 1, Cout) and ``cache`` feeds
-    `_conv3x3_backward`.
+    ``W`` is (3, 3, Cin, Cout) and ``b`` is (Cout,).  im2col by one gather
+    through the cached `_conv3x3_gather` table of the input shape (padding taps
+    read a trailing zero column), then one matmul.  Returns ``(out, cache)``:
+    ``out`` has shape (N, (H - 1) // stride + 1, (W - 1) // stride + 1, Cout)
+    and ``cache`` feeds `_conv3x3_backward`.
     """
     n, h, w, c = x.shape
-    xp = np.zeros((n, h + 2, w + 2, c))
-    xp[:, 1:-1, 1:-1] = x
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))[:, ::stride, ::stride]
-    # window axes (C, 3, 3) -> (3, 3, C), the row order of W.reshape(9 * C, Cout)
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * c)
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    padded = np.zeros((n, h * w * c + 1))
+    padded[:, :-1] = x.reshape(n, -1)
+    # every index is in range; mode="clip" only skips numpy's slower checked gather
+    cols = padded.take(_conv3x3_gather(h, w, c, stride), axis=1, mode="clip").reshape(-1, 9 * c)
     out = cols @ W.reshape(9 * c, -1) + b
-    return out.reshape(win.shape[:3] + (-1,)), (cols, x.shape, stride)
+    return out.reshape(n, ho, wo, -1), (cols, x.shape, stride)
 
 
-def _conv3x3_backward(dout: np.ndarray, cache, W: np.ndarray):
-    """Gradients ``(dx, dW, db)`` of `_conv3x3`; dW and db are summed over the batch."""
+def _conv3x3_backward(dout: np.ndarray, cache, W: np.ndarray, params: bool = True):
+    """Gradients ``(dx, dW, db)`` of `_conv3x3`; dW and db are summed over the batch,
+    and both are None when ``params`` is False.
+
+    dx is one `np.bincount` scatter of the window gradients, which adds them up
+    in input order starting from 0.0.  Each window feeds a pixel at most once,
+    and taken last window first, the windows covering a pixel come in (di, dj)
+    order of the tap that reaches it: the same sums, bit for bit, as adding the
+    nine shifted tap planes into a zero-padded buffer one after another.
+    """
     cols, (n, h, w, c), s = cache
-    ho, wo = dout.shape[1:3]
     d2 = dout.reshape(-1, dout.shape[3])
-    dcols = (d2 @ W.reshape(9 * c, -1).T).reshape(n, ho, wo, 3, 3, c)
-    dxp = np.zeros((n, h + 2, w + 2, c))
-    for di in range(3):
-        for dj in range(3):
-            dxp[:, di:di + s * ho:s, dj:dj + s * wo:s] += dcols[:, :, :, di, dj]
-    return dxp[:, 1:-1, 1:-1], (cols.T @ d2).reshape(W.shape), d2.sum(axis=0)
+    # the window gradients, last window first: reversing the upstream rows copies
+    # 9 * C / Cout times less than reversing the product, and the contiguous
+    # copy keeps the product in BLAS, which rounds each row as before
+    dcols = np.ascontiguousarray(d2[::-1]) @ W.reshape(9 * c, -1).T
+    size = h * w * c + 1
+    dx = np.bincount(_conv3x3_scatter(h, w, c, s, n), weights=dcols.reshape(-1),
+                     minlength=n * size).reshape(n, size)[:, :-1].reshape(n, h, w, c)
+    if not params:
+        return dx, None, None
+    return dx, (cols.T @ d2).reshape(W.shape), d2.sum(axis=0)
 
 
 def _encode_arrays(arrays: dict) -> dict:

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import sliding_window_conv as sliding
+from advgrad import generator
 from advgrad.attacks import ensemble_gradient, ensemble_loss, project
 from advgrad.generator import (
     GeneratorTrainConfig,
@@ -233,6 +235,24 @@ class TestParameterGradient:
                 scale = max(np.abs(v).max() for v in want.values())
                 for k in want:
                     np.testing.assert_allclose(got[k], want[k], rtol=0, atol=1e-12 * scale)
+
+    def test_conv_arch_matches_the_sliding_window_kernel_bit_for_bit(self, monkeypatch):
+        # the conv stack runs the shared conv primitive at stride 2
+        shape = ImageShape(16, 16, 2)
+        gen = ScalingFactorGenerator(2, shape, arch="conv", seed=9, hidden=(12, 6),
+                                     conv_channels=4)
+        rng = make_rng(13, 60)
+        x = rng.uniform(0, 255, size=shape.dims)
+        grad = rng.normal(scale=1e-4, size=shape.dims)
+        got = [(gen.gamma_forward(t, x, grad), gen.parameter_gradient(t, x, grad, 0.7))
+               for t in range(gen.steps)]
+        monkeypatch.setattr(generator, "_conv3x3", sliding._conv3x3)
+        monkeypatch.setattr(generator, "_conv3x3_backward", sliding._conv3x3_backward)
+        for t, (gamma, grads) in enumerate(got):
+            assert gamma == gen.gamma_forward(t, x, grad)
+            want = gen.parameter_gradient(t, x, grad, 0.7)
+            assert list(grads) == list(want)
+            assert all(np.array_equal(grads[k], want[k]) for k in want)
 
     def test_other_steps_untouched_by_update(self):
         gen = small_generator(steps=3)

@@ -6,8 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import sliding_window_conv as sliding
+from advgrad import models
 from advgrad.models import (
     LabeledDataset,
+    _avgpool2,
+    _avgpool2_backward,
     _log_softmax,
     TrainConfig,
     accuracy,
@@ -155,6 +159,33 @@ class TestGradients:
                 fd = (up - down) / (2 * h)
                 assert g.reshape(-1)[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
 
+    def test_tiny_conv_input_gradient_matches_finite_differences_on_16x16x3(self):
+        # the conv index tables are keyed by shape, so check a second one
+        shape = ImageShape(16, 16, 3)
+        model = build_model("tiny-conv", shape, 3, seed=5)
+        rng = make_rng(14)
+        x = random_image(rng, shape)
+        y = 2
+        analytic = model.input_gradient(x, y)
+        # pixel gradients here are about 1e-6, so a step of 1e-5 would leave
+        # the central difference dominated by the rounding of the loss
+        oracle = finite_diff_gradient(lambda v: model.cross_entropy_loss(v, y), x, h=1e-3)
+        assert np.linalg.norm(analytic - oracle) / np.linalg.norm(oracle) < 1e-6
+
+    def test_tiny_conv_parameter_gradients_match_finite_differences_on_16x16x3(self):
+        shape = ImageShape(16, 16, 3)
+        model = build_model("tiny-conv", shape, 3, seed=6)
+        rng = make_rng(15)
+        x = random_image(rng, shape)
+        y = 0
+        grads = model.parameter_gradients(x, y)
+        assert set(grads) == set(model.params)
+        for name, g in grads.items():
+            flat = model.params[name].reshape(-1)
+            oracle = finite_diff_gradient(
+                lambda v: _loss_with(model, name, v, x, y), flat.copy())
+            assert np.linalg.norm(g.reshape(-1) - oracle) / np.linalg.norm(oracle) < 1e-6
+
     def test_softmax_linear_gradient_closed_form(self):
         # for the linear model, d loss / dx = W^T (p - onehot) / 255
         model = build_model("softmax-linear", SHAPE, 3, seed=3)
@@ -165,6 +196,16 @@ class TestGradients:
         onehot[2] = 1.0
         expected = (model.params["W"].T @ (p - onehot)).reshape(SHAPE.dims) / 255.0
         assert np.allclose(model.input_gradient(x, 2), expected, atol=1e-12)
+
+
+def _loss_with(model, name, values, x, y):
+    """Loss at (x, y) with parameter `name` set to the flat `values`."""
+    saved = model.params[name]
+    model.params[name] = values.reshape(saved.shape)
+    try:
+        return model.cross_entropy_loss(x, y)
+    finally:
+        model.params[name] = saved
 
 
 def per_image_sgd(dataset, kind, cfg):
@@ -252,6 +293,85 @@ class TestLogSoftmax:
         for i, row in enumerate(logits):
             assert np.array_equal(out[i], _log_softmax(row))
         np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+class TestLabelCheck:
+    BAD = [True, False, np.True_, 1.0, np.float64(1.0), "1", None]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("y", BAD, ids=repr)
+    def test_rejects_non_integer_labels(self, kind, y):
+        model = build_model(kind, SHAPE, 3, seed=0)
+        x = random_image(make_rng(16))
+        for method in (model.input_gradient, model.cross_entropy_loss,
+                       model.parameter_gradients):
+            with pytest.raises(ValueError, match="integer"):
+                method(x, y)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_accepts_python_and_numpy_integers(self, kind):
+        model = build_model(kind, SHAPE, 3, seed=0)
+        x = random_image(make_rng(17))
+        for y in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert np.array_equal(model.input_gradient(x, y), model.input_gradient(x, 2))
+            assert model.cross_entropy_loss(x, y) == model.cross_entropy_loss(x, 2)
+            got, want = model.parameter_gradients(x, y), model.parameter_gradients(x, 2)
+            assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+class TestConvKernel:
+    """TinyConv against the sliding-window conv pair it used before the
+    index-table kernel, and the pooling helpers against their numpy forms."""
+
+    def test_pooling_matches_mean_and_repeat_bit_for_bit(self):
+        rng = make_rng(18)
+        for shape in ((1, 8, 8, 6), (7, 4, 6, 3), (32, 2, 2, 1)):
+            x = rng.normal(size=shape)
+            n, h, w, c = shape
+            assert np.array_equal(_avgpool2(x),
+                                  x.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4)))
+            assert np.array_equal(_avgpool2_backward(x),
+                                  np.repeat(np.repeat(x, 2, axis=1), 2, axis=2) / 4.0)
+
+    def test_only_parameter_gradients_ask_the_kernel_for_weight_gradients(self, monkeypatch):
+        model = build_model("tiny-conv", SHAPE, 3, seed=0)
+        asked = []
+        kernel = models._conv3x3_backward
+
+        def spy(dout, cache, W, params=True):
+            asked.append(params)
+            return kernel(dout, cache, W, params)
+
+        monkeypatch.setattr(models, "_conv3x3_backward", spy)
+        x = random_image(make_rng(19))
+        model.input_gradient(x, 1)
+        model.input_gradient(x[None], 1)
+        assert asked == [False] * 4
+        model.parameter_gradients(x, 1)
+        assert asked[4:] == [True] * 2
+
+    @pytest.mark.parametrize("shape", [SHAPE, ImageShape(16, 16, 3)], ids=str)
+    def test_training_and_gradients_match_the_sliding_window_kernel(self, shape, monkeypatch):
+        from advgrad.harness import synth_dataset
+        ds = synth_dataset("blobs", 40, shape, seed=3, num_classes=3)
+        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.2, seed=1)
+        model, acc = train_classifier(ds, "tiny-conv", cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_conv3x3", sliding._conv3x3)
+            patch.setattr(models, "_conv3x3_backward",
+                          lambda dout, cache, W, params=True:
+                          sliding._conv3x3_backward(dout, cache, W))
+            reference, ref_acc = train_classifier(ds, "tiny-conv", cfg)
+            ref_out = [(reference.logits(x), reference.input_gradient(x, int(y)))
+                       for x, y in zip(ds.images[:5], ds.labels[:5])]
+            ref_batch = reference.input_gradient(ds.images, ds.labels)
+        assert acc == ref_acc
+        for k in reference.params:
+            assert np.array_equal(model.params[k], reference.params[k])
+        for (x, y), (logits, grad) in zip(zip(ds.images[:5], ds.labels[:5]), ref_out):
+            assert np.array_equal(model.logits(x), logits)
+            assert np.array_equal(model.input_gradient(x, int(y)), grad)
+        assert np.array_equal(model.input_gradient(ds.images, ds.labels), ref_batch)
 
 
 class TestBatchedInputGradient:

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sliding_window_conv as sliding
 from advgrad.numerics import (
     ImageShape,
     _conv3x3,
     _conv3x3_backward,
+    _conv3x3_gather,
+    _conv3x3_scatter,
     finite_diff_gradient,
     finite_diff_hessian,
     gaussian_kernel_2d,
@@ -175,3 +178,59 @@ class TestConv3x3:
         assert out.shape == ref_out.shape
         for got, want in ((out, ref_out), (dx, ref_dx), (dW, ref_dW), (db, ref_db)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @given(n=st.integers(1, 33), h=st.integers(1, 17), w=st.integers(1, 17),
+           cin=st.sampled_from([1, 2, 3, 4, 5, 6, 32]), cout=st.integers(1, 6),
+           stride=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sliding_window_pair_bit_for_bit(self, n, h, w, cin, cout, stride, seed):
+        rng = make_rng(seed, 81)
+        x = rng.normal(size=(n, h, w, cin))
+        W = rng.normal(size=(3, 3, cin, cout))
+        b = rng.normal(size=cout)
+        out, cache = _conv3x3(x, W, b, stride=stride)
+        ref_out, ref_cache = sliding._conv3x3(x, W, b, stride=stride)
+        dout = rng.normal(size=out.shape)
+        got = (out,) + _conv3x3_backward(dout, cache, W)
+        want = (ref_out,) + sliding._conv3x3_backward(dout, ref_cache, W)
+        if n == w == cout == 1:
+            # here the sliding-window im2col matrix is a view whose rows overlap
+            # in memory; numpy multiplies it by the weight vector with its own
+            # loop instead of BLAS, so the two agree to rounding only
+            for g, r in zip(got, want):
+                np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12)
+        else:
+            for g, r in zip(got, want):
+                assert g.shape == r.shape
+                assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_params_false_gives_the_same_dx_and_no_weight_gradients(self, stride):
+        rng = make_rng(3, 82)
+        x = rng.normal(size=(5, 7, 6, 3))
+        W = rng.normal(size=(3, 3, 3, 4))
+        out, cache = _conv3x3(x, W, rng.normal(size=4), stride=stride)
+        dout = rng.normal(size=out.shape)
+        dx, dW, db = _conv3x3_backward(dout, cache, W, params=False)
+        assert dW is None and db is None
+        assert np.array_equal(dx, _conv3x3_backward(dout, cache, W)[0])
+
+    def test_index_tables_are_cached_and_read_only(self):
+        gather = _conv3x3_gather(5, 4, 3, 2)
+        scatter = _conv3x3_scatter(5, 4, 3, 2, 7)
+        assert gather is _conv3x3_gather(5, 4, 3, 2)
+        assert scatter is _conv3x3_scatter(5, 4, 3, 2, 7)
+        for table in (gather, scatter):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_index_table_caches_are_bounded(self):
+        W, b = np.zeros((3, 3, 1, 1)), np.zeros(1)
+        # more distinct (shape, n) keys than either cache holds
+        for n in range(1, _conv3x3_scatter.cache_info().maxsize + 10):
+            out, cache = _conv3x3(np.zeros((n, 2, n, 1)), W, b)
+            _conv3x3_backward(out, cache, W)
+        for cached in (_conv3x3_gather, _conv3x3_scatter):
+            info = cached.cache_info()
+            assert info.maxsize is not None and info.currsize == info.maxsize
