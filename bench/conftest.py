@@ -1,6 +1,8 @@
 """pytest-benchmark setup for the layer micro-benchmarks under ``bench/``.
 
-The sliding-window reference kernel lives with the tests.  The report that
+The reference code the benchmarks time beside the library (the sliding-window
+conv kernel, the attack and generator loops before their per-attack
+invariants were hoisted) lives with the tests.  The report that
 ``--benchmark-json`` writes keeps each case's summary statistics but not its
 per-round timings, and its machine info gains the numpy version, its BLAS
 build and the thread-count settings of the run (None where unset).

@@ -1,0 +1,70 @@
+"""Micro-benchmarks of the attack step and of one generator training iteration.
+
+Each case runs the library code and, beside it, the loop it replaced, which
+rebuilt the per-attack invariants on every step
+(``tests/reference_attack_step.py``): a 10-step attack by an MLP at 8x8x1 for
+the sign, fixed-scale and momentum rules, one attack step with the full
+transform stack, and one outer iteration of generator training (5 attack
+steps, MLP and tiny-conv pool).  Run from the repository root:
+
+    PYTHONPATH=src python -m pytest bench/test_attack_step.py --benchmark-max-time=3 \
+        --benchmark-json=BENCH_attack.json
+
+The cases take a few hundred microseconds, and on a shared host three seconds
+of rounds per case steady the medians.
+
+The tier-1 suite does not collect this directory.
+"""
+
+import pytest
+
+import reference_attack_step as reference
+from advgrad import attacks, generator
+from advgrad.attacks import AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Sim, Tim, Vt
+from advgrad.generator import GeneratorTrainConfig, ScalingFactorGenerator
+from advgrad.models import build_model
+from advgrad.numerics import ImageShape, make_rng
+
+SHAPE = ImageShape(8, 8, 1)
+EPS, STEPS = 64.0, 10
+LOOPS = {"lean": attacks._attack_loop, "reference": reference._attack_loop}
+RULES = {
+    "sign": AttackConfig(epsilon=EPS, steps=STEPS, step_rule=SignStep(EPS / STEPS)),
+    "fixed": AttackConfig(epsilon=EPS, steps=STEPS, step_rule=FixedScaleStep(1e4)),
+    "momentum": AttackConfig(epsilon=EPS, steps=STEPS, step_rule=SignStep(EPS / STEPS),
+                             momentum=1.0),
+}
+STACK = AttackConfig(epsilon=16.0, steps=1, step_rule=FixedScaleStep(16.0), momentum=1.0,
+                     transforms=(Dim(), Tim(), Sim(m=2), Vt(n=4), Emi(n=3)))
+EPISODES = {"lean": generator._ascent_episode, "reference": reference._ascent_episode}
+
+
+@pytest.fixture(scope="module")
+def mlp():
+    return build_model("mlp-1-hidden", SHAPE, 3, seed=0)
+
+
+@pytest.fixture(scope="module")
+def image():
+    return make_rng(0, 91).uniform(0.0, 255.0, size=SHAPE.dims)
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+@pytest.mark.parametrize("rule", RULES)
+def test_attack_10_steps(benchmark, mlp, image, rule, loop):
+    benchmark(LOOPS[loop], [mlp], [mlp], image, 0, RULES[rule], None)
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_stacked_transform_step(benchmark, mlp, image, loop):
+    # a fresh stream per call keeps every round on the same draws
+    benchmark(lambda: LOOPS[loop]([mlp], [mlp], image, 0, STACK, make_rng(0, 92)))
+
+
+@pytest.mark.parametrize("episode", EPISODES)
+def test_generator_training_iteration(benchmark, mlp, image, episode):
+    conv = build_model("tiny-conv", SHAPE, 3, seed=1)
+    cfg = GeneratorTrainConfig(total_steps=1, attack_steps=5, learning_rate=1.0, epsilon=EPS)
+    gen = ScalingFactorGenerator(5, SHAPE, seed=0, head_scale=2e5, hidden=(64, 32))
+    # every round moves theta a little further, as training does
+    benchmark(EPISODES[episode], gen, mlp, conv, image, 0, cfg)

@@ -4,7 +4,7 @@ Each case runs the index-table kernel of `advgrad.numerics` and, beside it,
 the sliding-window kernel it replaced (``tests/sliding_window_conv.py``), on
 one image and on a batch of 32.  Run from the repository root:
 
-    PYTHONPATH=src python -m pytest bench/ --benchmark-json=BENCH_conv.json
+    PYTHONPATH=src python -m pytest bench/test_conv.py --benchmark-json=BENCH_conv.json
 
 The tier-1 suite does not collect this directory.
 """
@@ -20,7 +20,7 @@ from advgrad.numerics import ImageShape, make_rng
 KERNELS = {
     "index-table": (numerics._conv3x3, numerics._conv3x3_backward),
     "sliding-window": (sliding._conv3x3,
-                       lambda dout, cache, W, params=True:
+                       lambda dout, cache, W, params=True, inputs=True:
                        sliding._conv3x3_backward(dout, cache, W)),
 }
 # TinyConv's two conv layers at its 8x8x1 and 16x16x3 input shapes: (H, W, Cin, Cout)

@@ -64,8 +64,8 @@ class SignStep:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ class FixedScaleStep:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,8 @@ class Vt:
     beta: float = 1.5
 
     def __post_init__(self):
-        if self.n < 1 or self.beta < 0:
-            raise ValueError("need n >= 1 and beta >= 0")
+        if self.n < 1 or not 0 <= self.beta < math.inf:
+            raise ValueError("need n >= 1 and a finite beta >= 0")
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ class Emi:
     eta: float = 7.0
 
     def __post_init__(self):
-        if self.n < 1 or self.eta < 0:
-            raise ValueError("need n >= 1 and eta >= 0")
+        if self.n < 1 or not 0 <= self.eta < math.inf:
+            raise ValueError("need n >= 1 and a finite eta >= 0")
 
 
 @dataclass
@@ -171,14 +171,20 @@ class AttackConfig:
     target_label: int | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        # a NaN fails every comparison, so each check asks for the valid range;
+        # epsilon = inf is a valid budget (no L-infinity bound)
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.momentum is not None and self.momentum < 0:
-            raise ValueError("momentum decay must be >= 0")
+        if self.momentum is not None and not 0 <= self.momentum < math.inf:
+            raise ValueError("momentum decay must be finite and >= 0")
         if self.targeted and self.target_label is None:
             raise ValueError("targeted attack needs a target_label")
+        self.transforms = tuple(self.transforms)
+        if self.epsilon == math.inf and any(isinstance(t, Vt) for t in self.transforms):
+            raise ValueError("VT draws its neighbours within beta * epsilon, "
+                             "so it needs a finite epsilon")
         if isinstance(self.step_rule, AdaptiveStep):
             if self.step_rule.generator is None:
                 raise ValueError("adaptive step rule needs a generator instance")
@@ -186,7 +192,6 @@ class AttackConfig:
             if self.steps != trained:
                 raise ValueError(
                     f"generator was trained for {trained} steps, requested {self.steps}")
-        self.transforms = tuple(self.transforms)
 
 
 @dataclass
@@ -202,14 +207,23 @@ class AttackResult:
 # -- pipeline pieces --------------------------------------------------------
 
 
+def _momentum(g_prev, grad, mu, l1):
+    """mu * g_prev + grad / l1, where l1 is ||grad||_1 as the caller computed it."""
+    return mu * g_prev + grad / l1
+
+
 def momentum_accumulate(g_prev: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
-    """mu * g_prev + grad / ||grad||_1."""
+    """mu * g_prev + grad / ||grad||_1.
+
+    The attack loop already has the step's L1 norm, so it calls the same
+    kernel (`_momentum`) without this function's checks and second norm.
+    """
     if g_prev.shape != grad.shape:
         raise ValueError("momentum and gradient shapes differ")
     l1 = np.abs(grad).sum()
     if l1 == 0.0:
         raise DegenerateGradientError("zero gradient in momentum accumulation")
-    return mu * g_prev + grad / l1
+    return _momentum(g_prev, grad, mu, l1)
 
 
 def dim_transform(x: np.ndarray, p: float, rng: np.random.Generator,
@@ -263,12 +277,18 @@ def ensemble_gradient(models, x: np.ndarray, y: int) -> np.ndarray:
     """
     if not models:
         raise ValueError("need at least one source model")
+    if len(models) == 1:
+        # the mean's 0 + g and / 1 would only turn a -0.0 into +0.0
+        return models[0].input_gradient(x, y)
     return sum(m.input_gradient(x, y) for m in models) / len(models)
 
 
 def ensemble_loss(models, x: np.ndarray, y: int) -> float:
+    """Mean of the per-model cross-entropy losses; one model's loss as is."""
     if not models:
         raise ValueError("need at least one source model")
+    if len(models) == 1:
+        return models[0].cross_entropy_loss(x, y)
     return sum(m.cross_entropy_loss(x, y) for m in models) / len(models)
 
 
@@ -306,14 +326,30 @@ def apply_step(x_adv, direction, rule, gamma_override: float | None = None):
     raise TypeError(f"unknown step rule {rule!r}")
 
 
+def _box(x_orig, epsilon):
+    """Per-pixel bounds (lo, hi) of [orig - eps, orig + eps] intersected with [0, 255]."""
+    return np.clip(x_orig - epsilon, 0.0, 255.0), np.clip(x_orig + epsilon, 0.0, 255.0)
+
+
+def _clamp(x, lo, hi, out=None):
+    """min(max(x, lo), hi) per pixel; out=x clamps in place."""
+    return np.minimum(np.maximum(x, lo, out=out), hi, out=out)
+
+
 def project(x_adv, x_orig, epsilon):
-    """Clamp per-pixel to [orig - eps, orig + eps] intersected with [0, 255]."""
+    """Clamp per-pixel to [orig - eps, orig + eps] intersected with [0, 255].
+
+    The box of one original image does not change during an attack, so the
+    attack loop builds it once (`_box`) and clamps each iterate into it in
+    place (`_clamp`); this function runs the same two kernels.  Clamping to
+    the box equals clipping to the eps-ball and then to [0, 255], value for
+    value (a zero's sign may differ).
+    """
     if x_adv.shape != x_orig.shape:
         raise ValueError("shapes differ in projection")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    out = np.clip(x_adv, x_orig - epsilon, x_orig + epsilon)
-    return np.clip(out, 0.0, 255.0)
+    return _clamp(x_adv, *_box(x_orig, epsilon))
 
 
 # -- attack loop ------------------------------------------------------------
@@ -326,6 +362,25 @@ def _find(transforms, kind):
     return None
 
 
+@dataclass(frozen=True)
+class _Pipeline:
+    """The transforms of one attack, each looked up once; None where absent."""
+
+    dim: Dim | None
+    sim: Sim | None
+    vt: Vt | None
+    emi: Emi | None
+    tim: Tim | None
+    vt_radius: float  # half-width of the VT neighbour draws, beta * epsilon
+
+    @classmethod
+    def of(cls, cfg: AttackConfig) -> "_Pipeline":
+        vt = _find(cfg.transforms, Vt)
+        return cls(_find(cfg.transforms, Dim), _find(cfg.transforms, Sim), vt,
+                   _find(cfg.transforms, Emi), _find(cfg.transforms, Tim),
+                   vt.beta * cfg.epsilon if vt is not None else 0.0)
+
+
 def _mean_rows(rows):
     """Mean of the rows, summed in row order: the operand order of a per-point loop."""
     total = np.zeros_like(rows[0])
@@ -334,16 +389,13 @@ def _mean_rows(rows):
     return total / len(rows)
 
 
-def _pipeline_gradient(models, x_eval, label, cfg, state, rng):
+def _pipeline_gradient(models, x_eval, label, pipe: _Pipeline, state, rng):
     """Compose the configured transforms into one gradient evaluation.
 
     The EMI points (or x_eval alone) and the VT neighbours are drawn first and
     go to SIM or the ensemble as one batch of points.
     """
-    sim = _find(cfg.transforms, Sim)
-    vt = _find(cfg.transforms, Vt)
-    emi = _find(cfg.transforms, Emi)
-    tim = _find(cfg.transforms, Tim)
+    sim, vt, emi, tim = pipe.sim, pipe.vt, pipe.emi, pipe.tim
 
     points = [x_eval]
     if emi is not None:
@@ -351,7 +403,7 @@ def _pipeline_gradient(models, x_eval, label, cfg, state, rng):
                   for _ in range(emi.n)]
     n_centre = len(points)
     if vt is not None:
-        radius = vt.beta * cfg.epsilon
+        radius = pipe.vt_radius
         points += [x_eval + rng.uniform(-radius, radius, size=x_eval.shape)
                    for _ in range(vt.n)]
 
@@ -401,10 +453,14 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("input image has non-finite pixels")
-    x_adv = x.copy()
+    # built once per attack: the budget box, the transforms, the step rule's kind
+    lo, hi = _box(x, cfg.epsilon)
+    pipe = _Pipeline.of(cfg)
+    rule = cfg.step_rule
+    adaptive = isinstance(rule, AdaptiveStep)
+    mu = cfg.momentum
     attack_label = cfg.target_label if cfg.targeted else y
-    flip = -1.0 if cfg.targeted else 1.0
-    dim = _find(cfg.transforms, Dim)
+    x_adv = x.copy()
     state = {"vt_var": np.zeros_like(x), "emi_dir": np.zeros_like(x)}
     g_mom = np.zeros_like(x)
     trace: list[float] = []
@@ -412,29 +468,30 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
     steps_used = 0
     for t in range(cfg.steps):
         x_eval = x_adv
-        if dim is not None:
-            x_eval = dim_transform(x_adv, dim.p, rng, dim.min_fraction)
-        grad = flip * _pipeline_gradient(source_models, x_eval, attack_label, cfg, state, rng)
+        if pipe.dim is not None:
+            x_eval = dim_transform(x_adv, pipe.dim.p, rng, pipe.dim.min_fraction)
+        grad = _pipeline_gradient(source_models, x_eval, attack_label, pipe, state, rng)
+        if cfg.targeted:
+            grad = -grad  # descend the target's loss
         l1 = np.abs(grad).sum()
         if l1 == 0.0:
             early = True
             break
         if not math.isfinite(l1):
             raise DegenerateGradientError(f"non-finite gradient at step {t}")
-        if cfg.momentum is not None:
-            g_mom = momentum_accumulate(g_mom, grad, cfg.momentum)
+        if mu is not None:
+            g_mom = _momentum(g_mom, grad, mu, l1)
             direction = g_mom
         else:
             direction = grad
-        rule = cfg.step_rule
-        if isinstance(rule, AdaptiveStep):
+        if adaptive:
             gamma = float(rule.generator.gamma_forward(t, x_adv, direction))
             x_adv = apply_step(x_adv, direction, rule, gamma_override=gamma)
             trace.append(gamma)
         else:
             x_adv = apply_step(x_adv, direction, rule)
             trace.append(rule.alpha if isinstance(rule, SignStep) else rule.gamma)
-        x_adv = project(x_adv, x, cfg.epsilon)
+        _clamp(x_adv, lo, hi, out=x_adv)  # apply_step returned a fresh array
         steps_used = t + 1
 
     success = []

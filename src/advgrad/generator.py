@@ -15,11 +15,15 @@ an AdaptiveStep rule.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AdaptiveStep, AttackConfig, AttackResult, _attack_loop, project
+# project is re-exported: callers and the benchmark's tracer use generator.project
+from .attacks import (
+    AdaptiveStep, AttackConfig, AttackResult, _attack_loop, _box, _clamp, project,
+)
 from .numerics import (
     ImageShape, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays, make_rng,
 )
@@ -46,8 +50,11 @@ class GeneratorTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        # a NaN fails every comparison, so each check asks for the valid range
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite")
+        if not self.epsilon >= 0:
+            raise ValueError("epsilon must be >= 0")
         if self.attack_steps < 1:
             raise ValueError("attack_steps must be >= 1")
         if self.total_steps < 0:
@@ -189,17 +196,17 @@ class ScalingFactorGenerator:
             grads = {"W3": draw * h2, "b3": np.array([draw])}
             dh2 = draw * p["W3"]
             da2 = dh2 * (1.0 - h2 * h2)
-            grads["W2"] = np.outer(da2, h1)
+            grads["W2"] = da2[:, None] * h1
             grads["b2"] = da2
             dh1 = p["W2"].T @ da2
             da1 = dh1 * (1.0 - h1 * h1)
-            grads["W1"] = np.outer(da1, v)
+            grads["W1"] = da1[:, None] * v
             grads["b1"] = da1
             return grads
         _, layers, a_shape, flat, h, _ = cache
         grads = {"W2": draw * h, "b2": np.array([draw])}
         dh = draw * p["W2"]
-        grads["W1"] = np.outer(dh, flat)
+        grads["W1"] = dh[:, None] * flat
         grads["b1"] = dh
         da = (p["W1"].T @ dh).reshape(a_shape)
         for i in (3, 2, 1):
@@ -233,21 +240,28 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
     n_models = len(model_pool)
     for _ in range(cfg.total_steps):
         i = int(rng.integers(len(dataset)))
-        x = dataset.images[i]
-        y = int(dataset.labels[i])
         cx_i, cy_i = rng.choice(n_models, size=2, replace=False)
-        c_x, c_y = model_pool[int(cx_i)], model_pool[int(cy_i)]
-        x_adv = x.copy()
-        for t in range(cfg.attack_steps):
-            grad = c_x.input_gradient(x_adv, y)
-            gamma, cache = gen._forward(t, x_adv, grad)
-            x_next = project(x_adv + gamma * grad, x, cfg.epsilon)
-            score_grad = c_y.input_gradient(x_next, y)
-            upstream = float(np.sum(score_grad * grad))
-            for k, gval in gen._backward_cache(t, cache, upstream).items():
-                gen.theta[t][k] = gen.theta[t][k] + cfg.learning_rate * gval
-            x_adv = x_next
+        _ascent_episode(gen, model_pool[int(cx_i)], model_pool[int(cy_i)],
+                        dataset.images[i], int(dataset.labels[i]), cfg)
     return gen
+
+
+def _ascent_episode(gen, c_x, c_y, x, y, cfg):
+    """One outer step of train_generator: a cfg.attack_steps-step attack on
+    (x, y) by c_x, scored by c_y, with theta_t updated in place after step t."""
+    lo, hi = _box(x, cfg.epsilon)  # the budget box of x, built once
+    x_adv = x.copy()
+    for t in range(cfg.attack_steps):
+        grad = c_x.input_gradient(x_adv, y)
+        gamma, cache = gen._forward(t, x_adv, grad)
+        x_next = x_adv + gamma * grad
+        _clamp(x_next, lo, hi, out=x_next)
+        score_grad = c_y.input_gradient(x_next, y)
+        upstream = float(np.sum(score_grad * grad))
+        theta = gen.theta[t]
+        for k, gval in gen._backward_cache(t, cache, upstream).items():
+            theta[k] += cfg.learning_rate * gval
+        x_adv = x_next
 
 
 def run_attack_adaptive(gen: ScalingFactorGenerator, models, x, y,

@@ -10,6 +10,7 @@ pixels.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,8 +82,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails the comparison
+            raise ValueError("learning rate must be positive and finite")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -155,10 +156,10 @@ class Model:
         """
         raise NotImplementedError
 
-    def _backward(self, dlogits: np.ndarray, cache, params: bool):
-        """Return (dz, param_grads): dz has z's shape, param_grads are summed over
-        the batch, or None when params is False.  Parameter gradients need a
-        batched z."""
+    def _backward(self, dlogits: np.ndarray, cache, params: bool, inputs: bool = True):
+        """Return (dz, param_grads): dz has z's shape, or is None when inputs is
+        False; param_grads are summed over the batch, or None when params is
+        False.  Parameter gradients need a batched z."""
         raise NotImplementedError
 
     def logits(self, x: np.ndarray) -> np.ndarray:
@@ -175,18 +176,18 @@ class Model:
 
     # -- gradients ---------------------------------------------------------
 
-    def _loss_backward(self, x: np.ndarray, y, params: bool):
+    def _loss_backward(self, x: np.ndarray, y, params: bool, inputs: bool = True):
         """Cross-entropy backward for one image and an int label, or for a batch
-        (N, H, W, C) and an (N,) label array.  Returns (dx on the 0-255 scale,
-        param_grads summed over the batch or None)."""
+        (N, H, W, C) and an (N,) label array.  Returns (dx on the 0-255 scale or
+        None when inputs is False, param_grads summed over the batch or None)."""
         logits, cache = self._forward(self._standardize(x))
         dlogits = _softmax(logits)
         if dlogits.ndim == 2:
             dlogits[np.arange(len(dlogits)), y] -= 1.0
         else:
             dlogits[y] -= 1.0
-        dz, grads = self._backward(dlogits, cache, params)
-        return dz / 255.0, grads
+        dz, grads = self._backward(dlogits, cache, params, inputs)
+        return (dz / 255.0 if inputs else None), grads
 
     def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
         """Exact gradient of the cross-entropy loss w.r.t. 0-255 pixels.
@@ -206,7 +207,7 @@ class Model:
     def parameter_gradients(self, x: np.ndarray, y: int) -> dict[str, np.ndarray]:
         x = self._check_input(x)
         self._check_label(y)
-        return self._loss_backward(x[None], np.array([y]), params=True)[1]
+        return self._loss_backward(x[None], np.array([y]), params=True, inputs=False)[1]
 
 
 class SoftmaxLinear(Model):
@@ -227,8 +228,10 @@ class SoftmaxLinear(Model):
         zf = z.reshape(len(z), -1) if z.ndim == 4 else z.reshape(-1)
         return zf @ self.params["W"].T + self.params["b"], zf
 
-    def _backward(self, dlogits, zf, params):
+    def _backward(self, dlogits, zf, params, inputs=True):
         grads = {"W": dlogits.T @ zf, "b": dlogits.sum(axis=0)} if params else None
+        if not inputs:
+            return None, grads
         dz = dlogits @ self.params["W"]
         return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
 
@@ -256,7 +259,7 @@ class TanhMLP(Model):
         logits = h @ self.params["W2"].T + self.params["b2"]
         return logits, (zf, h)
 
-    def _backward(self, dlogits, cache, params):
+    def _backward(self, dlogits, cache, params, inputs=True):
         zf, h = cache
         da1 = (dlogits @ self.params["W2"]) * (1.0 - h * h)
         grads = None
@@ -267,6 +270,8 @@ class TanhMLP(Model):
                 "W1": da1.T @ zf,
                 "b1": da1.sum(axis=0),
             }
+        if not inputs:
+            return None, grads
         dz = da1 @ self.params["W1"]
         return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
 
@@ -316,7 +321,7 @@ class TinyConv(Model):
         logits = flat @ self.params["W3"].T + self.params["b3"]
         return logits.reshape(lead + (-1,)), (lead, conv1, t1, conv2, t2, flat)
 
-    def _backward(self, dlogits, cache, params):
+    def _backward(self, dlogits, cache, params, inputs=True):
         lead, conv1, t1, conv2, t2, flat = cache
         dlogits = dlogits.reshape(len(flat), -1)
         n, h, w, c = t2.shape
@@ -324,11 +329,13 @@ class TinyConv(Model):
         dc2 = _avgpool2_backward(dp2) * (1.0 - t2 * t2)
         dp1, dW2, db2 = _conv3x3_backward(dc2, conv2, self.params["W2"], params)
         dc1 = _avgpool2_backward(dp1) * (1.0 - t1 * t1)
-        dz, dW1, db1 = _conv3x3_backward(dc1, conv1, self.params["W1"], params)
+        dz, dW1, db1 = _conv3x3_backward(dc1, conv1, self.params["W1"], params, inputs=inputs)
         grads = None
         if params:
             grads = {"W3": dlogits.T @ flat, "b3": dlogits.sum(axis=0),
                      "W2": dW2, "b2": db2, "W1": dW1, "b1": db1}
+        if not inputs:
+            return None, grads
         return dz.reshape(lead + self.image_shape.dims), grads
 
 
@@ -357,8 +364,9 @@ def train_classifier(dataset: LabeledDataset, kind: str, cfg: TrainConfig, **kwa
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
+            # the input gradient is not needed, so the first layer's is never formed
             _, grads = model._loss_backward(dataset.images[batch], dataset.labels[batch],
-                                            params=True)
+                                            params=True, inputs=False)
             scale = cfg.learning_rate / len(batch)
             for k in model.params:
                 model.params[k] -= scale * grads[k]

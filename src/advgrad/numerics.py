@@ -171,9 +171,10 @@ def _conv3x3(x: np.ndarray, W: np.ndarray, b: np.ndarray, stride: int = 1):
     return out.reshape(n, ho, wo, -1), (cols, x.shape, stride)
 
 
-def _conv3x3_backward(dout: np.ndarray, cache, W: np.ndarray, params: bool = True):
+def _conv3x3_backward(dout: np.ndarray, cache, W: np.ndarray, params: bool = True,
+                      inputs: bool = True):
     """Gradients ``(dx, dW, db)`` of `_conv3x3`; dW and db are summed over the batch,
-    and both are None when ``params`` is False.
+    and both are None when ``params`` is False; dx is None when ``inputs`` is False.
 
     dx is one `np.bincount` scatter of the window gradients, which adds them up
     in input order starting from 0.0.  Each window feeds a pixel at most once,
@@ -183,13 +184,15 @@ def _conv3x3_backward(dout: np.ndarray, cache, W: np.ndarray, params: bool = Tru
     """
     cols, (n, h, w, c), s = cache
     d2 = dout.reshape(-1, dout.shape[3])
-    # the window gradients, last window first: reversing the upstream rows copies
-    # 9 * C / Cout times less than reversing the product, and the contiguous
-    # copy keeps the product in BLAS, which rounds each row as before
-    dcols = np.ascontiguousarray(d2[::-1]) @ W.reshape(9 * c, -1).T
-    size = h * w * c + 1
-    dx = np.bincount(_conv3x3_scatter(h, w, c, s, n), weights=dcols.reshape(-1),
-                     minlength=n * size).reshape(n, size)[:, :-1].reshape(n, h, w, c)
+    dx = None
+    if inputs:
+        # the window gradients, last window first: reversing the upstream rows copies
+        # 9 * C / Cout times less than reversing the product, and the contiguous
+        # copy keeps the product in BLAS, which rounds each row as before
+        dcols = np.ascontiguousarray(d2[::-1]) @ W.reshape(9 * c, -1).T
+        size = h * w * c + 1
+        dx = np.bincount(_conv3x3_scatter(h, w, c, s, n), weights=dcols.reshape(-1),
+                         minlength=n * size).reshape(n, size)[:, :-1].reshape(n, h, w, c)
     if not params:
         return dx, None, None
     return dx, (cols.T @ d2).reshape(W.shape), d2.sum(axis=0)

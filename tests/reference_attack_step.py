@@ -1,0 +1,282 @@
+"""The attack loop and the generator training loop as they were before their
+per-attack invariants were hoisted, kept verbatim as the bit-for-bit reference
+of `advgrad.attacks.run_attack` and `advgrad.generator.train_generator`
+(tests) and as their timing baseline (``bench/``).
+
+Each step here rebuilds the projection box with two clips, takes the
+gradient's L1 norm twice under momentum, averages a one-model ensemble,
+multiplies by the sign flip and looks up every transform again.  Two things
+differ from the library code they were copied from: the method
+`ScalingFactorGenerator._backward_cache` is a function taking the generator,
+and the body of `train_generator`'s outer loop is the function
+`_ascent_episode`, split off as in the library, so that the benchmarks can
+time one training iteration on each side.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from advgrad.attacks import (
+    AdaptiveStep, AttackResult, DegenerateGradientError, Dim, Emi, Sim, SignStep, Tim, Vt,
+    apply_step, dim_transform, tim_smooth,
+)
+from advgrad.generator import ScalingFactorGenerator, _instance_norm_backward, _sigmoid
+from advgrad.numerics import _conv3x3_backward, make_rng
+
+
+def momentum_accumulate(g_prev: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
+    """mu * g_prev + grad / ||grad||_1."""
+    if g_prev.shape != grad.shape:
+        raise ValueError("momentum and gradient shapes differ")
+    l1 = np.abs(grad).sum()
+    if l1 == 0.0:
+        raise DegenerateGradientError("zero gradient in momentum accumulation")
+    return mu * g_prev + grad / l1
+
+
+def ensemble_gradient(models, x: np.ndarray, y: int) -> np.ndarray:
+    """Gradient of the mean of the per-model cross-entropy losses.
+
+    x is one image or an (N, H, W, C) batch of points; each model sees the
+    whole batch in one input_gradient call.
+    """
+    if not models:
+        raise ValueError("need at least one source model")
+    return sum(m.input_gradient(x, y) for m in models) / len(models)
+
+
+def ensemble_loss(models, x: np.ndarray, y: int) -> float:
+    if not models:
+        raise ValueError("need at least one source model")
+    return sum(m.cross_entropy_loss(x, y) for m in models) / len(models)
+
+
+def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
+    """(1/m) sum_i grad of J(f(x / 2^i)); the 1/2^i chain-rule factor stays.
+
+    x is one image or an (N, H, W, C) batch of points.  The m scaled copies of
+    every point go to the models as one batch.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    x = np.asarray(x, dtype=np.float64)
+    scales = 0.5 ** np.arange(m)
+    copies = scales.reshape((m,) + (1,) * x.ndim) * x
+    grads = ensemble_gradient(models, copies.reshape((-1,) + x.shape[-3:]), y)
+    grads = grads.reshape(copies.shape)
+    total = np.zeros_like(x)
+    for scale, g in zip(scales, grads):
+        total += scale * g
+    return total / m
+
+
+def project(x_adv, x_orig, epsilon):
+    """Clamp per-pixel to [orig - eps, orig + eps] intersected with [0, 255]."""
+    if x_adv.shape != x_orig.shape:
+        raise ValueError("shapes differ in projection")
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    out = np.clip(x_adv, x_orig - epsilon, x_orig + epsilon)
+    return np.clip(out, 0.0, 255.0)
+
+
+def _find(transforms, kind):
+    for t in transforms:
+        if isinstance(t, kind):
+            return t
+    return None
+
+
+def _mean_rows(rows):
+    """Mean of the rows, summed in row order: the operand order of a per-point loop."""
+    total = np.zeros_like(rows[0])
+    for row in rows:
+        total += row
+    return total / len(rows)
+
+
+def _pipeline_gradient(models, x_eval, label, cfg, state, rng):
+    """Compose the configured transforms into one gradient evaluation.
+
+    The EMI points (or x_eval alone) and the VT neighbours are drawn first and
+    go to SIM or the ensemble as one batch of points.
+    """
+    sim = _find(cfg.transforms, Sim)
+    vt = _find(cfg.transforms, Vt)
+    emi = _find(cfg.transforms, Emi)
+    tim = _find(cfg.transforms, Tim)
+
+    points = [x_eval]
+    if emi is not None:
+        points = [x_eval + rng.uniform(-1.0, 1.0) * emi.eta * state["emi_dir"]
+                  for _ in range(emi.n)]
+    n_centre = len(points)
+    if vt is not None:
+        radius = vt.beta * cfg.epsilon
+        points += [x_eval + rng.uniform(-radius, radius, size=x_eval.shape)
+                   for _ in range(vt.n)]
+
+    if sim is not None:
+        rows = sim_gradient(models, np.stack(points), label, sim.m)
+    elif len(points) > 1:
+        rows = ensemble_gradient(models, np.stack(points), label)
+    else:
+        rows = [ensemble_gradient(models, points[0], label)]
+    grad = _mean_rows(rows[:n_centre]) if emi is not None else rows[0]
+
+    if vt is not None:
+        tuned = grad + state["vt_var"]
+        state["vt_var"] = _mean_rows(rows[n_centre:]) - grad
+        grad = tuned
+
+    if emi is not None:
+        l1 = np.abs(grad).sum()
+        state["emi_dir"] = grad / l1 if l1 > 0 else np.zeros_like(grad)
+
+    if tim is not None:
+        grad = tim_smooth(grad, tim.k, tim.sigma)
+    return grad
+
+
+def _attack_loop(source_models, target_models, x, y, cfg, rng):
+    # run_attack and generator.run_attack_adaptive both enter here, so a
+    # profiler wrapping the public functions counts each attack once
+    if not source_models:
+        raise ValueError("need at least one source model")
+    if cfg.targeted and cfg.target_label == y:
+        raise ValueError("target label must differ from the true label")
+    if rng is None and cfg.transforms:
+        rng = make_rng(0)  # only the transforms draw random numbers
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("input image has non-finite pixels")
+    x_adv = x.copy()
+    attack_label = cfg.target_label if cfg.targeted else y
+    flip = -1.0 if cfg.targeted else 1.0
+    dim = _find(cfg.transforms, Dim)
+    state = {"vt_var": np.zeros_like(x), "emi_dir": np.zeros_like(x)}
+    g_mom = np.zeros_like(x)
+    trace: list[float] = []
+    early = False
+    steps_used = 0
+    for t in range(cfg.steps):
+        x_eval = x_adv
+        if dim is not None:
+            x_eval = dim_transform(x_adv, dim.p, rng, dim.min_fraction)
+        grad = flip * _pipeline_gradient(source_models, x_eval, attack_label, cfg, state, rng)
+        l1 = np.abs(grad).sum()
+        if l1 == 0.0:
+            early = True
+            break
+        if not math.isfinite(l1):
+            raise DegenerateGradientError(f"non-finite gradient at step {t}")
+        if cfg.momentum is not None:
+            g_mom = momentum_accumulate(g_mom, grad, cfg.momentum)
+            direction = g_mom
+        else:
+            direction = grad
+        rule = cfg.step_rule
+        if isinstance(rule, AdaptiveStep):
+            gamma = float(rule.generator.gamma_forward(t, x_adv, direction))
+            x_adv = apply_step(x_adv, direction, rule, gamma_override=gamma)
+            trace.append(gamma)
+        else:
+            x_adv = apply_step(x_adv, direction, rule)
+            trace.append(rule.alpha if isinstance(rule, SignStep) else rule.gamma)
+        x_adv = project(x_adv, x, cfg.epsilon)
+        steps_used = t + 1
+
+    success = []
+    for tm in target_models:
+        pred = tm.predict(x_adv)
+        success.append(pred == cfg.target_label if cfg.targeted else pred != y)
+    return AttackResult(
+        adversarial=x_adv,
+        step_trace=trace,
+        success=success,
+        final_loss=ensemble_loss(source_models, x_adv, y),
+        early_stopped=early,
+        steps_used=steps_used,
+    )
+
+
+# -- generator training
+
+
+def _backward_cache(self, t, cache, upstream):
+    """ScalingFactorGenerator._backward_cache, with the generator as `self`."""
+    p = self.theta[t]
+    raw = cache[-1]
+    draw = upstream * self.head_scale * _sigmoid(raw)
+    if cache[0] == "mlp":
+        _, v, h1, h2, _ = cache
+        grads = {"W3": draw * h2, "b3": np.array([draw])}
+        dh2 = draw * p["W3"]
+        da2 = dh2 * (1.0 - h2 * h2)
+        grads["W2"] = np.outer(da2, h1)
+        grads["b2"] = da2
+        dh1 = p["W2"].T @ da2
+        da1 = dh1 * (1.0 - h1 * h1)
+        grads["W1"] = np.outer(da1, v)
+        grads["b1"] = da1
+        return grads
+    _, layers, a_shape, flat, h, _ = cache
+    grads = {"W2": draw * h, "b2": np.array([draw])}
+    dh = draw * p["W2"]
+    grads["W1"] = np.outer(dh, flat)
+    grads["b1"] = dh
+    da = (p["W1"].T @ dh).reshape(a_shape)
+    for i in (3, 2, 1):
+        conv_cache, norm_cache = layers[i - 1]
+        dz = _instance_norm_backward(da, norm_cache)
+        da, grads[f"K{i}"], grads[f"c{i}"] = _conv3x3_backward(dz, conv_cache, p[f"K{i}"])
+    return grads
+
+
+def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
+                    arch: str = "mlp", head_scale: float = 10.0,
+                    hidden: tuple[int, int] = (512, 128)) -> ScalingFactorGenerator:
+    """Per-step gradient ascent on the transfer loss.
+
+    Each outer step samples an example and two distinct pool models: one
+    supplies attack gradients, the other scores the iterates.  Step t's
+    parameters are updated from loss_t alone; earlier iterates are treated
+    as constants (no cross-step backpropagation).
+    """
+    if len(model_pool) < 2:
+        raise ValueError(
+            "training the scaling-factor generator requires at least two "
+            "white-box models; a single model drives the scale arbitrarily "
+            "high and destroys transferability"
+        )
+    gen = ScalingFactorGenerator(
+        cfg.attack_steps, dataset.image_shape, arch=arch, seed=cfg.seed,
+        head_scale=head_scale, hidden=hidden,
+    )
+    rng = make_rng(cfg.seed, stream=9)
+    n_models = len(model_pool)
+    for _ in range(cfg.total_steps):
+        i = int(rng.integers(len(dataset)))
+        x = dataset.images[i]
+        y = int(dataset.labels[i])
+        cx_i, cy_i = rng.choice(n_models, size=2, replace=False)
+        c_x, c_y = model_pool[int(cx_i)], model_pool[int(cy_i)]
+        _ascent_episode(gen, c_x, c_y, x, y, cfg)
+    return gen
+
+
+def _ascent_episode(gen, c_x, c_y, x, y, cfg):
+    """The body of train_generator's outer loop, split off as in the library."""
+    x_adv = x.copy()
+    for t in range(cfg.attack_steps):
+        grad = c_x.input_gradient(x_adv, y)
+        gamma, cache = gen._forward(t, x_adv, grad)
+        x_next = project(x_adv + gamma * grad, x, cfg.epsilon)
+        score_grad = c_y.input_gradient(x_next, y)
+        upstream = float(np.sum(score_grad * grad))
+        for k, gval in _backward_cache(gen, t, cache, upstream).items():
+            gen.theta[t][k] = gen.theta[t][k] + cfg.learning_rate * gval
+        x_adv = x_next

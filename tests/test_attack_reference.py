@@ -1,0 +1,159 @@
+"""run_attack, project and train_generator against the loops that rebuilt
+their per-attack invariants every step (``tests/reference_attack_step.py``).
+
+The two sides call the same models on the same points, so every result must
+be equal, not merely close.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import reference_attack_step as reference
+from advgrad.attacks import (
+    AdaptiveStep, AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Sim, Tim, Vt, project,
+    run_attack,
+)
+from advgrad.generator import GeneratorTrainConfig, ScalingFactorGenerator, train_generator
+from advgrad.harness import synth_dataset
+from advgrad.models import build_model
+from advgrad.numerics import ImageShape, make_rng
+
+SHAPE = ImageShape(8, 8, 1)
+KINDS = ["softmax-linear", "mlp-1-hidden", "tiny-conv"]
+TRANSFORMS = {
+    "dim": Dim(p=0.8, min_fraction=0.75),
+    "tim": Tim(k=3),
+    "sim": Sim(m=2),
+    "vt": Vt(n=3, beta=1.5),
+    "emi": Emi(n=2, eta=7.0),
+}
+
+
+def assert_same_attack(source, targets, x, y, cfg, seed):
+    rng_new, rng_ref = make_rng(seed, 64), make_rng(seed, 64)
+    new = run_attack(source, targets, x, y, cfg, rng_new)
+    ref = reference._attack_loop(source, targets, x, y, cfg, rng_ref)
+    assert np.array_equal(new.adversarial, ref.adversarial)
+    assert np.array_equal(new.step_trace, ref.step_trace)
+    assert np.array_equal(new.success, ref.success)
+    assert np.array_equal(new.final_loss, ref.final_loss)
+    assert (new.steps_used, new.early_stopped) == (ref.steps_used, ref.early_stopped)
+    # the Philox state holds small arrays, which repr prints in full
+    assert repr(rng_new.bit_generator.state) == repr(rng_ref.bit_generator.state)
+    return new
+
+
+class TestRunAttack:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kind=st.sampled_from(KINDS),
+        n_models=st.integers(1, 2),
+        transforms=st.sampled_from([(), ("dim",), ("tim",), ("sim",), ("vt",), ("emi",),
+                                    ("dim", "tim", "sim", "vt", "emi")]),
+        momentum=st.sampled_from([None, 1.0, 0.5]),
+        rule=st.sampled_from(["sign", "fixed", "adaptive"]),
+        targeted=st.booleans(),
+        epsilon=st.sampled_from([0.0, 8.0, 64.0, math.inf]),
+        steps=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_the_reference_loop(self, kind, n_models, transforms, momentum, rule,
+                                       targeted, epsilon, steps, seed):
+        models = [build_model(kind, SHAPE, 3, seed=seed + s) for s in range(n_models)]
+        x = make_rng(seed, 63).uniform(0.0, 255.0, size=SHAPE.dims)
+        if rule == "sign":
+            step_rule = SignStep(1.6)
+        elif rule == "fixed":
+            step_rule = FixedScaleStep(1e4 if momentum is None else 16.0)
+        else:
+            steps = max(steps, 1)  # a generator has at least one step
+            step_rule = AdaptiveStep(ScalingFactorGenerator(
+                steps, SHAPE, hidden=(4, 2), seed=seed, head_scale=1e3))
+        kwargs = dict(epsilon=epsilon, steps=steps, step_rule=step_rule, momentum=momentum,
+                      transforms=tuple(TRANSFORMS[t] for t in transforms),
+                      targeted=targeted, target_label=2 if targeted else None)
+        if epsilon == math.inf and "vt" in transforms:
+            # VT's neighbour radius beta * epsilon would be infinite
+            with pytest.raises(ValueError, match="finite epsilon"):
+                AttackConfig(**kwargs)
+            return
+        cfg = AttackConfig(**kwargs)
+        assert_same_attack(models, models[:1] + [build_model("tiny-conv", SHAPE, 3, seed=9)],
+                           x, 0, cfg, seed)
+
+    @pytest.mark.parametrize("momentum", [None, 1.0])
+    def test_vanishing_gradient_stops_early_as_before(self, momentum):
+        model = build_model("softmax-linear", SHAPE, 3, seed=0)
+        model.params["W"][:] = 0.0
+        cfg = AttackConfig(epsilon=8.0, steps=3, step_rule=SignStep(1.0), momentum=momentum)
+        res = assert_same_attack([model], [model], make_rng(1, 63).uniform(0, 255, SHAPE.dims),
+                                 1, cfg, 0)
+        assert res.early_stopped and res.steps_used == 0
+
+    def test_no_budget_is_still_a_valid_attack(self):
+        # epsilon = inf leaves only the [0, 255] bounds
+        models = [build_model("mlp-1-hidden", SHAPE, 3, seed=s) for s in range(2)]
+        cfg = AttackConfig(epsilon=math.inf, steps=5, step_rule=FixedScaleStep(1e6),
+                           momentum=1.0, transforms=(Emi(n=2), Tim()))
+        res = assert_same_attack(models, models, make_rng(2, 63).uniform(0, 255, SHAPE.dims),
+                                 0, cfg, 3)
+        assert res.adversarial.min() >= 0.0 and res.adversarial.max() <= 255.0
+
+
+class TestProject:
+    ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, 255.0, -1.0, 256.0]),
+                         st.floats(-400.0, 700.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=9),
+        epsilon=st.one_of(st.sampled_from([0.0, -0.0, math.inf, 64.0]), st.floats(0.0, 300.0)),
+    )
+    def test_equals_the_two_clips(self, data, shape, epsilon):
+        # x_orig may lie outside [0, 255].  Where a value ties with a bound of
+        # the same value, numpy's vector and scalar min/max loops may pick
+        # either operand, so the two forms can return zeros of opposite sign;
+        # np.array_equal counts them equal
+        x_adv = data.draw(hnp.arrays(np.float64, shape, elements=self.ELEMENTS))
+        x_orig = data.draw(hnp.arrays(np.float64, shape, elements=self.ELEMENTS))
+        assert np.array_equal(project(x_adv, x_orig, epsilon),
+                              reference.project(x_adv, x_orig, epsilon))
+
+    def test_leaves_its_arguments_alone(self):
+        x_adv, x_orig = np.full((2, 2, 1), 300.0), np.full((2, 2, 1), 100.0)
+        out = project(x_adv, x_orig, 8.0)
+        assert np.array_equal(out, np.full((2, 2, 1), 108.0))
+        assert np.array_equal(x_adv, np.full((2, 2, 1), 300.0))
+        assert np.array_equal(x_orig, np.full((2, 2, 1), 100.0))
+
+    def test_rejects_nan_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            project(np.zeros((2, 2, 1)), np.zeros((2, 2, 1)), math.nan)
+
+
+class TestTrainGenerator:
+    @pytest.mark.parametrize("arch,shape", [("mlp", SHAPE), ("conv", ImageShape(16, 16, 1))])
+    def test_theta_equals_the_reference_loop(self, arch, shape):
+        ds = synth_dataset("blobs", 30, shape, seed=4, num_classes=3)
+        pool = [build_model(kind, shape, 3, seed=s)
+                for s, kind in enumerate(["mlp-1-hidden", "tiny-conv", "softmax-linear"])]
+        cfg = GeneratorTrainConfig(total_steps=6, attack_steps=3, learning_rate=1.0,
+                                   epsilon=32.0, seed=5)
+        kwargs = {"arch": arch, "head_scale": 2e5, "hidden": (16, 8)}
+        gen = train_generator(ds, pool, cfg, **kwargs)
+        ref = reference.train_generator(ds, pool, cfg, **kwargs)
+        moved = ScalingFactorGenerator(3, shape, arch=arch, seed=5, head_scale=2e5,
+                                       hidden=(16, 8))
+        for t in range(3):
+            assert gen.theta[t].keys() == ref.theta[t].keys()
+            for k in gen.theta[t]:
+                assert np.array_equal(gen.theta[t][k], ref.theta[t][k])
+        # training moved the parameters, so the equality is not that of two fresh inits
+        assert any(not np.array_equal(gen.theta[t][k], moved.theta[t][k])
+                   for t in range(3) for k in gen.theta[t])

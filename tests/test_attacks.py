@@ -1,5 +1,6 @@
 """Tests for the attack pipeline: step rules, transforms, projection, loop."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -70,6 +71,12 @@ class TestStepRules:
     def test_rejects_nonpositive_magnitude(self, rule_cls):
         with pytest.raises(ValueError):
             rule_cls(0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("rule_cls", [SignStep, FixedScaleStep])
+    def test_rejects_non_finite_magnitude(self, rule_cls, value):
+        with pytest.raises(ValueError, match="finite"):
+            rule_cls(value)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -315,6 +322,21 @@ class TestAttackLoop:
         with pytest.raises(ValueError):
             AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0), targeted=True)
 
+    # NaN fails every comparison, so a `value < 0` check lets it through
+    @pytest.mark.parametrize("field,value", [("epsilon", math.nan), ("momentum", math.nan),
+                                             ("momentum", math.inf)])
+    def test_config_rejects_non_finite_hyperparameters(self, field, value):
+        kwargs = {"epsilon": 8.0, "steps": 2, "step_rule": SignStep(1.0), field: value}
+        with pytest.raises(ValueError, match=field):
+            AttackConfig(**kwargs)
+
+    @pytest.mark.parametrize("make", [lambda v: Vt(beta=v), lambda v: Emi(eta=v)],
+                             ids=["vt-beta", "emi-eta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_transforms_reject_non_finite_hyperparameters(self, make, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
+
     def test_transform_stack_runs_and_respects_budget(self):
         models = make_models(1, kind="mlp-1-hidden")
         x = random_image(15)
@@ -391,13 +413,10 @@ def per_point_sim_gradient(models, x, y, m):
     return total / m
 
 
-def per_point_pipeline_gradient(models, x_eval, label, cfg, state, rng):
+def per_point_pipeline_gradient(models, x_eval, label, pipe, state, rng):
     """Reference: _pipeline_gradient before batching, one gradient call per
     EMI point, VT neighbour and SIM copy, each on a single image."""
-    sim = attacks._find(cfg.transforms, Sim)
-    vt = attacks._find(cfg.transforms, Vt)
-    emi = attacks._find(cfg.transforms, Emi)
-    tim = attacks._find(cfg.transforms, Tim)
+    sim, vt, emi, tim = pipe.sim, pipe.vt, pipe.emi, pipe.tim
 
     def base(pt):
         if sim is not None:
@@ -415,7 +434,7 @@ def per_point_pipeline_gradient(models, x_eval, label, cfg, state, rng):
 
     if vt is not None:
         tuned = grad + state["vt_var"]
-        radius = vt.beta * cfg.epsilon
+        radius = pipe.vt_radius
         acc = np.zeros_like(grad)
         for _ in range(vt.n):
             acc += base(x_eval + rng.uniform(-radius, radius, size=x_eval.shape))

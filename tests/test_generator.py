@@ -1,6 +1,7 @@
 """Tests for the per-step scaling-factor generator and adaptive attack."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="total_steps"):
             GeneratorTrainConfig(total_steps=-1, attack_steps=2, learning_rate=0.1,
                                  epsilon=8.0)
+
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
+    def test_train_config_rejects_non_finite_learning_rate(self, learning_rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            GeneratorTrainConfig(total_steps=1, attack_steps=2, learning_rate=learning_rate,
+                                 epsilon=8.0)
+
+    # a bad epsilon fails when built, also with total_steps=0, where no
+    # projection would run to catch it
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan])
+    @pytest.mark.parametrize("total_steps", [0, 1])
+    def test_train_config_rejects_a_bad_epsilon(self, epsilon, total_steps):
+        with pytest.raises(ValueError, match="epsilon"):
+            GeneratorTrainConfig(total_steps=total_steps, attack_steps=2, learning_rate=0.1,
+                                 epsilon=epsilon)
+
+    def test_train_config_accepts_an_infinite_epsilon(self):
+        cfg = GeneratorTrainConfig(total_steps=1, attack_steps=2, learning_rate=0.1,
+                                   epsilon=math.inf)
+        assert cfg.epsilon == math.inf
 
 
 class TestForward:

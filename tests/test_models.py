@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sliding_window_conv as sliding
-from advgrad import models
+from advgrad import models, numerics
 from advgrad.models import (
     LabeledDataset,
     _avgpool2,
@@ -338,9 +338,9 @@ class TestConvKernel:
         asked = []
         kernel = models._conv3x3_backward
 
-        def spy(dout, cache, W, params=True):
+        def spy(dout, cache, W, params=True, inputs=True):
             asked.append(params)
-            return kernel(dout, cache, W, params)
+            return kernel(dout, cache, W, params, inputs=inputs)
 
         monkeypatch.setattr(models, "_conv3x3_backward", spy)
         x = random_image(make_rng(19))
@@ -359,7 +359,7 @@ class TestConvKernel:
         with monkeypatch.context() as patch:
             patch.setattr(models, "_conv3x3", sliding._conv3x3)
             patch.setattr(models, "_conv3x3_backward",
-                          lambda dout, cache, W, params=True:
+                          lambda dout, cache, W, params=True, inputs=True:
                           sliding._conv3x3_backward(dout, cache, W))
             reference, ref_acc = train_classifier(ds, "tiny-conv", cfg)
             ref_out = [(reference.logits(x), reference.input_gradient(x, int(y)))
@@ -439,6 +439,43 @@ class TestTraining:
         empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=int), 3)
         with pytest.raises(ValueError):
             train_classifier(empty, "softmax-linear", TrainConfig())
+
+    @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
+    def test_rejects_non_finite_learning_rate(self, learning_rate):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_skipping_the_input_gradient_leaves_training_bit_identical(self, kind, monkeypatch):
+        ds = tiny_dataset(40, seed=8)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=4)
+        model, acc = train_classifier(ds, kind, cfg)
+        loss_backward = models.Model._loss_backward
+        with monkeypatch.context() as patch:
+            # the training path as it was: the input gradient formed, then dropped
+            patch.setattr(models.Model, "_loss_backward",
+                          lambda self, x, y, params, inputs=True:
+                          loss_backward(self, x, y, params))
+            reference, ref_acc = train_classifier(ds, kind, cfg)
+        assert acc == ref_acc
+        for k in reference.params:
+            assert np.array_equal(model.params[k], reference.params[k])
+
+    def test_training_never_scatters_the_first_conv_layer_input_gradient(self, monkeypatch):
+        scattered = []
+        scatter = numerics._conv3x3_scatter
+
+        def spy(h, w, c, stride, n):
+            scattered.append((h, w, c))
+            return scatter(h, w, c, stride, n)
+
+        monkeypatch.setattr(numerics, "_conv3x3_scatter", spy)
+        model, _ = train_classifier(tiny_dataset(20, seed=9), "tiny-conv",
+                                    TrainConfig(epochs=1, batch_size=8, seed=0))
+        # 3 minibatches, each scattering into layer 2's 4x4x6 input only
+        assert scattered == [(4, 4, 6)] * 3
+        model.input_gradient(random_image(make_rng(10)), 1)
+        assert scattered[3:] == [(4, 4, 6), (8, 8, 1)]
 
 
 class TestCheckpoints:
