@@ -152,14 +152,16 @@ class Emi:
             raise ValueError("need n >= 1 and a finite eta >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
     """Everything run_attack needs besides the models and the input.
 
     momentum=None runs the plain (BIM-style) pipeline on the raw gradient;
     a float value enables the L1-normalized momentum accumulator with that
     decay.  An adaptive rule's generator has one parameter set per step,
-    so steps must equal its step count.
+    so steps must equal its step count.  Each transform kind appears at
+    most once.  The config is frozen, so its checks hold for its lifetime;
+    dataclasses.replace builds a changed copy and checks it again.
     """
 
     epsilon: float
@@ -181,8 +183,13 @@ class AttackConfig:
             raise ValueError("momentum decay must be finite and >= 0")
         if self.targeted and self.target_label is None:
             raise ValueError("targeted attack needs a target_label")
-        self.transforms = tuple(self.transforms)
-        if self.epsilon == math.inf and any(isinstance(t, Vt) for t in self.transforms):
+        _kind(self.step_rule, "step rule")
+        object.__setattr__(self, "transforms", tuple(self.transforms))
+        kinds = [_kind(t, "transform") for t in self.transforms]
+        repeated = next((k for k in kinds if kinds.count(k) > 1), None)
+        if repeated is not None:
+            raise ValueError(f"transform {repeated!r} is given more than once")
+        if self.epsilon == math.inf and "vt" in kinds:
             raise ValueError("VT draws its neighbours within beta * epsilon, "
                              "so it needs a finite epsilon")
         if isinstance(self.step_rule, AdaptiveStep):
@@ -355,13 +362,6 @@ def project(x_adv, x_orig, epsilon):
 # -- attack loop ------------------------------------------------------------
 
 
-def _find(transforms, kind):
-    for t in transforms:
-        if isinstance(t, kind):
-            return t
-    return None
-
-
 @dataclass(frozen=True)
 class _Pipeline:
     """The transforms of one attack, each looked up once; None where absent."""
@@ -375,9 +375,9 @@ class _Pipeline:
 
     @classmethod
     def of(cls, cfg: AttackConfig) -> "_Pipeline":
-        vt = _find(cfg.transforms, Vt)
-        return cls(_find(cfg.transforms, Dim), _find(cfg.transforms, Sim), vt,
-                   _find(cfg.transforms, Emi), _find(cfg.transforms, Tim),
+        by_type = {type(t): t for t in cfg.transforms}  # AttackConfig keeps kinds unique
+        vt = by_type.get(Vt)
+        return cls(by_type.get(Dim), by_type.get(Sim), vt, by_type.get(Emi), by_type.get(Tim),
                    vt.beta * cfg.epsilon if vt is not None else 0.0)
 
 
@@ -518,12 +518,17 @@ _KINDS = {
 }
 
 
-def _encode(obj, what):
+def _kind(obj, what):
+    """The JSON kind of obj's class in _KINDS[what]; TypeError if it has none."""
     for kind, cls in _KINDS[what].items():
         if type(obj) is cls:
-            return {"type": kind, **{f.name: getattr(obj, f.name) for f in fields(cls)
-                                     if f.metadata.get("json", True)}}
+            return kind
     raise TypeError(f"unknown {what} {obj!r}")
+
+
+def _encode(obj, what):
+    return {"type": _kind(obj, what), **{f.name: getattr(obj, f.name) for f in fields(obj)
+                                         if f.metadata.get("json", True)}}
 
 
 def _decode(doc, what, **runtime):

@@ -9,7 +9,7 @@ import sys
 
 from . import harness
 from .generator import GeneratorTrainConfig, save_generator, train_generator
-from .models import TrainConfig, load_model, save_model, train_classifier
+from .models import MODEL_KINDS, TrainConfig, load_model, save_model, train_classifier
 
 
 def _add_dataset_flags(parser):
@@ -95,17 +95,6 @@ def _cmd_interaction(args):
     _run_and_print(cfg)
 
 
-def _cmd_verify_props(args):
-    results = harness.verify_propositions(seed=args.seed)
-    failed = False
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name} ({detail})")
-        failed |= not ok
-    if failed:
-        sys.exit(1)
-
-
 def _cmd_report(args):
     rows = []
     with open(args.metrics, newline="") as fh:
@@ -131,8 +120,7 @@ def main(argv=None):
 
     p = sub.add_parser("train-model", help="train a desk-scale classifier")
     _add_dataset_flags(p)
-    p.add_argument("--kind", required=True,
-                   choices=["softmax-linear", "mlp-1-hidden", "tiny-conv"])
+    p.add_argument("--kind", required=True, choices=MODEL_KINDS)
     train = TrainConfig()
     p.add_argument("--epochs", type=int, default=train.epochs)
     p.add_argument("--batch-size", type=int, default=train.batch_size)
@@ -166,10 +154,6 @@ def main(argv=None):
     p = sub.add_parser("interaction", help="interaction histogram pass")
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_interaction)
-
-    p = sub.add_parser("verify-props", help="check the trajectory/interaction math")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_verify_props)
 
     p = sub.add_parser("report", help="aggregate a metrics.csv across seeds")
     p.add_argument("--metrics", required=True)

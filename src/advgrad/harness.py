@@ -39,7 +39,6 @@ __all__ = [
     "run_experiment",
     "emit_report",
     "aggregate_rows",
-    "verify_propositions",
 ]
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -499,99 +498,3 @@ def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig,
     paths["summary"] = summary_path
     return paths
 
-
-# -- proposition self-checks ------------------------------------------------
-
-
-def verify_propositions(seed: int = 0) -> list[tuple[str, bool, str]]:
-    """Fast self-contained checks of the trajectory and interaction math."""
-    from .interaction import (
-        AnalyticGame,
-        coefficients,
-        exact_mean_interaction,
-        predicted_delta,
-        predicted_interaction,
-        shapley_value_exact,
-        simulate_raw,
-        make_game_setfn,
-        shapley_interaction_exact,
-    )
-
-    results = []
-    rng = make_rng(seed, stream=21)
-
-    from fractions import Fraction
-    from .interaction import coefficients_exact
-
-    ok = True
-    for mu in (0.0, 0.5, 1.0, 1.5):
-        fmu = Fraction(mu)
-        prev = coefficients_exact(1, mu)
-        ok &= prev == (1, 0, 1, 0)
-        for m in range(1, 51):
-            cur = coefficients_exact(m + 1, mu)
-            a, b, c, d = prev
-            ok &= cur == (fmu * a + 1, fmu * b + c, fmu * a + c + 1, fmu * b + c + d)
-            prev = cur
-    c3 = coefficients(3, 1.0)
-    ok &= (c3.a, c3.b, c3.c, c3.d) == (3.0, 4.0, 6.0, 5.0)
-    results.append(("coefficient recurrences", bool(ok), "m <= 50, mu in {0, 0.5, 1, 1.5}"))
-
-    dim = 8
-    g = rng.normal(size=dim)
-    base = rng.normal(size=(dim, dim))
-    H0 = 0.5 * (base + base.T)
-    H0 /= np.linalg.norm(H0, 2)
-    ok = True
-    worst = 0.0
-    for mu in (0.5, 1.0):
-        for m in (3, 5, 10):
-            errs = []
-            for eta in (1e-2, 1e-3, 1e-4):
-                game = AnalyticGame(g=g, H=eta * H0)
-                _, delta = simulate_raw(game, mu, 0.1, m)
-                pred = predicted_delta(coefficients(m, mu), 0.1, game)
-                errs.append(np.linalg.norm(delta - pred))
-            for e0, e1 in zip(errs, errs[1:]):
-                ratio = e0 / e1
-                ok &= 100 / 3 <= ratio <= 300
-                worst = max(worst, abs(np.log10(ratio / 100)))
-    results.append(("trajectory error decays ~100x per decade of curvature",
-                    bool(ok), f"max |log10(ratio/100)| = {worst:.3f}"))
-
-    ok = True
-    for _ in range(3):
-        n = int(rng.integers(3, 7))
-        weights = rng.normal(size=n)
-
-        def v_add(subset, weights=weights):
-            return float(sum(weights[p] for p in subset))
-
-        total = sum(shapley_value_exact(v_add, i, n) for i in range(n))
-        ok &= abs(total - v_add(tuple(range(n)))) < 1e-10
-    results.append(("Shapley efficiency axiom", bool(ok), "additive games, n <= 6"))
-
-    n = 6
-    gg = rng.normal(size=n)
-    B0 = rng.normal(size=(n, n))
-    Hq = 0.5 * (B0 + B0.T)
-    delta = rng.normal(size=n)
-    game = AnalyticGame(g=gg, H=Hq)
-    v, _ = make_game_setfn(game, delta)
-    exact = shapley_interaction_exact(v, 0, 3, n)
-    ok = abs(exact - delta[0] * Hq[0, 3] * delta[3]) < 1e-10
-    results.append(("quadratic-game interaction identity", bool(ok),
-                    f"|I_ab - d_a H_ab d_b| = {abs(exact - delta[0]*Hq[0,3]*delta[3]):.2e}"))
-
-    m, mu, gamma = 5, 1.0, 0.1
-    errs = []
-    for eta in (1e-2, 1e-3, 1e-4):
-        game = AnalyticGame(g=gg, H=eta * Hq / np.linalg.norm(Hq, 2))
-        sched = coefficients(m, mu)
-        delta_m = predicted_delta(sched, gamma, game)
-        value, _, _ = predicted_interaction(sched, gamma, game)
-        errs.append(abs(value - exact_mean_interaction(game, delta_m)))
-    ok = all(e0 / max(e1, 1e-300) >= 100 / 3 for e0, e1 in zip(errs, errs[1:]))
-    results.append(("cubic interaction prediction matches to first order",
-                    bool(ok), f"errors {errs[0]:.2e} -> {errs[2]:.2e}"))
-    return results

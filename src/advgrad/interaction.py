@@ -191,8 +191,7 @@ def make_model_setfn(model, x: np.ndarray, delta: np.ndarray, y: int):
         raise ValueError("x and delta must be finite")
     if model.num_classes < 2:
         raise ValueError("reward needs at least two classes")
-    if not 0 <= y < model.num_classes:
-        raise ValueError(f"label {y} out of range for {model.num_classes} classes")
+    model._check_label(y)
 
     def batch(masks):
         masks = _check_masks(masks, flat.size)

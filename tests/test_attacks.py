@@ -1,5 +1,6 @@
 """Tests for the attack pipeline: step rules, transforms, projection, loop."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -381,6 +382,40 @@ class TestAttackLoop:
         with pytest.raises(DegenerateGradientError, match="non-finite"):
             run_attack([model], [model], random_image(19), 0, cfg, make_rng(0))
 
+    def test_config_rejects_a_repeated_transform_kind(self):
+        # the pipeline reads one transform per kind, so a second Tim would be lost
+        with pytest.raises(ValueError, match="'tim'"):
+            AttackConfig(epsilon=8.0, steps=2, step_rule=SignStep(1.0),
+                         transforms=(Tim(3), Dim(), Tim(7, 3.0)))
+
+    @pytest.mark.parametrize("kwargs,what", [
+        ({"step_rule": "sign"}, "step rule"),
+        ({"step_rule": Tim()}, "step rule"),
+        ({"transforms": (Tim(), "dim")}, "transform"),
+        ({"transforms": (SignStep(1.0),)}, "transform"),
+    ], ids=["rule-str", "rule-transform", "transform-str", "transform-rule"])
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_config_rejects_what_is_not_a_rule_or_transform(self, kwargs, what, steps):
+        # caught when the config is built, not at the first step
+        with pytest.raises(TypeError, match=f"unknown {what}"):
+            AttackConfig(**{"epsilon": 16.0, "steps": steps, "step_rule": SignStep(1.0),
+                            **kwargs})
+
+    def test_config_is_frozen(self):
+        # an assignment would skip the checks of __post_init__
+        cfg = AttackConfig(epsilon=8.0, steps=2, step_rule=SignStep(1.0), transforms=[Tim()])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.epsilon = math.nan
+        assert cfg.epsilon == 8.0 and cfg.transforms == (Tim(),)
+
+    def test_replace_checks_the_new_config(self):
+        cfg = AttackConfig(epsilon=8.0, steps=2, step_rule=SignStep(1.0), transforms=(Vt(n=2),))
+        assert dataclasses.replace(cfg, epsilon=4.0).epsilon == 4.0
+        with pytest.raises(ValueError, match="epsilon"):
+            dataclasses.replace(cfg, epsilon=math.nan)
+        with pytest.raises(ValueError, match="'vt'"):
+            dataclasses.replace(cfg, transforms=(Vt(n=2), Vt(n=3)))
+
     def test_adaptive_steps_must_match_generator(self):
         gen = ScalingFactorGenerator(3, SHAPE, hidden=(4, 2))
         AttackConfig(epsilon=8.0, steps=3, step_rule=AdaptiveStep(gen))
@@ -614,7 +649,7 @@ class TestConfigSerialization:
             st.builds(Sim, st.integers(1, 4)),
             st.builds(Vt, st.integers(1, 30), st.floats(0.0, 3.0)),
             st.builds(Emi, st.integers(1, 20), st.floats(0.0, 10.0)),
-        ), max_size=5), label="transforms")
+        ), max_size=5, unique_by=type), label="transforms")
         target = data.draw(st.none() | st.integers(0, 9), label="target_label")
         cfg = AttackConfig(
             epsilon=data.draw(st.floats(0.0, 255.0), label="epsilon"), steps=steps,
@@ -652,6 +687,12 @@ class TestConfigSerialization:
     def test_unknown_or_missing_key_names_it(self, key, doc):
         # at the parent a misspelled key was dropped: "momentun" ran with no momentum
         with pytest.raises(ValueError, match=repr(key)):
+            config_from_dict(doc)
+
+    def test_repeated_transform_kind_in_a_doc_raises(self):
+        doc = {**self.BASE, "transforms": [{"type": "tim"}, {"type": "dim"},
+                                           {"type": "tim", "k": 7}]}
+        with pytest.raises(ValueError, match="'tim'"):
             config_from_dict(doc)
 
     def test_adaptive_rule_needs_a_generator(self):

@@ -128,8 +128,9 @@ def test_interaction_subcommand_without_interaction_block(tmp_path, capsys):
     assert (tmp_path / "out" / "interaction.csv").exists()
 
 
-def test_verify_props_prints_pass_lines(capsys):
-    main(["verify-props"])
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 5
-    assert "FAIL" not in out
+def test_verify_props_is_not_a_command(capsys):
+    # its closed-form checks are acceptance criteria 2-5
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-props"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify-props'" in capsys.readouterr().err

@@ -19,7 +19,6 @@ from advgrad.harness import (
     load_idx,
     run_experiment,
     synth_dataset,
-    verify_propositions,
     write_cifar_binary,
     write_idx,
 )
@@ -579,14 +578,6 @@ class TestExperimentRunner:
             self.base_config(tmp_path, attacks=[])
         with pytest.raises(ValueError):
             self.base_config(tmp_path, seeds=[])
-
-
-class TestVerifyPropositions:
-    def test_all_checks_pass(self):
-        results = verify_propositions(seed=0)
-        assert len(results) == 5
-        for name, ok, detail in results:
-            assert ok, f"{name}: {detail}"
 
 
 class TestShippedConfigs:

@@ -198,7 +198,10 @@ class TestModelSetfnChecks:
         ("delta", np.full((4, 4, 1), np.nan), "finite"),
         ("y", -1, "out of range"),
         ("y", 3, "out of range"),
-    ], ids=["x-shape", "delta-shape", "x-inf", "delta-nan", "label-negative", "label-too-big"])
+        ("y", True, "integer"),
+        ("y", 1.0, "integer"),
+    ], ids=["x-shape", "delta-shape", "x-inf", "delta-nan", "label-negative", "label-too-big",
+            "label-bool", "label-float"])
     def test_rejects_bad_input(self, field, value, message):
         # at the parent y=-1 scored the last class, and a NaN delta gave NaN rewards
         with pytest.raises(ValueError, match=message):
