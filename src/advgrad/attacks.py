@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.ndimage
 
 from .numerics import _from_doc, gaussian_kernel_2d, make_rng
 
@@ -256,24 +255,45 @@ def dim_transform(x: np.ndarray, p: float, rng: np.random.Generator,
 
 
 @functools.lru_cache(maxsize=16)
-def _tim_kernel(k: int, sigma: float) -> np.ndarray:
-    """Read-only (k, k, 1) Gaussian kernel, built once per (k, sigma).
+def _tim_taps(h: int, w: int, c: int, k: int, sigma: float):
+    """Read-only ``(table, weights)`` of TIM smoothing over an (h, w, c) image.
 
-    The trailing axis of length 1 smooths every channel of an (H, W, C)
-    gradient in one convolve call without mixing channels.
+    One row per tap of the flipped (k, k) Gaussian kernel, in C order, leaving
+    out every weight with |w| <= DBL_EPSILON: ``weights`` is the (taps, 1)
+    column of the kept weights and ``table`` the (taps, h * w * c) flat index
+    of the pixel each tap reads for each output value, the row and column
+    clamped to the image (edge replication), the channel kept.
     """
-    kernel = gaussian_kernel_2d(k, sigma)[:, :, None]
-    kernel.flags.writeable = False
-    return kernel
+    flipped = gaussian_kernel_2d(k, sigma)[::-1, ::-1]
+    di, dj = np.nonzero(np.abs(flipped) > np.finfo(np.float64).eps)
+    rows = np.clip(np.arange(h)[:, None] + di[:, None, None] - k // 2, 0, h - 1)
+    cols = np.clip(np.arange(w) + dj[:, None, None] - k // 2, 0, w - 1)
+    table = ((rows * w + cols)[..., None] * c + np.arange(c)).reshape(len(di), -1)
+    weights = flipped[di, dj][:, None]
+    table.flags.writeable = False
+    weights.flags.writeable = False
+    return table, weights
 
 
 def tim_smooth(grad: np.ndarray, k: int, sigma: float | None = None) -> np.ndarray:
-    """Per-channel Gaussian convolution with edge replication."""
+    """Per-channel Gaussian convolution with edge replication.
+
+    For a float64 gradient, bit for bit
+    ``scipy.ndimage.convolve(grad, kernel[:, :, None], mode="nearest")`` with
+    ``kernel = gaussian_kernel_2d(k, sigma)``: each output value starts at 0.0
+    and adds ``w * x`` one tap at a time, in the order of `_tim_taps`.
+    """
     if grad.ndim != 3:
         raise ValueError("tim_smooth expects an (H, W, C) gradient")
     if sigma is None:
         sigma = k / 3.0
-    return scipy.ndimage.convolve(grad, _tim_kernel(k, sigma), mode="nearest")
+    table, weights = _tim_taps(*grad.shape, k, sigma)
+    # indexing, not take: take copies a read-only index array on every call
+    terms = grad.reshape(-1)[table] * weights
+    out = np.zeros(grad.size)
+    for term in terms:  # a pairwise or BLAS reduction would round differently
+        out += term
+    return out.reshape(grad.shape)
 
 
 def ensemble_gradient(models, x: np.ndarray, y: int) -> np.ndarray:

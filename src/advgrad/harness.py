@@ -216,6 +216,15 @@ def compute_metrics(originals, adversarials, success, *,
 
 # -- experiment orchestration ----------------------------------------------
 
+# the counts an interaction block may set, with their defaults
+_INTERACTION_COUNTS = {"examples": 50, "num_pairs": 10, "num_subsets": 5}
+
+
+def _check_count(value, what: str):
+    # bool is an int subclass; a float count would only fail after the attacks
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -235,12 +244,26 @@ class ExperimentConfig:
     interaction: dict | None = None
 
     def __post_init__(self):
+        self._check()
+
+    def _check(self):
+        """ValueError if a field is out of range; run_experiment checks again,
+        since a field may be set after construction."""
         if not self.attacks:
             raise ValueError("need at least one attack config")
         if not self.targets:
             raise ValueError("need at least one evaluation target")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
+        _check_count(self.eval_count, "eval_count")
+        if self.interaction is not None:
+            _check_keys(self.interaction, _INTERACTION_COUNTS.keys() | {"methods", "model"}, (),
+                        "interaction block")
+            for key in _INTERACTION_COUNTS:
+                if key in self.interaction:
+                    _check_count(self.interaction[key], f"interaction {key}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -324,7 +347,7 @@ def _interaction_estimates(scorer, records, spec: dict, seed):
     for i, x, y, res in records:
         v, n = interaction.make_model_setfn(scorer, x, res.adversarial - x, y)
         estimates[i] = interaction.expected_interaction_sampled(
-            v, n, spec.get("num_pairs", 10), spec.get("num_subsets", 5),
+            v, n, spec["num_pairs"], spec["num_subsets"],
             rng=make_rng(seed, stream=3000 + i))
     return estimates
 
@@ -337,11 +360,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     interaction pass scores cell (seeds[0], method, sources[0]).  Per-example
     RNG streams derive from (seed, example index), so runs are deterministic.
     """
+    cfg._check()
     dataset = build_dataset(cfg.dataset)
     spec = cfg.interaction  # None skips the interaction pass; {} runs it with defaults
     if spec is not None:
-        _check_keys(spec, {"examples", "methods", "model", "num_pairs", "num_subsets"}, (),
-                    "interaction block")
+        spec = {**_INTERACTION_COUNTS, **spec}
     os.makedirs(cfg.output_dir, exist_ok=True)
     split_rng = make_rng(cfg.dataset.get("seed", 0), stream=13)
     order = split_rng.permutation(len(dataset))
@@ -381,7 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                         and (not spec.get("methods") or method in spec["methods"])):
                     histograms[method] = _interaction_estimates(
                         pool[spec.get("model", cfg.targets[0])],
-                        records[:spec.get("examples", 50)], spec, seed)
+                        records[:spec["examples"]], spec, seed)
                 for t_idx, target_name in enumerate(cfg.targets):
                     for i, x, y, res in records:
                         delta = res.adversarial - x

@@ -284,8 +284,9 @@ def _avgpool2(x):
 
 def _avgpool2_backward(d):
     n, h, w, c = d.shape
-    quarter = (d / 4.0)[:, :, None, :, None]
-    return np.broadcast_to(quarter, (n, h, 2, w, 2, c)).reshape(n, 2 * h, 2 * w, c)
+    out = np.empty((n, h, 2, w, 2, c))
+    out[...] = (d / 4.0)[:, :, None, :, None]
+    return out.reshape(n, 2 * h, 2 * w, c)
 
 
 class TinyConv(Model):

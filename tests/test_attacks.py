@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.ndimage
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -205,12 +205,42 @@ class TestTimSmooth:
         mine[1, 1] = 100.0  # a caller may mutate its own kernel
         g = make_rng(0, 61).normal(size=(5, 5, 2))
         first = tim_smooth(g, 3, 1.0)
-        cached = attacks._tim_kernel(3, 1.0)
-        assert cached is attacks._tim_kernel(3, 1.0)
+        table, weights = attacks._tim_taps(5, 5, 2, 3, 1.0)
+        again = attacks._tim_taps(5, 5, 2, 3, 1.0)
+        assert again[0] is table and again[1] is weights
         with pytest.raises(ValueError):
-            cached[0, 0, 0] = 1.0
+            table[0, 0] = 1
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
         assert gaussian_kernel_2d(3, 1.0)[1, 1] != 100.0
         assert np.array_equal(tim_smooth(g, 3, 1.0), first)
+
+    def test_taps_leave_out_weights_up_to_dbl_epsilon(self):
+        # sigma 0.15: the corner weights are about 8e-20, the edge ones 2e-10
+        kernel = gaussian_kernel_2d(3, 0.15)
+        assert kernel[0, 0] <= np.finfo(np.float64).eps < kernel[0, 1]
+        table, weights = attacks._tim_taps(4, 4, 1, 3, 0.15)
+        assert table.shape == (5, 16)
+        assert np.array_equal(weights[:, 0], kernel[::-1, ::-1][[0, 1, 1, 1, 2], [1, 0, 1, 2, 1]])
+
+    GRADIENTS = st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3)).flatmap(
+        lambda shape: hnp.arrays(np.float64, shape,
+                                 elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=GRADIENTS, k=st.sampled_from([1, 3, 5, 7, 9, 15, 21]),
+           sigma=st.floats(0.03, 30.0) | st.just(0.15))
+    @example(g=np.array([[[-0.0]]]), k=3, sigma=1.0)
+    @example(g=np.array([[[2.5, -0.0, 1e-300]]]), k=21, sigma=30.0)
+    @example(g=np.full((3, 2, 2), -0.0), k=9, sigma=0.15)
+    def test_matches_scipy_convolve_bit_for_bit(self, g, k, sigma):
+        # values and sign bits: scipy starts each sum at 0.0, so no output is -0.0
+        expected = scipy.ndimage.convolve(g, gaussian_kernel_2d(k, sigma)[:, :, None],
+                                          mode="nearest")
+        out = tim_smooth(g, k, sigma)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
     @pytest.mark.parametrize("k", [4, 0, -1])
     def test_rejects_even_or_nonpositive_k(self, k):

@@ -579,6 +579,35 @@ class TestExperimentRunner:
         with pytest.raises(ValueError):
             self.base_config(tmp_path, seeds=[])
 
+    BAD_VALUES = [
+        ("train_fraction", {"train_fraction": 1.0}),
+        ("train_fraction", {"train_fraction": 1.5}),
+        ("train_fraction", {"train_fraction": 0.0}),
+        ("eval_count", {"eval_count": 0}),
+        ("interaction examples", {"interaction": {"examples": 0}}),
+        ("interaction num_pairs", {"interaction": {"num_pairs": 0}}),
+        ("interaction num_subsets", {"interaction": {"num_subsets": 0}}),
+        ("interaction num_pairs", {"interaction": {"num_pairs": 2.5}}),
+        ("interaction examples", {"interaction": {"examples": True}}),
+    ]
+
+    @pytest.mark.parametrize("what,override", BAD_VALUES,
+                             ids=["fraction-1", "fraction-1.5", "fraction-0", "eval-0",
+                                  "examples-0", "pairs-0", "subsets-0", "pairs-float",
+                                  "examples-bool"])
+    def test_out_of_range_value_fails_when_the_config_is_built(self, tmp_path, what, override):
+        # at the parent none of these failed before the models trained
+        with pytest.raises(ValueError, match=what):
+            self.base_config(tmp_path, **override)
+
+    def test_value_set_after_construction_fails_before_training(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "train_classifier",
+                            lambda *args: pytest.fail("a model trained"))
+        cfg = self.base_config(tmp_path)
+        cfg.interaction = {"examples": 2, "num_pairs": 0}
+        with pytest.raises(ValueError, match="interaction num_pairs"):
+            run_experiment(cfg)
+
 
 class TestShippedConfigs:
     def test_benchmark_experiment_config_passes_the_strict_parse(self, tmp_path, monkeypatch):

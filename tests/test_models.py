@@ -332,6 +332,9 @@ class TestConvKernel:
                                   x.reshape(n, h // 2, 2, w // 2, 2, c).mean(axis=(2, 4)))
             assert np.array_equal(_avgpool2_backward(x),
                                   np.repeat(np.repeat(x, 2, axis=1), 2, axis=2) / 4.0)
+            quarter = (x / 4.0)[:, :, None, :, None]  # reference: the broadcast form
+            assert np.array_equal(_avgpool2_backward(x), np.broadcast_to(
+                quarter, (n, h, 2, w, 2, c)).reshape(n, 2 * h, 2 * w, c))
 
     def test_only_parameter_gradients_ask_the_kernel_for_weight_gradients(self, monkeypatch):
         model = build_model("tiny-conv", SHAPE, 3, seed=0)
