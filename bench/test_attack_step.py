@@ -3,9 +3,11 @@
 Each case runs the library code and, beside it, the loop it replaced, which
 rebuilt the per-attack invariants on every step
 (``tests/reference_attack_step.py``): a 10-step attack by an MLP at 8x8x1 for
-the sign, fixed-scale and momentum rules, one attack step with the full
-transform stack, and one outer iteration of generator training (5 attack
-steps, MLP and tiny-conv pool).  Run from the repository root:
+the sign, fixed-scale and momentum rules; one attack step with each transform
+alone, with the full transform stack, and with the full stack on two source
+models (the MLP and a softmax-linear model); and one outer iteration of
+generator training (5 attack steps, MLP and tiny-conv pool).  Run from the
+repository root:
 
     PYTHONPATH=src python -m pytest bench/test_attack_step.py --benchmark-max-time=3 \
         --benchmark-json=BENCH_attack.json
@@ -13,8 +15,11 @@ steps, MLP and tiny-conv pool).  Run from the repository root:
 The cases take a few hundred microseconds, and on a shared host three seconds
 of rounds per case steady the medians.
 
-The tier-1 suite does not collect this directory.
+The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
+runs each case once, untimed.
 """
+
+import dataclasses
 
 import pytest
 
@@ -36,6 +41,9 @@ RULES = {
 }
 STACK = AttackConfig(epsilon=16.0, steps=1, step_rule=FixedScaleStep(16.0), momentum=1.0,
                      transforms=(Dim(), Tim(), Sim(m=2), Vt(n=4), Emi(n=3)))
+# DIM at p=1, so that its one step always resizes
+ALONE = {type(t).__name__.lower(): dataclasses.replace(STACK, transforms=(t,))
+         for t in (Dim(p=1.0), Tim(), Sim(m=2), Vt(n=4), Emi(n=3))}
 EPISODES = {"lean": generator._ascent_episode, "reference": reference._ascent_episode}
 
 
@@ -56,9 +64,21 @@ def test_attack_10_steps(benchmark, mlp, image, rule, loop):
 
 
 @pytest.mark.parametrize("loop", LOOPS)
-def test_stacked_transform_step(benchmark, mlp, image, loop):
+@pytest.mark.parametrize("transform", ALONE)
+def test_one_transform_step(benchmark, mlp, image, transform, loop):
     # a fresh stream per call keeps every round on the same draws
+    benchmark(lambda: LOOPS[loop]([mlp], [mlp], image, 0, ALONE[transform], make_rng(0, 92)))
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_stacked_transform_step(benchmark, mlp, image, loop):
     benchmark(lambda: LOOPS[loop]([mlp], [mlp], image, 0, STACK, make_rng(0, 92)))
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_stacked_transform_step_two_sources(benchmark, mlp, image, loop):
+    sources = [mlp, build_model("softmax-linear", SHAPE, 3, seed=1)]
+    benchmark(lambda: LOOPS[loop](sources, [mlp], image, 0, STACK, make_rng(0, 92)))
 
 
 @pytest.mark.parametrize("episode", EPISODES)

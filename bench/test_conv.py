@@ -6,7 +6,8 @@ one image and on a batch of 32.  Run from the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_conv.py --benchmark-json=BENCH_conv.json
 
-The tier-1 suite does not collect this directory.
+The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
+runs each case once, untimed.
 """
 
 import numpy as np

@@ -10,7 +10,8 @@ interpreter's own start.  Run from the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_tim.py --benchmark-json=BENCH_tim.json
 
-The tier-1 suite does not collect this directory.
+The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
+runs each case once, untimed.
 """
 
 import functools

@@ -6,10 +6,13 @@ budget projection, and the full attack loop over single or ensembled
 source models.
 
 One attack step makes one input_gradient call per source model.  A step
-with SIM, EMI or VT stacks its (EMI n, or 1, plus VT n) x SIM m points into
-one batch; a step without them passes the single image.  The random draws
-and the order in which the rows are reduced are those of a per-point loop,
-so a batched step equals it to 1e-12 relative (BLAS rounds a batched
+with SIM, EMI or VT writes its (EMI n, or 1, plus VT n) points into one
+batch, which SIM scales m times; a step without them passes the single
+image.  Each transform makes one random draw per step (all EMI offsets at
+once, all VT neighbours at once) and one row reduction (`_sum_rows`: the
+EMI and VT means, the SIM scale sum, the TIM tap sum), which adds whole
+rows in order from 0.0.  Draws and operand order are those of a per-point
+loop, so a batched step equals it to 1e-12 relative (BLAS rounds a batched
 matrix product differently in the last bits), not bit for bit.
 """
 
@@ -205,7 +208,6 @@ class AttackResult:
     adversarial: np.ndarray
     step_trace: list[float]
     success: list[bool]
-    final_loss: float
     early_stopped: bool = False
     steps_used: int = 0
 
@@ -232,6 +234,15 @@ def momentum_accumulate(g_prev: np.ndarray, grad: np.ndarray, mu: float) -> np.n
     return _momentum(g_prev, grad, mu, l1)
 
 
+@functools.lru_cache(maxsize=128)
+def _dim_index(h: int, w: int, rh: int, rw: int):
+    """Read-only np.ix_ index of the nearest-neighbour (rh, rw) shrink of an (h, w) image."""
+    index = np.ix_(np.arange(rh) * h // rh, np.arange(rw) * w // rw)
+    for part in index:
+        part.flags.writeable = False
+    return index
+
+
 def dim_transform(x: np.ndarray, p: float, rng: np.random.Generator,
                   min_fraction: float = 0.9) -> np.ndarray:
     """With probability p, nearest-neighbor shrink then random zero-pad back."""
@@ -244,14 +255,26 @@ def dim_transform(x: np.ndarray, p: float, rng: np.random.Generator,
     h, w, _ = x.shape
     rh = int(rng.integers(math.ceil(min_fraction * h), h + 1))
     rw = int(rng.integers(math.ceil(min_fraction * w), w + 1))
-    rows = (np.arange(rh) * h // rh).astype(int)
-    cols = (np.arange(rw) * w // rw).astype(int)
-    small = x[np.ix_(rows, cols)]
+    small = x[_dim_index(h, w, rh, rw)]
     top = int(rng.integers(0, h - rh + 1))
     left = int(rng.integers(0, w - rw + 1))
     out = np.zeros_like(x)
     out[top:top + rh, left:left + rw, :] = small
     return out
+
+
+def _sum_rows(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ..., added in row order starting from 0.0, bit for
+    bit the ``total += row`` loop over a zero-filled total.
+
+    np.add.reduce over axis 0 adds whole rows, one elementwise add per row.
+    Over rows of one value it would run numpy's pairwise sum instead, so such
+    rows are read as two columns, the second a stride-0 repeat of the first.
+    """
+    flat = rows.reshape(len(rows), -1)
+    if flat.shape[1] == 1:
+        flat = np.broadcast_to(flat, (len(rows), 2))
+    return np.add.reduce(flat, axis=0, initial=0.0)[:rows[0].size].reshape(rows.shape[1:])
 
 
 @functools.lru_cache(maxsize=16)
@@ -289,11 +312,11 @@ def tim_smooth(grad: np.ndarray, k: int, sigma: float | None = None) -> np.ndarr
         sigma = k / 3.0
     table, weights = _tim_taps(*grad.shape, k, sigma)
     # indexing, not take: take copies a read-only index array on every call
-    terms = grad.reshape(-1)[table] * weights
-    out = np.zeros(grad.size)
-    for term in terms:  # a pairwise or BLAS reduction would round differently
-        out += term
-    return out.reshape(grad.shape)
+    terms = grad.reshape(-1)[table]
+    terms *= weights
+    # one row per tap, added in tap order; a pairwise or BLAS reduction
+    # would round differently
+    return _sum_rows(terms).reshape(grad.shape)
 
 
 def ensemble_gradient(models, x: np.ndarray, y: int) -> np.ndarray:
@@ -319,6 +342,15 @@ def ensemble_loss(models, x: np.ndarray, y: int) -> float:
     return sum(m.cross_entropy_loss(x, y) for m in models) / len(models)
 
 
+@functools.lru_cache(maxsize=16)
+def _sim_scales(m: int, ndim: int) -> np.ndarray:
+    """Read-only column of the SIM scales 1, 1/2, ..., 1/2^(m-1), shaped
+    (m, 1, ..., 1) to broadcast over an ndim-dimensional input."""
+    scales = (0.5 ** np.arange(m)).reshape((m,) + (1,) * ndim)
+    scales.flags.writeable = False
+    return scales
+
+
 def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
     """(1/m) sum_i grad of J(f(x / 2^i)); the 1/2^i chain-rule factor stays.
 
@@ -328,14 +360,10 @@ def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    scales = 0.5 ** np.arange(m)
-    copies = scales.reshape((m,) + (1,) * x.ndim) * x
+    scales = _sim_scales(m, x.ndim)
+    copies = scales * x
     grads = ensemble_gradient(models, copies.reshape((-1,) + x.shape[-3:]), y)
-    grads = grads.reshape(copies.shape)
-    total = np.zeros_like(x)
-    for scale, g in zip(scales, grads):
-        total += scale * g
-    return total / m
+    return _sum_rows(scales * grads.reshape(copies.shape)) / m
 
 
 def apply_step(x_adv, direction, rule, gamma_override: float | None = None):
@@ -401,43 +429,44 @@ class _Pipeline:
                    vt.beta * cfg.epsilon if vt is not None else 0.0)
 
 
-def _mean_rows(rows):
-    """Mean of the rows, summed in row order: the operand order of a per-point loop."""
-    total = np.zeros_like(rows[0])
-    for row in rows:
-        total += row
-    return total / len(rows)
-
-
 def _pipeline_gradient(models, x_eval, label, pipe: _Pipeline, state, rng):
     """Compose the configured transforms into one gradient evaluation.
 
-    The EMI points (or x_eval alone) and the VT neighbours are drawn first and
-    go to SIM or the ensemble as one batch of points.
+    The EMI points (or x_eval alone) and the VT neighbours are drawn first,
+    each kind in one call, into one batch of points for SIM or the ensemble.
+    EMI point i is x_eval + (u_i * eta) * emi_dir and VT neighbour j is
+    x_eval + v_j, the operands of a per-point loop.
     """
     sim, vt, emi, tim = pipe.sim, pipe.vt, pipe.emi, pipe.tim
 
-    points = [x_eval]
-    if emi is not None:
-        points = [x_eval + rng.uniform(-1.0, 1.0) * emi.eta * state["emi_dir"]
-                  for _ in range(emi.n)]
-    n_centre = len(points)
-    if vt is not None:
-        radius = pipe.vt_radius
-        points += [x_eval + rng.uniform(-radius, radius, size=x_eval.shape)
-                   for _ in range(vt.n)]
+    n_centre = emi.n if emi is not None else 1
+    if emi is None and vt is None:
+        points = x_eval[None]
+    else:
+        points = np.empty((n_centre + (vt.n if vt is not None else 0),) + x_eval.shape)
+        centre = points[:n_centre]
+        if emi is None:
+            centre[0] = x_eval
+        else:
+            offsets = rng.uniform(-1.0, 1.0, size=emi.n) * emi.eta
+            np.multiply(offsets.reshape((-1,) + (1,) * x_eval.ndim), state["emi_dir"], out=centre)
+            centre += x_eval
+        if vt is not None:
+            radius = pipe.vt_radius
+            np.add(x_eval, rng.uniform(-radius, radius, size=(vt.n,) + x_eval.shape),
+                   out=points[n_centre:])
 
     if sim is not None:
-        rows = sim_gradient(models, np.stack(points), label, sim.m)
+        rows = sim_gradient(models, points, label, sim.m)
     elif len(points) > 1:
-        rows = ensemble_gradient(models, np.stack(points), label)
+        rows = ensemble_gradient(models, points, label)
     else:
-        rows = [ensemble_gradient(models, points[0], label)]
-    grad = _mean_rows(rows[:n_centre]) if emi is not None else rows[0]
+        rows = ensemble_gradient(models, points[0], label)[None]
+    grad = _sum_rows(rows[:n_centre]) / n_centre if emi is not None else rows[0]
 
     if vt is not None:
         tuned = grad + state["vt_var"]
-        state["vt_var"] = _mean_rows(rows[n_centre:]) - grad
+        state["vt_var"] = _sum_rows(rows[n_centre:]) / vt.n - grad
         grad = tuned
 
     if emi is not None:
@@ -522,7 +551,6 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
         adversarial=x_adv,
         step_trace=trace,
         success=success,
-        final_loss=ensemble_loss(source_models, x_adv, y),
         early_stopped=early,
         steps_used=steps_used,
     )

@@ -284,7 +284,9 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
     Pairs are uniform over unordered distinct (a, b); per pair, subset sizes
     are uniform in {0, ..., n-2} and subsets uniform at that size.  v must be
     a set function from make_model_setfn or make_game_setfn: all four
-    evaluations of every sample are scored by one v.batch call.
+    evaluations of every sample are scored by one v.batch call.  stderr is
+    the standard deviation (ddof=1) of the num_pairs per-pair means over
+    sqrt(num_pairs), and 0.0 for one pair.
     """
     if n < 2:
         raise ValueError("need at least two players")
@@ -315,7 +317,10 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
     masks[rows, cols] = True
     vals = v.batch(masks).reshape(k, 4)
     arr = vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]
-    stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    # the pairs are drawn once, so the estimate's error is the spread of the
+    # per-pair means, not of all samples as if each had its own pair
+    pair_means = arr.reshape(num_pairs, num_subsets).mean(axis=1)
+    stderr = float(pair_means.std(ddof=1) / np.sqrt(num_pairs)) if num_pairs > 1 else 0.0
     return InteractionEstimate(
         value=float(arr.mean()), stderr=stderr,
         num_pairs=num_pairs, num_subsets=num_subsets,

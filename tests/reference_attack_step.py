@@ -1,12 +1,17 @@
 """The attack loop and the generator training loop as they were before their
-per-attack invariants were hoisted, kept verbatim as the bit-for-bit reference
-of `advgrad.attacks.run_attack` and `advgrad.generator.train_generator`
-(tests) and as their timing baseline (``bench/``).
+per-attack invariants were hoisted and their per-point work vectorized, kept
+verbatim as the bit-for-bit reference of `advgrad.attacks.run_attack` and
+`advgrad.generator.train_generator` (tests) and as their timing baseline
+(``bench/``).
 
 Each step here rebuilds the projection box with two clips, takes the
 gradient's L1 norm twice under momentum, averages a one-model ensemble,
-multiplies by the sign flip and looks up every transform again.  Two things
-differ from the library code they were copied from: the method
+multiplies by the sign flip and looks up every transform again.  It draws
+each EMI offset and each VT neighbour with its own call and stacks the
+points, builds DIM's resize index, and adds the EMI and VT rows, the SIM
+scales and the TIM taps one Python-level add at a time.  Three things
+differ from the library code they were copied from: `AttackResult` has no
+final loss any more, so none is computed; the method
 `ScalingFactorGenerator._backward_cache` is a function taking the generator,
 and the body of `train_generator`'s outer loop is the function
 `_ascent_episode`, split off as in the library, so that the benchmarks can
@@ -21,7 +26,7 @@ import numpy as np
 
 from advgrad.attacks import (
     AdaptiveStep, AttackResult, DegenerateGradientError, Dim, Emi, Sim, SignStep, Tim, Vt,
-    apply_step, dim_transform, tim_smooth,
+    _tim_taps, apply_step,
 )
 from advgrad.generator import ScalingFactorGenerator, _instance_norm_backward, _sigmoid
 from advgrad.numerics import _conv3x3_backward, make_rng
@@ -48,10 +53,40 @@ def ensemble_gradient(models, x: np.ndarray, y: int) -> np.ndarray:
     return sum(m.input_gradient(x, y) for m in models) / len(models)
 
 
-def ensemble_loss(models, x: np.ndarray, y: int) -> float:
-    if not models:
-        raise ValueError("need at least one source model")
-    return sum(m.cross_entropy_loss(x, y) for m in models) / len(models)
+def dim_transform(x: np.ndarray, p: float, rng: np.random.Generator,
+                  min_fraction: float = 0.9) -> np.ndarray:
+    """With probability p, nearest-neighbor shrink then random zero-pad back."""
+    if x.ndim != 3:
+        raise ValueError("dim_transform expects an (H, W, C) image")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if rng.random() >= p:
+        return x
+    h, w, _ = x.shape
+    rh = int(rng.integers(math.ceil(min_fraction * h), h + 1))
+    rw = int(rng.integers(math.ceil(min_fraction * w), w + 1))
+    rows = (np.arange(rh) * h // rh).astype(int)
+    cols = (np.arange(rw) * w // rw).astype(int)
+    small = x[np.ix_(rows, cols)]
+    top = int(rng.integers(0, h - rh + 1))
+    left = int(rng.integers(0, w - rw + 1))
+    out = np.zeros_like(x)
+    out[top:top + rh, left:left + rw, :] = small
+    return out
+
+
+def tim_smooth(grad: np.ndarray, k: int, sigma: float | None = None) -> np.ndarray:
+    """Per-channel Gaussian convolution with edge replication, one add per tap."""
+    if grad.ndim != 3:
+        raise ValueError("tim_smooth expects an (H, W, C) gradient")
+    if sigma is None:
+        sigma = k / 3.0
+    table, weights = _tim_taps(*grad.shape, k, sigma)
+    terms = grad.reshape(-1)[table] * weights
+    out = np.zeros(grad.size)
+    for term in terms:
+        out += term
+    return out.reshape(grad.shape)
 
 
 def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
@@ -197,7 +232,6 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
         adversarial=x_adv,
         step_trace=trace,
         success=success,
-        final_loss=ensemble_loss(source_models, x_adv, y),
         early_stopped=early,
         steps_used=steps_used,
     )

@@ -614,6 +614,74 @@ class TestBatchedPipeline:
             assert new.step_trace == ref.step_trace
 
 
+def row_loop(rows):
+    """rows summed the way the per-point pipeline summed them."""
+    total = np.zeros_like(rows[0])
+    for row in rows:
+        total += row
+    return total
+
+
+class TestVectorizedPipelineContracts:
+    """The numpy behaviour a vectorized step relies on to stay bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 25), radius=st.sampled_from([0.0, 1.0, 7.0, 24.0]),
+           shape=st.sampled_from([(1,), (8, 8, 1), (4, 4, 3)]), seed=st.integers(0, 2**16))
+    def test_one_uniform_call_equals_one_draw_per_point(self, n, radius, shape, seed):
+        # EMI draws n offsets in one call, VT n neighbours in one call
+        for size in ((n,), (n,) + shape):
+            batched, looped = make_rng(seed, 94), make_rng(seed, 94)
+            values = batched.uniform(-radius, radius, size=size)
+            draws = [looped.uniform(-radius, radius, size=size[1:] or None) for _ in range(n)]
+            assert np.array_equal(values, np.array(draws))
+            assert repr(batched.bit_generator.state) == repr(looped.bit_generator.state)
+
+    ROW_VALUES = st.floats(-1e300, 1e300) | st.sampled_from([0.0, -0.0, 1e-300, -5e-324])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(2, 70)),
+                           elements=ROW_VALUES))
+    def test_axis0_add_reduce_equals_the_row_loop(self, rows):
+        # values and sign bits: both start from +0.0, so an all -0.0 column sums to +0.0
+        out = np.add.reduce(rows, axis=0, initial=0.0)
+        assert np.array_equal(out, row_loop(rows))
+        assert np.array_equal(np.signbit(out), np.signbit(row_loop(rows)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=hnp.arrays(np.float64, st.tuples(st.integers(1, 40)).flatmap(
+               lambda k: st.sampled_from([k + (1, 1, 1), k + (1,), k + (3, 1, 2), k + (4, 4, 1)])),
+               elements=ROW_VALUES))
+    @example(rows=np.array([[1e16]] + [[1.0]] * 15))
+    @example(rows=np.full((9, 1, 1, 1), -0.0))
+    def test_sum_rows_equals_the_row_loop_for_rows_of_one_value_too(self, rows):
+        # a plain reduce over rows of one value runs numpy's pairwise sum,
+        # which rounds the first example's 1e16 + 1 + ... differently
+        out = attacks._sum_rows(rows)
+        assert out.shape == rows.shape[1:]
+        assert np.array_equal(out, row_loop(rows))
+        assert np.array_equal(np.signbit(out), np.signbit(row_loop(rows)))
+
+    def test_dim_index_is_cached_read_only_and_the_old_index(self):
+        index = attacks._dim_index(8, 8, 6, 7)
+        assert attacks._dim_index(8, 8, 6, 7) is index
+        rows = (np.arange(6) * 8 // 6).astype(int)
+        cols = (np.arange(7) * 8 // 7).astype(int)
+        x = random_image(24)
+        assert np.array_equal(x[index], x[np.ix_(rows, cols)])
+        for part in index:
+            with pytest.raises(ValueError):
+                part[0] = 1
+
+    def test_sim_scales_are_cached_read_only(self):
+        scales = attacks._sim_scales(3, 4)
+        assert attacks._sim_scales(3, 4) is scales
+        assert scales.shape == (3, 1, 1, 1, 1)
+        assert np.array_equal(scales.ravel(), [1.0, 0.5, 0.25])
+        with pytest.raises(ValueError):
+            scales[0] = 2.0
+
+
 class TestSignScaleEquivalence:
     def test_constant_magnitude_field_trajectories_coincide(self):
         # when every |g_i| = c, gamma * g equals (gamma * c) * sign(g), so the

@@ -366,6 +366,27 @@ class TestSampledInteraction:
                               - v(subset + (b,)) + v(subset))
                     assert second == pytest.approx(d[a] * game.H[a, b] * d[b], abs=1e-12)
 
+    def test_stderr_matches_the_spread_across_rng_seeds(self):
+        # on an MLP the exact per-pair interactions differ widely, so the error
+        # of the mean is set by which pairs were drawn; a stderr over all
+        # samples as if independent read about 15x too small here
+        shape = ImageShape(4, 4, 1)
+        model = build_model("mlp-1-hidden", shape, 3, seed=0)
+        rng = make_rng(0, 34)
+        x = rng.uniform(0, 255, size=shape.dims)
+        v, n = make_model_setfn(model, x, rng.uniform(-64, 64, size=shape.dims), 0)
+        estimates = [expected_interaction_sampled(v, n, num_pairs=60, num_subsets=50,
+                                                  rng=make_rng(seed, 35))
+                     for seed in range(20)]
+        spread = np.std([e.value for e in estimates], ddof=1)
+        median_stderr = np.median([e.stderr for e in estimates])
+        assert spread / 2 <= median_stderr <= 2 * spread
+
+    def test_one_pair_has_zero_stderr(self):
+        v, n = make_game_setfn(random_game(make_rng(32), 4), np.ones(4))
+        est = expected_interaction_sampled(v, n, num_pairs=1, num_subsets=5, rng=make_rng(33))
+        assert est.stderr == 0.0 and math.isfinite(est.value)
+
     def test_reports_sampling_counts(self):
         v, n = make_game_setfn(random_game(make_rng(17), 4), np.ones(4))
         est = expected_interaction_sampled(v, n, num_pairs=7, num_subsets=3,
@@ -393,7 +414,8 @@ class TestSampledInteraction:
 
 def per_subset_sampled_interaction(v, n, num_pairs, num_subsets, rng):
     """The per-subset loop expected_interaction_sampled ran before it scored
-    all its subsets in one batch, kept verbatim as the reference."""
+    all its subsets in one batch, kept as the reference; its stderr is the
+    per-pair one the sampler reports now."""
     samples = []
     for _ in range(num_pairs):
         a, b = (int(p) for p in rng.choice(n, size=2, replace=False))
@@ -409,7 +431,9 @@ def per_subset_sampled_interaction(v, n, num_pairs, num_subsets, rng):
             )
             samples.append(d)
     arr = np.asarray(samples)
-    stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    pair_means = [np.mean(samples[i:i + num_subsets])
+                  for i in range(0, len(samples), num_subsets)]
+    stderr = float(np.std(pair_means, ddof=1) / np.sqrt(num_pairs)) if num_pairs > 1 else 0.0
     return float(arr.mean()), stderr
 
 

@@ -397,7 +397,18 @@ class TestBatchedInputGradient:
         ("float labels", np.zeros((2,) + SHAPE.dims), np.array([0.0, 1.0]), "integers"),
         ("label range", np.zeros((2,) + SHAPE.dims), np.array([0, 3]), "out of range"),
         ("negative label", np.zeros((2,) + SHAPE.dims), -1, "out of range"),
+        ("large label", np.zeros((2,) + SHAPE.dims), 3, "out of range"),
+        ("numpy label", np.zeros((2,) + SHAPE.dims), np.int64(3), "out of range"),
+        ("bool label", np.zeros((2,) + SHAPE.dims), True, "integers"),
     ]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_label_of_any_integer_type_labels_every_row(self, kind):
+        model = build_model(kind, SHAPE, 3, seed=0)
+        batch = make_rng(0, 93).uniform(0, 255, size=(4,) + SHAPE.dims)
+        expected = model.input_gradient(batch, np.array([2, 2, 2, 2]))
+        for label in (2, np.int64(2), np.uint8(2), np.array(2)):
+            assert np.array_equal(model.input_gradient(batch, label), expected)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("x,y,match", [b[1:] for b in BAD], ids=[b[0] for b in BAD])
