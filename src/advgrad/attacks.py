@@ -342,15 +342,6 @@ def ensemble_loss(models, x: np.ndarray, y: int) -> float:
     return sum(m.cross_entropy_loss(x, y) for m in models) / len(models)
 
 
-@functools.lru_cache(maxsize=16)
-def _sim_scales(m: int, ndim: int) -> np.ndarray:
-    """Read-only column of the SIM scales 1, 1/2, ..., 1/2^(m-1), shaped
-    (m, 1, ..., 1) to broadcast over an ndim-dimensional input."""
-    scales = (0.5 ** np.arange(m)).reshape((m,) + (1,) * ndim)
-    scales.flags.writeable = False
-    return scales
-
-
 def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
     """(1/m) sum_i grad of J(f(x / 2^i)); the 1/2^i chain-rule factor stays.
 
@@ -360,7 +351,8 @@ def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    scales = _sim_scales(m, x.ndim)
+    # the scales 1, 1/2, ..., 1/2^(m-1) as a column over x's axes
+    scales = (0.5 ** np.arange(m)).reshape((m,) + (1,) * x.ndim)
     copies = scales * x
     grads = ensemble_gradient(models, copies.reshape((-1,) + x.shape[-3:]), y)
     return _sum_rows(scales * grads.reshape(copies.shape)) / m

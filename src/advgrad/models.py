@@ -135,11 +135,6 @@ class Model:
         if x.shape[1:] != self.image_shape.dims:
             raise ValueError(f"batch shape {x.shape} does not match model shape "
                              f"(N,) + {self.image_shape.dims}")
-        if isinstance(y, (int, np.integer)) and not isinstance(y, bool):
-            # the attack step's one label: checked as a number, not as an array
-            if len(x) and not 0 <= y < self.num_classes:
-                raise ValueError(f"labels out of range for {self.num_classes} classes")
-            return np.full(len(x), y, dtype=np.int64)
         labels = np.asarray(y)
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got {labels.dtype}")

@@ -673,14 +673,6 @@ class TestVectorizedPipelineContracts:
             with pytest.raises(ValueError):
                 part[0] = 1
 
-    def test_sim_scales_are_cached_read_only(self):
-        scales = attacks._sim_scales(3, 4)
-        assert attacks._sim_scales(3, 4) is scales
-        assert scales.shape == (3, 1, 1, 1, 1)
-        assert np.array_equal(scales.ravel(), [1.0, 0.5, 0.25])
-        with pytest.raises(ValueError):
-            scales[0] = 2.0
-
 
 class TestSignScaleEquivalence:
     def test_constant_magnitude_field_trajectories_coincide(self):
