@@ -12,8 +12,12 @@ repository root:
     PYTHONPATH=src python -m pytest bench/test_attack_step.py --benchmark-max-time=3 \
         --benchmark-json=BENCH_attack.json
 
-The cases take a few hundred microseconds, and on a shared host three seconds
-of rounds per case steady the medians.
+The cases take a few hundred microseconds.  On a shared host other load
+stretches the medians, up to twice the per-round minimum, and two runs can
+rank lean and reference in opposite orders.  Compare each case's ``min``,
+which pytest-benchmark records beside the median, and compare lean with
+reference within one run: the minimums of separate runs can still differ by
+a third.
 
 The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
 runs each case once, untimed.

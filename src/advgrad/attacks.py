@@ -14,6 +14,16 @@ EMI and VT means, the SIM scale sum, the TIM tap sum), which adds whole
 rows in order from 0.0.  Draws and operand order are those of a per-point
 loop, so a batched step equals it to 1e-12 relative (BLAS rounds a batched
 matrix product differently in the last bits), not bit for bit.
+
+The attack loop decides once per attack what does not change between steps:
+the labels are checked against every model, the budget box is built, the
+step rule becomes a scale and a sign flag for the `_step` kernel (which
+`apply_step` wraps), and the transform pipeline, its VT/EMI state and the
+momentum buffer exist only when the config uses them.  A config without
+transforms calls `ensemble_gradient` on the iterate directly.  The loop
+calls the public gradient functions through this module's globals and the
+models' public `input_gradient`, so a profiler that rebinds them sees every
+step.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .models import _check_label
 from .numerics import _from_doc, gaussian_kernel_2d, make_rng
 
 __all__ = [
@@ -358,18 +369,27 @@ def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
     return _sum_rows(scales * grads.reshape(copies.shape)) / m
 
 
+def _step(x_adv, direction, scale, sign):
+    """x_adv + scale * sign(direction) when sign, else x_adv + scale * direction; a fresh array."""
+    return x_adv + scale * (np.sign(direction) if sign else direction)
+
+
 def apply_step(x_adv, direction, rule, gamma_override: float | None = None):
-    """One unprojected update; sign(0) = 0 in the sign rule."""
+    """One unprojected update; sign(0) = 0 in the sign rule.
+
+    The attack loop reads the rule's scale and kind once per attack and calls
+    the same kernel (`_step`) without this function's checks.
+    """
     if x_adv.shape != direction.shape:
         raise ValueError("iterate and direction shapes differ")
     if isinstance(rule, SignStep):
-        return x_adv + rule.alpha * np.sign(direction)
+        return _step(x_adv, direction, rule.alpha, True)
     if isinstance(rule, FixedScaleStep):
-        return x_adv + rule.gamma * direction
+        return _step(x_adv, direction, rule.gamma, False)
     if isinstance(rule, AdaptiveStep):
         if gamma_override is None:
             raise ValueError("adaptive rule needs the per-step gamma")
-        return x_adv + gamma_override * direction
+        return _step(x_adv, direction, gamma_override, False)
     raise TypeError(f"unknown step rule {rule!r}")
 
 
@@ -477,7 +497,8 @@ def run_attack(source_models, target_models, x, y, cfg: AttackConfig,
     With steps=1, SignStep(alpha=epsilon) and no momentum this is exactly
     the one-step fast gradient sign attack.  A target's flag is set when its
     prediction differs from y, or equals target_label when targeted; with
-    steps=0 this scores the clean input.
+    steps=0 this scores the clean input.  y, and target_label when targeted,
+    must be a class of every source and target model.
     """
     return _attack_loop(source_models, target_models, x, y, cfg, rng)
 
@@ -487,6 +508,11 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
     # profiler wrapping the public functions counts each attack once
     if not source_models:
         raise ValueError("need at least one source model")
+    # every model must know the labels, including with steps=0, which only scores
+    labels = (y, cfg.target_label) if cfg.targeted else (y,)
+    for model in (*source_models, *target_models):
+        for label in labels:
+            _check_label(label, model.num_classes)
     if cfg.targeted and cfg.target_label == y:
         raise ValueError("target label must differ from the true label")
     if rng is None and cfg.transforms:
@@ -494,24 +520,34 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("input image has non-finite pixels")
-    # built once per attack: the budget box, the transforms, the step rule's kind
+    # decided once per attack: the budget box, the transforms and their
+    # state, the momentum buffer, the step rule's scale and kind
     lo, hi = _box(x, cfg.epsilon)
-    pipe = _Pipeline.of(cfg)
+    pipe = _Pipeline.of(cfg) if cfg.transforms else None
+    state = {}
+    if pipe is not None and pipe.vt is not None:
+        state["vt_var"] = np.zeros_like(x)
+    if pipe is not None and pipe.emi is not None:
+        state["emi_dir"] = np.zeros_like(x)
+    mu = cfg.momentum
+    g_mom = np.zeros_like(x) if mu is not None else None
     rule = cfg.step_rule
     adaptive = isinstance(rule, AdaptiveStep)
-    mu = cfg.momentum
+    sign = isinstance(rule, SignStep)
+    scale = None if adaptive else (rule.alpha if sign else rule.gamma)
     attack_label = cfg.target_label if cfg.targeted else y
     x_adv = x.copy()
-    state = {"vt_var": np.zeros_like(x), "emi_dir": np.zeros_like(x)}
-    g_mom = np.zeros_like(x)
     trace: list[float] = []
     early = False
     steps_used = 0
     for t in range(cfg.steps):
-        x_eval = x_adv
-        if pipe.dim is not None:
-            x_eval = dim_transform(x_adv, pipe.dim.p, rng, pipe.dim.min_fraction)
-        grad = _pipeline_gradient(source_models, x_eval, attack_label, pipe, state, rng)
+        if pipe is None:
+            grad = ensemble_gradient(source_models, x_adv, attack_label)
+        else:
+            x_eval = x_adv
+            if pipe.dim is not None:
+                x_eval = dim_transform(x_adv, pipe.dim.p, rng, pipe.dim.min_fraction)
+            grad = _pipeline_gradient(source_models, x_eval, attack_label, pipe, state, rng)
         if cfg.targeted:
             grad = -grad  # descend the target's loss
         l1 = np.abs(grad).sum()
@@ -526,13 +562,10 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
         else:
             direction = grad
         if adaptive:
-            gamma = float(rule.generator.gamma_forward(t, x_adv, direction))
-            x_adv = apply_step(x_adv, direction, rule, gamma_override=gamma)
-            trace.append(gamma)
-        else:
-            x_adv = apply_step(x_adv, direction, rule)
-            trace.append(rule.alpha if isinstance(rule, SignStep) else rule.gamma)
-        _clamp(x_adv, lo, hi, out=x_adv)  # apply_step returned a fresh array
+            scale = float(rule.generator.gamma_forward(t, x_adv, direction))
+        x_adv = _step(x_adv, direction, scale, sign)
+        _clamp(x_adv, lo, hi, out=x_adv)  # _step returned a fresh array
+        trace.append(scale)
         steps_used = t + 1
 
     success = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import _check_label
 from .numerics import make_rng
 
 __all__ = [
@@ -191,7 +192,7 @@ def make_model_setfn(model, x: np.ndarray, delta: np.ndarray, y: int):
         raise ValueError("x and delta must be finite")
     if model.num_classes < 2:
         raise ValueError("reward needs at least two classes")
-    model._check_label(y)
+    _check_label(y, model.num_classes)
 
     def batch(masks):
         masks = _check_masks(masks, flat.size)

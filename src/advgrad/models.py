@@ -88,6 +88,10 @@ class TrainConfig:
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of one logit vector or a batch of them."""
+    if logits.ndim == 1:
+        # the same bits as the keepdims form, without its reshaped reductions
+        e = np.exp(logits - logits.max())
+        return e / e.sum()
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -97,6 +101,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Log-softmax over the last axis of one logit vector or a batch of them."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _check_label(y: int, num_classes: int):
+    """ValueError unless y is an int or numpy integer (not a bool) in [0, num_classes)."""
+    # bool is an int subclass, and a float label would only fail later in indexing
+    if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
+        raise ValueError(f"label must be an integer, got {y!r}")
+    if not 0 <= y < num_classes:
+        raise ValueError(f"label {y} out of range for {num_classes} classes")
 
 
 class Model:
@@ -123,18 +136,17 @@ class Model:
             )
         return x
 
-    def _check_label(self, y: int):
-        # bool is an int subclass, and a float label would only fail later in indexing
-        if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
-            raise ValueError(f"label must be an integer, got {y!r}")
-        if not 0 <= y < self.num_classes:
-            raise ValueError(f"label {y} out of range for {self.num_classes} classes")
-
-    def _check_batch(self, x: np.ndarray, y) -> np.ndarray:
-        """(N,) int64 labels for batch x from one int label or an (N,) integer array."""
+    def _check_batch(self, x: np.ndarray, y):
+        """Labels for batch x: one int label as it is, or (N,) int64 labels from
+        an (N,) integer array (a 0-d one is repeated).  Either indexes the rows
+        of an (N, classes) array with np.arange(N)."""
         if x.shape[1:] != self.image_shape.dims:
             raise ValueError(f"batch shape {x.shape} does not match model shape "
                              f"(N,) + {self.image_shape.dims}")
+        # a bool goes on to the dtype check below
+        if isinstance(y, (int, np.integer)) and not isinstance(y, bool):
+            _check_label(y, self.num_classes)
+            return y
         labels = np.asarray(y)
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got {labels.dtype}")
@@ -171,7 +183,7 @@ class Model:
         return int(np.argmax(self.logits(x)))
 
     def cross_entropy_loss(self, x: np.ndarray, y: int) -> float:
-        self._check_label(y)
+        _check_label(y, self.num_classes)
         return float(-_log_softmax(self.logits(x))[y])
 
     # -- gradients ---------------------------------------------------------
@@ -201,12 +213,12 @@ class Model:
         if x.ndim == 4:
             return self._loss_backward(x, self._check_batch(x, y), params=False)[0]
         x = self._check_input(x)
-        self._check_label(y)
+        _check_label(y, self.num_classes)
         return self._loss_backward(x, y, params=False)[0]
 
     def parameter_gradients(self, x: np.ndarray, y: int) -> dict[str, np.ndarray]:
         x = self._check_input(x)
-        self._check_label(y)
+        _check_label(y, self.num_classes)
         return self._loss_backward(x[None], np.array([y]), params=True, inputs=False)[1]
 
 

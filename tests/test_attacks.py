@@ -349,6 +349,32 @@ class TestAttackLoop:
         with pytest.raises(ValueError):
             run_attack(models, models, random_image(14), 1, cfg, make_rng(0))
 
+    # a float or bool label would index a class; with steps=0 no gradient
+    # call checks it, so the loop checks every label before the first step
+    @pytest.mark.parametrize("steps", [0, 1])
+    @pytest.mark.parametrize("y", [7, -1, 1.0, True], ids=repr)
+    def test_rejects_a_label_the_models_do_not_have(self, y, steps):
+        models = make_models(1, kind="mlp-1-hidden")
+        cfg = AttackConfig(epsilon=8.0, steps=steps, step_rule=SignStep(1.0))
+        with pytest.raises(ValueError, match="label"):
+            run_attack(models, models, random_image(14), y, cfg, make_rng(0))
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_rejects_a_target_label_the_models_do_not_have(self, steps):
+        models = make_models(1)
+        cfg = AttackConfig(epsilon=8.0, steps=steps, step_rule=SignStep(1.0),
+                           targeted=True, target_label=9)
+        with pytest.raises(ValueError, match="label 9 out of range"):
+            run_attack(models, models, random_image(14), 0, cfg, make_rng(0))
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_rejects_a_label_a_target_model_does_not_have(self, steps):
+        # the 2-class target would predict 0 or 1 != 2 and score a success
+        source, target = make_models(1, classes=3), make_models(1, classes=2)
+        cfg = AttackConfig(epsilon=8.0, steps=steps, step_rule=SignStep(1.0))
+        with pytest.raises(ValueError, match="out of range for 2 classes"):
+            run_attack(source, target, random_image(14), 2, cfg, make_rng(0))
+
     def test_targeted_config_needs_label(self):
         with pytest.raises(ValueError):
             AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0), targeted=True)
@@ -465,6 +491,46 @@ class TestAttackLoop:
         assert len(res.step_trace) == 3 and all(g > 0 for g in res.step_trace)
         assert np.abs(res.adversarial - x).max() <= 8.0 + 1e-9
         assert res.success == [models[0].predict(res.adversarial) == 2]
+
+
+class TestTracingContract:
+    """A profiler that rebinds the public functions and methods (perfbench's
+    tracer does) must see every attack step: one ``attacks.ensemble_gradient``
+    call through the module global and one public ``input_gradient`` call per
+    source model, or its ``attacks.grad_evals_per_step`` reads 0."""
+
+    CONFIGS = {
+        "sign": dict(step_rule=SignStep(1.6)),
+        "fixed-momentum": dict(step_rule=FixedScaleStep(16.0), momentum=1.0),
+        "adaptive": dict(step_rule=AdaptiveStep(ScalingFactorGenerator(
+            4, SHAPE, hidden=(4, 2), head_scale=1e3))),
+        "stack": dict(step_rule=FixedScaleStep(16.0), momentum=1.0,
+                      transforms=(Dim(), Tim(), Sim(m=2), Vt(n=2), Emi(n=2))),
+    }
+
+    @pytest.mark.parametrize("n_sources", [1, 2])
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_each_step_calls_the_public_gradients(self, config, n_sources, monkeypatch):
+        sources = [build_model(kind, SHAPE, 3, seed=s)
+                   for s, kind in enumerate(["mlp-1-hidden", "softmax-linear"][:n_sources])]
+        ensemble_calls, grad_calls = [], []
+        inner = attacks.ensemble_gradient
+
+        def ensemble_spy(models, x, y):
+            ensemble_calls.append(len(models))
+            return inner(models, x, y)
+
+        monkeypatch.setattr(attacks, "ensemble_gradient", ensemble_spy)
+        for cls in {type(m) for m in sources}:
+            def grad_spy(self, x, y, _inner=cls.input_gradient):
+                grad_calls.append(id(self))
+                return _inner(self, x, y)
+            monkeypatch.setattr(cls, "input_gradient", grad_spy)
+        cfg = AttackConfig(epsilon=16.0, steps=4, **self.CONFIGS[config])
+        res = run_attack(sources, sources, random_image(24), 0, cfg, make_rng(6))
+        assert res.steps_used == 4
+        assert ensemble_calls == [n_sources] * 4
+        assert sorted(grad_calls) == sorted([id(m) for m in sources] * 4)
 
 
 def per_point_sim_gradient(models, x, y, m):

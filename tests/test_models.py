@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sliding_window_conv as sliding
 from advgrad import models, numerics
@@ -13,6 +16,7 @@ from advgrad.models import (
     _avgpool2,
     _avgpool2_backward,
     _log_softmax,
+    _softmax,
     TrainConfig,
     accuracy,
     build_model,
@@ -295,6 +299,23 @@ class TestLogSoftmax:
         np.testing.assert_allclose(np.exp(out).sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
 
+class TestSoftmax:
+    # large logits overflow exp unless shifted, equal ones tie, and +-0.0 check
+    # that the shift keeps the signs the keepdims form gives
+    LOGITS = st.one_of(st.sampled_from([0.0, -0.0, 700.0, -700.0, 1e300, -1e300]),
+                       st.floats(-1e3, 1e3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(logits=hnp.arrays(np.float64, st.integers(1, 12), elements=LOGITS))
+    def test_vector_equals_the_row_of_the_batch_form_bit_for_bit(self, logits):
+        one, row = _softmax(logits), _softmax(logits[None])[0]
+        assert np.array_equal(one, row)
+        assert np.array_equal(np.signbit(one), np.signbit(row))
+
+    def test_equal_logits_give_equal_probabilities(self):
+        assert np.array_equal(_softmax(np.full(4, 3.5)), np.full(4, 0.25))
+
+
 class TestLabelCheck:
     BAD = [True, False, np.True_, 1.0, np.float64(1.0), "1", None]
 
@@ -400,15 +421,18 @@ class TestBatchedInputGradient:
         ("large label", np.zeros((2,) + SHAPE.dims), 3, "out of range"),
         ("numpy label", np.zeros((2,) + SHAPE.dims), np.int64(3), "out of range"),
         ("bool label", np.zeros((2,) + SHAPE.dims), True, "integers"),
+        ("numpy bool label", np.zeros((2,) + SHAPE.dims), np.bool_(True), "integers"),
     ]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_label_of_any_integer_type_labels_every_row(self, kind):
         model = build_model(kind, SHAPE, 3, seed=0)
         batch = make_rng(0, 93).uniform(0, 255, size=(4,) + SHAPE.dims)
-        expected = model.input_gradient(batch, np.array([2, 2, 2, 2]))
+        expected = model.input_gradient(batch, np.full(len(batch), 2))
         for label in (2, np.int64(2), np.uint8(2), np.array(2)):
-            assert np.array_equal(model.input_gradient(batch, label), expected)
+            got = model.input_gradient(batch, label)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("x,y,match", [b[1:] for b in BAD], ids=[b[0] for b in BAD])
