@@ -6,9 +6,8 @@ budget projection, and the full attack loop over single or ensembled
 source models.
 
 One attack step makes one input_gradient call per source model.  A step
-with SIM, EMI or VT writes its (EMI n, or 1, plus VT n) points into one
-batch, which SIM scales m times; a step without them passes the single
-image.  Each transform makes one random draw per step (all EMI offsets at
+with EMI or VT writes its (EMI n, or 1, plus VT n) points into one batch; a
+step without them passes the single image.  SIM scales either m times.  Each transform makes one random draw per step (all EMI offsets at
 once, all VT neighbours at once) and one row reduction (`_sum_rows`: the
 EMI and VT means, the SIM scale sum, the TIM tap sum), which adds whole
 rows in order from 0.0.  Draws and operand order are those of a per-point
@@ -447,15 +446,18 @@ def _pipeline_gradient(models, x_eval, label, pipe: _Pipeline, state, rng):
     The EMI points (or x_eval alone) and the VT neighbours are drawn first,
     each kind in one call, into one batch of points for SIM or the ensemble.
     EMI point i is x_eval + (u_i * eta) * emi_dir and VT neighbour j is
-    x_eval + v_j, the operands of a per-point loop.
+    x_eval + v_j, the operands of a per-point loop.  A single point (x_eval
+    without EMI and VT, or one EMI point) goes to SIM or the ensemble as one
+    image.
     """
     sim, vt, emi, tim = pipe.sim, pipe.vt, pipe.emi, pipe.tim
 
     n_centre = emi.n if emi is not None else 1
+    n_points = n_centre + (vt.n if vt is not None else 0)
     if emi is None and vt is None:
-        points = x_eval[None]
+        points = x_eval  # one point: the gradient functions take the image as it is
     else:
-        points = np.empty((n_centre + (vt.n if vt is not None else 0),) + x_eval.shape)
+        points = np.empty((n_points,) + x_eval.shape)
         centre = points[:n_centre]
         if emi is None:
             centre[0] = x_eval
@@ -467,14 +469,18 @@ def _pipeline_gradient(models, x_eval, label, pipe: _Pipeline, state, rng):
             radius = pipe.vt_radius
             np.add(x_eval, rng.uniform(-radius, radius, size=(vt.n,) + x_eval.shape),
                    out=points[n_centre:])
+        if n_points == 1:
+            points = points[0]  # one EMI point goes as one image too
 
     if sim is not None:
         rows = sim_gradient(models, points, label, sim.m)
-    elif len(points) > 1:
-        rows = ensemble_gradient(models, points, label)
     else:
-        rows = ensemble_gradient(models, points[0], label)[None]
-    grad = _sum_rows(rows[:n_centre]) / n_centre if emi is not None else rows[0]
+        rows = ensemble_gradient(models, points, label)
+    if points is x_eval:
+        grad = rows
+    else:
+        rows = rows.reshape((n_points,) + x_eval.shape)
+        grad = _sum_rows(rows[:n_centre]) / n_centre if emi is not None else rows[0]
 
     if vt is not None:
         tuned = grad + state["vt_var"]

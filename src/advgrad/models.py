@@ -137,22 +137,21 @@ class Model:
         return x
 
     def _check_batch(self, x: np.ndarray, y):
-        """Labels for batch x: one int label as it is, or (N,) int64 labels from
-        an (N,) integer array (a 0-d one is repeated).  Either indexes the rows
+        """Labels for batch x from one integer label or an (N,) integer array:
+        a 0-d label for every row, or the (N,) labels.  Either indexes the rows
         of an (N, classes) array with np.arange(N)."""
         if x.shape[1:] != self.image_shape.dims:
             raise ValueError(f"batch shape {x.shape} does not match model shape "
                              f"(N,) + {self.image_shape.dims}")
-        # a bool goes on to the dtype check below
-        if isinstance(y, (int, np.integer)) and not isinstance(y, bool):
-            _check_label(y, self.num_classes)
-            return y
         labels = np.asarray(y)
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got {labels.dtype}")
         if labels.ndim == 0:
-            labels = np.full(len(x), labels, dtype=np.int64)
-        elif labels.shape != (len(x),):
+            # one label broadcasts against np.arange(N), so it is not repeated
+            if not 0 <= int(labels) < self.num_classes:
+                raise ValueError(f"labels out of range for {self.num_classes} classes")
+            return labels
+        if labels.shape != (len(x),):
             raise ValueError(f"got {labels.shape} labels for a batch of {len(x)} images")
         if len(labels) and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError(f"labels out of range for {self.num_classes} classes")

@@ -623,11 +623,12 @@ class TestBatchedPipeline:
         run_attack(models, [], random_image(22), 0, cfg, make_rng(5))
         assert shapes == [[(rows,) + SHAPE.dims] * 3] * 2
 
-    def test_one_point_step_keeps_the_single_image_call(self):
+    @pytest.mark.parametrize("stack", [(), (Emi(n=1),)], ids=["dim-tim", "emi-1"])
+    def test_one_point_step_keeps_the_single_image_call(self, stack):
         models = make_models(2, kind="mlp-1-hidden")
         shapes = count_input_gradient_calls(models)
         cfg = AttackConfig(epsilon=16.0, steps=2, step_rule=SignStep(1.6), momentum=1.0,
-                           transforms=(Dim(), Tim(), Emi(n=1)))
+                           transforms=(Dim(), Tim()) + stack)
         run_attack(models, [], random_image(23), 0, cfg, make_rng(5))
         assert shapes == [[SHAPE.dims] * 2] * 2
 
