@@ -302,5 +302,9 @@ def load_generator(path: str) -> ScalingFactorGenerator:
         head_scale=doc["head_scale"], hidden=tuple(doc["hidden"]),
         conv_channels=doc["conv_channels"],
     )
-    gen.theta = [_decode_arrays(step) for step in doc["theta"]]
+    if len(doc["theta"]) != gen.steps:
+        raise ValueError(f"generator checkpoint holds {len(doc['theta'])} step sets "
+                         f"for {gen.steps} steps")
+    gen.theta = [_decode_arrays(step, like, f"step {t} of the generator checkpoint")
+                 for t, (step, like) in enumerate(zip(doc["theta"], gen.theta))]
     return gen

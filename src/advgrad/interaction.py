@@ -3,6 +3,15 @@ trajectory analysis of the momentum + scaled-step update.
 
 Exact enumeration routines here serve as oracles: they are deliberately
 brute-force and independent of the closed forms they verify.
+
+expected_interaction_sampled estimates the mean pairwise interaction by Monte
+Carlo.  Its draws are fixed: for each pair, rng.choice(n, 2) picks the pair,
+then for each of its subsets rng.integers(0, n - 1) the size and
+rng.choice(n - 2, size) the subset, as indices into the players outside the
+pair, in order.  A size-0 subset makes no choice call, since such a call reads
+no random numbers.  These are the random numbers the sampler read when it drew
+each subset from an array of the other players, so a given rng still gives the
+same estimate and leaves the same state behind.
 """
 
 from __future__ import annotations
@@ -62,6 +71,9 @@ class AnalyticGame:
             self.x0 = np.zeros(n)
         else:
             self.x0 = np.asarray(self.x0, dtype=np.float64)
+            # grad_loss would broadcast an x0 of another shape without an error
+            if self.x0.shape != self.g.shape:
+                raise ValueError(f"x0 has shape {self.x0.shape}, g has {self.g.shape}")
 
     def grad_loss(self, x: np.ndarray) -> np.ndarray:
         return self.g + (np.asarray(x) - self.x0) @ self.H
@@ -143,6 +155,7 @@ def reward(model, x: np.ndarray, delta_subset: np.ndarray, y: int) -> float:
     """Best wrong-class logit minus true-class logit at x + masked delta."""
     if model.num_classes < 2:
         raise ValueError("reward needs at least two classes")
+    _check_label(y, model.num_classes)
     logits = model.logits(x + delta_subset)
     rivals = np.delete(logits, y)
     return float(rivals.max() - logits[y])
@@ -283,7 +296,8 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
     """Monte Carlo mean pairwise interaction via discrete second differences.
 
     Pairs are uniform over unordered distinct (a, b); per pair, subset sizes
-    are uniform in {0, ..., n-2} and subsets uniform at that size.  v must be
+    are uniform in {0, ..., n-2} and subsets uniform at that size (the draws
+    are set out in the module docstring).  v must be
     a set function from make_model_setfn or make_game_setfn: all four
     evaluations of every sample are scored by one v.batch call.  stderr is
     the standard deviation (ddof=1) of the num_pairs per-pair means over
@@ -297,25 +311,31 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
         raise TypeError("v needs a batch(masks) evaluator; build it with "
                         "make_model_setfn or make_game_setfn")
     rng = rng if rng is not None else make_rng(0)
-    pairs, subsets = [], []
+    choice, integers = rng.choice, rng.integers
+    pairs, sizes, picks = [], [], [np.empty(0, dtype=np.intp)]
     for _ in range(num_pairs):
-        a, b = (int(p) for p in rng.choice(n, size=2, replace=False))
-        others = np.delete(np.arange(n), (a, b))
+        pairs.append(choice(n, 2, replace=False))
         for _ in range(num_subsets):
-            size = int(rng.integers(0, n - 1))
-            subsets.append(rng.choice(others, size=size, replace=False))
-            pairs.append((a, b))
+            size = int(integers(0, n - 1))
+            sizes.append(size)
+            # a size-0 choice reads no random numbers, so skipping it keeps the stream
+            if size:
+                picks.append(choice(n - 2, size, replace=False))
+    # a pick i indexes the n - 2 players outside the pair (lo, hi) in order
+    k = num_pairs * num_subsets
+    a, b = np.repeat(pairs, num_subsets, axis=0).T
+    sample = np.repeat(np.arange(k), sizes)
+    lo, hi = np.minimum(a, b)[sample], np.maximum(a, b)[sample]
+    i = np.concatenate(picks)
+    players = i + (i >= lo) + (i >= hi - 1)
     # rows 4j .. 4j+3 of the mask array are S u {a, b}, S u {a}, S u {b} and S
-    # of sample j: every row holds S, rows 4j and 4j+1 hold a, rows 4j and 4j+2 b
-    k = len(pairs)
-    first = 4 * np.arange(k)
-    sample = np.repeat(np.arange(k), [len(s) for s in subsets])
-    pa, pb = np.array(pairs).T
-    rows = np.concatenate([(4 * sample[:, None] + np.arange(4)).ravel(),
-                           first, first + 1, first, first + 2])
-    cols = np.concatenate([np.repeat(np.concatenate(subsets), 4), pa, pa, pb, pb])
+    # of sample j: every row holds S, rows 4j and 4j+1 hold a, rows 4j and 4j+2 b;
+    # all of them are set by one scatter into the flat array, at row * n + player
+    row0 = 4 * n * np.arange(k)
+    flat = np.concatenate([((row0[sample] + players)[:, None] + n * np.arange(4)).ravel(),
+                           row0 + a, row0 + n + a, row0 + b, row0 + 2 * n + b])
     masks = np.zeros((4 * k, n), dtype=bool)
-    masks[rows, cols] = True
+    masks.reshape(-1)[flat] = True
     vals = v.batch(masks).reshape(k, 4)
     arr = vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]
     # the pairs are drawn once, so the estimate's error is the spread of the

@@ -429,5 +429,5 @@ def load_model(path: str) -> Model:
     if doc["kind"] == "tiny-conv" and "channels" in hyper:
         kwargs["channels"] = tuple(hyper["channels"])
     model = build_model(doc["kind"], shape, doc["num_classes"], **kwargs)
-    model.params.update(_decode_arrays(doc["params"]))
+    model.params.update(_decode_arrays(doc["params"], model.params, "model checkpoint"))
     return model

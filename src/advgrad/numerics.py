@@ -204,10 +204,22 @@ def _encode_arrays(arrays: dict) -> dict:
             for k, v in arrays.items()}
 
 
-def _decode_arrays(doc: dict) -> dict:
-    """Inverse of `_encode_arrays`: float64 arrays of the recorded shapes."""
-    return {k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-            for k, spec in doc.items()}
+def _decode_arrays(doc: dict, like: dict, what: str) -> dict:
+    """Inverse of `_encode_arrays`: float64 arrays of the recorded shapes.
+
+    ValueError unless the names and shapes are those of the arrays in `like`,
+    the parameters of the object the checkpoint is loaded into; a missing or
+    misshapen array would otherwise stay at its initial value or fail later.
+    """
+    arrays = {k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
+              for k, spec in doc.items()}
+    if arrays.keys() != like.keys():
+        raise ValueError(f"{what} holds arrays {sorted(arrays)}, expected {sorted(like)}")
+    for k, v in like.items():
+        if arrays[k].shape != np.shape(v):
+            raise ValueError(f"{what} array {k!r} has shape {arrays[k].shape}, "
+                             f"expected {np.shape(v)}")
+    return arrays
 
 
 def _check_keys(doc, known, required, what: str):

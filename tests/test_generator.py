@@ -407,6 +407,25 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_generator(str(path))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda theta: theta.pop(), "2 step sets for 3 steps"),
+        (lambda theta: theta.append(theta[0]), "4 step sets for 3 steps"),
+        (lambda theta: theta[1].pop("b3"), "step 1 .* expected"),
+        (lambda theta: theta[2].update(W1={"shape": [1], "data": [0.0]}),
+         "step 2 .* 'W1' has shape"),
+    ], ids=["too-few-steps", "too-many-steps", "missing-name", "wrong-shape"])
+    def test_rejects_parameters_unlike_the_generator_it_builds(self, tmp_path, edit,
+                                                              message):
+        # unchecked, a 3-step checkpoint cut to 2 sets loaded, then raised
+        # IndexError at attack step 2
+        path = tmp_path / "gen.json"
+        save_generator(small_generator(steps=3, seed=7), str(path))
+        doc = json.loads(path.read_text())
+        edit(doc["theta"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_generator(str(path))
+
     def test_loads_the_v1_layout(self, tmp_path):
         # a checkpoint in the advgrad-generator-v1 layout, written by hand
         step = {

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_interaction
 from advgrad.interaction import (
     EXACT_PLAYER_LIMIT,
     SETFN_CHUNK,
@@ -56,6 +57,18 @@ class TestAnalyticGame:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             AnalyticGame(g=np.zeros(3), H=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("x0", [[5.0], np.zeros(4), np.zeros((3, 1))],
+                             ids=["one-unit", "four-units", "column"])
+    def test_rejects_an_x0_unlike_g(self, x0):
+        # unchecked, x0=[5.0] with 3 units was broadcast in grad_loss
+        with pytest.raises(ValueError, match="x0"):
+            AnalyticGame(g=np.ones(3), H=np.eye(3), x0=x0)
+
+    def test_keeps_a_given_x0(self):
+        game = AnalyticGame(g=np.ones(3), H=np.eye(3), x0=[1, 2, 3])
+        assert game.x0.dtype == np.float64
+        assert np.array_equal(game.grad_loss([1.0, 2.0, 3.0]), np.ones(3))
 
 
 class TestCoefficients:
@@ -153,6 +166,17 @@ class TestRewards:
         logits = model.logits(x)
         expected = max(logits[c] for c in range(3) if c != 1) - logits[1]
         assert reward(model, x, np.zeros_like(x), 1) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("y,message", [(-1, "out of range"), (3, "out of range"),
+                                           (True, "integer"), (1.0, "integer")],
+                             ids=["negative", "too-big", "bool", "float"])
+    def test_reward_rejects_a_bad_label(self, y, message):
+        # unchecked, y=-1 scored the last class as the true one, and y=True
+        # failed inside np.delete
+        model = build_model("mlp-1-hidden", ImageShape(4, 4, 1), 3, seed=0)
+        x = make_rng(6).uniform(0, 255, size=(4, 4, 1))
+        with pytest.raises(ValueError, match=message):
+            reward(model, x, np.zeros_like(x), y)
 
     def test_game_reward_quadratic_form(self):
         game = random_game(make_rng(7), 4)
@@ -462,6 +486,63 @@ def test_batched_sampler_matches_the_per_subset_loop(n, num_pairs, num_subsets, 
     assert est.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-12)
     np.testing.assert_equal(batched_rng.bit_generator.state, loop_rng.bit_generator.state)
+
+
+def assert_same_estimate_and_stream(v, n, num_pairs, num_subsets, seed):
+    lean_rng, reference_rng = make_rng(seed, 33), make_rng(seed, 33)
+    lean = expected_interaction_sampled(v, n, num_pairs, num_subsets, rng=lean_rng)
+    reference = reference_interaction.expected_interaction_sampled(
+        v, n, num_pairs, num_subsets, rng=reference_rng)
+    assert lean == reference  # value and stderr compared exactly
+    np.testing.assert_equal(lean_rng.bit_generator.state, reference_rng.bit_generator.state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.sampled_from([2, 3]), st.integers(4, 12)),
+       num_pairs=st.integers(1, 4), num_subsets=st.integers(1, 4),
+       seed=st.integers(0, 2**16))
+def test_sampler_draws_as_the_reference_bit_for_bit(n, num_pairs, num_subsets, seed):
+    # n = 2 draws only size-0 subsets, which the sampler skips without a choice call
+    shape = ImageShape(1, n, 1)
+    model = build_model("mlp-1-hidden", shape, 3, seed=seed)
+    rng = make_rng(seed, 32)
+    v, _ = make_model_setfn(model, rng.uniform(0, 255, size=shape.dims),
+                            rng.uniform(-64, 64, size=shape.dims), 2)
+    assert_same_estimate_and_stream(v, n, num_pairs, num_subsets, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sampler_matches_the_reference_at_the_workload_setting(seed):
+    # the perfbench interaction workload: an 8x8x1 MLP at 30 pairs x 5 subsets
+    shape = ImageShape(8, 8, 1)
+    model = build_model("mlp-1-hidden", shape, 3, seed=seed)
+    rng = make_rng(seed, 34)
+    v, n = make_model_setfn(model, rng.uniform(0, 255, size=shape.dims),
+                            rng.uniform(-32, 32, size=shape.dims), 1)
+    assert_same_estimate_and_stream(v, n, 30, 5, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["softmax-linear", "mlp-1-hidden"])
+def test_sampler_agrees_with_the_exact_mean_interaction(kind, seed):
+    # the exact mean of the pairwise Shapley interaction over all 15 pairs of a
+    # 1x6x1 input; units of up to +-1000 make the best rival class change inside
+    # the subset lattice, without which the softmax-linear reward is linear and
+    # every interaction is rounding noise
+    shape = ImageShape(1, 6, 1)
+    model = build_model(kind, shape, 3, seed=seed)
+    rng = make_rng(seed, 36)
+    x = rng.uniform(0, 255, size=shape.dims)
+    v, n = make_model_setfn(model, x, rng.uniform(-1000, 1000, size=shape.dims), 0)
+    per_pair = [shapley_interaction_exact(v, a, b, n)
+                for a, b in itertools.combinations(range(n), 2)]
+    assert len(per_pair) == 15 and np.ptp(per_pair) > 1e-3
+    est = expected_interaction_sampled(v, n, num_pairs=200, num_subsets=10,
+                                       rng=make_rng(seed, 37))
+    z = (est.value - np.mean(per_pair)) / est.stderr
+    print(f"{kind} seed {seed}: exact {np.mean(per_pair):.4e}, sampled {est.value:.4e} "
+          f"+- {est.stderr:.2e}, z = {z:+.2f}")
+    assert abs(z) < 4, z
 
 
 class TestPredictedInteraction:

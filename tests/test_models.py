@@ -533,6 +533,23 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_model(str(path))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda params: params.pop("W2"), "expected"),
+        (lambda params: params.update(W3=params["W2"]), "expected"),
+        (lambda params: params.update(W1={"shape": [3, 64], "data": [0.0] * 192}),
+         "'W1' has shape"),
+    ], ids=["missing", "unknown", "wrong-shape"])
+    def test_rejects_parameters_unlike_the_model_it_builds(self, tmp_path, edit, message):
+        # unchecked, a missing W2 kept its random initial value, and a wrong
+        # W1 shape loaded and failed only at the first forward pass
+        path = tmp_path / "model.json"
+        save_model(build_model("mlp-1-hidden", SHAPE, 3, seed=6), str(path))
+        doc = json.loads(path.read_text())
+        edit(doc["params"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(str(path))
+
     def test_loads_the_v1_layout(self, tmp_path):
         # a checkpoint in the advgrad-model-v1 layout, written by hand
         doc = {
