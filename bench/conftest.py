@@ -5,8 +5,7 @@ conv kernel, the attack and generator loops before their per-attack
 invariants were hoisted, the interaction sampler before its draw loop was
 rewritten) lives with the tests.  The report that
 ``--benchmark-json`` writes keeps each case's summary statistics but not its
-per-round timings, an interaction estimate's case gains its set-function
-evaluations per second, and its machine info gains the numpy version, its BLAS
+per-round timings, and its machine info gains the numpy version, its BLAS
 build and the thread-count settings of the run (None where unset).
 """
 
@@ -30,10 +29,4 @@ def pytest_benchmark_update_machine_info(config, machine_info):
 
 def pytest_benchmark_update_json(config, benchmarks, output_json):
     for bench in output_json["benchmarks"]:
-        stats, params = bench["stats"], bench["params"] or {}
-        stats.pop("data", None)
-        if "num_pairs" in params:
-            # an interaction estimate scores 4 subsets per (pair, subset) sample
-            evals = 4 * params["num_pairs"] * params["num_subsets"]
-            bench["extra_info"]["setfn_evals_per_s"] = {
-                "min": evals / stats["min"], "median": evals / stats["median"]}
+        bench["stats"].pop("data", None)

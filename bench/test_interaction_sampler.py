@@ -33,6 +33,9 @@ from advgrad.models import build_model
 from advgrad.numerics import ImageShape, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
+NUM_PAIRS, NUM_SUBSETS = 30, 5
+# an estimate scores 4 subsets per (pair, subset) sample
+SETFN_EVALS = 4 * NUM_PAIRS * NUM_SUBSETS
 SAMPLERS = {"lean": interaction.expected_interaction_sampled,
             "reference": reference.expected_interaction_sampled}
 
@@ -47,15 +50,17 @@ def setfns():
     return {"model": v, "free": free}, n
 
 
-@pytest.mark.parametrize("num_pairs,num_subsets", [(30, 5)])
 @pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("scoring", ["model", "free"])
-def test_one_estimate(benchmark, setfns, scoring, sampler, num_pairs, num_subsets):
+def test_one_estimate(benchmark, setfns, scoring, sampler):
     v, n = setfns[0][scoring], setfns[1]
 
     def estimate(sample=SAMPLERS[sampler]):
         # a fresh stream per call keeps every round on the same draws
-        return sample(v, n, num_pairs, num_subsets, rng=make_rng(0, 2000))
+        return sample(v, n, NUM_PAIRS, NUM_SUBSETS, rng=make_rng(0, 2000))
 
     assert estimate() == estimate(SAMPLERS["reference"])
     benchmark(estimate)
+    if benchmark.stats:  # None when timing is off
+        benchmark.extra_info["setfn_evals_per_s"] = {
+            key: SETFN_EVALS / benchmark.stats.get(key) for key in ("min", "median")}

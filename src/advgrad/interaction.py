@@ -8,8 +8,7 @@ expected_interaction_sampled estimates the mean pairwise interaction by Monte
 Carlo.  Its draws are fixed: for each pair, rng.choice(n, 2) picks the pair,
 then for each of its subsets rng.integers(0, n - 1) the size and
 rng.choice(n - 2, size) the subset, as indices into the players outside the
-pair, in order.  A size-0 subset makes no choice call, since such a call reads
-no random numbers.  These are the random numbers the sampler read when it drew
+pair, in order.  These are the random numbers the sampler read when it drew
 each subset from an array of the other players, so a given rng still gives the
 same estimate and leaves the same state behind.
 """
@@ -312,15 +311,13 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
                         "make_model_setfn or make_game_setfn")
     rng = rng if rng is not None else make_rng(0)
     choice, integers = rng.choice, rng.integers
-    pairs, sizes, picks = [], [], [np.empty(0, dtype=np.intp)]
+    pairs, sizes, picks = [], [], []
     for _ in range(num_pairs):
         pairs.append(choice(n, 2, replace=False))
         for _ in range(num_subsets):
             size = int(integers(0, n - 1))
             sizes.append(size)
-            # a size-0 choice reads no random numbers, so skipping it keeps the stream
-            if size:
-                picks.append(choice(n - 2, size, replace=False))
+            picks.append(choice(n - 2, size, replace=False))
     # a pick i indexes the n - 2 players outside the pair (lo, hi) in order
     k = num_pairs * num_subsets
     a, b = np.repeat(pairs, num_subsets, axis=0).T

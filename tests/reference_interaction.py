@@ -2,9 +2,8 @@
 its draw loop was rewritten, kept verbatim as the reference.
 
 It draws each subset from an array of the players outside the pair, rebuilt
-for every pair with ``np.delete``, calls ``rng.choice`` for size-0 subsets too,
-and sets the pair's and the subsets' mask entries with one fancy-index
-scatter.  ``advgrad.interaction.expected_interaction_sampled`` must read the
+for every pair with ``np.delete``, and sets the pair's and the subsets' mask
+entries with one fancy-index scatter.  ``advgrad.interaction.expected_interaction_sampled`` must read the
 same random numbers in the same order and return the same estimate, bit for
 bit; the tests and ``bench/test_interaction_sampler.py`` run the two side by
 side.

@@ -16,7 +16,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 class StubBenchmark:
-    """benchmark(f, *args) and benchmark.pedantic(f, args, kwargs) call f once."""
+    """benchmark(f, *args) and benchmark.pedantic(f, args, kwargs) call f once;
+    stats is None, as on pytest-benchmark's fixture when timing is off."""
+
+    stats = None
 
     def __call__(self, function, *args, **kwargs):
         return function(*args, **kwargs)

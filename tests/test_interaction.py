@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_interaction
@@ -464,6 +464,8 @@ def per_subset_sampled_interaction(v, n, num_pairs, num_subsets, rng):
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 12), num_pairs=st.integers(1, 5), num_subsets=st.integers(1, 5),
        seed=st.integers(0, 2**16))
+@example(n=2, num_pairs=3, num_subsets=2, seed=0)
+@example(n=3, num_pairs=1, num_subsets=1, seed=1)
 def test_batched_sampler_matches_the_per_subset_loop(n, num_pairs, num_subsets, seed):
     # an MLP, not the quadratic game: there the second difference does not
     # depend on the subset S, so a sampler that lost S would still agree
@@ -486,6 +488,7 @@ def test_batched_sampler_matches_the_per_subset_loop(n, num_pairs, num_subsets, 
     assert est.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-12)
     np.testing.assert_equal(batched_rng.bit_generator.state, loop_rng.bit_generator.state)
+    assert_same_estimate_and_stream(v, n, num_pairs, num_subsets, seed)
 
 
 def assert_same_estimate_and_stream(v, n, num_pairs, num_subsets, seed):
@@ -495,20 +498,6 @@ def assert_same_estimate_and_stream(v, n, num_pairs, num_subsets, seed):
         v, n, num_pairs, num_subsets, rng=reference_rng)
     assert lean == reference  # value and stderr compared exactly
     np.testing.assert_equal(lean_rng.bit_generator.state, reference_rng.bit_generator.state)
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.one_of(st.sampled_from([2, 3]), st.integers(4, 12)),
-       num_pairs=st.integers(1, 4), num_subsets=st.integers(1, 4),
-       seed=st.integers(0, 2**16))
-def test_sampler_draws_as_the_reference_bit_for_bit(n, num_pairs, num_subsets, seed):
-    # n = 2 draws only size-0 subsets, which the sampler skips without a choice call
-    shape = ImageShape(1, n, 1)
-    model = build_model("mlp-1-hidden", shape, 3, seed=seed)
-    rng = make_rng(seed, 32)
-    v, _ = make_model_setfn(model, rng.uniform(0, 255, size=shape.dims),
-                            rng.uniform(-64, 64, size=shape.dims), 2)
-    assert_same_estimate_and_stream(v, n, num_pairs, num_subsets, seed)
 
 
 @pytest.mark.parametrize("seed", range(3))
