@@ -7,6 +7,10 @@ rewritten) lives with the tests.  The report that
 ``--benchmark-json`` writes keeps each case's summary statistics but not its
 per-round timings, and its machine info gains the numpy version, its BLAS
 build and the thread-count settings of the run (None where unset).
+
+``bench/`` is a package (an empty ``__init__.py``), so its modules import as
+``bench.<name>`` and may share a name with a test module under ``tests/``,
+even when the suite's smoke test imports both into one interpreter.
 """
 
 import os

@@ -18,8 +18,7 @@ evaluations over the case's ``min`` and over its ``median``.  The cases take a
 few milliseconds; compare lean with reference within one run, by ``min``.
 
 The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
-runs each case once, untimed, in the suite's own interpreter.  So this file is
-not named ``test_interaction.py``: that module name is taken under ``tests/``.
+runs each case once, untimed, in the suite's own interpreter.
 """
 
 from types import SimpleNamespace

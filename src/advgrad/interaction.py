@@ -1,8 +1,9 @@
 """Shapley values, pairwise interaction indices, and the closed-form
 trajectory analysis of the momentum + scaled-step update.
 
-Exact enumeration routines here serve as oracles: they are deliberately
-brute-force and independent of the closed forms they verify.
+The exact routines serve as oracles: they read every Shapley sum from one
+v.batch table of all 2^n subsets, independent of the closed forms they verify
+and of the sampler's second differences.
 
 expected_interaction_sampled estimates the mean pairwise interaction by Monte
 Carlo.  Its draws are fixed: for each pair, rng.choice(n, 2) picks the pair,
@@ -15,8 +16,8 @@ same estimate and leaves the same state behind.
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from fractions import Fraction
 from dataclasses import dataclass
 
@@ -48,6 +49,8 @@ EXACT_PLAYER_LIMIT = 20
 # rows per batched forward pass of a model set function; chunks keep the
 # im2col buffers, and so peak memory, small on large images
 SETFN_CHUNK = 32
+# rows per v.batch call when the exact routines tabulate all 2^n subsets
+_TABLE_BLOCK = 1 << 14
 
 
 @dataclass
@@ -235,23 +238,46 @@ def make_game_setfn(game: AnalyticGame, delta: np.ndarray):
 # -- exact Shapley machinery ------------------------------------------------
 
 
-def shapley_value_exact(v, i: int, n: int) -> float:
-    """Full 2^(n-1) enumeration of the Shapley attribution of player i."""
+def _check_batch(v):
+    if not callable(getattr(v, "batch", None)):
+        raise TypeError("v needs a batch(masks) evaluator; build it with "
+                        "make_model_setfn or make_game_setfn")
+
+
+def _subset_values(v, n: int, *players) -> np.ndarray:
+    """Check n, v and the players the caller will read, then tabulate v: entry
+    m is v of the players whose bit is set in m, for all 2^n masks m, scored
+    by one v.batch call per _TABLE_BLOCK rows."""
     if n > EXACT_PLAYER_LIMIT:
-        raise ValueError(
-            f"exact enumeration is limited to {EXACT_PLAYER_LIMIT} players; "
-            "use expected_interaction_sampled for larger games"
-        )
-    if not 0 <= i < n:
-        raise ValueError("player index out of range")
-    others = [p for p in range(n) if p != i]
-    total = 0.0
-    fact = math.factorial
-    for size in range(n):
-        weight = fact(size) * fact(n - size - 1) / fact(n)
-        for subset in itertools.combinations(others, size):
-            total += weight * (v(subset + (i,)) - v(subset))
-    return total
+        raise ValueError(f"exact enumeration is limited to {EXACT_PLAYER_LIMIT} players; "
+                         "use expected_interaction_sampled for larger games")
+    for p in players:
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 0 <= p < n:
+            raise ValueError(f"player index {p!r} is not an integer in [0, {n})")
+    _check_batch(v)
+    table = np.empty(1 << n)
+    for start in range(0, 1 << n, _TABLE_BLOCK):
+        rows = np.arange(start, min(start + _TABLE_BLOCK, 1 << n))
+        table[rows] = v.batch((rows[:, None] >> np.arange(n) & 1).astype(bool))
+    return table
+
+
+def _shapley_sum(table: np.ndarray, n: int, joined, outside) -> float:
+    """Sum of w(|S|) * (T[S u joined] - T[S]) over the subsets S of the players
+    not in outside; w weighs a game of those players plus joined as one."""
+    subsets, sizes = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for p in sorted(set(range(n)) - set(outside)):
+        subsets = np.concatenate([subsets, subsets | 1 << p])
+        sizes = np.concatenate([sizes, sizes + 1])
+    m = n - len(outside) + 1
+    weights = 1 / np.array([m * math.comb(m - 1, s) for s in range(m)], dtype=float)
+    gain = table[subsets | sum(1 << p for p in joined)] - table[subsets]
+    return float(weights[sizes] @ gain)
+
+
+def shapley_value_exact(v, i: int, n: int) -> float:
+    """Shapley attribution of player i, summed over all subsets of the others."""
+    return _shapley_sum(_subset_values(v, n, i), n, (i,), (i,))
 
 
 def shapley_interaction_exact(v, a: int, b: int, n: int) -> float:
@@ -259,35 +285,9 @@ def shapley_interaction_exact(v, a: int, b: int, n: int) -> float:
     minus the standalone contributions with the partner removed."""
     if a == b:
         raise ValueError("interaction needs two distinct players")
-    if n > EXACT_PLAYER_LIMIT:
-        raise ValueError(f"exact enumeration is limited to {EXACT_PLAYER_LIMIT} players")
-    others = tuple(p for p in range(n) if p not in (a, b))
-
-    def v_joint(subset):
-        # player index len(others) stands for the fused pair {a, b}
-        expanded = []
-        for p in subset:
-            if p == len(others):
-                expanded.extend((a, b))
-            else:
-                expanded.append(others[p])
-        return v(tuple(expanded))
-
-    phi_pair = shapley_value_exact(v_joint, len(others), len(others) + 1)
-
-    def restricted(drop):
-        keep = tuple(p for p in range(n) if p != drop)
-
-        def vr(subset):
-            return v(tuple(keep[p] for p in subset))
-
-        return vr, keep.index
-
-    v_no_b, idx_no_b = restricted(b)
-    phi_a = shapley_value_exact(v_no_b, idx_no_b(a), n - 1)
-    v_no_a, idx_no_a = restricted(a)
-    phi_b = shapley_value_exact(v_no_a, idx_no_a(b), n - 1)
-    return phi_pair - (phi_a + phi_b)
+    table = _subset_values(v, n, a, b)
+    return _shapley_sum(table, n, (a, b), (a, b)) - (
+        _shapley_sum(table, n, (a,), (a, b)) + _shapley_sum(table, n, (b,), (a, b)))
 
 
 def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
@@ -306,9 +306,7 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
         raise ValueError("need at least two players")
     if num_pairs < 1 or num_subsets < 1:
         raise ValueError("need at least one pair and one subset")
-    if not callable(getattr(v, "batch", None)):
-        raise TypeError("v needs a batch(masks) evaluator; build it with "
-                        "make_model_setfn or make_game_setfn")
+    _check_batch(v)
     rng = rng if rng is not None else make_rng(0)
     choice, integers = rng.choice, rng.integers
     pairs, sizes, picks = [], [], []

@@ -1,17 +1,27 @@
-"""The Monte Carlo interaction sampler as it drew its pairs and subsets before
-its draw loop was rewritten, kept verbatim as the reference.
+"""Two interaction routines as they were before they were rewritten, kept
+verbatim as references.
 
-It draws each subset from an array of the players outside the pair, rebuilt
-for every pair with ``np.delete``, and sets the pair's and the subsets' mask
-entries with one fancy-index scatter.  ``advgrad.interaction.expected_interaction_sampled`` must read the
-same random numbers in the same order and return the same estimate, bit for
-bit; the tests and ``bench/test_interaction_sampler.py`` run the two side by
-side.
+``expected_interaction_sampled`` is the Monte Carlo sampler as it drew its
+pairs and subsets before its draw loop was rewritten.  It draws each subset
+from an array of the players outside the pair, rebuilt for every pair with
+``np.delete``, and sets the pair's and the subsets' mask entries with one
+fancy-index scatter.  ``advgrad.interaction.expected_interaction_sampled``
+must read the same random numbers in the same order and return the same
+estimate, bit for bit; the tests and ``bench/test_interaction_sampler.py`` run
+the two side by side.
+
+``shapley_value_exact`` and ``shapley_interaction_exact`` are the exact
+oracles as they enumerated subsets in Python, one ``v(subset)`` call at a
+time, before both were read from one table of all 2^n subsets.  The library's
+versions must agree with them to rounding.
 """
+
+import itertools
+import math
 
 import numpy as np
 
-from advgrad.interaction import InteractionEstimate
+from advgrad.interaction import EXACT_PLAYER_LIMIT, InteractionEstimate
 from advgrad.numerics import make_rng
 
 
@@ -63,3 +73,58 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
         value=float(arr.mean()), stderr=stderr,
         num_pairs=num_pairs, num_subsets=num_subsets,
     )
+
+
+def shapley_value_exact(v, i: int, n: int) -> float:
+    """Full 2^(n-1) enumeration of the Shapley attribution of player i."""
+    if n > EXACT_PLAYER_LIMIT:
+        raise ValueError(
+            f"exact enumeration is limited to {EXACT_PLAYER_LIMIT} players; "
+            "use expected_interaction_sampled for larger games"
+        )
+    if not 0 <= i < n:
+        raise ValueError("player index out of range")
+    others = [p for p in range(n) if p != i]
+    total = 0.0
+    fact = math.factorial
+    for size in range(n):
+        weight = fact(size) * fact(n - size - 1) / fact(n)
+        for subset in itertools.combinations(others, size):
+            total += weight * (v(subset + (i,)) - v(subset))
+    return total
+
+
+def shapley_interaction_exact(v, a: int, b: int, n: int) -> float:
+    """Pairwise interaction: joint contribution of {a, b} as a singleton
+    minus the standalone contributions with the partner removed."""
+    if a == b:
+        raise ValueError("interaction needs two distinct players")
+    if n > EXACT_PLAYER_LIMIT:
+        raise ValueError(f"exact enumeration is limited to {EXACT_PLAYER_LIMIT} players")
+    others = tuple(p for p in range(n) if p not in (a, b))
+
+    def v_joint(subset):
+        # player index len(others) stands for the fused pair {a, b}
+        expanded = []
+        for p in subset:
+            if p == len(others):
+                expanded.extend((a, b))
+            else:
+                expanded.append(others[p])
+        return v(tuple(expanded))
+
+    phi_pair = shapley_value_exact(v_joint, len(others), len(others) + 1)
+
+    def restricted(drop):
+        keep = tuple(p for p in range(n) if p != drop)
+
+        def vr(subset):
+            return v(tuple(keep[p] for p in subset))
+
+        return vr, keep.index
+
+    v_no_b, idx_no_b = restricted(b)
+    phi_a = shapley_value_exact(v_no_b, idx_no_b(a), n - 1)
+    v_no_a, idx_no_a = restricted(a)
+    phi_b = shapley_value_exact(v_no_a, idx_no_a(b), n - 1)
+    return phi_pair - (phi_a + phi_b)

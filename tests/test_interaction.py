@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -287,22 +288,36 @@ class TestBatchedSetfn:
             v.batch(masks)
 
 
+def unit_game_setfn(g, H):
+    """Set function of the quadratic game (g, H) with every unit of delta 1, so
+    v(S) = sum of g over S + (sum of H over S x S) / 2."""
+    g = np.asarray(g, dtype=np.float64)
+    v, _ = make_game_setfn(AnalyticGame(g=g, H=H), np.ones(g.size))
+    return v
+
+
+def zero_game_setfn(n):
+    return unit_game_setfn(np.zeros(n), np.zeros((n, n)))
+
+
+def every_subset(n):
+    """(2^n, n) bool masks; row m holds the players whose bit is set in m."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+
+
 class TestShapleyExact:
     def test_additive_game_attribution(self):
         # for v(S) = sum of weights in S, the Shapley value of i is weights[i]
         weights = np.array([2.0, -1.0, 0.5, 3.0])
-
-        def v(subset):
-            return float(sum(weights[p] for p in subset))
-
+        v = unit_game_setfn(weights, np.zeros((4, 4)))
         for i in range(4):
             assert shapley_value_exact(v, i, 4) == pytest.approx(weights[i], abs=1e-12)
 
     def test_two_player_glove_game(self):
         # v = 1 only when both players are present: each gets 1/2
-        def v(subset):
-            return 1.0 if len(subset) == 2 else 0.0
-
+        v = unit_game_setfn([0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]])
+        assert v.batch(np.array([[False, False], [True, False], [False, True],
+                                 [True, True]])).tolist() == [0.0, 0.0, 0.0, 1.0]
         assert shapley_value_exact(v, 0, 2) == pytest.approx(0.5)
         assert shapley_value_exact(v, 1, 2) == pytest.approx(0.5)
 
@@ -316,29 +331,22 @@ class TestShapleyExact:
             assert abs(total - v(tuple(range(n)))) < 1e-10
 
     def test_symmetry_axiom(self):
-        # interchangeable players receive equal attribution
-        def v(subset):
-            return float(len(subset) ** 2)
-
+        # interchangeable players receive equal attribution; with g = 1 and
+        # H = 2 off the diagonal, v(S) = |S|^2
+        v = unit_game_setfn(np.ones(4), 2 * (np.ones((4, 4)) - np.eye(4)))
+        assert v((0, 2, 3)) == 9.0
         values = [shapley_value_exact(v, i, 4) for i in range(4)]
         assert max(values) - min(values) < 1e-12
 
     def test_player_limit_guard(self):
-        with pytest.raises(ValueError):
-            shapley_value_exact(lambda s: 0.0, 0, EXACT_PLAYER_LIMIT + 1)
-
-    def test_player_index_guard(self):
-        with pytest.raises(ValueError):
-            shapley_value_exact(lambda s: 0.0, 4, 4)
+        with pytest.raises(ValueError, match="limited"):
+            shapley_value_exact(zero_game_setfn(EXACT_PLAYER_LIMIT + 1), 0,
+                                EXACT_PLAYER_LIMIT + 1)
 
 
 class TestShapleyInteraction:
     def test_additive_game_has_zero_interaction(self):
-        weights = np.array([1.0, 2.0, 3.0, 4.0])
-
-        def v(subset):
-            return float(sum(weights[p] for p in subset))
-
+        v = unit_game_setfn([1.0, 2.0, 3.0, 4.0], np.zeros((4, 4)))
         assert abs(shapley_interaction_exact(v, 0, 2, 4)) < 1e-12
 
     def test_quadratic_game_identity(self):
@@ -359,8 +367,78 @@ class TestShapleyInteraction:
             shapley_interaction_exact(v, 3, 1, 5), abs=1e-12)
 
     def test_rejects_identical_players(self):
-        with pytest.raises(ValueError):
-            shapley_interaction_exact(lambda s: 0.0, 2, 2, 4)
+        with pytest.raises(ValueError, match="distinct"):
+            shapley_interaction_exact(zero_game_setfn(4), 2, 2, 4)
+
+    def test_twenty_players(self):
+        # the player limit: one table of 2^20 subsets, scored in blocks
+        rng = make_rng(39)
+        game = random_game(rng, EXACT_PLAYER_LIMIT)
+        d = rng.normal(size=EXACT_PLAYER_LIMIT)
+        v, n = make_game_setfn(game, d)
+        exact = shapley_interaction_exact(v, 3, 17, n)
+        assert abs(exact - d[3] * game.H[3, 17] * d[17]) < 1e-9
+
+
+EXACT_CALLS = {
+    "value": lambda v, n, p: shapley_value_exact(v, p, n),
+    "interaction": lambda v, n, p: shapley_interaction_exact(v, 0, p, n),
+}
+
+
+@pytest.mark.parametrize("call", EXACT_CALLS.values(), ids=EXACT_CALLS.keys())
+class TestExactArguments:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_wrong_player_count_is_rejected(self, call, n):
+        # v has 4 players; an n of 3 would leave player 3 out of every subset
+        v, _ = make_game_setfn(random_game(make_rng(40), 4), np.ones(4))
+        with pytest.raises(ValueError, match=rf"\(k, 4\) bool array, got bool \(\d+, {n}\)"):
+            call(v, n, 1)
+
+    @pytest.mark.parametrize("player", [4, -1, 1.5, True])
+    def test_bad_player_index_is_rejected(self, call, player):
+        with pytest.raises(ValueError, match=rf"player index {player!r} is not an integer"):
+            call(zero_game_setfn(4), 4, player)
+
+    def test_numpy_integer_indices_are_players(self, call):
+        v, _ = make_game_setfn(random_game(make_rng(41), 4), make_rng(42).normal(size=4))
+        assert call(v, np.int64(4), np.int64(3)) == call(v, 4, 3)
+
+    def test_plain_callable_is_rejected_before_any_evaluation(self, call):
+        calls = []
+
+        def v(subset):
+            calls.append(subset)
+            return 0.0
+
+        with pytest.raises(TypeError, match="batch"):
+            call(v, 4, 1)
+        assert calls == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), kind=st.sampled_from(["quadratic", "softmax-linear", "mlp-1-hidden"]),
+       seed=st.integers(0, 2**16))
+@example(n=8, kind="mlp-1-hidden", seed=0)
+def test_exact_routines_match_the_per_subset_enumeration(n, kind, seed):
+    # units of up to +-1000 make the best rival class change inside the subset
+    # lattice, so the model games are not linear
+    rng = make_rng(seed, 38)
+    delta = rng.uniform(-1000, 1000, size=n)
+    if kind == "quadratic":
+        v, _ = make_game_setfn(random_game(rng, n), delta)
+    else:
+        shape = ImageShape(1, n, 1)
+        model = build_model(kind, shape, 3, seed=seed)
+        v, _ = make_model_setfn(model, rng.uniform(0, 255, size=shape.dims),
+                                delta.reshape(shape.dims), 0)
+    tolerance = 1e-12 * np.abs(v.batch(every_subset(n))).max()
+    for i in range(n):
+        assert abs(shapley_value_exact(v, i, n)
+                   - reference_interaction.shapley_value_exact(v, i, n)) <= tolerance
+    for a, b in itertools.combinations(range(n), 2):
+        assert abs(shapley_interaction_exact(v, a, b, n)
+                   - reference_interaction.shapley_interaction_exact(v, a, b, n)) <= tolerance
 
 
 class TestSampledInteraction:
@@ -511,21 +589,36 @@ def test_sampler_matches_the_reference_at_the_workload_setting(seed):
     assert_same_estimate_and_stream(v, n, 30, 5, seed)
 
 
+def table_setfn(v, n):
+    """A set function that scores all 2^n subsets with v once and then answers
+    v.batch from that table."""
+    table = v.batch(every_subset(n))
+    bits = 1 << np.arange(n)
+    return SimpleNamespace(batch=lambda masks: table[masks @ bits])
+
+
+# a 1x6x1 input has 15 pairs; tiny-conv needs sides divisible by 4, so 4x4x1
+# is its smallest input (n = 16, 120 pairs)
+EXACT_MEAN_SHAPES = {"softmax-linear": ImageShape(1, 6, 1), "mlp-1-hidden": ImageShape(1, 6, 1),
+                     "tiny-conv": ImageShape(4, 4, 1)}
+
+
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("kind", ["softmax-linear", "mlp-1-hidden"])
+@pytest.mark.parametrize("kind", EXACT_MEAN_SHAPES)
 def test_sampler_agrees_with_the_exact_mean_interaction(kind, seed):
-    # the exact mean of the pairwise Shapley interaction over all 15 pairs of a
-    # 1x6x1 input; units of up to +-1000 make the best rival class change inside
-    # the subset lattice, without which the softmax-linear reward is linear and
-    # every interaction is rounding noise
-    shape = ImageShape(1, 6, 1)
+    # the exact mean of the pairwise Shapley interaction over all pairs; units
+    # of up to +-1000 make the best rival class change inside the subset
+    # lattice, without which the softmax-linear reward is linear and every
+    # interaction is rounding noise
+    shape = EXACT_MEAN_SHAPES[kind]
     model = build_model(kind, shape, 3, seed=seed)
     rng = make_rng(seed, 36)
     x = rng.uniform(0, 255, size=shape.dims)
     v, n = make_model_setfn(model, x, rng.uniform(-1000, 1000, size=shape.dims), 0)
+    v = table_setfn(v, n)
     per_pair = [shapley_interaction_exact(v, a, b, n)
                 for a, b in itertools.combinations(range(n), 2)]
-    assert len(per_pair) == 15 and np.ptp(per_pair) > 1e-3
+    assert len(per_pair) == n * (n - 1) // 2 and np.ptp(per_pair) > 1e-3
     est = expected_interaction_sampled(v, n, num_pairs=200, num_subsets=10,
                                        rng=make_rng(seed, 37))
     z = (est.value - np.mean(per_pair)) / est.stderr
