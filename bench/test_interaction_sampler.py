@@ -17,6 +17,12 @@ The report gains ``setfn_evals_per_s`` in each case's ``extra_info``: the 600
 evaluations over the case's ``min`` and over its ``median``.  The cases take a
 few milliseconds; compare lean with reference within one run, by ``min``.
 
+The ``test_draws`` cases time the sampler's draws alone, 30 pairs x 5 subsets,
+both ways the library can take them: replayed from blocks of raw values, and
+one numpy call per draw.  They run at 64 players (8x8x1), 128, 192 (8x8x3) and
+768 (16x16x3); the library replays up to ``interaction._REPLAY_PLAYERS``
+players, a limit chosen from these cases.
+
 The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
 runs each case once, untimed, in the suite's own interpreter.
 """
@@ -63,3 +69,18 @@ def test_one_estimate(benchmark, setfns, scoring, sampler):
     if benchmark.stats:  # None when timing is off
         benchmark.extra_info["setfn_evals_per_s"] = {
             key: SETFN_EVALS / benchmark.stats.get(key) for key in ("min", "median")}
+
+
+DRAWS = {"replayed": interaction._draw_replayed, "per_call": interaction._draw_per_call}
+
+
+@pytest.mark.parametrize("draws", DRAWS)
+@pytest.mark.parametrize("n", [64, 128, 192, 768])
+def test_draws(benchmark, n, draws):
+    def draw(take=DRAWS[draws]):
+        return take(make_rng(0, 2000), n, NUM_PAIRS, NUM_SUBSETS)
+
+    # the two ways give the same pairs and sizes (and subsets, unordered)
+    for got, want in zip(draw()[:2], draw(DRAWS["per_call"])[:2]):
+        np.testing.assert_array_equal(got, want)
+    benchmark(draw)

@@ -264,6 +264,14 @@ class ExperimentConfig:
             for key in _INTERACTION_COUNTS:
                 if key in self.interaction:
                     _check_count(self.interaction[key], f"interaction {key}")
+            methods = self.interaction.get("methods", [])
+            if not isinstance(methods, list):
+                raise ValueError("interaction methods must be a list of attack names, "
+                                 f"got {methods!r}")
+            names = [doc.get("name") for doc in self.attacks if isinstance(doc, dict)]
+            for name in methods:
+                if not isinstance(name, str) or name not in names:
+                    raise ValueError(f"interaction methods entry {name!r} names no attack")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

@@ -6,18 +6,31 @@ v.batch table of all 2^n subsets, independent of the closed forms they verify
 and of the sampler's second differences.
 
 expected_interaction_sampled estimates the mean pairwise interaction by Monte
-Carlo.  Its draws are fixed: for each pair, rng.choice(n, 2) picks the pair,
-then for each of its subsets rng.integers(0, n - 1) the size and
-rng.choice(n - 2, size) the subset, as indices into the players outside the
-pair, in order.  These are the random numbers the sampler read when it drew
-each subset from an array of the other players, so a given rng still gives the
-same estimate and leaves the same state behind.
+Carlo.  Its draws are defined on the raw stream of rng: the 32-bit values
+rng.integers(0, 2**32) returns, in order.  A draw in [0, r) reads a value u and
+gives (u * r) >> 32, but if the low 32 bits of u * r fall below 2^32 mod r it
+rejects u and reads the next value in its place (Lemire's method); a draw in
+[0, 1) reads nothing and gives 0.  Picking k of p indices is Floyd's
+selection, one draw in [0, j + 1) for each j from p - k to p - 1, which picks
+the value drawn or, if that is picked already, j; then k - 1 draws in [0, k),
+[0, k - 1), ..., [0, 2) shuffle the picks, each swapping the pick at the top
+of its range with the one drawn.  For each pair the sampler picks 2 of the n
+players; for each of the pair's subsets it draws a size in [0, n - 1) and picks
+that many of the n - 2 players outside the pair, as indices into them in
+order.  On the installed numpy these are the values that rng.choice(n, 2),
+rng.integers(0, n - 1) and rng.choice(n - 2, size) return, with the state
+they leave: the random numbers the sampler read when it drew each subset from
+an array of the other players, so a given rng still gives the same estimate.
+Up to _REPLAY_PLAYERS players the sampler replays this arithmetic in numpy on
+blocks of raw values; larger games make those numpy calls, one per draw (above
+10,002 players numpy picks a subset by a shuffle of all n - 2 indices).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
 from fractions import Fraction
 from dataclasses import dataclass
 
@@ -51,6 +64,13 @@ EXACT_PLAYER_LIMIT = 20
 SETFN_CHUNK = 32
 # rows per v.batch call when the exact routines tabulate all 2^n subsets
 _TABLE_BLOCK = 1 << 14
+# the sampler replays its draws from raw values up to this many players: the
+# largest case of bench/test_interaction_sampler.py where that is faster than
+# one numpy call per draw, which is faster at 768 players
+_REPLAY_PLAYERS = 192
+# raw values the replay reads per block, unless a single pair needs more
+_RAW_BLOCK = 1 << 14
+_MASK32 = (1 << 32) - 1
 
 
 @dataclass
@@ -290,6 +310,143 @@ def shapley_interaction_exact(v, a: int, b: int, n: int) -> float:
         _shapley_sum(table, n, (a,), (a, b)) + _shapley_sum(table, n, (b,), (a, b)))
 
 
+# -- the sampler's draws ------------------------------------------------------
+
+
+def _draw_per_call(rng, n: int, num_pairs: int, num_subsets: int):
+    """The sampler's draws, one numpy call each: (pairs, sizes, picks), with
+    each subset's picks in turn."""
+    choice, integers = rng.choice, rng.integers
+    pairs, sizes, picks = [], [], []
+    for _ in range(num_pairs):
+        pairs.append(choice(n, 2, replace=False))
+        for _ in range(num_subsets):
+            size = int(integers(0, n - 1))
+            sizes.append(size)
+            picks.append(choice(n - 2, size, replace=False))
+    return np.array(pairs), np.array(sizes), np.concatenate(picks)
+
+
+def _draw_replayed(rng, n: int, num_pairs: int, num_subsets: int):
+    """_draw_per_call's pairs, sizes and subsets (each subset's picks in some
+    order) replayed from blocks of rng's raw values; rng ends in the state
+    _draw_per_call leaves."""
+    n, bitgen = operator.index(n), rng.bit_generator
+    # the raw values a pair takes at most when none is rejected: 3 for the
+    # pair, 2n - 5 for a subset of all n - 2 players outside it
+    most = 3 + num_subsets * max(2 * n - 5, 0)
+    pairs, sizes, picks = [], [], []
+    while num_pairs:
+        state = bitgen.state
+        want = min(num_pairs * most, max(_RAW_BLOCK, most))
+        while True:
+            block = _replay(rng.integers(0, 1 << 32, size=want), n, num_pairs, num_subsets)
+            if len(block[0]):
+                break
+            # rejected values pushed the block's only pair past its end
+            bitgen.state = state
+            want *= 2
+        # rewind, then read again just the values the block's draws took
+        bitgen.state = state
+        rng.integers(0, 1 << 32, size=block[3])
+        for part, got in zip((pairs, sizes, picks), block):
+            part.append(got)
+        num_pairs -= len(block[0])
+    return np.concatenate(pairs), np.concatenate(sizes), np.concatenate(picks)
+
+
+def _bounded(raw: np.ndarray, at: np.ndarray, r):
+    """numpy's bounded draws in [0, r) from the raw values at positions at:
+    (draws, the first position whose value numpy rejects, or len(raw)).
+    numpy reads the next value in place of a rejected one."""
+    prod = raw[at] * r
+    low = prod & _MASK32
+    rejected = len(raw)
+    maybe = low < r  # rare; numpy rejects below 2^32 mod r, which is < r
+    if maybe.any():
+        bad = maybe & (low < (1 << 32) % r)
+        if bad.any():
+            rejected = at[bad].min()
+    return prod >> 32, rejected
+
+
+def _layout(raw: np.ndarray, n: int, max_pairs: int, num_subsets: int):
+    """Where the draws of up to max_pairs whole pairs start in raw, as if no
+    value is rejected: (first value of each pair, of each subset, values taken)."""
+    values, r, m = memoryview(raw), n - 1, n - 2
+    pair_at, size_at, end = [], [], 0
+    subset_at = size_at.append
+    try:
+        for _ in range(max_pairs):
+            pos = end + 3
+            for _ in range(num_subsets):
+                size = values[pos] * r >> 32
+                subset_at(pos)
+                # its size draw, Floyd's draws (none for j = 0) and the shuffle's
+                pos += 2 * size + (size == 0) - (size == m)
+            if pos > len(raw):
+                break
+            pair_at.append(end)
+            end = pos
+    except IndexError:  # no value left for a size draw
+        pass
+    del size_at[len(pair_at) * num_subsets:]
+    return np.array(pair_at, dtype=np.int64), np.array(size_at, dtype=np.int64), end
+
+
+def _replay(raw: np.ndarray, n: int, max_pairs: int, num_subsets: int):
+    """The draws of up to max_pairs whole pairs replayed from raw, an int64
+    array of raw values: (pairs, sizes, picks, values taken, rejected ones
+    included).  A rejected value is dropped and the block laid out again."""
+    if n == 2:  # all draws in [0, 2), so none rejected; every subset is empty
+        swap = raw[1:2 * max_pairs:2] >> 31
+        pairs = np.where(swap[:, None] == 0, [[1, 0]], [[0, 1]])
+        sizes = np.zeros(len(swap) * num_subsets, dtype=np.int64)
+        return pairs, sizes, sizes[:0], 2 * len(swap)
+    m = n - 2  # players outside a pair
+    dropped = 0
+    while True:
+        pair_at, size_at, used = _layout(raw, n, max_pairs, num_subsets)
+        a, a_bad = _bounded(raw, pair_at, n - 1)
+        b, b_bad = _bounded(raw, pair_at + 1, n)
+        sizes, size_bad = _bounded(raw, size_at, n - 1)
+        # draw t of a subset is Floyd's in [0, j + 1), j = m - size + t; the one
+        # at j = 0 reads no value, and r = 1 gives 0 and rejects nothing
+        first = np.cumsum(sizes) - sizes
+        t = np.arange(sizes.sum()) - np.repeat(first, sizes)
+        size = np.repeat(sizes, sizes)
+        j = m - size + t
+        floyd_at = np.repeat(size_at + 1 - (sizes == m), sizes) + t
+        x, x_bad = _bounded(raw, floyd_at, j + 1)
+        # the shuffle's draws in [0, size), ..., [0, 2) follow, one for each t > 0
+        _, shuffle_bad = _bounded(raw, floyd_at + size - 1, np.where(t > 0, size - t + 1, 1))
+        bad = min(a_bad, b_bad, size_bad, x_bad, shuffle_bad)
+        if bad == len(raw):
+            break
+        raw = np.delete(raw, bad)
+        dropped += 1
+    # the pair is a, then b or n - 1 if b = a; a shuffle draw of 0 swaps them
+    b = np.where(b == a, n - 1, b)
+    head = np.where(raw[pair_at + 2] >> 31, a, b)
+    pairs = np.stack([head, a + b - head], axis=1)
+    # Floyd's step j adds x, or j if x is in already.  x is in if an earlier
+    # step drew x too (again), or if x >= m - size and step x added x itself,
+    # as it does when its own draw was in already: a link from step j down to
+    # step x, followed here until a step whose draw needs no link.
+    draw = np.arange(len(x))
+    key = np.repeat(np.arange(0, len(sizes) * m, m), sizes) + x
+    # one entry per subset and value: a subset takes m values on average
+    seen = np.full(len(sizes) * m, len(x))
+    np.minimum.at(seen, key, draw)
+    again = seen[key] < draw
+    link = ~again & (x < j) & (x >= m - size)
+    ptr = np.where(link, draw + x - j, draw)
+    for _ in range(m.bit_length()):  # a chain steps down j, so it has < m links
+        ptr = ptr[ptr]
+    picks = np.where(again[ptr], j, x)
+    return pairs, sizes, picks, used + dropped
+
+
 def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
                                  rng: np.random.Generator | None = None) -> InteractionEstimate:
     """Monte Carlo mean pairwise interaction via discrete second differences.
@@ -308,29 +465,20 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
         raise ValueError("need at least one pair and one subset")
     _check_batch(v)
     rng = rng if rng is not None else make_rng(0)
-    choice, integers = rng.choice, rng.integers
-    pairs, sizes, picks = [], [], []
-    for _ in range(num_pairs):
-        pairs.append(choice(n, 2, replace=False))
-        for _ in range(num_subsets):
-            size = int(integers(0, n - 1))
-            sizes.append(size)
-            picks.append(choice(n - 2, size, replace=False))
+    draw = _draw_replayed if n <= _REPLAY_PLAYERS else _draw_per_call
+    pairs, sizes, i = draw(rng, n, num_pairs, num_subsets)
     # a pick i indexes the n - 2 players outside the pair (lo, hi) in order
     k = num_pairs * num_subsets
     a, b = np.repeat(pairs, num_subsets, axis=0).T
-    sample = np.repeat(np.arange(k), sizes)
-    lo, hi = np.minimum(a, b)[sample], np.maximum(a, b)[sample]
-    i = np.concatenate(picks)
+    lo, hi = np.repeat(np.minimum(a, b), sizes), np.repeat(np.maximum(a, b), sizes)
     players = i + (i >= lo) + (i >= hi - 1)
+    subsets = np.zeros((k, n), dtype=bool)
+    subsets.reshape(-1)[np.repeat(np.arange(0, k * n, n), sizes) + players] = True
     # rows 4j .. 4j+3 of the mask array are S u {a, b}, S u {a}, S u {b} and S
-    # of sample j: every row holds S, rows 4j and 4j+1 hold a, rows 4j and 4j+2 b;
-    # all of them are set by one scatter into the flat array, at row * n + player
-    row0 = 4 * n * np.arange(k)
-    flat = np.concatenate([((row0[sample] + players)[:, None] + n * np.arange(4)).ravel(),
-                           row0 + a, row0 + n + a, row0 + b, row0 + 2 * n + b])
-    masks = np.zeros((4 * k, n), dtype=bool)
-    masks.reshape(-1)[flat] = True
+    # of sample j: every row holds S, rows 4j and 4j+1 hold a, rows 4j and 4j+2 b
+    masks = np.repeat(subsets, 4, axis=0)
+    row = np.arange(0, 4 * k, 4)
+    masks[np.concatenate([row, row + 1, row, row + 2]), np.concatenate([a, a, b, b])] = True
     vals = v.batch(masks).reshape(k, 4)
     arr = vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]
     # the pairs are drawn once, so the estimate's error is the spread of the

@@ -1,5 +1,6 @@
-"""Two interaction routines as they were before they were rewritten, kept
-verbatim as references.
+"""References for the interaction routines: the sampler and the exact
+oracles as they were before they were rewritten, kept verbatim, and a scalar
+replay of the sampler's draws.
 
 ``expected_interaction_sampled`` is the Monte Carlo sampler as it drew its
 pairs and subsets before its draw loop was rewritten.  It draws each subset
@@ -14,6 +15,13 @@ the two side by side.
 oracles as they enumerated subsets in Python, one ``v(subset)`` call at a
 time, before both were read from one table of all 2^n subsets.  The library's
 versions must agree with them to rounding.
+
+``replay_draws`` replays the sampler's draws one raw 32-bit value at a time:
+numpy's bounded draw (``bounded``) and ``Generator.choice`` without
+replacement (``choice``: Floyd's selection, then the shuffle of the picks), as
+numpy computes them from the values ``rng.integers(0, 2**32)`` returns.  The
+tests hold it to ``rng.choice`` and ``rng.integers`` on real streams, and the
+library's block replay to it on crafted streams that force rejections.
 """
 
 import itertools
@@ -128,3 +136,61 @@ def shapley_interaction_exact(v, a: int, b: int, n: int) -> float:
     v_no_a, idx_no_a = restricted(a)
     phi_b = shapley_value_exact(v_no_a, idx_no_a(b), n - 1)
     return phi_pair - (phi_a + phi_b)
+
+
+class RawValues:
+    """An iterator over raw 32-bit values that counts the values read and,
+    of those, the ones a bounded draw rejected."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+        self.read = self.rejected = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        value = int(next(self._values))
+        self.read += 1
+        return value
+
+
+def bounded(raw: RawValues, r: int) -> int:
+    """numpy's draw in [0, r) by Lemire's method; r = 1 reads no value."""
+    if r == 1:
+        return 0
+    product = next(raw) * r
+    if product % 2**32 < r:
+        threshold = 2**32 % r
+        while product % 2**32 < threshold:
+            raw.rejected += 1
+            product = next(raw) * r
+    return product >> 32
+
+
+def choice(raw: RawValues, population: int, size: int) -> list:
+    """rng.choice(population, size, replace=False) for a population of at
+    most 10,000: Floyd's selection, then the size - 1 draws of its shuffle."""
+    picks, taken = [], set()
+    for j in range(population - size, population):
+        pick = bounded(raw, j + 1)
+        if pick in taken:
+            pick = j
+        taken.add(pick)
+        picks.append(pick)
+    for i in range(size - 1, 0, -1):
+        k = bounded(raw, i + 1)
+        picks[i], picks[k] = picks[k], picks[i]
+    return picks
+
+
+def replay_draws(raw: RawValues, n: int, num_pairs: int, num_subsets: int):
+    """The sampler's (pairs, sizes, subsets): per pair rng.choice(n, 2), per
+    subset rng.integers(0, n - 1) and rng.choice(n - 2, size)."""
+    pairs, sizes, subsets = [], [], []
+    for _ in range(num_pairs):
+        pairs.append(choice(raw, n, 2))
+        for _ in range(num_subsets):
+            sizes.append(bounded(raw, n - 1))
+            subsets.append(choice(raw, n - 2, sizes[-1]))
+    return pairs, sizes, subsets

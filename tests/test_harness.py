@@ -517,14 +517,19 @@ class TestExperimentRunner:
         ("model spec 'conv': unknown kind 'convnet'",
          {"models": [MLP, {**CONV, "kind": "convnet"}]}),
         ("two model specs are named 'mlp'", {"models": [MLP, {**CONV, "name": "mlp"}]}),
+        ("interaction methods entry 'BIM' names no attack", {"interaction": {"methods": ["BIM"]}}),
+        ("interaction methods must be a list of attack names, got 'bim'",
+         {"interaction": {"methods": "bim"}}),
     ]
 
     @pytest.mark.parametrize("message,override", BAD_REFERENCES,
-                             ids=["target", "source", "interaction-model", "kind", "duplicate"])
+                             ids=["target", "source", "interaction-model", "kind", "duplicate",
+                                  "interaction-method", "interaction-methods-string"])
     def test_bad_model_reference_fails_before_training(self, tmp_path, monkeypatch,
                                                        message, override):
         # at the parent these trained models first (or kept the last of two
-        # same-named specs) and then raised a bare KeyError, or nothing
+        # same-named specs) and then raised a bare KeyError, or nothing; an
+        # interaction methods entry that named no attack skipped the pass
         trained = []
         monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_interaction
+from advgrad import interaction
 from advgrad.interaction import (
     EXACT_PLAYER_LIMIT,
     SETFN_CHUNK,
@@ -587,6 +588,107 @@ def test_sampler_matches_the_reference_at_the_workload_setting(seed):
     v, n = make_model_setfn(model, rng.uniform(0, 255, size=shape.dims),
                             rng.uniform(-32, 32, size=shape.dims), 1)
     assert_same_estimate_and_stream(v, n, 30, 5, seed)
+
+
+def mlp_setfn(n, seed):
+    """Set function of an MLP over a 1 x n x 1 input, whose second differences
+    depend on the subset S as well as on the pair."""
+    shape = ImageShape(1, n, 1)
+    model = build_model("mlp-1-hidden", shape, 3, seed=seed)
+    rng = make_rng(seed, 40)
+    v, _ = make_model_setfn(model, rng.uniform(0, 255, size=shape.dims),
+                            rng.uniform(-64, 64, size=shape.dims), 0)
+    return v
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), *range(120, 137), *range(184, 201)])
+def test_sampler_matches_the_reference_on_both_sides_of_the_replay_limit(n):
+    # 128 players, and _REPLAY_PLAYERS, above which each draw is a numpy call
+    assert_same_estimate_and_stream(mlp_setfn(n, n), n, 6, 4, n)
+
+
+@pytest.mark.parametrize("n", [64, 300])
+def test_sampler_takes_numpy_integer_counts(n):
+    assert_same_estimate_and_stream(mlp_setfn(n, 0), np.int64(n), np.int64(3), np.int64(2), 0)
+
+
+def test_sampler_matches_the_reference_in_numpys_tail_shuffle_regime():
+    # above 10,002 players rng.choice(n - 2, size) shuffles the tail of an
+    # array of all n - 2 indices instead of running Floyd's selection
+    zero = SimpleNamespace(batch=lambda masks: np.zeros(len(masks)))
+    assert_same_estimate_and_stream(zero, 10_003, 2, 3, 0)
+
+
+@pytest.mark.parametrize("n", [interaction._REPLAY_PLAYERS, interaction._REPLAY_PLAYERS + 1])
+def test_draws_are_replayed_up_to_the_player_limit(monkeypatch, n):
+    replayed, replay = [], interaction._draw_replayed
+    monkeypatch.setattr(interaction, "_draw_replayed",
+                        lambda *args: replayed.append(args) or replay(*args))
+    expected_interaction_sampled(zero_game_setfn(n), n, 2, 2, rng=make_rng(0, 41))
+    assert len(replayed) == (n <= interaction._REPLAY_PLAYERS)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 129, 300])
+def test_scalar_replay_reads_what_numpy_draws(n, seed):
+    rng = make_rng(seed, 38)
+    pairs, sizes, subsets = [], [], []
+    for _ in range(4):
+        pairs.append(rng.choice(n, 2, replace=False).tolist())
+        for _ in range(3):
+            sizes.append(int(rng.integers(0, n - 1)))
+            subsets.append(rng.choice(n - 2, sizes[-1], replace=False).tolist())
+    # 4 pairs take fewer than 4 * (3 + 3 * (2n - 5)) values, unless one is rejected
+    raw = reference_interaction.RawValues(make_rng(seed, 38).integers(0, 1 << 32, size=30 * n))
+    assert reference_interaction.replay_draws(raw, n, 4, 3) == (pairs, sizes, subsets)
+    replayed = make_rng(seed, 38)
+    replayed.integers(0, 1 << 32, size=raw.read)
+    np.testing.assert_equal(replayed.bit_generator.state, rng.bit_generator.state)
+
+
+class CraftedGenerator:
+    """Serves fixed raw values to the two calls the block replay makes:
+    integers(0, 2**32, size) and bit_generator.state, the number read."""
+
+    def __init__(self, raw):
+        self.raw, self.state, self.bit_generator = np.asarray(raw, dtype=np.int64), 0, self
+
+    def integers(self, low, high, size):
+        assert (low, high) == (0, 1 << 32) and self.state + size <= len(self.raw)
+        self.state += size
+        return self.raw[self.state - size:self.state].copy()
+
+
+def assert_replays_like_the_scalar_replay(raw, n, num_pairs, num_subsets):
+    reference = reference_interaction.RawValues(raw)
+    pairs, sizes, subsets = reference_interaction.replay_draws(reference, n, num_pairs,
+                                                               num_subsets)
+    assert reference.rejected > 0
+    rng = CraftedGenerator(raw)
+    got_pairs, got_sizes, picks = interaction._draw_replayed(rng, n, num_pairs, num_subsets)
+    assert got_pairs.tolist() == pairs and got_sizes.tolist() == sizes
+    got_subsets = np.split(picks, np.cumsum(sizes)[:-1])
+    assert [sorted(s.tolist()) for s in got_subsets] == [sorted(s) for s in subsets]
+    assert rng.state == reference.read
+
+
+# (3, 50, 4) and (100, 40, 5) take two blocks of raw values
+@pytest.mark.parametrize("n,num_pairs,num_subsets",
+                         [(3, 50, 4), (7, 20, 3), (64, 30, 5), (100, 40, 5), (192, 12, 4)])
+def test_block_replay_drops_rejected_values(n, num_pairs, num_subsets):
+    # every 20th value on average is 0, which a draw in [0, r) rejects unless
+    # r is a power of two
+    rng = make_rng(n, 39)
+    raw = rng.integers(0, 1 << 32, size=4 * num_pairs * (3 + num_subsets * 2 * n))
+    raw[rng.random(len(raw)) < 0.05] = 0
+    assert_replays_like_the_scalar_replay(raw, n, num_pairs, num_subsets)
+
+
+def test_block_replay_reads_on_when_rejections_overrun_its_block():
+    # one pair at n = 3 takes at most 4 values; here its draw in [0, 3) rejects
+    # three zeros, so the pair ends after the block of 4 it first reads
+    raw = np.concatenate([[5, 0, 0, 0], make_rng(0, 42).integers(0, 1 << 32, size=16)])
+    assert_replays_like_the_scalar_replay(raw, 3, 1, 1)
 
 
 def table_setfn(v, n):
