@@ -21,7 +21,7 @@ The ``test_draws`` cases time the sampler's draws alone, 30 pairs x 5 subsets,
 both ways the library can take them: replayed from blocks of raw values, and
 one numpy call per draw.  They run at 64 players (8x8x1), 128, 192 (8x8x3) and
 768 (16x16x3); the library replays up to ``interaction._REPLAY_PLAYERS``
-players, a limit chosen from these cases.
+players, a limit checked against these cases.
 
 The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
 runs each case once, untimed, in the suite's own interpreter.

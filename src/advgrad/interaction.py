@@ -21,9 +21,10 @@ order.  On the installed numpy these are the values that rng.choice(n, 2),
 rng.integers(0, n - 1) and rng.choice(n - 2, size) return, with the state
 they leave: the random numbers the sampler read when it drew each subset from
 an array of the other players, so a given rng still gives the same estimate.
-Up to _REPLAY_PLAYERS players the sampler replays this arithmetic in numpy on
-blocks of raw values; larger games make those numpy calls, one per draw (above
-10,002 players numpy picks a subset by a shuffle of all n - 2 indices).
+From 3 up to _REPLAY_PLAYERS players the sampler replays this arithmetic in
+numpy on blocks of raw values; other games make those numpy calls, one per
+draw (above 10,002 players numpy picks a subset by a shuffle of all n - 2
+indices).
 """
 
 from __future__ import annotations
@@ -64,10 +65,11 @@ EXACT_PLAYER_LIMIT = 20
 SETFN_CHUNK = 32
 # rows per v.batch call when the exact routines tabulate all 2^n subsets
 _TABLE_BLOCK = 1 << 14
-# the sampler replays its draws from raw values up to this many players: the
-# largest case of bench/test_interaction_sampler.py where that is faster than
-# one numpy call per draw, which is faster at 768 players
-_REPLAY_PLAYERS = 192
+# the sampler replays its draws from raw values up to this many players; in
+# bench/test_interaction_sampler.py that is faster than one numpy call per draw
+# at 64, 128 and 192 players and slower at 768, and no perfbench workload
+# runs above 64 players to test a higher limit end to end
+_REPLAY_PLAYERS = 128
 # raw values the replay reads per block, unless a single pair needs more
 _RAW_BLOCK = 1 << 14
 _MASK32 = (1 << 32) - 1
@@ -333,8 +335,8 @@ def _draw_replayed(rng, n: int, num_pairs: int, num_subsets: int):
     _draw_per_call leaves."""
     n, bitgen = operator.index(n), rng.bit_generator
     # the raw values a pair takes at most when none is rejected: 3 for the
-    # pair, 2n - 5 for a subset of all n - 2 players outside it
-    most = 3 + num_subsets * max(2 * n - 5, 0)
+    # pair, 2n - 5 for a subset of all n - 2 players outside it (n > 2)
+    most = 3 + num_subsets * (2 * n - 5)
     pairs, sizes, picks = [], [], []
     while num_pairs:
         state = bitgen.state
@@ -398,13 +400,10 @@ def _replay(raw: np.ndarray, n: int, max_pairs: int, num_subsets: int):
     """The draws of up to max_pairs whole pairs replayed from raw, an int64
     array of raw values: (pairs, sizes, picks, values taken, rejected ones
     included).  A rejected value is dropped and the block laid out again."""
-    if n == 2:  # all draws in [0, 2), so none rejected; every subset is empty
-        swap = raw[1:2 * max_pairs:2] >> 31
-        pairs = np.where(swap[:, None] == 0, [[1, 0]], [[0, 1]])
-        sizes = np.zeros(len(swap) * num_subsets, dtype=np.int64)
-        return pairs, sizes, sizes[:0], 2 * len(swap)
     m = n - 2  # players outside a pair
-    dropped = 0
+    # positions of the dropped values, each in raw as it was when dropped: the
+    # draws before a dropped value stay as they were, so these never decrease
+    dropped = []
     while True:
         pair_at, size_at, used = _layout(raw, n, max_pairs, num_subsets)
         a, a_bad = _bounded(raw, pair_at, n - 1)
@@ -424,7 +423,7 @@ def _replay(raw: np.ndarray, n: int, max_pairs: int, num_subsets: int):
         if bad == len(raw):
             break
         raw = np.delete(raw, bad)
-        dropped += 1
+        dropped.append(bad)
     # the pair is a, then b or n - 1 if b = a; a shuffle draw of 0 swaps them
     b = np.where(b == a, n - 1, b)
     head = np.where(raw[pair_at + 2] >> 31, a, b)
@@ -444,7 +443,8 @@ def _replay(raw: np.ndarray, n: int, max_pairs: int, num_subsets: int):
     for _ in range(m.bit_length()):  # a chain steps down j, so it has < m links
         ptr = ptr[ptr]
     picks = np.where(again[ptr], j, x)
-    return pairs, sizes, picks, used + dropped
+    # a value dropped at or past used was rejected by a pair the block left out
+    return pairs, sizes, picks, used + sum(at < used for at in dropped)
 
 
 def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
@@ -465,7 +465,7 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
         raise ValueError("need at least one pair and one subset")
     _check_batch(v)
     rng = rng if rng is not None else make_rng(0)
-    draw = _draw_replayed if n <= _REPLAY_PLAYERS else _draw_per_call
+    draw = _draw_replayed if 2 < n <= _REPLAY_PLAYERS else _draw_per_call
     pairs, sizes, i = draw(rng, n, num_pairs, num_subsets)
     # a pick i indexes the n - 2 players outside the pair (lo, hi) in order
     k = num_pairs * num_subsets
