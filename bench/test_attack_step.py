@@ -1,18 +1,19 @@
-"""Micro-benchmarks of the attack step and of one generator training iteration.
+"""Micro-benchmarks of the attack step and of a short generator training run.
 
 Each case runs the library code and, beside it, the loop it replaced, which
 rebuilt the per-attack invariants on every step
 (``tests/reference_attack_step.py``): a 10-step attack by an MLP at 8x8x1 for
 the sign, fixed-scale and momentum rules; one attack step with each transform
 alone, with the full transform stack, and with the full stack on two source
-models (the MLP and a softmax-linear model); and one outer iteration of
-generator training (5 attack steps, MLP and tiny-conv pool).  Run from the
-repository root:
+models (the MLP and a softmax-linear model); and a 20-episode generator
+training run (5 attack steps, MLP and tiny-conv pool), whose reference runs
+the episodes one after another.  Run from the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_attack_step.py --benchmark-max-time=3 \
         --benchmark-json=BENCH_attack.json
 
-The cases take a few hundred microseconds.  On a shared host other load
+The attack cases take a few hundred microseconds, the training run a few
+tens of milliseconds.  On a shared host other load
 stretches the medians, up to twice the per-round minimum, and two runs can
 rank lean and reference in opposite orders.  Compare each case's ``min``,
 which pytest-benchmark records beside the median, and compare lean with
@@ -30,7 +31,8 @@ import pytest
 import reference_attack_step as reference
 from advgrad import attacks, generator
 from advgrad.attacks import AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Sim, Tim, Vt
-from advgrad.generator import GeneratorTrainConfig, ScalingFactorGenerator
+from advgrad.generator import GeneratorTrainConfig
+from advgrad.harness import synth_dataset
 from advgrad.models import build_model
 from advgrad.numerics import ImageShape, make_rng
 
@@ -48,7 +50,7 @@ STACK = AttackConfig(epsilon=16.0, steps=1, step_rule=FixedScaleStep(16.0), mome
 # DIM at p=1, so that its one step always resizes
 ALONE = {type(t).__name__.lower(): dataclasses.replace(STACK, transforms=(t,))
          for t in (Dim(p=1.0), Tim(), Sim(m=2), Vt(n=4), Emi(n=3))}
-EPISODES = {"lean": generator._ascent_episode, "reference": reference._ascent_episode}
+TRAINERS = {"lean": generator.train_generator, "reference": reference.train_generator}
 
 
 @pytest.fixture(scope="module")
@@ -85,10 +87,9 @@ def test_stacked_transform_step_two_sources(benchmark, mlp, image, loop):
     benchmark(lambda: LOOPS[loop](sources, [mlp], image, 0, STACK, make_rng(0, 92)))
 
 
-@pytest.mark.parametrize("episode", EPISODES)
-def test_generator_training_iteration(benchmark, mlp, image, episode):
-    conv = build_model("tiny-conv", SHAPE, 3, seed=1)
-    cfg = GeneratorTrainConfig(total_steps=1, attack_steps=5, learning_rate=1.0, epsilon=EPS)
-    gen = ScalingFactorGenerator(5, SHAPE, seed=0, head_scale=2e5, hidden=(64, 32))
-    # every round moves theta a little further, as training does
-    benchmark(EPISODES[episode], gen, mlp, conv, image, 0, cfg)
+@pytest.mark.parametrize("trainer", TRAINERS)
+def test_generator_training_20_episodes(benchmark, mlp, trainer):
+    pool = [mlp, build_model("tiny-conv", SHAPE, 3, seed=1)]
+    dataset = synth_dataset("blobs", 30, SHAPE, seed=0, num_classes=3)
+    cfg = GeneratorTrainConfig(total_steps=20, attack_steps=5, learning_rate=1.0, epsilon=EPS)
+    benchmark(TRAINERS[trainer], dataset, pool, cfg, head_scale=2e5, hidden=(64, 32))

@@ -10,6 +10,18 @@ exactly 0, so gamma ignores the iterate and the gradient and the conv
 kernels get zero gradient.  All gradients are hand-written and
 finite-difference checked.  The attack itself is attacks.run_attack with
 an AdaptiveStep rule.
+
+The forward and backward passes run n rows at once, each row with the
+parameters of its own step; the single-image gamma_forward and
+parameter_gradient are the one-row case.  train_generator runs its
+episodes on a wavefront: step t of episode k needs only theta_t as episode
+k - 1 left it and its own iterate from step t - 1, so the steps with
+k + t = tau form one front, with one batched generator step and one
+input_gradient call per pool model.  In exact arithmetic that is the serial
+episode loop; in floating point theta differs from it only where a batched
+model gradient differs from the single-image one in its last bits, which
+training carries forward (the tests bound the drift at 1e-12 relative at
+learning rate 1).
 """
 
 from __future__ import annotations
@@ -55,18 +67,17 @@ class GeneratorTrainConfig:
             raise ValueError("learning rate must be positive and finite")
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
-        if self.attack_steps < 1:
-            raise ValueError("attack_steps must be >= 1")
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be >= 0")
+        _check_count("attack_steps", self.attack_steps, 1)
+        _check_count("total_steps", self.total_steps, 0)
 
 
-def _softplus(raw: float) -> float:
-    return float(np.logaddexp(0.0, raw))
-
-
-def _sigmoid(raw: float) -> float:
-    return float(1.0 / (1.0 + np.exp(-raw))) if raw >= 0 else float(np.exp(raw) / (1.0 + np.exp(raw)))
+def _check_count(name, value, least):
+    # bool is an int subclass, and a float count would fail only inside the
+    # training loop, or run a whole episode for a fraction of one
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _instance_norm(x):
@@ -141,69 +152,100 @@ class ScalingFactorGenerator:
         }
 
     # -- forward / backward ------------------------------------------------
+    #
+    # Both passes run n rows at once.  Row i has its own parameter set: p[k][i]
+    # is parameter k of row i's step.  A single-image call is the n = 1 case,
+    # on views of theta[t] (_step_params); train_generator passes a slice of
+    # its (T, ...) parameter stack, one consecutive step per row.
+
+    def _step_params(self, t):
+        return {k: v[None] for k, v in self.theta[t].items()}
 
     def _inputs(self, x_adv, grad):
+        """Rows [x / 255 - 0.5 | grad / peak] of n flattened (iterate, gradient)
+        pairs, where peak is the row's largest |grad|; without a positive peak
+        the gradient part reads 0."""
         x_adv = np.asarray(x_adv, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
-        if x_adv.shape != self.image_shape.dims or grad.shape != x_adv.shape:
+        if x_adv.shape[1:] != self.image_shape.dims or grad.shape != x_adv.shape:
             raise ValueError("iterate and gradient must both match the generator image shape")
-        xs = x_adv / 255.0 - 0.5
-        peak = np.abs(grad).max()
-        gs = grad / peak if peak > 0 else np.zeros_like(grad)
-        return xs, gs
+        n, d = len(x_adv), self.image_shape.size
+        grad = grad.reshape(n, d)
+        v = np.zeros((n, 2 * d))
+        np.subtract(x_adv.reshape(n, d) / 255.0, 0.5, out=v[:, :d])
+        peak = np.abs(grad).max(axis=1, keepdims=True)
+        np.divide(grad, peak, out=v[:, d:], where=peak > 0)
+        return v
 
-    def _forward(self, t, x_adv, grad):
-        p = self.theta[t]
-        xs, gs = self._inputs(x_adv, grad)
+    def _forward(self, p, x_adv, grad):
+        """gamma (n,) and the backward cache of n (iterate, gradient) rows."""
+        v = self._inputs(x_adv, grad)
         if self.arch == "mlp":
-            v = np.concatenate([xs.reshape(-1), gs.reshape(-1)])
-            a1 = p["W1"] @ v + p["b1"]
-            h1 = np.tanh(a1)
-            a2 = p["W2"] @ h1 + p["b2"]
-            h2 = np.tanh(a2)
-            raw = float(p["W3"] @ h2 + p["b3"][0])
+            # matmul over the stacks takes one BLAS matrix-vector product (the
+            # last layer: one dot) per row, with the bits of p[k][i] @ v[i]
+            h1 = np.tanh(np.matmul(p["W1"], v[:, :, None])[:, :, 0] + p["b1"])
+            h2 = np.tanh(np.matmul(p["W2"], h1[:, :, None])[:, :, 0] + p["b2"])
+            raw = np.matmul(p["W3"][:, None, :], h2[:, :, None])[:, 0, 0] + p["b3"][:, 0]
             cache = ("mlp", v, h1, h2, raw)
         else:
-            a = np.concatenate([xs, gs], axis=2)[None]
-            layers = []  # (conv cache, instance-norm cache) of conv stages 1, 2, 3
-            for i in (1, 2, 3):
-                z, conv_cache = _conv3x3(a, p[f"K{i}"], p[f"c{i}"], stride=2)
-                a, norm_cache = _instance_norm(z)
-                layers.append((conv_cache, norm_cache))
-            flat = a.reshape(-1)
-            h = p["W1"] @ flat + p["b1"]
-            raw = float(p["W2"] @ h + p["b2"][0])
-            cache = ("conv", layers, a.shape, flat, h, raw)
-        gamma = self.head_scale * _softplus(raw)
-        return gamma, cache
+            dims, d = self.image_shape.dims, self.image_shape.size
+            rows = [self._conv_forward({k: w[i] for k, w in p.items()},
+                                       v[i, :d].reshape(dims), v[i, d:].reshape(dims))
+                    for i in range(len(v))]
+            raw = np.array([row[-1] for row in rows])
+            cache = ("conv", rows, raw)
+        return self.head_scale * np.logaddexp(0.0, raw), cache
+
+    @staticmethod
+    def _conv_forward(p, xs, gs):
+        a = np.concatenate([xs, gs], axis=2)[None]
+        layers = []  # (conv cache, instance-norm cache) of conv stages 1, 2, 3
+        for i in (1, 2, 3):
+            z, conv_cache = _conv3x3(a, p[f"K{i}"], p[f"c{i}"], stride=2)
+            a, norm_cache = _instance_norm(z)
+            layers.append((conv_cache, norm_cache))
+        flat = a.reshape(-1)
+        h = p["W1"] @ flat + p["b1"]
+        return layers, a.shape, flat, h, float(p["W2"] @ h + p["b2"][0])
 
     def gamma_forward(self, t, x_adv, grad) -> float:
         """Positive step scale for attack step t (0-based)."""
-        gamma, _ = self._forward(t, x_adv, grad)
-        return gamma
+        gamma, _ = self._forward(self._step_params(t), np.asarray(x_adv, dtype=np.float64)[None],
+                                 np.asarray(grad, dtype=np.float64)[None])
+        return float(gamma[0])
 
     def parameter_gradient(self, t, x_adv, grad, upstream: float) -> dict[str, np.ndarray]:
         """upstream * d(gamma)/d(theta_t), exact."""
-        _, cache = self._forward(t, x_adv, grad)
-        return self._backward_cache(t, cache, upstream)
+        p = self._step_params(t)
+        _, cache = self._forward(p, np.asarray(x_adv, dtype=np.float64)[None],
+                                 np.asarray(grad, dtype=np.float64)[None])
+        return {k: g[0] for k, g in self._backward(p, cache, np.array([upstream])).items()}
 
-    def _backward_cache(self, t, cache, upstream):
-        p = self.theta[t]
+    def _backward(self, p, cache, upstream):
+        """upstream[i] * d(gamma_i)/d(row i's parameters), stacked as p is."""
         raw = cache[-1]
-        draw = upstream * self.head_scale * _sigmoid(raw)
+        e = np.exp(-np.abs(raw))  # the sigmoid of raw, without overflow on either side
+        draw = upstream * self.head_scale * np.where(raw >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         if cache[0] == "mlp":
             _, v, h1, h2, _ = cache
-            grads = {"W3": draw * h2, "b3": np.array([draw])}
-            dh2 = draw * p["W3"]
-            da2 = dh2 * (1.0 - h2 * h2)
-            grads["W2"] = da2[:, None] * h1
+            d = draw[:, None]
+            grads = {"W3": d * h2, "b3": d}
+            da2 = d * p["W3"] * (1.0 - h2 * h2)
+            # each outer product entry is one product, which einsum rounds as `*` does
+            grads["W2"] = np.einsum("ni,nj->nij", da2, h1)
             grads["b2"] = da2
-            dh1 = p["W2"].T @ da2
+            dh1 = np.matmul(p["W2"].transpose(0, 2, 1), da2[:, :, None])[:, :, 0]
             da1 = dh1 * (1.0 - h1 * h1)
-            grads["W1"] = da1[:, None] * v
+            grads["W1"] = np.einsum("ni,nj->nij", da1, v)
             grads["b1"] = da1
             return grads
-        _, layers, a_shape, flat, h, _ = cache
+        rows = [self._conv_backward({k: w[i] for k, w in p.items()}, row, draw[i])
+                for i, row in enumerate(cache[1])]
+        return {k: np.stack([g[k] for g in rows]) for k in rows[0]}
+
+    @staticmethod
+    def _conv_backward(p, row, draw):
+        layers, a_shape, flat, h, _ = row
         grads = {"W2": draw * h, "b2": np.array([draw])}
         dh = draw * p["W2"]
         grads["W1"] = dh[:, None] * flat
@@ -221,10 +263,26 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
                     hidden: tuple[int, int] = (512, 128)) -> ScalingFactorGenerator:
     """Per-step gradient ascent on the transfer loss.
 
-    Each outer step samples an example and two distinct pool models: one
-    supplies attack gradients, the other scores the iterates.  Step t's
-    parameters are updated from loss_t alone; earlier iterates are treated
-    as constants (no cross-step backpropagation).
+    Each of cfg.total_steps episodes samples an example and two distinct pool
+    models, and runs a cfg.attack_steps-step attack on the example: c_x
+    supplies the attack gradients, c_y scores the iterates.  Step t's
+    parameters are updated from loss_t alone; earlier iterates are treated as
+    constants (no cross-step backpropagation).
+
+    The episodes run on a wavefront.  Step t of episode k reads only theta_t
+    as episode k - 1 left it and its own iterate from step t - 1, so the
+    steps with k + t = tau are independent, and front tau runs them together:
+    up to attack_steps episodes are in flight, one enters per front (its
+    draws in the order of the serial loop), and each front makes one
+    input_gradient call per pool model.  That call covers every row the model
+    scores, every row whose next gradient it supplies (both at the new
+    iterate) and the entering episode's first gradient.  Each theta_t still
+    takes its updates in episode order, so in exact arithmetic the fronts give
+    the serial loop's theta.  A batched input_gradient may differ from the
+    single-image call in its last bits, so theta agrees with the serial loop
+    to rounding that training carries forward (the tests hold it to 1e-12
+    relative at learning rate 1), and bit for bit when every model computes
+    its batch one row at a time.
     """
     if len(model_pool) < 2:
         raise ValueError(
@@ -232,36 +290,72 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
             "white-box models; a single model drives the scale arbitrarily "
             "high and destroys transferability"
         )
+    if cfg.total_steps and not len(dataset):
+        raise ValueError("training the scaling-factor generator needs a non-empty dataset")
+    for j, model in enumerate(model_pool):
+        if (model.image_shape, model.num_classes) != (dataset.image_shape, dataset.num_classes):
+            raise ValueError(
+                f"pool model {j} takes {model.image_shape.dims} images of "
+                f"{model.num_classes} classes; the dataset holds "
+                f"{dataset.image_shape.dims} images of {dataset.num_classes} classes")
     gen = ScalingFactorGenerator(
         cfg.attack_steps, dataset.image_shape, arch=arch, seed=cfg.seed,
         head_scale=head_scale, hidden=hidden,
     )
+    # one (T, ...) array per parameter, with theta[t][k] a view of its row t,
+    # so that the consecutive steps of a front are one slice
+    stack = {k: np.stack([p[k] for p in gen.theta]) for k in gen.theta[0]}
+    gen.theta = [{k: s[t] for k, s in stack.items()} for t in range(gen.steps)]
     rng = make_rng(cfg.seed, stream=9)
-    n_models = len(model_pool)
-    for _ in range(cfg.total_steps):
-        i = int(rng.integers(len(dataset)))
-        cx_i, cy_i = rng.choice(n_models, size=2, replace=False)
-        _ascent_episode(gen, model_pool[int(cx_i)], model_pool[int(cy_i)],
-                        dataset.images[i], int(dataset.labels[i]), cfg)
+    last, dims = cfg.attack_steps - 1, dataset.image_shape.dims
+    # row t holds the episode now at attack step t: its iterate, c_x's
+    # gradient there, its budget box and label, and the pool indices of c_x
+    # and c_y; rows [a, b) are in flight
+    x_at, g_at, lo, hi = (np.empty((cfg.attack_steps,) + dims) for _ in range(4))
+    label, cx, cy = (np.empty(cfg.attack_steps, dtype=np.int64) for _ in range(3))
+    a = b = started = 0
+    while started < cfg.total_steps or a < b:
+        n = b - a
+        params = {k: s[a:b] for k, s in stack.items()}
+        x_next = x_at[a:b]  # no row in flight on the first front
+        if n:
+            gamma, cache = gen._forward(params, x_at[a:b], g_at[a:b])
+            x_next = x_at[a:b] + gamma[:, None, None, None] * g_at[a:b]
+            _clamp(x_next, lo[a:b], hi[a:b], out=x_next)
+        keep = min(b, last) - a  # front rows [0, keep) take another step
+        # the rows each c_x attacks: x_next of those rows, then the entering example
+        points, labels, grad_by = x_next[:keep], label[a:a + keep], cx[a:a + keep]
+        entering = started < cfg.total_steps
+        if entering:
+            i = int(rng.integers(len(dataset)))
+            new_cx, new_cy = (int(j) for j in rng.choice(len(model_pool), size=2, replace=False))
+            x = dataset.images[i]
+            points = np.concatenate([points, x[None]])
+            labels = np.append(labels, dataset.labels[i])
+            grad_by = np.append(grad_by, new_cx)
+            started += 1
+        score, grads = np.empty_like(x_next), np.empty_like(points)
+        for m, model in enumerate(model_pool):
+            scored, attacked = np.flatnonzero(cy[a:b] == m), np.flatnonzero(grad_by == m)
+            if len(scored) or len(attacked):
+                out = model.input_gradient(np.concatenate([x_next[scored], points[attacked]]),
+                                           np.concatenate([label[a:b][scored], labels[attacked]]))
+                score[scored], grads[attacked] = out[:len(scored)], out[len(scored):]
+        if n:
+            upstream = (score * g_at[a:b]).reshape(n, -1).sum(axis=1)
+            for k, g in gen._backward(params, cache, upstream).items():
+                g *= cfg.learning_rate  # in place: no second temporary of W1's size
+                params[k] += g
+        # the rows that take another step move on to row t + 1
+        for buf, front in ((x_at, x_next), (g_at, grads), (lo, lo[a:b]), (hi, hi[a:b]),
+                           (label, label[a:b]), (cx, cx[a:b]), (cy, cy[a:b])):
+            buf[a + 1:a + 1 + keep] = front[:keep]
+        a, b = a + 1, a + 1 + keep
+        if entering:
+            a = 0
+            x_at[0], g_at[0], label[0], cx[0], cy[0] = x, grads[-1], labels[-1], new_cx, new_cy
+            lo[0], hi[0] = _box(x, cfg.epsilon)
     return gen
-
-
-def _ascent_episode(gen, c_x, c_y, x, y, cfg):
-    """One outer step of train_generator: a cfg.attack_steps-step attack on
-    (x, y) by c_x, scored by c_y, with theta_t updated in place after step t."""
-    lo, hi = _box(x, cfg.epsilon)  # the budget box of x, built once
-    x_adv = x.copy()
-    for t in range(cfg.attack_steps):
-        grad = c_x.input_gradient(x_adv, y)
-        gamma, cache = gen._forward(t, x_adv, grad)
-        x_next = x_adv + gamma * grad
-        _clamp(x_next, lo, hi, out=x_next)
-        score_grad = c_y.input_gradient(x_next, y)
-        upstream = float(np.sum(score_grad * grad))
-        theta = gen.theta[t]
-        for k, gval in gen._backward_cache(t, cache, upstream).items():
-            theta[k] += cfg.learning_rate * gval
-        x_adv = x_next
 
 
 def run_attack_adaptive(gen: ScalingFactorGenerator, models, x, y,

@@ -1,6 +1,7 @@
 """The attack loop and the generator training loop as they were before their
-per-attack invariants were hoisted and their per-point work vectorized, kept
-verbatim as the bit-for-bit reference of `advgrad.attacks.run_attack` and
+per-attack invariants were hoisted and their per-point work vectorized, and
+before training ran its episodes on a wavefront.  They are kept verbatim as
+the references of `advgrad.attacks.run_attack` and
 `advgrad.generator.train_generator` (tests) and as their timing baseline
 (``bench/``).
 
@@ -9,15 +10,22 @@ gradient's L1 norm twice under momentum, averages a one-model ensemble,
 multiplies by the sign flip and looks up every transform again.  It draws
 each EMI offset and each VT neighbour with its own call and stacks the
 points, builds DIM's resize index, and adds the EMI and VT rows, the SIM
-scales and the TIM taps one Python-level add at a time.  Three things
-differ from the library code they were copied from: `AttackResult` has no
-final loss any more, so none is computed; the method
-`ScalingFactorGenerator._backward_cache` is a function taking the generator,
-and the body of `train_generator`'s outer loop is the function
-`_ascent_episode`, split off as in the library, so that the benchmarks can
-time one training iteration on each side.
-"""
+scales and the TIM taps one Python-level add at a time.  `run_attack` must
+equal this loop bit for bit.
 
+Training here runs one episode after another (`_ascent_episode`), with two
+single-image gradient calls and one single-image generator step per attack
+step.  The library runs the steps of one front together, so its theta equals
+this loop's bit for bit only when each pool model computes a batch one row
+at a time; with batched model gradients the two agree to 1e-12 relative at
+learning rate 1.
+
+Some things differ from the library code they were copied from:
+`AttackResult` has no final loss any more, so none is computed; the methods
+`ScalingFactorGenerator._inputs`, `_forward` and `_backward_cache` of the
+single-image generator are functions taking the generator, and `_softplus`
+and `_sigmoid` are their scalar helpers, which the library no longer has.
+"""
 from __future__ import annotations
 
 import math
@@ -28,8 +36,10 @@ from advgrad.attacks import (
     AdaptiveStep, AttackResult, DegenerateGradientError, Dim, Emi, Sim, SignStep, Tim, Vt,
     _tim_taps, apply_step,
 )
-from advgrad.generator import ScalingFactorGenerator, _instance_norm_backward, _sigmoid
-from advgrad.numerics import _conv3x3_backward, make_rng
+from advgrad.generator import (
+    ScalingFactorGenerator, _instance_norm, _instance_norm_backward,
+)
+from advgrad.numerics import _conv3x3, _conv3x3_backward, make_rng
 
 
 def momentum_accumulate(g_prev: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
@@ -240,6 +250,53 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
 # -- generator training
 
 
+def _softplus(raw: float) -> float:
+    return float(np.logaddexp(0.0, raw))
+
+
+def _sigmoid(raw: float) -> float:
+    return float(1.0 / (1.0 + np.exp(-raw))) if raw >= 0 else float(np.exp(raw) / (1.0 + np.exp(raw)))
+
+
+def _inputs(self, x_adv, grad):
+    """ScalingFactorGenerator._inputs, with the generator as `self`."""
+    x_adv = np.asarray(x_adv, dtype=np.float64)
+    grad = np.asarray(grad, dtype=np.float64)
+    if x_adv.shape != self.image_shape.dims or grad.shape != x_adv.shape:
+        raise ValueError("iterate and gradient must both match the generator image shape")
+    xs = x_adv / 255.0 - 0.5
+    peak = np.abs(grad).max()
+    gs = grad / peak if peak > 0 else np.zeros_like(grad)
+    return xs, gs
+
+
+def _forward(self, t, x_adv, grad):
+    """ScalingFactorGenerator._forward, with the generator as `self`."""
+    p = self.theta[t]
+    xs, gs = _inputs(self, x_adv, grad)
+    if self.arch == "mlp":
+        v = np.concatenate([xs.reshape(-1), gs.reshape(-1)])
+        a1 = p["W1"] @ v + p["b1"]
+        h1 = np.tanh(a1)
+        a2 = p["W2"] @ h1 + p["b2"]
+        h2 = np.tanh(a2)
+        raw = float(p["W3"] @ h2 + p["b3"][0])
+        cache = ("mlp", v, h1, h2, raw)
+    else:
+        a = np.concatenate([xs, gs], axis=2)[None]
+        layers = []  # (conv cache, instance-norm cache) of conv stages 1, 2, 3
+        for i in (1, 2, 3):
+            z, conv_cache = _conv3x3(a, p[f"K{i}"], p[f"c{i}"], stride=2)
+            a, norm_cache = _instance_norm(z)
+            layers.append((conv_cache, norm_cache))
+        flat = a.reshape(-1)
+        h = p["W1"] @ flat + p["b1"]
+        raw = float(p["W2"] @ h + p["b2"][0])
+        cache = ("conv", layers, a.shape, flat, h, raw)
+    gamma = self.head_scale * _softplus(raw)
+    return gamma, cache
+
+
 def _backward_cache(self, t, cache, upstream):
     """ScalingFactorGenerator._backward_cache, with the generator as `self`."""
     p = self.theta[t]
@@ -303,11 +360,11 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
 
 
 def _ascent_episode(gen, c_x, c_y, x, y, cfg):
-    """The body of train_generator's outer loop, split off as in the library."""
+    """The body of train_generator's outer loop: one episode."""
     x_adv = x.copy()
     for t in range(cfg.attack_steps):
         grad = c_x.input_gradient(x_adv, y)
-        gamma, cache = gen._forward(t, x_adv, grad)
+        gamma, cache = _forward(gen, t, x_adv, grad)
         x_next = project(x_adv + gamma * grad, x, cfg.epsilon)
         score_grad = c_y.input_gradient(x_next, y)
         upstream = float(np.sum(score_grad * grad))

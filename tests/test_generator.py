@@ -1,5 +1,6 @@
 """Tests for the per-step scaling-factor generator and adaptive attack."""
 
+import dataclasses
 import json
 import math
 
@@ -18,7 +19,7 @@ from advgrad.generator import (
     train_generator,
 )
 from advgrad.harness import synth_dataset
-from advgrad.models import TrainConfig, build_model, train_classifier
+from advgrad.models import Model, TrainConfig, build_model, train_classifier
 from advgrad.numerics import ImageShape, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
@@ -84,6 +85,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="epsilon"):
             GeneratorTrainConfig(total_steps=total_steps, attack_steps=2, learning_rate=0.1,
                                  epsilon=epsilon)
+
+    # unchecked, attack_steps=True built a generator whose steps was True, and
+    # total_steps=2.5 failed only inside the training loop
+    @pytest.mark.parametrize("field", ["total_steps", "attack_steps"])
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, np.float64(2.0), "3", None])
+    def test_train_config_rejects_a_count_that_is_not_an_integer(self, field, value):
+        counts = {"total_steps": 1, "attack_steps": 2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GeneratorTrainConfig(**counts, learning_rate=0.1, epsilon=8.0)
+
+    def test_train_config_takes_numpy_integer_counts(self):
+        cfg = GeneratorTrainConfig(total_steps=np.int64(2), attack_steps=np.int32(3),
+                                   learning_rate=0.1, epsilon=8.0)
+        assert (cfg.total_steps, cfg.attack_steps) == (2, 3)
 
     def test_train_config_accepts_an_infinite_epsilon(self):
         cfg = GeneratorTrainConfig(total_steps=1, attack_steps=2, learning_rate=0.1,
@@ -299,6 +314,62 @@ class TestTraining:
                                    learning_rate=0.1, epsilon=8.0)
         with pytest.raises(ValueError, match="two"):
             train_generator(ds, [model], cfg)
+
+    def test_rejects_an_empty_dataset(self):
+        ds = synth_dataset("blobs", 30, SHAPE, seed=0).subset(np.arange(0))
+        pool = [build_model(kind, SHAPE, 3, seed=0) for kind in ("mlp-1-hidden", "tiny-conv")]
+        cfg = GeneratorTrainConfig(total_steps=1, attack_steps=2, learning_rate=0.1, epsilon=8.0)
+        with pytest.raises(ValueError, match="non-empty dataset"):
+            train_generator(ds, pool, cfg)
+        # with no episode to run, no example is needed
+        fresh = train_generator(ds, pool, dataclasses.replace(cfg, total_steps=0), hidden=(12, 6))
+        assert len(fresh.theta) == 2
+
+    @pytest.mark.parametrize("shape,classes,message", [
+        (SHAPE, 2, r"pool model 1 takes \(8, 8, 1\) images of 2 classes"),
+        (ImageShape(8, 8, 3), 3, r"pool model 1 takes \(8, 8, 3\) images of 3 classes"),
+    ], ids=["classes", "image-shape"])
+    def test_rejects_a_pool_model_unlike_the_dataset_before_any_draw(self, monkeypatch, shape,
+                                                                     classes, message):
+        # a 2-class model in a 3-class pool used to fail only when an example
+        # of label 2 was drawn, mid-training
+        ds = synth_dataset("blobs", 30, SHAPE, seed=0, num_classes=3)
+        pool = [build_model("mlp-1-hidden", SHAPE, 3, seed=0),
+                build_model("mlp-1-hidden", shape, classes, seed=1)]
+        cfg = GeneratorTrainConfig(total_steps=5, attack_steps=2, learning_rate=0.1,
+                                   epsilon=8.0)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a stream was made before the checks")
+
+        monkeypatch.setattr(generator, "make_rng", no_draws)
+        with pytest.raises(ValueError, match=message):
+            train_generator(ds, pool, cfg)
+
+    @pytest.mark.parametrize("total_steps,attack_steps", [(0, 3), (1, 1), (7, 3), (2, 6)])
+    def test_one_gradient_call_per_pool_model_per_front(self, monkeypatch, total_steps,
+                                                        attack_steps):
+        # total_steps + attack_steps fronts: the first only takes the first
+        # episode's first gradient, the last only scores the last episode's
+        # last step
+        ds = synth_dataset("blobs", 30, SHAPE, seed=3, num_classes=3)
+        pool = [build_model(kind, SHAPE, 3, seed=s)
+                for s, kind in enumerate(("mlp-1-hidden", "tiny-conv", "softmax-linear"))]
+        calls = []
+        real = Model.input_gradient
+
+        def counted(model, x, y):
+            calls.append(len(x))
+            return real(model, x, y)
+
+        monkeypatch.setattr(Model, "input_gradient", counted)
+        cfg = GeneratorTrainConfig(total_steps=total_steps, attack_steps=attack_steps,
+                                   learning_rate=1.0, epsilon=8.0, seed=2)
+        train_generator(ds, pool, cfg, hidden=(12, 6))
+        assert len(calls) <= len(pool) * (total_steps + attack_steps)
+        # each step reads one gradient row (the first step's comes with the
+        # episode's entry, the others as next-step rows) and one score row
+        assert sum(calls) == total_steps * (2 * attack_steps)
 
     def test_training_changes_parameters(self):
         ds = synth_dataset("blobs", 40, SHAPE, seed=1)
