@@ -17,6 +17,13 @@ The report gains ``setfn_evals_per_s`` in each case's ``extra_info``: the 600
 evaluations over the case's ``min`` and over its ``median``.  The cases take a
 few milliseconds; compare lean with reference within one run, by ``min``.
 
+The ``test_scoring`` cases time the MLP set function's ``v.batch`` alone on the
+600 masks of one estimate: ``lean`` is the library's, which selects each row's
+standardized input and runs whole chunks in stacked forward passes, and
+``reference`` is the chunked scoring it replaced
+(``reference_interaction.model_setfn_batch``), one forward pass per 32 rows.
+Both give the same rewards bit for bit.
+
 The ``test_draws`` cases time the sampler's draws alone, 30 pairs x 5 subsets,
 both ways the library can take them: replayed from blocks of raw values, and
 one numpy call per draw.  They run at 64 players (8x8x1), 128, 192 (8x8x3) and
@@ -32,7 +39,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import reference_interaction as reference
+import reference_interaction
 from advgrad import interaction
 from advgrad.models import build_model
 from advgrad.numerics import ImageShape, make_rng
@@ -42,15 +49,19 @@ NUM_PAIRS, NUM_SUBSETS = 30, 5
 # an estimate scores 4 subsets per (pair, subset) sample
 SETFN_EVALS = 4 * NUM_PAIRS * NUM_SUBSETS
 SAMPLERS = {"lean": interaction.expected_interaction_sampled,
-            "reference": reference.expected_interaction_sampled}
+            "reference": reference_interaction.expected_interaction_sampled}
 
 
 @pytest.fixture(scope="module")
-def setfns():
-    model = build_model("mlp-1-hidden", SHAPE, 3, seed=0)
+def setfn_args():
     rng = make_rng(0, 93)
-    v, n = interaction.make_model_setfn(model, rng.uniform(0.0, 255.0, size=SHAPE.dims),
-                                        rng.uniform(-32.0, 32.0, size=SHAPE.dims), 0)
+    return (build_model("mlp-1-hidden", SHAPE, 3, seed=0),
+            rng.uniform(0.0, 255.0, size=SHAPE.dims), rng.uniform(-32.0, 32.0, size=SHAPE.dims), 0)
+
+
+@pytest.fixture(scope="module")
+def setfns(setfn_args):
+    v, n = interaction.make_model_setfn(*setfn_args)
     free = SimpleNamespace(batch=lambda masks: np.zeros(len(masks)))
     return {"model": v, "free": free}, n
 
@@ -67,6 +78,23 @@ def test_one_estimate(benchmark, setfns, scoring, sampler):
     assert estimate() == estimate(SAMPLERS["reference"])
     benchmark(estimate)
     if benchmark.stats:  # None when timing is off
+        benchmark.extra_info["setfn_evals_per_s"] = {
+            key: SETFN_EVALS / benchmark.stats.get(key) for key in ("min", "median")}
+
+
+@pytest.mark.parametrize("scoring", ["lean", "reference"])
+def test_scoring(benchmark, setfn_args, setfns, scoring):
+    v, n = setfns[0]["model"], setfns[1]
+    masks = []
+    interaction.expected_interaction_sampled(
+        SimpleNamespace(batch=lambda m: masks.append(m) or np.zeros(len(m))),
+        n, NUM_PAIRS, NUM_SUBSETS, rng=make_rng(0, 2000))
+    reference = reference_interaction.model_setfn_batch(*setfn_args)
+    score = v.batch if scoring == "lean" else reference
+    assert masks[0].shape == (SETFN_EVALS, n)
+    assert score(masks[0]).tobytes() == reference(masks[0]).tobytes()
+    benchmark(score, masks[0])
+    if benchmark.stats:
         benchmark.extra_info["setfn_evals_per_s"] = {
             key: SETFN_EVALS / benchmark.stats.get(key) for key in ("min", "median")}
 

@@ -60,9 +60,16 @@ __all__ = [
 ]
 
 EXACT_PLAYER_LIMIT = 20
-# rows per batched forward pass of a model set function; chunks keep the
-# im2col buffers, and so peak memory, small on large images
+# rows per GEMM when a model set function scores its masks.  A matrix
+# product's row bits depend on its row count, so this also fixes the bits of
+# every reward; and it keeps the im2col buffers, and so peak memory, small on
+# large images
 SETFN_CHUNK = 32
+# bytes of standardized input per stacked forward pass of a model set function,
+# or one chunk if that is more: 4 chunks at 8x8x1, 1 at 16x16x3.  It keeps a
+# pass's temporaries below glibc's 128 KiB mmap threshold, so they reuse heap
+# memory; 576 rows in one pass took about 112 minor page faults per estimate
+SETFN_BLOCK_BYTES = 1 << 16
 # rows per v.batch call when the exact routines tabulate all 2^n subsets
 _TABLE_BLOCK = 1 << 14
 # the sampler replays its draws from raw values up to this many players; in
@@ -70,7 +77,7 @@ _TABLE_BLOCK = 1 << 14
 # at 64, 128 and 192 players and slower at 768, and no perfbench workload
 # runs above 64 players to test a higher limit end to end
 _REPLAY_PLAYERS = 128
-# raw values the replay reads per block, unless a single pair needs more
+# raw values the replay reads at most per block, unless a single pair needs more
 _RAW_BLOCK = 1 << 14
 _MASK32 = (1 << 32) - 1
 
@@ -198,12 +205,21 @@ def _check_masks(masks, n: int) -> np.ndarray:
     return masks
 
 
+def _check_players(players, n: int):
+    for p in players:
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 0 <= p < n:
+            raise ValueError(f"player index {p!r} is not an integer in [0, {n})")
+
+
 def _subset_setfn(batch, n: int):
     """Return (v, n): v(subset) scores one subset through batch, and v.batch is batch."""
 
     def v(subset):
+        subset = list(subset)
+        # a negative index would wrap around to a player at the end
+        _check_players(subset, n)
         mask = np.zeros((1, n), dtype=bool)
-        mask[0, list(subset)] = True
+        mask[0, subset] = True
         return float(batch(mask)[0])
 
     v.batch = batch
@@ -215,9 +231,14 @@ def make_model_setfn(model, x: np.ndarray, delta: np.ndarray, y: int):
 
     Returns (v, n).  v(subset) is the reward of x plus the units of delta in
     subset; v.batch(masks) maps a (k, n) bool mask array to the (k,) rewards
-    of its rows, with one batched forward pass per SETFN_CHUNK rows.  The
-    inputs are checked here, once, because the batched path skips the model's
-    per-call input check.
+    of its rows.  A row's standardized input selects, unit by unit, that of
+    x + delta or that of x, which is exact: x + 1 * delta is x + delta and
+    x + 0 * delta is x.  The rows run through the model in chunks of
+    SETFN_CHUNK, one GEMM per chunk: the whole chunks in stacks of at most
+    SETFN_BLOCK_BYTES of input (at least one chunk) per forward pass, and a
+    last, shorter chunk in a pass of its own.  So every reward has the bits
+    of a forward pass over its own chunk.  The inputs are checked here, once,
+    because the batched path skips the model's per-call input check.
     """
     dims = model.image_shape.dims
     x = np.asarray(x, dtype=np.float64)
@@ -230,15 +251,26 @@ def make_model_setfn(model, x: np.ndarray, delta: np.ndarray, y: int):
     if model.num_classes < 2:
         raise ValueError("reward needs at least two classes")
     _check_label(y, model.num_classes)
+    clean = model._standardize(x).reshape(-1)
+    full = model._standardize(x + flat.reshape(dims)).reshape(-1)
+    rivals = np.delete(np.arange(model.num_classes), y)
+    block_rows = SETFN_CHUNK * max(1, SETFN_BLOCK_BYTES // (SETFN_CHUNK * full.nbytes))
+
+    def forward(rows, lead):
+        logits, _ = model._forward(np.where(rows, full, clean).reshape(lead + dims))
+        return logits.reshape(len(rows), -1)
 
     def batch(masks):
         masks = _check_masks(masks, flat.size)
         logits = np.empty((len(masks), model.num_classes))
-        for start in range(0, len(masks), SETFN_CHUNK):
-            chunk = masks[start:start + SETFN_CHUNK]
-            inputs = x + (chunk * flat).reshape((-1,) + dims)
-            logits[start:start + len(chunk)] = model._forward(model._standardize(inputs))[0]
-        return np.delete(logits, y, axis=1).max(axis=1) - logits[:, y]
+        whole = len(masks) - len(masks) % SETFN_CHUNK
+        for start in range(0, whole, block_rows):
+            stop = min(start + block_rows, whole)
+            logits[start:stop] = forward(masks[start:stop], (-1, SETFN_CHUNK))
+        if whole < len(masks):
+            # padded to a whole chunk, these rows would take other bits
+            logits[whole:] = forward(masks[whole:], (-1,))
+        return logits[:, rivals].max(axis=1) - logits[:, y]
 
     return _subset_setfn(batch, flat.size)
 
@@ -273,9 +305,7 @@ def _subset_values(v, n: int, *players) -> np.ndarray:
     if n > EXACT_PLAYER_LIMIT:
         raise ValueError(f"exact enumeration is limited to {EXACT_PLAYER_LIMIT} players; "
                          "use expected_interaction_sampled for larger games")
-    for p in players:
-        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or not 0 <= p < n:
-            raise ValueError(f"player index {p!r} is not an integer in [0, {n})")
+    _check_players(players, n)
     _check_batch(v)
     table = np.empty(1 << n)
     for start in range(0, 1 << n, _TABLE_BLOCK):
@@ -340,7 +370,8 @@ def _draw_replayed(rng, n: int, num_pairs: int, num_subsets: int):
     pairs, sizes, picks = [], [], []
     while num_pairs:
         state = bitgen.state
-        want = min(num_pairs * most, max(_RAW_BLOCK, most))
+        want = min(num_pairs * most, max(min(_raw_need(n, num_pairs, num_subsets),
+                                             _RAW_BLOCK), most))
         while True:
             block = _replay(rng.integers(0, 1 << 32, size=want), n, num_pairs, num_subsets)
             if len(block[0]):
@@ -355,6 +386,16 @@ def _draw_replayed(rng, n: int, num_pairs: int, num_subsets: int):
             part.append(got)
         num_pairs -= len(block[0])
     return np.concatenate(pairs), np.concatenate(sizes), np.concatenate(picks)
+
+
+def _raw_need(n: int, num_pairs: int, num_subsets: int) -> int:
+    """Raw values that num_pairs pairs take, but for odds of about 3e-5 (four
+    standard deviations): a subset takes 2 * size values, plus one if it is
+    empty and less one if it holds all n - 2 players, so n - 2 on average,
+    with a spread of about (n - 1) / sqrt(3) for its size uniform in [0, n - 2]."""
+    subsets = num_pairs * num_subsets
+    return math.ceil(3 * num_pairs + subsets * (n - 2)
+                     + 4 * (n - 1) * math.sqrt(subsets / 3))
 
 
 def _bounded(raw: np.ndarray, at: np.ndarray, r):
@@ -457,8 +498,13 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
     a set function from make_model_setfn or make_game_setfn: all four
     evaluations of every sample are scored by one v.batch call.  stderr is
     the standard deviation (ddof=1) of the num_pairs per-pair means over
-    sqrt(num_pairs), and 0.0 for one pair.
+    sqrt(num_pairs), and 0.0 for one pair.  n and the counts must be integers,
+    not bool: n at least 2 and the counts at least 1.
     """
+    for name, count in (("n", n), ("num_pairs", num_pairs), ("num_subsets", num_subsets)):
+        # a float count fails deep in numpy, and True would count as 1
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if n < 2:
         raise ValueError("need at least two players")
     if num_pairs < 1 or num_subsets < 1:

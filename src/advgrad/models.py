@@ -164,6 +164,10 @@ class Model:
         """Return (logits, cache) for standardized z of shape (N, H, W, C) or (H, W, C).
 
         Logits are (N, num_classes) or (num_classes,); the cache feeds _backward.
+        z may also be a stack (M, N, H, W, C) of M batches, for logits of shape
+        (M, N, num_classes) equal bit for bit to M calls on the batches: each
+        batch runs its own GEMMs, whose row bits depend on the row count.  A
+        stack's cache feeds no _backward.
         """
         raise NotImplementedError
 
@@ -235,8 +239,9 @@ class SoftmaxLinear(Model):
         }
 
     def _forward(self, z):
-        # (H, W, C) -> (d,) and (N, H, W, C) -> (N, d); z @ W.T serves both
-        zf = z.reshape(len(z), -1) if z.ndim == 4 else z.reshape(-1)
+        # (H, W, C) -> (d,), (N, H, W, C) -> (N, d) and (M, N, H, W, C) ->
+        # (M, N, d); z @ W.T serves all three, with one GEMM per batch of a stack
+        zf = z.reshape(z.shape[:-3] + (-1,))
         return zf @ self.params["W"].T + self.params["b"], zf
 
     def _backward(self, dlogits, zf, params, inputs=True):
@@ -265,7 +270,7 @@ class TanhMLP(Model):
         }
 
     def _forward(self, z):
-        zf = z.reshape(len(z), -1) if z.ndim == 4 else z.reshape(-1)
+        zf = z.reshape(z.shape[:-3] + (-1,))
         h = np.tanh(zf @ self.params["W1"].T + self.params["b1"])
         logits = h @ self.params["W2"].T + self.params["b2"]
         return logits, (zf, h)
@@ -324,6 +329,11 @@ class TinyConv(Model):
         }
 
     def _forward(self, z):
+        if z.ndim == 5:
+            # one batch at a time: merged, the batches would grow the im2col
+            # buffers with the stack, and a product's row bits can change with
+            # its row count
+            return np.stack([self._forward(batch)[0] for batch in z]), None
         lead = z.shape[:-3]
         c1, conv1 = _conv3x3(z.reshape((-1,) + z.shape[-3:]), self.params["W1"], self.params["b1"])
         t1 = np.tanh(c1)

@@ -16,6 +16,13 @@ oracles as they enumerated subsets in Python, one ``v(subset)`` call at a
 time, before both were read from one table of all 2^n subsets.  The library's
 versions must agree with them to rounding.
 
+``model_setfn_batch`` is the ``v.batch`` of ``make_model_setfn`` as it scored
+its masks before each row's input became a select and whole chunks a stacked
+forward pass: one forward pass per ``SETFN_CHUNK`` rows, each building its
+inputs from ``x``, the masked units of ``delta`` and the model's
+standardization.  The library's ``v.batch`` must return its rewards bit for
+bit.
+
 ``replay_draws`` replays the sampler's draws one raw 32-bit value at a time:
 numpy's bounded draw (``bounded``) and ``Generator.choice`` without
 replacement (``choice``: Floyd's selection, then the shuffle of the picks), as
@@ -29,8 +36,27 @@ import math
 
 import numpy as np
 
-from advgrad.interaction import EXACT_PLAYER_LIMIT, InteractionEstimate
+from advgrad.interaction import EXACT_PLAYER_LIMIT, SETFN_CHUNK, InteractionEstimate, _check_masks
 from advgrad.numerics import make_rng
+
+
+def model_setfn_batch(model, x: np.ndarray, delta: np.ndarray, y: int):
+    """The v.batch of make_model_setfn(model, x, delta, y), one forward pass per
+    SETFN_CHUNK rows; x, delta and y are taken as valid."""
+    dims = model.image_shape.dims
+    x = np.asarray(x, dtype=np.float64)
+    flat = np.asarray(delta, dtype=np.float64).reshape(-1)
+
+    def batch(masks):
+        masks = _check_masks(masks, flat.size)
+        logits = np.empty((len(masks), model.num_classes))
+        for start in range(0, len(masks), SETFN_CHUNK):
+            chunk = masks[start:start + SETFN_CHUNK]
+            inputs = x + (chunk * flat).reshape((-1,) + dims)
+            logits[start:start + len(chunk)] = model._forward(model._standardize(inputs))[0]
+        return np.delete(logits, y, axis=1).max(axis=1) - logits[:, y]
+
+    return batch
 
 
 def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,

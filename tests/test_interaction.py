@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ import reference_interaction
 from advgrad import interaction
 from advgrad.interaction import (
     EXACT_PLAYER_LIMIT,
+    SETFN_BLOCK_BYTES,
     SETFN_CHUNK,
     AnalyticGame,
     coefficients,
@@ -276,6 +278,22 @@ class TestBatchedSetfn:
         mask[0, [1, 3]] = True
         assert v((3, 1)) == v.batch(mask)[0]
 
+    @pytest.mark.parametrize("player", [-1, 16, 1.0, True, np.bool_(True), np.int64(-1)])
+    @pytest.mark.parametrize("build", ["model", "game"])
+    def test_subset_call_rejects_a_bad_player_index(self, build, player):
+        # unchecked, -1 would score player 15 and True fail in numpy indexing
+        if build == "model":
+            shape = ImageShape(4, 4, 1)
+            v, n = make_model_setfn(build_model("mlp-1-hidden", shape, 3, seed=1),
+                                    np.full(shape.dims, 128.0), np.ones(shape.dims), 0)
+        else:
+            v, n = make_game_setfn(random_game(make_rng(28), 16), np.ones(16))
+        assert n == 16
+        with pytest.raises(ValueError, match=re.escape(f"player index {player!r} is not an "
+                                                       "integer in [0, 16)")):
+            v([2, player])
+        assert v([np.int64(15), np.uint8(2)]) == v([2, 15])
+
     def test_game_setfn_rejects_a_delta_of_another_size(self):
         with pytest.raises(ValueError, match="units"):
             make_game_setfn(random_game(make_rng(30), 5), np.ones(4))
@@ -287,6 +305,58 @@ class TestBatchedSetfn:
         v, _ = make_game_setfn(random_game(make_rng(30), 5), np.ones(5))
         with pytest.raises(ValueError, match="bool array"):
             v.batch(masks)
+
+
+SETFN_SHAPES = [(8, 8, 1), (4, 4, 2), (16, 16, 3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(MODEL_KINDS), dims=st.sampled_from(SETFN_SHAPES),
+       rows=st.integers(0, 700), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+@example(kind="tiny-conv", dims=(16, 16, 3), rows=0, density=0.5, seed=0)
+@example(kind="mlp-1-hidden", dims=(8, 8, 1), rows=1, density=0.5, seed=1)
+@example(kind="softmax-linear", dims=(4, 4, 2), rows=31, density=0.5, seed=2)
+@example(kind="tiny-conv", dims=(8, 8, 1), rows=32, density=0.5, seed=3)
+@example(kind="mlp-1-hidden", dims=(16, 16, 3), rows=33, density=0.2, seed=4)
+@example(kind="softmax-linear", dims=(8, 8, 1), rows=600, density=0.5, seed=5)
+@example(kind="mlp-1-hidden", dims=(8, 8, 1), rows=600, density=0.5, seed=6)
+@example(kind="tiny-conv", dims=(4, 4, 2), rows=600, density=0.7, seed=7)
+def test_model_batch_matches_the_chunked_reference_bit_for_bit(kind, dims, rows, density,
+                                                               seed):
+    shape = ImageShape(*dims)
+    rng = make_rng(seed, 44)
+    model = build_model(kind, shape, 4, seed=seed)
+    # pixels at 0 add the signed zeros of masked-out negative units
+    x = np.where(rng.random(shape.dims) < 0.1, 0.0, rng.uniform(0, 255, size=shape.dims))
+    delta = rng.uniform(-64, 64, size=shape.dims)
+    y = int(rng.integers(0, 4))
+    masks = rng.random((rows, shape.size)) < density
+    if rows:
+        masks[0], masks[-1] = False, True
+    v, _ = make_model_setfn(model, x, delta, y)
+    got = v.batch(masks)
+    want = reference_interaction.model_setfn_batch(model, x, delta, y)(masks)
+    assert got.shape == want.shape == (rows,)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("dims,chunks", [((8, 8, 1), 4), ((4, 4, 2), 8), ((16, 16, 3), 1)])
+def test_no_forward_pass_takes_more_than_the_block_budget(monkeypatch, kind, dims, chunks):
+    shape = ImageShape(*dims)
+    model = build_model(kind, shape, 3, seed=0)
+    rng = make_rng(0, 45)
+    v, n = make_model_setfn(model, rng.uniform(0, 255, size=dims),
+                            rng.uniform(-8, 8, size=dims), 0)
+    inputs, forward = [], model._forward
+    monkeypatch.setattr(model, "_forward", lambda z: inputs.append(z.shape) or forward(z))
+    v.batch(rng.random((600, n)) < 0.5)
+    # whole chunks in stacks of up to the budget, or of one chunk, then the 24
+    # rows left; tiny-conv passes each batch of a stack to _forward again
+    one_chunk = SETFN_CHUNK * n * 8
+    assert max(math.prod(s) * 8 for s in inputs) <= max(SETFN_BLOCK_BYTES, one_chunk)
+    assert inputs[0] == (chunks, SETFN_CHUNK) + dims and inputs[-1] == (24,) + dims
+    assert sum(s[0] * s[1] for s in inputs if len(s) == 5) + 24 == 600
 
 
 def unit_game_setfn(g, H):
@@ -507,6 +577,31 @@ class TestSampledInteraction:
         with pytest.raises(ValueError):
             expected_interaction_sampled(lambda s: 0.0, 1, 1, 1)
 
+    @pytest.mark.parametrize("n", [2, 64, interaction._REPLAY_PLAYERS + 1],
+                             ids=["per-call", "replayed", "per-call-large"])
+    @pytest.mark.parametrize("counts,message", [
+        ((2.5, 3), "num_pairs must be an integer, got 2.5"),
+        ((True, 3), "num_pairs must be an integer, got True"),
+        ((2, 3.0), "num_subsets must be an integer, got 3.0"),
+        ((2, np.bool_(True)), "num_subsets must be an integer, got .*True"),
+        ((0, 3), "at least one pair"),
+        ((2, -1), "at least one pair and one subset"),
+    ], ids=["pairs-float", "pairs-bool", "subsets-float", "subsets-numpy-bool", "no-pair",
+            "negative-subsets"])
+    def test_bad_counts_are_rejected_before_any_draw(self, n, counts, message):
+        # unchecked, 2.5 pairs would fail deep in numpy, and True would run one
+        # pair on the per-call path but fail in the replay
+        rng = make_rng(46)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            expected_interaction_sampled(zero_game_setfn(n), n, *counts, rng=rng)
+        np.testing.assert_equal(rng.bit_generator.state, before)
+
+    @pytest.mark.parametrize("n", [4.0, True, np.float64(64)])
+    def test_a_player_count_that_is_not_an_integer_is_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            expected_interaction_sampled(zero_game_setfn(4), n, 2, 2)
+
     def test_plain_callable_is_rejected_before_any_draw(self):
         rng = make_rng(31)
         before = rng.bit_generator.state
@@ -644,6 +739,33 @@ def test_scalar_replay_reads_what_numpy_draws(n, seed):
     replayed = make_rng(seed, 38)
     replayed.integers(0, 1 << 32, size=raw.read)
     np.testing.assert_equal(replayed.bit_generator.state, rng.bit_generator.state)
+
+
+class CountingGenerator:
+    """Passes the block replay's reads through to rng and records their sizes."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.reads = rng, rng.bit_generator, []
+
+    def integers(self, low, high, size):
+        self.reads.append(size)
+        return self.rng.integers(low, high, size=size)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_first_raw_read_is_sized_to_the_expected_need(seed):
+    # the workload setting: 30 pairs x 5 subsets at 64 players take about 9,400
+    # values, which the first read covers without reading _RAW_BLOCK of them
+    need = interaction._raw_need(64, 30, 5)
+    assert 9_400 < need < interaction._RAW_BLOCK
+    rng = CountingGenerator(make_rng(seed, 47))
+    replayed = interaction._draw_replayed(rng, 64, 30, 5)
+    assert rng.reads[0] == need and len(rng.reads) == 2 and rng.reads[1] < need
+    per_call_rng = make_rng(seed, 47)
+    per_call = interaction._draw_per_call(per_call_rng, 64, 30, 5)
+    for got, want in zip(replayed[:2], per_call[:2]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
 
 
 class CraftedGenerator:

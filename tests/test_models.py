@@ -268,6 +268,25 @@ class TestBatchedCore:
         assert acc == np.mean([reference.predict(x) == y
                                for x, y in zip(ds.images, ds.labels)])
 
+    @pytest.mark.parametrize("dims", [(8, 8, 1), (4, 4, 2), (16, 16, 3)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_stack_of_batches_matches_one_call_per_batch_bit_for_bit(self, kind, dims):
+        # a product over all 96 rows at once would give some rows other bits
+        model = build_model(kind, ImageShape(*dims), 3, seed=6)
+        z = make_rng(9).uniform(-0.5, 0.5, size=(3, 32) + dims)
+        logits, _ = model._forward(z)
+        assert logits.shape == (3, 32, 3)
+        for stacked, batch in zip(logits, z):
+            assert np.array_equal(stacked, model._forward(batch)[0])
+
+    def test_tiny_conv_convolves_a_stack_one_batch_at_a_time(self, monkeypatch):
+        # so its im2col buffers stay the size of one batch's
+        rows, conv = [], models._conv3x3
+        monkeypatch.setattr(models, "_conv3x3", lambda x, *args: rows.append(len(x))
+                            or conv(x, *args))
+        build_model("tiny-conv", SHAPE, 3, seed=6)._forward(np.zeros((3, 32) + SHAPE.dims))
+        assert rows == [32] * 6
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_accuracy_matches_predict_across_chunks(self, kind):
         # 70 images span several forward chunks, the last one partial
