@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .models import _check_label
-from .numerics import _from_doc, gaussian_kernel_2d, make_rng
+from .numerics import _check_count, _from_doc, gaussian_kernel_2d, make_rng
 
 __all__ = [
     "DegenerateGradientError",
@@ -123,6 +123,7 @@ class Tim:
     sigma: float | None = None
 
     def __post_init__(self):
+        _check_count("k", self.k)
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError("k must be odd and >= 1")
         if self.sigma is not None and not self.sigma > 0:
@@ -136,8 +137,7 @@ class Sim:
     m: int = 2
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        _check_count("m", self.m, 1)
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,9 @@ class Vt:
     beta: float = 1.5
 
     def __post_init__(self):
-        if self.n < 1 or not 0 <= self.beta < math.inf:
-            raise ValueError("need n >= 1 and a finite beta >= 0")
+        _check_count("n", self.n, 1)
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,9 @@ class Emi:
     eta: float = 7.0
 
     def __post_init__(self):
-        if self.n < 1 or not 0 <= self.eta < math.inf:
-            raise ValueError("need n >= 1 and a finite eta >= 0")
+        _check_count("n", self.n, 1)
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,7 @@ class AttackConfig:
         # epsilon = inf is a valid budget (no L-infinity bound)
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be >= 0")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        _check_count("steps", self.steps, 0)
         if self.momentum is not None and not 0 <= self.momentum < math.inf:
             raise ValueError("momentum decay must be finite and >= 0")
         if self.targeted and self.target_label is None:

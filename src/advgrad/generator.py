@@ -37,7 +37,8 @@ from .attacks import (
     AdaptiveStep, AttackConfig, AttackResult, _attack_loop, _box, _clamp, project,
 )
 from .numerics import (
-    ImageShape, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays, make_rng,
+    ImageShape, _check_count, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays,
+    make_rng,
 )
 
 __all__ = [
@@ -69,15 +70,6 @@ class GeneratorTrainConfig:
             raise ValueError("epsilon must be >= 0")
         _check_count("attack_steps", self.attack_steps, 1)
         _check_count("total_steps", self.total_steps, 0)
-
-
-def _check_count(name, value, least):
-    # bool is an int subclass, and a float count would fail only inside the
-    # training loop, or run a whole episode for a fraction of one
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
 
 
 def _instance_norm(x):

@@ -20,12 +20,10 @@ from .models import (
     MODEL_KINDS,
     LabeledDataset,
     TrainConfig,
-    accuracy,
     load_model,
-    save_model,
     train_classifier,
 )
-from .numerics import ImageShape, _check_keys, _from_doc, make_rng
+from .numerics import ImageShape, _check_count, _check_keys, _from_doc, make_rng
 
 __all__ = [
     "MetricsRow",
@@ -220,12 +218,6 @@ def compute_metrics(originals, adversarials, success, *,
 _INTERACTION_COUNTS = {"examples": 50, "num_pairs": 10, "num_subsets": 5}
 
 
-def _check_count(value, what: str):
-    # bool is an int subclass; a float count would only fail after the attacks
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
-
-
 @dataclass
 class ExperimentConfig:
     """An experiment document; run_experiment parses the nested JSON blocks."""
@@ -257,13 +249,13 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
-        _check_count(self.eval_count, "eval_count")
+        _check_count("eval_count", self.eval_count, 1)
         if self.interaction is not None:
             _check_keys(self.interaction, _INTERACTION_COUNTS.keys() | {"methods", "model"}, (),
                         "interaction block")
             for key in _INTERACTION_COUNTS:
                 if key in self.interaction:
-                    _check_count(self.interaction[key], f"interaction {key}")
+                    _check_count(f"interaction {key}", self.interaction[key], 1)
             methods = self.interaction.get("methods", [])
             if not isinstance(methods, list):
                 raise ValueError("interaction methods must be a list of attack names, "

@@ -22,9 +22,10 @@ rng.integers(0, n - 1) and rng.choice(n - 2, size) return, with the state
 they leave: the random numbers the sampler read when it drew each subset from
 an array of the other players, so a given rng still gives the same estimate.
 From 3 up to _REPLAY_PLAYERS players the sampler replays this arithmetic in
-numpy on blocks of raw values; other games make those numpy calls, one per
-draw (above 10,002 players numpy picks a subset by a shuffle of all n - 2
-indices).
+numpy, a block of whole pairs at a time from one read of raw values.  A block
+in which a draw rejects a value, or whose pairs take more values than it read,
+makes those numpy calls instead, one per draw, as other games always do
+(above 10,002 players numpy picks a subset by a shuffle of all n - 2 indices).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import _check_label
-from .numerics import make_rng
+from .numerics import _check_count, make_rng
 
 __all__ = [
     "AnalyticGame",
@@ -77,7 +78,8 @@ _TABLE_BLOCK = 1 << 14
 # at 64, 128 and 192 players and slower at 768, and no perfbench workload
 # runs above 64 players to test a higher limit end to end
 _REPLAY_PLAYERS = 128
-# raw values the replay reads at most per block, unless a single pair needs more
+# raw values the draws of one block of the replay's pairs take on average, at
+# most: a block holds as many whole pairs as that allows, and at least one
 _RAW_BLOCK = 1 << 14
 _MASK32 = (1 << 32) - 1
 
@@ -362,29 +364,25 @@ def _draw_per_call(rng, n: int, num_pairs: int, num_subsets: int):
 def _draw_replayed(rng, n: int, num_pairs: int, num_subsets: int):
     """_draw_per_call's pairs, sizes and subsets (each subset's picks in some
     order) replayed from blocks of rng's raw values; rng ends in the state
-    _draw_per_call leaves."""
+    _draw_per_call leaves.  A block that _replay cannot replay is drawn by
+    _draw_per_call."""
     n, bitgen = operator.index(n), rng.bit_generator
-    # the raw values a pair takes at most when none is rejected: 3 for the
-    # pair, 2n - 5 for a subset of all n - 2 players outside it (n > 2)
-    most = 3 + num_subsets * (2 * n - 5)
+    # as many whole pairs as take _RAW_BLOCK values on average, and at least one
+    per_block = max(1, _RAW_BLOCK // (3 + num_subsets * (n - 2)))
     pairs, sizes, picks = [], [], []
-    while num_pairs:
+    for start in range(0, num_pairs, per_block):
+        count = min(per_block, num_pairs - start)
         state = bitgen.state
-        want = min(num_pairs * most, max(min(_raw_need(n, num_pairs, num_subsets),
-                                             _RAW_BLOCK), most))
-        while True:
-            block = _replay(rng.integers(0, 1 << 32, size=want), n, num_pairs, num_subsets)
-            if len(block[0]):
-                break
-            # rejected values pushed the block's only pair past its end
-            bitgen.state = state
-            want *= 2
-        # rewind, then read again just the values the block's draws took
+        raw = rng.integers(0, 1 << 32, size=_raw_need(n, count, num_subsets))
+        block = _replay(raw, n, count, num_subsets)
         bitgen.state = state
-        rng.integers(0, 1 << 32, size=block[3])
+        if block is None:
+            block = _draw_per_call(rng, n, count, num_subsets)
+        else:
+            # read again just the values the block's draws took
+            rng.integers(0, 1 << 32, size=block[3])
         for part, got in zip((pairs, sizes, picks), block):
             part.append(got)
-        num_pairs -= len(block[0])
     return np.concatenate(pairs), np.concatenate(sizes), np.concatenate(picks)
 
 
@@ -399,72 +397,61 @@ def _raw_need(n: int, num_pairs: int, num_subsets: int) -> int:
 
 
 def _bounded(raw: np.ndarray, at: np.ndarray, r):
-    """numpy's bounded draws in [0, r) from the raw values at positions at:
-    (draws, the first position whose value numpy rejects, or len(raw)).
-    numpy reads the next value in place of a rejected one."""
+    """numpy's bounded draws in [0, r) from the raw values at positions at,
+    and whether numpy rejects any of those values."""
     prod = raw[at] * r
     low = prod & _MASK32
-    rejected = len(raw)
-    maybe = low < r  # rare; numpy rejects below 2^32 mod r, which is < r
-    if maybe.any():
-        bad = maybe & (low < (1 << 32) % r)
-        if bad.any():
-            rejected = at[bad].min()
-    return prod >> 32, rejected
+    # rare; numpy rejects below 2^32 mod r, which is < r
+    return prod >> 32, (low < r).any() and (low < (1 << 32) % r).any()
 
 
-def _layout(raw: np.ndarray, n: int, max_pairs: int, num_subsets: int):
-    """Where the draws of up to max_pairs whole pairs start in raw, as if no
-    value is rejected: (first value of each pair, of each subset, values taken)."""
+def _layout(raw: np.ndarray, n: int, num_pairs: int, num_subsets: int):
+    """Where the draws of num_pairs pairs start in raw, as if no value is
+    rejected: (first value of each pair, of each subset, values taken), or
+    None if they take more values than raw holds."""
     values, r, m = memoryview(raw), n - 1, n - 2
     pair_at, size_at, end = [], [], 0
     subset_at = size_at.append
     try:
-        for _ in range(max_pairs):
-            pos = end + 3
-            for _ in range(num_subsets):
-                size = values[pos] * r >> 32
-                subset_at(pos)
-                # its size draw, Floyd's draws (none for j = 0) and the shuffle's
-                pos += 2 * size + (size == 0) - (size == m)
-            if pos > len(raw):
-                break
+        for _ in range(num_pairs):
             pair_at.append(end)
-            end = pos
+            end += 3
+            for _ in range(num_subsets):
+                size = values[end] * r >> 32
+                subset_at(end)
+                # its size draw, Floyd's draws (none for j = 0) and the shuffle's
+                end += 2 * size + (size == 0) - (size == m)
     except IndexError:  # no value left for a size draw
-        pass
-    del size_at[len(pair_at) * num_subsets:]
+        return None
+    if end > len(raw):
+        return None
     return np.array(pair_at, dtype=np.int64), np.array(size_at, dtype=np.int64), end
 
 
-def _replay(raw: np.ndarray, n: int, max_pairs: int, num_subsets: int):
-    """The draws of up to max_pairs whole pairs replayed from raw, an int64
-    array of raw values: (pairs, sizes, picks, values taken, rejected ones
-    included).  A rejected value is dropped and the block laid out again."""
+def _replay(raw: np.ndarray, n: int, num_pairs: int, num_subsets: int):
+    """The draws of num_pairs pairs replayed from raw, an int64 array of raw
+    values: (pairs, sizes, picks, values taken), or None if a draw rejects a
+    value or the draws take more values than raw holds."""
+    layout = _layout(raw, n, num_pairs, num_subsets)
+    if layout is None:
+        return None
+    pair_at, size_at, used = layout
     m = n - 2  # players outside a pair
-    # positions of the dropped values, each in raw as it was when dropped: the
-    # draws before a dropped value stay as they were, so these never decrease
-    dropped = []
-    while True:
-        pair_at, size_at, used = _layout(raw, n, max_pairs, num_subsets)
-        a, a_bad = _bounded(raw, pair_at, n - 1)
-        b, b_bad = _bounded(raw, pair_at + 1, n)
-        sizes, size_bad = _bounded(raw, size_at, n - 1)
-        # draw t of a subset is Floyd's in [0, j + 1), j = m - size + t; the one
-        # at j = 0 reads no value, and r = 1 gives 0 and rejects nothing
-        first = np.cumsum(sizes) - sizes
-        t = np.arange(sizes.sum()) - np.repeat(first, sizes)
-        size = np.repeat(sizes, sizes)
-        j = m - size + t
-        floyd_at = np.repeat(size_at + 1 - (sizes == m), sizes) + t
-        x, x_bad = _bounded(raw, floyd_at, j + 1)
-        # the shuffle's draws in [0, size), ..., [0, 2) follow, one for each t > 0
-        _, shuffle_bad = _bounded(raw, floyd_at + size - 1, np.where(t > 0, size - t + 1, 1))
-        bad = min(a_bad, b_bad, size_bad, x_bad, shuffle_bad)
-        if bad == len(raw):
-            break
-        raw = np.delete(raw, bad)
-        dropped.append(bad)
+    a, a_bad = _bounded(raw, pair_at, n - 1)
+    b, b_bad = _bounded(raw, pair_at + 1, n)
+    sizes, size_bad = _bounded(raw, size_at, n - 1)
+    # draw t of a subset is Floyd's in [0, j + 1), j = m - size + t; the one
+    # at j = 0 reads no value, and r = 1 gives 0 and rejects nothing
+    first = np.cumsum(sizes) - sizes
+    t = np.arange(sizes.sum()) - np.repeat(first, sizes)
+    size = np.repeat(sizes, sizes)
+    j = m - size + t
+    floyd_at = np.repeat(size_at + 1 - (sizes == m), sizes) + t
+    x, x_bad = _bounded(raw, floyd_at, j + 1)
+    # the shuffle's draws in [0, size), ..., [0, 2) follow, one for each t > 0
+    _, shuffle_bad = _bounded(raw, floyd_at + size - 1, np.where(t > 0, size - t + 1, 1))
+    if a_bad or b_bad or size_bad or x_bad or shuffle_bad:
+        return None
     # the pair is a, then b or n - 1 if b = a; a shuffle draw of 0 swaps them
     b = np.where(b == a, n - 1, b)
     head = np.where(raw[pair_at + 2] >> 31, a, b)
@@ -484,8 +471,7 @@ def _replay(raw: np.ndarray, n: int, max_pairs: int, num_subsets: int):
     for _ in range(m.bit_length()):  # a chain steps down j, so it has < m links
         ptr = ptr[ptr]
     picks = np.where(again[ptr], j, x)
-    # a value dropped at or past used was rejected by a pair the block left out
-    return pairs, sizes, picks, used + sum(at < used for at in dropped)
+    return pairs, sizes, picks, used
 
 
 def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
@@ -502,9 +488,7 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
     not bool: n at least 2 and the counts at least 1.
     """
     for name, count in (("n", n), ("num_pairs", num_pairs), ("num_subsets", num_subsets)):
-        # a float count fails deep in numpy, and True would count as 1
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
+        _check_count(name, count)
     if n < 2:
         raise ValueError("need at least two players")
     if num_pairs < 1 or num_subsets < 1:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import (
-    ImageShape, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays, make_rng,
+    ImageShape, _check_count, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays,
+    make_rng,
 )
 
 __all__ = [
@@ -78,10 +79,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        _check_count("epochs", self.epochs, 0)
+        _check_count("batch_size", self.batch_size, 1)
         if not 0 < self.learning_rate < math.inf:  # NaN fails the comparison
             raise ValueError("learning rate must be positive and finite")
 

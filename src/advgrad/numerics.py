@@ -62,6 +62,17 @@ def _check_finite(value, where: str):
     return value
 
 
+def _check_count(name: str, value, least=None):
+    """ValueError unless value is an int or numpy integer, not a bool, and
+    (if least is given) at least least."""
+    # bool is an int subclass, and a float count fails only later, if at all:
+    # deep in numpy, or at the first attack step after every model has trained
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function of a vector.
 

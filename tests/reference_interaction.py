@@ -28,7 +28,8 @@ numpy's bounded draw (``bounded``) and ``Generator.choice`` without
 replacement (``choice``: Floyd's selection, then the shuffle of the picks), as
 numpy computes them from the values ``rng.integers(0, 2**32)`` returns.  The
 tests hold it to ``rng.choice`` and ``rng.integers`` on real streams, and the
-library's block replay to it on crafted streams that force rejections.
+library's block replay to it on crafted streams that force rejections: the
+block replay must give way exactly where this replay rejects a value.
 """
 
 import itertools

@@ -394,6 +394,29 @@ class TestAttackLoop:
         with pytest.raises(ValueError, match="finite"):
             make(value)
 
+    NOT_INTEGERS = [True, False, 2.5, 3.0, np.float64(3.0), "3", None]
+
+    # unchecked, steps=True ran one step and steps=2.5 failed only in the attack loop
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_config_rejects_a_step_count_that_is_not_an_integer(self, value):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            AttackConfig(epsilon=8.0, steps=value, step_rule=SignStep(1.0))
+
+    # unchecked, Sim(m=2.5) and Tim(k=3.0) were built, and failed only at the
+    # first attack step with a TypeError or an IndexError
+    @pytest.mark.parametrize("transform,field", [(Sim, "m"), (Tim, "k"), (Vt, "n"), (Emi, "n")],
+                             ids=["sim", "tim", "vt", "emi"])
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
+    def test_transforms_reject_a_count_that_is_not_an_integer(self, transform, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            transform(**{field: value})
+
+    def test_counts_may_be_numpy_integers(self):
+        cfg = AttackConfig(epsilon=8.0, steps=np.int64(2), step_rule=SignStep(1.0),
+                           transforms=(Sim(m=np.int32(2)), Tim(k=np.int64(3)),
+                                       Vt(n=np.int64(2)), Emi(n=np.int16(3))))
+        assert cfg.steps == 2
+
     def test_transform_stack_runs_and_respects_budget(self):
         models = make_models(1, kind="mlp-1-hidden")
         x = random_image(15)
@@ -845,6 +868,11 @@ class TestConfigSerialization:
         # at the parent a misspelled key was dropped: "momentun" ran with no momentum
         with pytest.raises(ValueError, match=repr(key)):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("transform", [{"type": "sim", "m": 2.5}, {"type": "tim", "k": 3.0}])
+    def test_a_float_count_fails_when_the_doc_is_parsed(self, transform):
+        with pytest.raises(ValueError, match="must be an integer"):
+            config_from_dict({**self.BASE, "transforms": [transform]})
 
     def test_repeated_transform_kind_in_a_doc_raises(self):
         doc = {**self.BASE, "transforms": [{"type": "tim"}, {"type": "dim"},

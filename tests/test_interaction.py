@@ -768,58 +768,93 @@ def test_first_raw_read_is_sized_to_the_expected_need(seed):
     np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
 
 
-class CraftedGenerator:
-    """Serves fixed raw values to the two calls the block replay makes:
-    integers(0, 2**32, size) and bit_generator.state, the number read."""
-
-    def __init__(self, raw):
-        self.raw, self.state, self.bit_generator = np.asarray(raw, dtype=np.int64), 0, self
-
-    def integers(self, low, high, size):
-        assert (low, high) == (0, 1 << 32) and self.state + size <= len(self.raw)
-        self.state += size
-        return self.raw[self.state - size:self.state].copy()
-
-
-def assert_replays_like_the_scalar_replay(raw, n, num_pairs, num_subsets):
-    reference = reference_interaction.RawValues(raw)
-    pairs, sizes, subsets = reference_interaction.replay_draws(reference, n, num_pairs,
-                                                               num_subsets)
-    assert reference.rejected > 0
-    rng = CraftedGenerator(raw)
-    got_pairs, got_sizes, picks = interaction._draw_replayed(rng, n, num_pairs, num_subsets)
+def assert_same_draws(got, pairs, sizes, subsets):
+    """got's pairs and sizes equal pairs and sizes, and its picks hold each
+    of subsets, in some order."""
+    got_pairs, got_sizes, picks = got[:3]
     assert got_pairs.tolist() == pairs and got_sizes.tolist() == sizes
     got_subsets = np.split(picks, np.cumsum(sizes)[:-1])
     assert [sorted(s.tolist()) for s in got_subsets] == [sorted(s) for s in subsets]
-    assert rng.state == reference.read
 
 
-# (3, 50, 4) and (100, 40, 5) take two blocks of raw values
-@pytest.mark.parametrize("n,num_pairs,num_subsets",
-                         [(3, 50, 4), (7, 20, 3), (64, 30, 5), (100, 40, 5), (128, 12, 4)])
-def test_block_replay_drops_rejected_values(n, num_pairs, num_subsets):
+def zeroed_stream(n, num_pairs, num_subsets):
     # every 20th value on average is 0, which a draw in [0, r) rejects unless
     # r is a power of two
     rng = make_rng(n, 39)
     raw = rng.integers(0, 1 << 32, size=4 * num_pairs * (3 + num_subsets * 2 * n))
     raw[rng.random(len(raw)) < 0.05] = 0
-    assert_replays_like_the_scalar_replay(raw, n, num_pairs, num_subsets)
+    return raw
 
 
-def test_block_replay_reads_on_when_rejections_overrun_its_block():
-    # one pair at n = 3 takes at most 4 values; here its draw in [0, 3) rejects
-    # three zeros, so the pair ends after the block of 4 it first reads
-    raw = np.concatenate([[5, 0, 0, 0], make_rng(0, 42).integers(0, 1 << 32, size=16)])
-    assert_replays_like_the_scalar_replay(raw, 3, 1, 1)
+# (n, num_pairs, num_subsets, raw values) of streams that force rejections
+CRAFTED_STREAMS = {
+    **{f"zeros-{n}-{pairs}x{subsets}": (n, pairs, subsets, zeroed_stream(n, pairs, subsets))
+       for n, pairs, subsets in [(3, 50, 4), (7, 20, 3), (64, 30, 5), (100, 40, 5),
+                                 (128, 12, 4)]},
+    # one pair at n = 3 takes at most 4 values; here its draw in [0, 3)
+    # rejects three zeros, so the pair runs past those 4 values
+    "overrun": (3, 1, 1, np.concatenate([[5, 0, 0, 0],
+                                         make_rng(0, 42).integers(0, 1 << 32, size=16)])),
+    # pair 1 takes the first 4 values; pair 2's draw in [0, 3) rejects the 0
+    # at index 5
+    "second-pair": (3, 2, 1, np.concatenate([[5, 7, 9, 11, 1 << 31, 0, 13, 15, 17],
+                                             make_rng(0, 43).integers(0, 1 << 32, size=16)])),
+}
 
 
-def test_block_replay_reads_no_rejection_of_a_pair_it_drops():
-    # at n = 3 each pair takes 4 values and the first block reads 8; the 0 at
-    # index 5 is rejected in pair 2, which then no longer fits, so the block
-    # keeps pair 1 alone and the next block starts at index 4
-    raw = np.concatenate([[5, 7, 9, 11, 1 << 31, 0, 13, 15, 17],
-                          make_rng(0, 43).integers(0, 1 << 32, size=16)])
-    assert_replays_like_the_scalar_replay(raw, 3, 2, 1)
+@pytest.mark.parametrize("name", CRAFTED_STREAMS)
+def test_block_replay_gives_up_exactly_when_numpy_rejects_a_value(name):
+    n, num_pairs, num_subsets, raw = CRAFTED_STREAMS[name]
+    raw = np.asarray(raw, dtype=np.int64)
+    whole = reference_interaction.RawValues(raw)
+    starts = []  # the first value of each pair
+    for _ in range(num_pairs):
+        starts.append(whole.read)
+        reference_interaction.replay_draws(whole, n, 1, num_subsets)
+    assert whole.rejected > 0
+    assert interaction._replay(raw, n, num_pairs, num_subsets) is None
+    # blocks of 1 to 3 pairs from each pair on
+    for start, count in itertools.product(starts, (1, 2, 3)):
+        reference = reference_interaction.RawValues(raw[start:])
+        draws = reference_interaction.replay_draws(reference, n, count, num_subsets)
+        block = interaction._replay(raw[start:], n, count, num_subsets)
+        if reference.rejected:
+            assert block is None
+            continue
+        assert_same_draws(block, *draws)
+        assert block[3] == reference.read
+        # one value short, the block's pairs run past the values it read
+        assert interaction._replay(raw[start:start + reference.read - 1], n, count,
+                                   num_subsets) is None
+
+
+# three blocks each: 4,096 pairs a block at n = 3, 52 at n = 64 and 25 at n = 128
+@pytest.mark.parametrize("n,num_pairs,num_subsets", [(3, 9_000, 1), (64, 120, 5), (128, 60, 5)])
+def test_a_block_the_replay_gives_up_is_drawn_by_numpy(monkeypatch, n, num_pairs, num_subsets):
+    blocks, replay = [], interaction._replay
+
+    def give_up_on_the_second_block(raw, n, count, num_subsets):
+        blocks.append(count)
+        return None if len(blocks) == 2 else replay(raw, n, count, num_subsets)
+
+    monkeypatch.setattr(interaction, "_replay", give_up_on_the_second_block)
+    rng, per_call_rng = make_rng(n, 44), make_rng(n, 44)
+    replayed = interaction._draw_replayed(rng, n, num_pairs, num_subsets)
+    pairs, sizes, picks = interaction._draw_per_call(per_call_rng, n, num_pairs, num_subsets)
+    assert len(blocks) == 3
+    assert_same_draws(replayed, pairs.tolist(), sizes.tolist(),
+                      [s.tolist() for s in np.split(picks, np.cumsum(sizes)[:-1])])
+    np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
+
+
+def test_criterion_9_streams_are_all_replayed(monkeypatch):
+    # the acceptance test's 600 estimates: seeds 0-2, 200 examples each, 64
+    # players at 30 pairs x 5 subsets
+    monkeypatch.setattr(interaction, "_draw_per_call",
+                        lambda *args: pytest.fail("a block was drawn by numpy's calls"))
+    for seed in range(3):
+        for i in range(200):
+            interaction._draw_replayed(make_rng(seed, 2000 + i), 64, 30, 5)
 
 
 def table_setfn(v, n):

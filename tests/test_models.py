@@ -492,6 +492,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=batch_size)
 
+    # unchecked, batch_size=True trained with batches of 1
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, np.float64(3.0), "3", None])
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
     def test_rejects_empty_dataset(self):
         empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=int), 3)
         with pytest.raises(ValueError):
