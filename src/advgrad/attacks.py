@@ -7,12 +7,18 @@ source models.
 
 One attack step makes one input_gradient call per source model.  A step
 with EMI or VT writes its (EMI n, or 1, plus VT n) points into one batch; a
-step without them passes the single image.  SIM scales either m times.  Each transform makes one random draw per step (all EMI offsets at
-once, all VT neighbours at once) and one row reduction (`_sum_rows`: the
-EMI and VT means, the SIM scale sum, the TIM tap sum), which adds whole
-rows in order from 0.0.  Draws and operand order are those of a per-point
-loop, so a batched step equals it to 1e-12 relative (BLAS rounds a batched
-matrix product differently in the last bits), not bit for bit.
+step without them passes the single image.  SIM scales either m times.
+
+Each transform makes one random draw per step (all EMI offsets at once, all
+VT neighbours at once) and one row reduction (`_sum_rows`: the EMI and VT
+means, the SIM scale sum, the TIM tap sum), which adds whole rows in order
+from 0.0.  Draws and operand order are those of a per-point loop, so a
+batched step equals it to 1e-12 relative (BLAS rounds a batched matrix
+product differently in the last bits), not bit for bit.  Only the
+transforms draw, so an attack without them needs no rng.
+
+Success is defined once, by `_succeeded`: run_attack scores its targets with
+it, and the harness scores a whole cell of examples with it.
 
 The attack loop decides once per attack what does not change between steps:
 the labels are checked against every model, the budget box is built, the
@@ -497,15 +503,22 @@ def _pipeline_gradient(models, x_eval, label, pipe: _Pipeline, state, rng):
     return grad
 
 
+def _succeeded(pred, y, cfg: AttackConfig):
+    """The success rule: a prediction differs from the label y, or equals
+    cfg.target_label when targeted.  pred and y are one class and label (a
+    bool results), or arrays of them (a bool array results)."""
+    return pred == cfg.target_label if cfg.targeted else pred != y
+
+
 def run_attack(source_models, target_models, x, y, cfg: AttackConfig,
                rng: np.random.Generator | None = None) -> AttackResult:
     """Full iterative attack; returns the final example and per-target flags.
 
     With steps=1, SignStep(alpha=epsilon) and no momentum this is exactly
-    the one-step fast gradient sign attack.  A target's flag is set when its
-    prediction differs from y, or equals target_label when targeted; with
-    steps=0 this scores the clean input.  y, and target_label when targeted,
-    must be a class of every source and target model.
+    the one-step fast gradient sign attack.  A target's flag is the success
+    rule, `_succeeded`, on its prediction; with steps=0 this scores the clean
+    input.  y, and target_label when targeted, must be a class of every
+    source and target model.
     """
     return _attack_loop(source_models, target_models, x, y, cfg, rng)
 
@@ -575,10 +588,7 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
         trace.append(scale)
         steps_used = t + 1
 
-    success = []
-    for tm in target_models:
-        pred = tm.predict(x_adv)
-        success.append(pred == cfg.target_label if cfg.targeted else pred != y)
+    success = [_succeeded(tm.predict(x_adv), y, cfg) for tm in target_models]
     return AttackResult(
         adversarial=x_adv,
         step_trace=trace,

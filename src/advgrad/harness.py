@@ -20,6 +20,8 @@ from .models import (
     MODEL_KINDS,
     LabeledDataset,
     TrainConfig,
+    _check_label,
+    accuracy,
     load_model,
     train_classifier,
 )
@@ -194,10 +196,10 @@ def compute_metrics(originals, adversarials, success, *,
                     epsilon: float, steps: int, seed: int = 0) -> MetricsRow:
     """Aggregate ASR / MAD / RMSD over one attack cell.
 
-    `success` holds run_attack's per-example flags for this target, so ASR
-    follows the attack's own success rule.  ASR counts all evaluated images,
-    including those the target already misclassifies clean.  MAD/RMSD
-    average over all pixels of all images.
+    `success` holds the per-example flags of the success rule for this
+    target (`attacks._succeeded`), so ASR follows the attack's own rule.
+    ASR counts all evaluated images, including those the target already
+    misclassifies clean.  MAD/RMSD average over all pixels of all images.
     """
     originals = np.asarray(originals)
     adversarials = np.asarray(adversarials)
@@ -288,9 +290,12 @@ def build_dataset(spec: dict) -> LabeledDataset:
                          num_classes=spec.get("num_classes", 3))
 
 
-def _prepare_models(specs, references, train_set: LabeledDataset):
+def _prepare_models(specs, references, train_set: LabeledDataset, labels):
     """Load or train the pool.  Every spec, and every (where, name) pair in
-    `references` that names a model, is checked before any model trains.
+    `references` that names a model, is checked before any model trains, and
+    so is every model against the data: it must take train_set's image shape,
+    and each of `labels` must be one of its classes.  A checkpoint is loaded
+    for that check; a trained model has train_set's shape and classes.
 
     A spec is `name` plus either `checkpoint`, or `kind` and TrainConfig's fields.
     """
@@ -315,7 +320,22 @@ def _prepare_models(specs, references, train_set: LabeledDataset):
     for where, name in references:
         if name not in plans:
             raise ValueError(f"{where} entry {name!r} names no model spec")
-    return {name: load_model(source) if train is None
+    loaded = {name: load_model(source) for name, (source, train) in plans.items()
+              if train is None}
+    shape = train_set.image_shape.dims
+    for name in plans:
+        model = loaded.get(name)
+        dims = model.image_shape.dims if model is not None else shape
+        classes = model.num_classes if model is not None else train_set.num_classes
+        if dims != shape:
+            raise ValueError(f"model spec {name!r}: input shape {dims} does not match "
+                             f"the dataset's {shape}")
+        for label in labels:
+            try:
+                _check_label(label, classes)  # run_attack's rule
+            except ValueError as err:
+                raise ValueError(f"model spec {name!r}: {err}") from None
+    return {name: loaded[name] if train is None
             else train_classifier(train_set, source, train)[0]
             for name, (source, train) in plans.items()}
 
@@ -325,9 +345,13 @@ def _resolve_source(pool, source_name):
 
 
 def _attack_cell(source_models, target_models, eval_set, acfg, seed):
-    """Run one attack over the eval set; returns per-example records.
+    """Run one attack over the eval set and score it against every target.
 
-    A targeted attack skips the examples whose label is its target.
+    Returns (records, success): a record (i, x, y, AttackResult) per attacked
+    example, and the (records, targets) bool array of the success rule on each
+    target's predictions, one batched predict per target.  A targeted attack
+    skips the examples whose label is its target.  Example i's transforms
+    draw from stream 1000 + i of seed; an attack without them draws nothing.
     """
     records = []
     for i in range(len(eval_set)):
@@ -335,10 +359,25 @@ def _attack_cell(source_models, target_models, eval_set, acfg, seed):
         y = int(eval_set.labels[i])
         if acfg.targeted and y == acfg.target_label:
             continue
-        rng = make_rng(seed, stream=1000 + i)
-        res = attacks.run_attack(source_models, target_models, x, y, acfg, rng=rng)
+        rng = make_rng(seed, stream=1000 + i) if acfg.transforms else None
+        res = attacks.run_attack(source_models, [], x, y, acfg, rng=rng)
         records.append((i, x, y, res))
-    return records
+    adversarials = np.stack([res.adversarial for *_, res in records])
+    labels = np.array([y for _, _, y, _ in records])
+    return records, _score_cell(target_models, adversarials, labels, acfg)
+
+
+def _score_cell(target_models, adversarials, labels, acfg):
+    """The (N, targets) bool array of the success rule on N adversarial
+    examples with their (N,) labels: one batched predict per target."""
+    return np.stack([attacks._succeeded(model.predict(adversarials), labels, acfg)
+                     for model in target_models], axis=1)
+
+
+def _distances(delta):
+    """results.csv's L-infinity, MAD and RMSD fields of one perturbation."""
+    return (f"{np.abs(delta).max():.6f}", f"{np.abs(delta).mean():.6f}",
+            f"{np.sqrt((delta**2).mean()):.6f}")
 
 
 def _interaction_estimates(scorer, records, spec: dict, seed):
@@ -391,35 +430,33 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     references += [("sources", part) for name in cfg.sources for part in name.split("+")]
     if spec is not None:
         references.append(("interaction model", spec.get("model", cfg.targets[0])))
-    pool = _prepare_models(cfg.models, references, train_set)
+    labels = [int(y) for y in np.unique(eval_set.labels)]
+    labels += [acfg.target_label for acfg in methods.values() if acfg.targeted]
+    pool = _prepare_models(cfg.models, references, train_set, labels)
     target_models = [pool[t] for t in cfg.targets]
+    clean_accuracy = {t: accuracy(pool[t], eval_set) for t in cfg.targets}
 
     results, rows, histograms = [], [], {}
     for seed in cfg.seeds:
         for method, acfg in methods.items():
             for source_name in cfg.sources:
-                records = _attack_cell(_resolve_source(pool, source_name), target_models,
-                                       eval_set, acfg, seed)
+                records, success = _attack_cell(_resolve_source(pool, source_name),
+                                                target_models, eval_set, acfg, seed)
                 if (spec is not None and seed == cfg.seeds[0] and source_name == cfg.sources[0]
                         and (not spec.get("methods") or method in spec["methods"])):
                     histograms[method] = _interaction_estimates(
                         pool[spec.get("model", cfg.targets[0])],
                         records[:spec["examples"]], spec, seed)
+                distances = [_distances(res.adversarial - x) for _, x, _, res in records]
                 for t_idx, target_name in enumerate(cfg.targets):
-                    for i, x, y, res in records:
-                        delta = res.adversarial - x
-                        results.append([
-                            i, method, source_name, target_name,
-                            int(res.success[t_idx]),
-                            f"{np.abs(delta).max():.6f}",
-                            f"{np.abs(delta).mean():.6f}",
-                            f"{np.sqrt((delta**2).mean()):.6f}",
-                            res.steps_used, seed,
-                        ])
+                    for (i, _, _, res), dist, hit in zip(records, distances,
+                                                         success[:, t_idx]):
+                        results.append([i, method, source_name, target_name, int(hit),
+                                        *dist, res.steps_used, seed])
                     rows.append(compute_metrics(
                         [x for _, x, _, _ in records],
                         [res.adversarial for _, _, _, res in records],
-                        [res.success[t_idx] for _, _, _, res in records],
+                        success[:, t_idx],
                         method=method, source=source_name, target=target_name,
                         epsilon=acfg.epsilon, steps=acfg.steps, seed=seed,
                     ))
@@ -431,18 +468,20 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for method, acfg in methods.items():
             for source_name in cfg.sources:
                 if eps != acfg.epsilon:
-                    records = _attack_cell(_resolve_source(pool, source_name), target_models,
-                                           eval_set, replace(acfg, epsilon=eps), cfg.seeds[0])
+                    _, success = _attack_cell(_resolve_source(pool, source_name),
+                                              target_models, eval_set,
+                                              replace(acfg, epsilon=eps), cfg.seeds[0])
                 for t_idx, target_name in enumerate(cfg.targets):
                     asr = (first_asr[method, source_name, target_name] if eps == acfg.epsilon
-                           else float(np.mean([res.success[t_idx] for *_, res in records])))
+                           else float(np.mean(success[:, t_idx])))
                     sweep_data.append({"method": method, "epsilon": eps, "source": source_name,
                                        "target": target_name, "asr": asr})
 
     _write_csv(os.path.join(cfg.output_dir, "results.csv"),
                ["example_id", "method", "source", "target", "success",
                 "linf", "mad", "rmsd", "steps_used", "seed"], results)
-    return emit_report(rows, sweep_data, histograms, cfg, skipped=skipped)
+    return emit_report(rows, sweep_data, histograms, cfg, skipped=skipped,
+                       clean_accuracy=clean_accuracy)
 
 
 def _write_csv(path, header, rows):
@@ -472,12 +511,13 @@ def aggregate_rows(rows: list[MetricsRow]) -> list[dict]:
 
 
 def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig,
-                skipped: dict | None = None) -> dict:
+                skipped: dict | None = None, clean_accuracy: dict | None = None) -> dict:
     """Write metrics.csv, optional sweep.csv / histogram.csv, and summary.json.
 
     `histograms` maps a method to {example_id: InteractionEstimate};
     `skipped` maps a targeted method to the number of eval examples it left
-    out because their label was its target.
+    out because their label was its target; `clean_accuracy` maps a target
+    to its accuracy on the clean eval set.
     """
     if not rows:
         raise ValueError("need at least one metrics row")
@@ -515,6 +555,8 @@ def emit_report(rows, sweep_data, histograms, cfg: ExperimentConfig,
     }
     if skipped:
         summary["skipped_examples"] = skipped
+    if clean_accuracy:
+        summary["clean_accuracy"] = clean_accuracy
     summary_path = os.path.join(out, "summary.json")
     with open(summary_path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

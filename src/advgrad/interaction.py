@@ -22,10 +22,12 @@ rng.integers(0, n - 1) and rng.choice(n - 2, size) return, with the state
 they leave: the random numbers the sampler read when it drew each subset from
 an array of the other players, so a given rng still gives the same estimate.
 From 3 up to _REPLAY_PLAYERS players the sampler replays this arithmetic in
-numpy, a block of whole pairs at a time from one read of raw values.  A block
-in which a draw rejects a value, or whose pairs take more values than it read,
-makes those numpy calls instead, one per draw, as other games always do
-(above 10,002 players numpy picks a subset by a shuffle of all n - 2 indices).
+numpy, a block of whole pairs at a time from one read of raw values; rng is
+then put where the block's draws end, by skipping whole blocks of a Philox
+stream rather than reading its values again.  A block in which a draw
+rejects a value, or whose pairs take more values than it read, makes those
+numpy calls instead, one per draw, as other games always do (above 10,002
+players numpy picks a subset by a shuffle of all n - 2 indices).
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ _REPLAY_PLAYERS = 128
 # most: a block holds as many whole pairs as that allows, and at least one
 _RAW_BLOCK = 1 << 14
 _MASK32 = (1 << 32) - 1
+# 64-bit words in one block of Philox's output: one counter step gives 8 raw values
+_PHILOX_WORDS = 4
 
 
 @dataclass
@@ -379,11 +383,27 @@ def _draw_replayed(rng, n: int, num_pairs: int, num_subsets: int):
         if block is None:
             block = _draw_per_call(rng, n, count, num_subsets)
         else:
-            # read again just the values the block's draws took
-            rng.integers(0, 1 << 32, size=block[3])
+            _skip_raw(rng, state, block[3])
         for part, got in zip((pairs, sizes, picks), block):
             part.append(got)
     return np.concatenate(pairs), np.concatenate(sizes), np.concatenate(picks)
+
+
+def _skip_raw(rng, state, count: int):
+    """Put rng, now in `state`, in the state that reading count raw values
+    leaves.  A Philox rng advances its counter past the whole blocks of 8
+    values that lie between what is left of its current block and the last 1
+    to 8 values, and reads those: the read leaves the buffer, its position
+    and the held high half as reading all count values would, and what was
+    left of the current block is never seen.  Another bit generator, or a
+    count that ends within the next block, reads all count values."""
+    if state["bit_generator"] == "Philox":
+        left = state["has_uint32"] + 2 * (_PHILOX_WORDS - state["buffer_pos"])
+        blocks = (count - left - 1) // (2 * _PHILOX_WORDS)
+        if blocks > 0:
+            rng.bit_generator.advance(blocks)  # also drops what is left
+            count -= left + 2 * _PHILOX_WORDS * blocks
+    rng.integers(0, 1 << 32, size=count)
 
 
 def _raw_need(n: int, num_pairs: int, num_subsets: int) -> int:

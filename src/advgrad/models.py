@@ -38,6 +38,10 @@ MODEL_KINDS = ("softmax-linear", "mlp-1-hidden", "tiny-conv")
 
 CHECKPOINT_FORMAT = "advgrad-model-v1"
 
+# rows per forward pass when predict scores a batch: minibatch-sized chunks
+# keep the im2col buffers, and so peak memory, small
+PREDICT_CHUNK = 32
+
 
 @dataclass
 class LabeledDataset:
@@ -114,8 +118,8 @@ def _check_label(y: int, num_classes: int):
 class Model:
     """Base classifier: subclasses implement the batch-first _forward and _backward.
 
-    The public methods take one image; input_gradient also takes a batch, and
-    train_classifier and accuracy run the core on whole minibatches.
+    The public methods take one image; predict and input_gradient also take a
+    batch, and train_classifier runs the core on whole minibatches.
     """
 
     kind: str = ""
@@ -135,13 +139,17 @@ class Model:
             )
         return x
 
+    def _check_rows(self, x: np.ndarray):
+        """ValueError unless x is an (N, H, W, C) batch of this model's images."""
+        if x.shape[1:] != self.image_shape.dims:
+            raise ValueError(f"batch shape {x.shape} does not match model shape "
+                             f"(N,) + {self.image_shape.dims}")
+
     def _check_batch(self, x: np.ndarray, y):
         """Labels for batch x from one integer label or an (N,) integer array:
         a 0-d label for every row, or the (N,) labels.  Either indexes the rows
         of an (N, classes) array with np.arange(N)."""
-        if x.shape[1:] != self.image_shape.dims:
-            raise ValueError(f"batch shape {x.shape} does not match model shape "
-                             f"(N,) + {self.image_shape.dims}")
+        self._check_rows(x)
         labels = np.asarray(y)
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got {labels.dtype}")
@@ -180,9 +188,22 @@ class Model:
         out, _ = self._forward(self._standardize(self._check_input(x)))
         return out
 
-    def predict(self, x: np.ndarray) -> int:
-        # np.argmax breaks ties toward the lowest class index
-        return int(np.argmax(self.logits(x)))
+    def predict(self, x: np.ndarray):
+        """The class of one (H, W, C) image as an int, or the (N,) int64 classes
+        of an (N, H, W, C) batch, which runs the core PREDICT_CHUNK rows at a
+        time.  np.argmax breaks ties toward the lowest class index.  A batch
+        row's logits can differ from the image's own in the last bits, so a
+        near-tie may go the other way."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 4:
+            return int(np.argmax(self.logits(x)))
+        self._check_rows(x)
+        classes = np.empty(len(x), dtype=np.int64)
+        for start in range(0, len(x), PREDICT_CHUNK):
+            chunk = slice(start, start + PREDICT_CHUNK)
+            logits, _ = self._forward(self._standardize(x[chunk]))
+            classes[chunk] = np.argmax(logits, axis=1)
+        return classes
 
     def cross_entropy_loss(self, x: np.ndarray, y: int) -> float:
         _check_label(y, self.num_classes)
@@ -395,16 +416,10 @@ def train_classifier(dataset: LabeledDataset, kind: str, cfg: TrainConfig, **kwa
 
 
 def accuracy(model: Model, dataset: LabeledDataset) -> float:
+    """The fraction of dataset the model classifies right, from one batched predict."""
     if len(dataset) == 0:
         return 0.0
-    correct = 0
-    step = 32  # minibatch-sized chunks keep the im2col buffers, and so peak memory, small
-    for start in range(0, len(dataset), step):
-        chunk = slice(start, start + step)
-        logits, _ = model._forward(model._standardize(dataset.images[chunk]))
-        # np.argmax breaks ties toward the lowest class index, as predict does
-        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[chunk]))
-    return correct / len(dataset)
+    return int(np.sum(model.predict(dataset.images) == dataset.labels)) / len(dataset)
 
 
 def save_model(model: Model, path: str):

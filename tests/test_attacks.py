@@ -516,6 +516,32 @@ class TestAttackLoop:
         assert res.success == [models[0].predict(res.adversarial) == 2]
 
 
+    NO_TRANSFORMS = [
+        AttackConfig(epsilon=16.0, steps=4, step_rule=SignStep(4.0)),
+        AttackConfig(epsilon=16.0, steps=4, step_rule=FixedScaleStep(64.0), momentum=1.0),
+        AttackConfig(epsilon=16.0, steps=4, step_rule=SignStep(4.0), targeted=True,
+                     target_label=2),
+        AttackConfig(epsilon=16.0, steps=3, momentum=1.0, step_rule=AdaptiveStep(
+            ScalingFactorGenerator(3, SHAPE, hidden=(4, 2), head_scale=1e3))),
+    ]
+
+    @pytest.mark.parametrize("cfg", NO_TRANSFORMS,
+                             ids=["sign", "fixed", "targeted", "adaptive"])
+    def test_an_attack_without_transforms_draws_nothing(self, cfg):
+        # so the harness gives it no stream: the bytes equal those made with
+        # the example's stream 1000 + i
+        models = make_models(2, kind="mlp-1-hidden")
+        for i in range(4):
+            x = random_image(30 + i)
+            rng = make_rng(7, 1000 + i)
+            state = rng.bit_generator.state
+            drawn = run_attack(models, models, x, 0, cfg, rng=rng)
+            undrawn = run_attack(models, models, x, 0, cfg, rng=None)
+            assert drawn.adversarial.tobytes() == undrawn.adversarial.tobytes()
+            assert drawn.success == undrawn.success
+            np.testing.assert_equal(rng.bit_generator.state, state)
+
+
 class TestTracingContract:
     """A profiler that rebinds the public functions and methods (perfbench's
     tracer does) must see every attack step: one ``attacks.ensemble_gradient``

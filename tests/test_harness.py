@@ -536,6 +536,49 @@ class TestExperimentRunner:
             run_experiment(self.base_config(tmp_path, **override))
         assert trained == []
 
+    @pytest.mark.parametrize("dims,classes,message", [
+        ((4, 4, 1), 3, "model spec 'small': input shape (4, 4, 1) does not match the "
+                       "dataset's (8, 8, 1)"),
+        ((8, 8, 1), 2, "model spec 'small': label 2 out of range for 2 classes"),
+    ], ids=["shape", "classes"])
+    def test_a_checkpoint_that_does_not_fit_the_data_fails_before_training(
+            self, tmp_path, monkeypatch, dims, classes, message):
+        # checked only per attack, it let every other model train first, and
+        # then the first attack raised
+        path = str(tmp_path / "small.json")
+        save_model(build_model("mlp-1-hidden", ImageShape(*dims), classes, seed=0), path)
+        trained = []
+        monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
+        cfg = self.base_config(tmp_path, models=[self.MLP, self.CONV,
+                                                 {"name": "small", "checkpoint": path}],
+                               targets=["conv", "small"])
+        assert 2 in build_dataset_labels(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg)
+        assert trained == []
+
+    def test_a_target_label_no_model_has_fails_before_training(self, tmp_path, monkeypatch):
+        trained = []
+        monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
+        cfg = self.base_config(tmp_path, attacks=[{"name": "tgt", "config": {
+            "epsilon": 8.0, "steps": 2, "targeted": True, "target_label": 5,
+            "step_rule": {"type": "sign", "alpha": 4.0}}}])
+        with pytest.raises(ValueError, match=re.escape(
+                "model spec 'mlp': label 5 out of range for 3 classes")):
+            run_experiment(cfg)
+        assert trained == []
+
+    def test_summary_gives_each_targets_clean_accuracy(self, tmp_path):
+        # a zero-step untargeted attack succeeds exactly where the target
+        # misclassifies the clean image
+        cfg = self.base_config(tmp_path, eval_count=12, attacks=[{"name": "clean", "config": {
+            "epsilon": 8.0, "steps": 0, "step_rule": {"type": "sign", "alpha": 2.0}}}])
+        paths = run_experiment(cfg)
+        clean = json.load(open(paths["summary"]))["clean_accuracy"]
+        assert set(clean) == {"mlp", "conv"}
+        for row in read_csv(paths["metrics"]):
+            assert float(row["asr"]) == pytest.approx(1.0 - clean[row["target"]], abs=1e-6)
+
     def test_interaction_csv_reports_the_estimator_stderr(self, tmp_path, monkeypatch):
         estimates = []
         sampled = interaction.expected_interaction_sampled
@@ -612,6 +655,80 @@ class TestExperimentRunner:
         cfg.interaction = {"examples": 2, "num_pairs": 0}
         with pytest.raises(ValueError, match="interaction num_pairs"):
             run_experiment(cfg)
+
+
+class TestAttackCell:
+    """_attack_cell attacks with no targets and then scores the whole cell with
+    one batched predict per target."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        ds = synth_dataset("blobs", 60, SHAPE, seed=3)
+        train, eval_set = ds.subset(np.arange(45)), ds.subset(np.arange(45, 60))
+        sources = [train_classifier(train, "mlp-1-hidden", TrainConfig(epochs=3, seed=0))[0]]
+        targets = [train_classifier(train, kind, TrainConfig(epochs=2, seed=1))[0]
+                   for kind in ("tiny-conv", "softmax-linear")]
+        return sources, targets, eval_set
+
+    GEN = ScalingFactorGenerator(3, SHAPE, hidden=(12, 6), head_scale=1e4)
+    TRANSFORMS = (Dim(p=0.5, min_fraction=0.75), Tim(3, 1.0), Sim(2), Vt(2, 1.5), Emi(2, 7.0))
+    CONFIGS = {
+        "untargeted": AttackConfig(epsilon=64.0, steps=3, step_rule=SignStep(24.0)),
+        "targeted": AttackConfig(epsilon=64.0, steps=3, step_rule=SignStep(24.0), momentum=1.0,
+                                 targeted=True, target_label=1),
+        "transforms": AttackConfig(epsilon=64.0, steps=3, step_rule=FixedScaleStep(32.0),
+                                   momentum=1.0, transforms=TRANSFORMS),
+        "targeted-transforms": AttackConfig(epsilon=64.0, steps=3, step_rule=SignStep(24.0),
+                                            transforms=TRANSFORMS[:2], targeted=True,
+                                            target_label=0),
+        "adaptive": AttackConfig(epsilon=64.0, steps=3, step_rule=attacks.AdaptiveStep(GEN),
+                                 momentum=1.0),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_cell_success_is_run_attacks_success_per_example(self, setting, name):
+        sources, targets, eval_set = setting
+        acfg = self.CONFIGS[name]
+        records, success = harness._attack_cell(sources, targets, eval_set, acfg, 5)
+        kept = [i for i, y in enumerate(eval_set.labels)
+                if not (acfg.targeted and y == acfg.target_label)]
+        assert [i for i, *_ in records] == kept
+        assert success.shape == (len(kept), len(targets)) and success.dtype == bool
+        for (i, x, y, res), flags in zip(records, success):
+            ref = run_attack(sources, targets, x, y, acfg, rng=make_rng(5, 1000 + i))
+            assert np.array_equal(res.adversarial, ref.adversarial)
+            assert flags.tolist() == ref.success
+
+    def test_cell_flags_vary(self, setting):
+        # so the comparison above is not between constant flags
+        sources, targets, eval_set = setting
+        flags = np.concatenate([harness._attack_cell(sources, targets, eval_set, acfg, 5)[1]
+                                for acfg in self.CONFIGS.values()])
+        assert flags.any(axis=0).all() and not flags.all(axis=0).any()
+
+    def test_each_target_predicts_once_per_cell(self, setting, monkeypatch):
+        sources, targets, eval_set = setting
+        calls = []
+        for model in targets:
+            predict = model.predict
+            monkeypatch.setattr(model, "predict", lambda x, predict=predict:
+                                calls.append(np.shape(x)) or predict(x))
+        harness._attack_cell(sources, targets, eval_set, self.CONFIGS["untargeted"], 5)
+        assert calls == [(len(eval_set),) + SHAPE.dims] * len(targets)
+
+    def test_only_an_attack_with_transforms_gets_a_stream(self, setting, monkeypatch):
+        sources, targets, eval_set = setting
+        given = []
+        run = attacks.run_attack
+        monkeypatch.setattr(attacks, "run_attack", lambda *args, rng=None:
+                            given.append(rng) or run(*args, rng=rng))
+        harness._attack_cell(sources, targets, eval_set, self.CONFIGS["untargeted"], 5)
+        assert given == [None] * len(eval_set)
+        given.clear()
+        harness._attack_cell(sources, targets, eval_set, self.CONFIGS["transforms"], 5)
+        assert len(given) == len(eval_set)
+        for i, rng in enumerate(given):
+            assert rng.bit_generator.state["state"]["key"].tolist() == [5, 1000 + i]
 
 
 class TestShippedConfigs:

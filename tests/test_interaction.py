@@ -768,6 +768,42 @@ def test_first_raw_read_is_sized_to_the_expected_need(seed):
     np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
 
 
+@pytest.mark.parametrize("before", range(10))
+def test_skipping_raw_values_leaves_the_state_a_read_leaves(before):
+    # reading 0-9 values first leaves every buffer_pos (1-4), with and without
+    # a held high half; counts run from within the current block of 8 values
+    # to thousands of blocks, both sides of each block boundary
+    for count in [*range(1, 30), 100, 9_400, 9_401, 9_407, 9_408]:
+        read, skipped = make_rng(before, 48), make_rng(before, 48)
+        read.integers(0, 1 << 32, size=before)
+        skipped.integers(0, 1 << 32, size=before)
+        state = skipped.bit_generator.state
+        read.integers(0, 1 << 32, size=count)
+        interaction._skip_raw(skipped, state, count)
+        np.testing.assert_equal(skipped.bit_generator.state, read.bit_generator.state)
+
+
+@pytest.mark.parametrize("before", range(10))
+@pytest.mark.parametrize("n,num_pairs", [(3, 40), (64, 30), (128, 60)])
+def test_replayed_draws_leave_the_state_numpys_calls_leave(n, num_pairs, before):
+    # 60 pairs at 128 players take two blocks, the second starting mid-buffer
+    rng, per_call_rng = make_rng(before, 49), make_rng(before, 49)
+    rng.integers(0, 1 << 32, size=before)
+    per_call_rng.integers(0, 1 << 32, size=before)
+    replayed = interaction._draw_replayed(rng, n, num_pairs, 5)
+    pairs, sizes, picks = interaction._draw_per_call(per_call_rng, n, num_pairs, 5)
+    assert_same_draws(replayed, pairs.tolist(), sizes.tolist(),
+                      [s.tolist() for s in np.split(picks, np.cumsum(sizes)[:-1])])
+    np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
+
+
+def test_replay_reads_again_from_a_bit_generator_other_than_philox():
+    rng, per_call_rng = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
+    interaction._draw_replayed(rng, 64, 30, 5)
+    interaction._draw_per_call(per_call_rng, 64, 30, 5)
+    np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
+
+
 def assert_same_draws(got, pairs, sizes, subsets):
     """got's pairs and sizes equal pairs and sizes, and its picks hold each
     of subsets, in some order."""

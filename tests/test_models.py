@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -294,6 +294,63 @@ class TestBatchedCore:
         model = build_model(kind, SHAPE, 3, seed=5)
         expected = np.mean([model.predict(x) == y for x, y in zip(ds.images, ds.labels)])
         assert accuracy(model, ds) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 70])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_accuracy_returns_what_the_chunked_forward_loop_returned(self, kind, n):
+        ds = tiny_dataset(n, seed=10 + n)
+        for seed in range(3):
+            model = build_model(kind, SHAPE, 3, seed=seed)
+            assert accuracy(model, ds) == chunked_forward_accuracy(model, ds)
+
+
+def chunked_forward_accuracy(model, dataset):
+    """Reference: accuracy as it was before it called the batched predict, the
+    forward core on 32-row chunks and np.argmax over each chunk's logits."""
+    if len(dataset) == 0:
+        return 0.0
+    correct = 0
+    for start in range(0, len(dataset), 32):
+        chunk = slice(start, start + 32)
+        logits, _ = model._forward(model._standardize(dataset.images[chunk]))
+        correct += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[chunk]))
+    return correct / len(dataset)
+
+
+class TestBatchedPredict:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(KINDS),
+           dims=st.sampled_from([(8, 8, 1), (4, 4, 2), (16, 16, 3)]),
+           n=st.integers(1, 70), seed=st.integers(0, 2**16))
+    @example(kind="tiny-conv", dims=(16, 16, 3), n=31, seed=0)
+    @example(kind="mlp-1-hidden", dims=(8, 8, 1), n=32, seed=1)
+    @example(kind="softmax-linear", dims=(4, 4, 2), n=33, seed=2)
+    def test_a_batch_predicts_what_each_image_predicts(self, kind, dims, n, seed):
+        model = build_model(kind, ImageShape(*dims), 4, seed=seed)
+        x = make_rng(seed, 51).uniform(0.0, 255.0, size=(n,) + dims)
+        classes = model.predict(x)
+        assert classes.shape == (n,) and classes.dtype == np.int64
+        each = np.array([model.logits(image) for image in x])
+        chunks = [model._forward(model._standardize(x[start:start + models.PREDICT_CHUNK]))[0]
+                  for start in range(0, n, models.PREDICT_CHUNK)]
+        np.testing.assert_allclose(np.concatenate(chunks), each, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(classes, np.argmax(np.concatenate(chunks), axis=1))
+        top = np.sort(each, axis=1)
+        clear = top[:, -1] - top[:, -2] > 1e-9
+        assert clear.any()
+        assert np.array_equal(classes[clear], [model.predict(image) for image in x[clear]])
+
+    def test_an_empty_batch_predicts_no_classes(self):
+        classes = build_model("tiny-conv", SHAPE, 3).predict(np.zeros((0,) + SHAPE.dims))
+        assert classes.shape == (0,) and classes.dtype == np.int64
+
+    def test_a_batch_of_another_shape_is_rejected(self):
+        with pytest.raises(ValueError, match="batch shape"):
+            build_model("mlp-1-hidden", SHAPE, 3).predict(np.zeros((2, 4, 4, 1)))
+
+    def test_one_image_still_predicts_an_int(self):
+        model = build_model("softmax-linear", SHAPE, 3)
+        assert type(model.predict(np.zeros(SHAPE.dims))) is int
 
 
 def log_softmax_whole_array(logits):
