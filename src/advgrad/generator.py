@@ -37,8 +37,8 @@ from .attacks import (
     AdaptiveStep, AttackConfig, AttackResult, _attack_loop, _box, _clamp, project,
 )
 from .numerics import (
-    ImageShape, _check_count, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays,
-    make_rng,
+    ImageShape, _check_count, _check_seed, _conv3x3, _conv3x3_backward, _decode_arrays,
+    _encode_arrays, make_rng,
 )
 
 __all__ = [
@@ -70,6 +70,7 @@ class GeneratorTrainConfig:
             raise ValueError("epsilon must be >= 0")
         _check_count("attack_steps", self.attack_steps, 1)
         _check_count("total_steps", self.total_steps, 0)
+        _check_seed("seed", self.seed)
 
 
 def _instance_norm(x):

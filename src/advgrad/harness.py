@@ -17,6 +17,7 @@ import numpy as np
 
 from . import attacks, generator as gen_mod, interaction
 from .models import (
+    MODEL_CLASSES,
     MODEL_KINDS,
     LabeledDataset,
     TrainConfig,
@@ -25,7 +26,7 @@ from .models import (
     load_model,
     train_classifier,
 )
-from .numerics import ImageShape, _check_count, _check_keys, _from_doc, make_rng
+from .numerics import ImageShape, _check_count, _check_keys, _check_seed, _from_doc, make_rng
 
 __all__ = [
     "MetricsRow",
@@ -249,6 +250,10 @@ class ExperimentConfig:
             raise ValueError("need at least one evaluation target")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for k, seed in enumerate(self.seeds):
+            _check_seed("seeds entry", seed)  # make_rng's rule
+            if seed in self.seeds[:k]:
+                raise ValueError(f"seeds entry {seed!r} is repeated")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
         _check_count("eval_count", self.eval_count, 1)
@@ -295,7 +300,8 @@ def _prepare_models(specs, references, train_set: LabeledDataset, labels):
     `references` that names a model, is checked before any model trains, and
     so is every model against the data: it must take train_set's image shape,
     and each of `labels` must be one of its classes.  A checkpoint is loaded
-    for that check; a trained model has train_set's shape and classes.
+    for that check; a trained model has train_set's shape and classes, and
+    its kind's shape rule (`Model.check_image_shape`) is checked on that shape.
 
     A spec is `name` plus either `checkpoint`, or `kind` and TrainConfig's fields.
     """
@@ -323,18 +329,20 @@ def _prepare_models(specs, references, train_set: LabeledDataset, labels):
     loaded = {name: load_model(source) for name, (source, train) in plans.items()
               if train is None}
     shape = train_set.image_shape.dims
-    for name in plans:
+    for name, (source, train) in plans.items():
         model = loaded.get(name)
         dims = model.image_shape.dims if model is not None else shape
         classes = model.num_classes if model is not None else train_set.num_classes
         if dims != shape:
             raise ValueError(f"model spec {name!r}: input shape {dims} does not match "
                              f"the dataset's {shape}")
-        for label in labels:
-            try:
+        try:
+            if model is None:
+                MODEL_CLASSES[source].check_image_shape(train_set.image_shape)
+            for label in labels:
                 _check_label(label, classes)  # run_attack's rule
-            except ValueError as err:
-                raise ValueError(f"model spec {name!r}: {err}") from None
+        except ValueError as err:
+            raise ValueError(f"model spec {name!r}: {err}") from None
     return {name: loaded[name] if train is None
             else train_classifier(train_set, source, train)[0]
             for name, (source, train) in plans.items()}
@@ -351,7 +359,9 @@ def _attack_cell(source_models, target_models, eval_set, acfg, seed):
     example, and the (records, targets) bool array of the success rule on each
     target's predictions, one batched predict per target.  A targeted attack
     skips the examples whose label is its target.  Example i's transforms
-    draw from stream 1000 + i of seed; an attack without them draws nothing.
+    draw from stream 1000 + i of seed; an attack without them draws nothing,
+    so its result does not depend on seed, and run_experiment attacks such a
+    cell once for all seeds.
     """
     records = []
     for i in range(len(eval_set)):
@@ -394,8 +404,12 @@ def _interaction_estimates(scorer, records, spec: dict, seed):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train/load the pool, run the attack matrix, write CSV/JSON reports.
 
-    Every block of cfg is checked before any model trains.  The sweep reuses
-    the seeds[0] cell of a config whose epsilon is on the grid, and the
+    Every block of cfg is checked before any model trains.  Each distinct
+    cell (config, source, seed if the config has transforms) is attacked
+    once: a config without transforms draws nothing, so one cell serves all
+    its seeds, and the sweep's seeds[0] lookup of a grid epsilon equal to
+    the config's own reads the matrix cell.  Only cells a later lookup can
+    hit are kept, those without transforms and those of seeds[0].  The
     interaction pass scores cell (seeds[0], method, sources[0]).  Per-example
     RNG streams derive from (seed, example index), so runs are deterministic.
     """
@@ -436,12 +450,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     target_models = [pool[t] for t in cfg.targets]
     clean_accuracy = {t: accuracy(pool[t], eval_set) for t in cfg.targets}
 
+    memo = {}
+
+    def cell(acfg, source_name, seed):
+        # a config without transforms draws nothing, so its seed cannot change it
+        key = (acfg, source_name, seed if acfg.transforms else None)
+        if key in memo:
+            return memo[key]
+        out = _attack_cell(_resolve_source(pool, source_name), target_models, eval_set,
+                           acfg, seed)
+        if not acfg.transforms or seed == cfg.seeds[0]:  # a later lookup can hit it
+            memo[key] = out
+        return out
+
     results, rows, histograms = [], [], {}
     for seed in cfg.seeds:
         for method, acfg in methods.items():
             for source_name in cfg.sources:
-                records, success = _attack_cell(_resolve_source(pool, source_name),
-                                                target_models, eval_set, acfg, seed)
+                records, success = cell(acfg, source_name, seed)
                 if (spec is not None and seed == cfg.seeds[0] and source_name == cfg.sources[0]
                         and (not spec.get("methods") or method in spec["methods"])):
                     histograms[method] = _interaction_estimates(
@@ -461,21 +487,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                         epsilon=acfg.epsilon, steps=acfg.steps, seed=seed,
                     ))
 
-    # a grid epsilon equal to the config's own reads the ASR of its seeds[0] cell
-    first_asr = {(r.method, r.source, r.target): r.asr for r in rows if r.seed == cfg.seeds[0]}
     sweep_data = []
     for eps in cfg.epsilon_grid or ():
         for method, acfg in methods.items():
             for source_name in cfg.sources:
-                if eps != acfg.epsilon:
-                    _, success = _attack_cell(_resolve_source(pool, source_name),
-                                              target_models, eval_set,
-                                              replace(acfg, epsilon=eps), cfg.seeds[0])
+                _, success = cell(replace(acfg, epsilon=eps), source_name, cfg.seeds[0])
                 for t_idx, target_name in enumerate(cfg.targets):
-                    asr = (first_asr[method, source_name, target_name] if eps == acfg.epsilon
-                           else float(np.mean(success[:, t_idx])))
                     sweep_data.append({"method": method, "epsilon": eps, "source": source_name,
-                                       "target": target_name, "asr": asr})
+                                       "target": target_name,
+                                       "asr": float(np.mean(success[:, t_idx]))})
 
     _write_csv(os.path.join(cfg.output_dir, "results.csv"),
                ["example_id", "method", "source", "target", "success",

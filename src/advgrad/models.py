@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    ImageShape, _check_count, _conv3x3, _conv3x3_backward, _decode_arrays, _encode_arrays,
-    make_rng,
+    ImageShape, _check_count, _check_seed, _conv3x3, _conv3x3_backward, _decode_arrays,
+    _encode_arrays, make_rng,
 )
 
 __all__ = [
@@ -85,6 +85,7 @@ class TrainConfig:
     def __post_init__(self):
         _check_count("epochs", self.epochs, 0)
         _check_count("batch_size", self.batch_size, 1)
+        _check_seed("seed", self.seed)
         if not 0 < self.learning_rate < math.inf:  # NaN fails the comparison
             raise ValueError("learning rate must be positive and finite")
 
@@ -125,9 +126,14 @@ class Model:
     kind: str = ""
 
     def __init__(self, image_shape: ImageShape, num_classes: int):
+        self.check_image_shape(image_shape)
         self.image_shape = image_shape
         self.num_classes = num_classes
         self.params: dict[str, np.ndarray] = {}
+
+    @staticmethod
+    def check_image_shape(image_shape: ImageShape):
+        """ValueError if this kind cannot take image_shape; every shape fits by default."""
 
     # -- forward -----------------------------------------------------------
 
@@ -332,8 +338,6 @@ class TinyConv(Model):
 
     def __init__(self, image_shape, num_classes, rng=None, channels: tuple[int, int] = (6, 6)):
         super().__init__(image_shape, num_classes)
-        if image_shape.height % 4 or image_shape.width % 4:
-            raise ValueError("tiny-conv needs height and width divisible by 4")
         self.channels = tuple(channels)
         c1, c2 = self.channels
         rng = rng or make_rng(0)
@@ -347,6 +351,12 @@ class TinyConv(Model):
             "W3": rng.uniform(-1, 1, size=(num_classes, flat)) / np.sqrt(flat),
             "b3": np.zeros(num_classes),
         }
+
+    @staticmethod
+    def check_image_shape(image_shape: ImageShape):
+        # the two 2x2 average pools halve height and width twice
+        if image_shape.height % 4 or image_shape.width % 4:
+            raise ValueError("tiny-conv needs height and width divisible by 4")
 
     def _forward(self, z):
         if z.ndim == 5:
@@ -381,15 +391,14 @@ class TinyConv(Model):
         return dz.reshape(lead + self.image_shape.dims), grads
 
 
+MODEL_CLASSES = {cls.kind: cls for cls in (SoftmaxLinear, TanhMLP, TinyConv)}
+
+
 def build_model(kind: str, image_shape: ImageShape, num_classes: int, seed: int = 0, **kwargs) -> Model:
     rng = make_rng(seed, stream=17)
-    if kind == "softmax-linear":
-        return SoftmaxLinear(image_shape, num_classes, rng=rng, **kwargs)
-    if kind == "mlp-1-hidden":
-        return TanhMLP(image_shape, num_classes, rng=rng, **kwargs)
-    if kind == "tiny-conv":
-        return TinyConv(image_shape, num_classes, rng=rng, **kwargs)
-    raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    if kind not in MODEL_CLASSES:
+        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    return MODEL_CLASSES[kind](image_shape, num_classes, rng=rng, **kwargs)
 
 
 def train_classifier(dataset: LabeledDataset, kind: str, cfg: TrainConfig, **kwargs):

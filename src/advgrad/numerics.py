@@ -52,8 +52,21 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     same draw sequence regardless of what other streams are doing.
 
     Derive one stream per parallel task instead of sharing a generator.
+    seed and stream are the two 64-bit words of the Philox key, so each must
+    be an integer in [0, 2**64) (`_check_seed`); distinct pairs get distinct keys.
     """
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(stream)]))
+    _check_seed("seed", seed)
+    _check_seed("stream", stream)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+
+
+def _check_seed(name: str, value):
+    """ValueError unless value is an integer (not a bool) in [0, 2**64), one
+    word of make_rng's key; a list of such ints would reach numpy as float64
+    from 2**63 on and merge neighbouring seeds."""
+    _check_count(name, value, 0)
+    if value >= 2**64:
+        raise ValueError(f"{name} must be < 2**64, got {value!r}")
 
 
 def _check_finite(value, where: str):

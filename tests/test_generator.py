@@ -95,6 +95,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             GeneratorTrainConfig(**counts, learning_rate=0.1, epsilon=8.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True], ids=repr)
+    def test_train_config_rejects_a_seed_make_rng_would_reject(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            GeneratorTrainConfig(total_steps=1, attack_steps=2, learning_rate=0.1,
+                                 epsilon=8.0, seed=seed)
+
     def test_train_config_takes_numpy_integer_counts(self):
         cfg = GeneratorTrainConfig(total_steps=np.int64(2), attack_steps=np.int32(3),
                                    learning_rate=0.1, epsilon=8.0)

@@ -467,7 +467,8 @@ class TestExperimentRunner:
                          "epsilon": own["scaled"], "steps": 3, "momentum": 1.0,
                          "step_rule": {"type": "fixed", "gamma": 4.0}}}])
         paths = run_experiment(cfg)
-        matrix_cells = 2 * 2 * 2  # seeds x attacks x sources
+        # neither config has transforms, so one cell serves both seeds
+        matrix_cells = 1 * 2 * 2  # seeds x attacks x sources
         fresh_sweep_cells = 2 * 2 * 2  # attacks x grid values off their epsilon x sources
         assert len(calls) == (matrix_cells + fresh_sweep_cells) * cfg.eval_count
         first_seed = {(r["method"], r["source"], r["target"]): r["asr"]
@@ -477,6 +478,61 @@ class TestExperimentRunner:
         assert len(reused) == 2 * 2 * 2  # attacks x sources x targets
         for r in reused:
             assert r["asr"] == first_seed[r["method"], r["source"], r["target"]]
+
+    STACK = [{"type": "dim", "p": 0.5, "min_fraction": 0.75}, {"type": "tim", "k": 3},
+             {"type": "vt", "n": 2, "beta": 1.5}]
+    MEMO_ATTACKS = {
+        "plain": {"epsilon": 16.0, "steps": 3, "step_rule": {"type": "sign", "alpha": 4.0}},
+        "transforms": {"epsilon": 16.0, "steps": 3, "momentum": 1.0,
+                       "step_rule": {"type": "fixed", "gamma": 8.0}, "transforms": STACK},
+        "targeted": {"epsilon": 16.0, "steps": 3, "targeted": True, "target_label": 0,
+                     "step_rule": {"type": "sign", "alpha": 4.0}, "transforms": STACK[:1]},
+        "adaptive": {"epsilon": 16.0, "steps": 3, "momentum": 1.0,
+                     "step_rule": {"type": "adaptive"}},
+    }
+
+    def test_a_config_without_transforms_is_attacked_once_for_all_seeds(self, tmp_path,
+                                                                         monkeypatch):
+        attacked = []
+        run_attack = attacks.run_attack
+
+        def spy(sources, targets, x, y, acfg, rng=None):
+            attacked.append(bool(acfg.transforms))
+            return run_attack(sources, targets, x, y, acfg, rng=rng)
+
+        monkeypatch.setattr(attacks, "run_attack", spy)
+        cfg = self.base_config(
+            tmp_path, seeds=[0, 1, 2], sources=["mlp", "mlp+conv"], epsilon_grid=[16.0],
+            attacks=[{"name": name, "config": self.MEMO_ATTACKS[name]}
+                     for name in ("plain", "transforms")])
+        paths = run_experiment(cfg)
+        # once per source; with transforms once per seed and source; the sweep
+        # at the configs' own epsilon reads the seeds[0] cells
+        assert attacked.count(False) == 2 * cfg.eval_count
+        assert attacked.count(True) == 3 * 2 * cfg.eval_count
+        metrics = read_csv(paths["metrics"])
+        assert len(metrics) == 3 * 2 * 2 * 2  # seeds x attacks x sources x targets
+        assert len(read_csv(paths["results"])) == len(metrics) * cfg.eval_count
+
+    @pytest.mark.parametrize("name", MEMO_ATTACKS)
+    def test_a_seeds_rows_do_not_depend_on_the_seeds_before_it(self, tmp_path, name):
+        # the seed-1 rows of a [0, 1] run, where a config without transforms
+        # reads its seed-0 cell, are the rows of a run at seed 1 alone
+        def run(seeds):
+            cfg = self.base_config(
+                tmp_path / str(seeds), seeds=seeds, eval_count=8,
+                generator_checkpoint=self.gen_checkpoint(tmp_path),
+                attacks=[{"name": name, "config": self.MEMO_ATTACKS[name]}])
+            paths = run_experiment(cfg)
+            return {key: [r for r in read_csv(paths[key]) if r["seed"] == "1"]
+                    for key in ("results", "metrics")}, read_csv(paths["results"])
+
+        both, every_row = run([0, 1])
+        alone, _ = run([1])
+        assert both == alone and len(alone["results"]) > 0
+        first = [{**r, "seed": "1"} for r in every_row if r["seed"] == "0"]
+        # a config with transforms draws from its seed's streams, so seed 0 differs
+        assert (first == both["results"]) == (name in ("plain", "adaptive"))
 
     def test_misspelled_experiment_key_names_it(self, tmp_path):
         # at the parent "epsilon_grd" was dropped, and with it the sweep
@@ -554,6 +610,19 @@ class TestExperimentRunner:
                                targets=["conv", "small"])
         assert 2 in build_dataset_labels(cfg)
         with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(cfg)
+        assert trained == []
+
+    def test_a_tiny_conv_the_image_shape_does_not_fit_fails_before_training(
+            self, tmp_path, monkeypatch):
+        # checked only when the tiny-conv was built, it let the models listed
+        # before it train first
+        trained = []
+        monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
+        cfg = self.base_config(tmp_path, models=[self.MLP, self.CONV], dataset={
+            "kind": "blobs", "n": 60, "image_shape": [6, 6, 1], "seed": 0, "num_classes": 3})
+        with pytest.raises(ValueError, match=re.escape(
+                "model spec 'conv': tiny-conv needs height and width divisible by 4")):
             run_experiment(cfg)
         assert trained == []
 
@@ -637,12 +706,22 @@ class TestExperimentRunner:
         ("interaction num_subsets", {"interaction": {"num_subsets": 0}}),
         ("interaction num_pairs", {"interaction": {"num_pairs": 2.5}}),
         ("interaction examples", {"interaction": {"examples": True}}),
+        ("seeds entry must be an integer, got 1.5", {"seeds": [0, 1.5]}),
+        ("seeds entry must be an integer, got True", {"seeds": [True]}),
+        ("seeds entry must be an integer, got '0'", {"seeds": ["0"]}),
+        ("seeds entry must be >= 0", {"seeds": [-1]}),
+        (r"seeds entry must be < 2\*\*64", {"seeds": [2**64]}),
+        ("seeds entry 0 is repeated", {"seeds": [0, 1, 0]}),
     ]
 
+    # a seeds entry used to run on the streams of int(seed) and write the raw
+    # entry in the seed column; a repeated one wrote every row twice, and
+    # 2**64 raised OverflowError only after every model had trained
     @pytest.mark.parametrize("what,override", BAD_VALUES,
                              ids=["fraction-1", "fraction-1.5", "fraction-0", "eval-0",
                                   "examples-0", "pairs-0", "subsets-0", "pairs-float",
-                                  "examples-bool"])
+                                  "examples-bool", "seed-float", "seed-bool", "seed-string",
+                                  "seed-negative", "seed-2**64", "seed-repeated"])
     def test_out_of_range_value_fails_when_the_config_is_built(self, tmp_path, what, override):
         # at the parent none of these failed before the models trained
         with pytest.raises(ValueError, match=what):

@@ -556,6 +556,11 @@ class TestTraining:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True], ids=repr)
+    def test_rejects_a_seed_make_rng_would_reject(self, seed):
+        with pytest.raises(ValueError, match="seed must be"):
+            TrainConfig(seed=seed)
+
     def test_rejects_empty_dataset(self):
         empty = LabeledDataset(np.zeros((0, 8, 8, 1)), np.zeros(0, dtype=int), 3)
         with pytest.raises(ValueError):

@@ -56,6 +56,27 @@ class TestMakeRng:
     def test_counter_based_bit_generator(self):
         assert isinstance(make_rng(0).bit_generator, np.random.Philox)
 
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (7, 3), (2**63 - 1, 1000)])
+    def test_an_in_range_key_keeps_its_draws(self, seed, stream):
+        # the draws of the list key [int(seed), int(stream)] that make_rng used to build
+        old = np.random.Generator(np.random.Philox(key=[seed, stream]))
+        assert np.array_equal(make_rng(seed, stream).integers(0, 2**63, size=8),
+                              old.integers(0, 2**63, size=8))
+
+    def test_seeds_from_2_to_the_63_get_distinct_keys(self):
+        # a list key turned these into float64: the first three shared one
+        # key, and 2**64 - 1 got seed 0's
+        seeds = [0, 2**63, 2**63 + 1, 2**63 + 1000, 2**64 - 1]
+        keys = [make_rng(s, 5).bit_generator.state["state"]["key"].tolist() for s in seeds]
+        assert keys == [[s, 5] for s in seeds]
+        assert not np.array_equal(make_rng(2**64 - 1).random(4), make_rng(0).random(4))
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, True, np.int64(-1), "3", None], ids=repr)
+    @pytest.mark.parametrize("which", ["seed", "stream"])
+    def test_a_key_word_outside_the_64_bit_range_is_rejected(self, which, bad):
+        with pytest.raises(ValueError, match=f"^{which} must be"):
+            make_rng(**{"seed": 0, "stream": 0, which: bad})
+
 
 class TestFiniteDiffGradient:
     def test_quadratic_is_exact_to_roundoff(self):
