@@ -280,7 +280,10 @@ class ExperimentConfig:
 
 def build_dataset(spec: dict) -> LabeledDataset:
     """Load or synthesize a dataset; `seed`, valid for every kind, also seeds the split."""
-    kind = spec.get("kind") if isinstance(spec, dict) else None
+    kind = None
+    if isinstance(spec, dict):
+        kind = spec.get("kind")
+        _check_seed("dataset spec: seed", spec.get("seed", 0))  # make_rng's rule
     if kind == "idx":
         _check_keys(spec, {"kind", "seed", "images", "labels"}, ("images", "labels"),
                     "dataset spec")
@@ -318,8 +321,11 @@ def _prepare_models(specs, references, train_set: LabeledDataset, labels):
             if doc["kind"] not in MODEL_KINDS:
                 raise ValueError(f"model spec {doc['name']!r}: unknown kind {doc['kind']!r}, "
                                  f"expected one of {MODEL_KINDS}")
-            train = {k: v for k, v in doc.items() if k not in ("name", "kind")}
-            plan = (doc["kind"], TrainConfig(**train))
+            try:
+                train = TrainConfig(**{k: v for k, v in doc.items() if k not in ("name", "kind")})
+            except ValueError as err:
+                raise ValueError(f"model spec {doc['name']!r}: {err}") from None
+            plan = (doc["kind"], train)
         if doc["name"] in plans:
             raise ValueError(f"two model specs are named {doc['name']!r}")
         plans[doc["name"]] = plan

@@ -6,35 +6,19 @@ v.batch table of all 2^n subsets, independent of the closed forms they verify
 and of the sampler's second differences.
 
 expected_interaction_sampled estimates the mean pairwise interaction by Monte
-Carlo.  Its draws are defined on the raw stream of rng: the 32-bit values
-rng.integers(0, 2**32) returns, in order.  A draw in [0, r) reads a value u and
-gives (u * r) >> 32, but if the low 32 bits of u * r fall below 2^32 mod r it
-rejects u and reads the next value in its place (Lemire's method); a draw in
-[0, 1) reads nothing and gives 0.  Picking k of p indices is Floyd's
-selection, one draw in [0, j + 1) for each j from p - k to p - 1, which picks
-the value drawn or, if that is picked already, j; then k - 1 draws in [0, k),
-[0, k - 1), ..., [0, 2) shuffle the picks, each swapping the pick at the top
-of its range with the one drawn.  For each pair the sampler picks 2 of the n
-players; for each of the pair's subsets it draws a size in [0, n - 1) and picks
-that many of the n - 2 players outside the pair, as indices into them in
-order.  On the installed numpy these are the values that rng.choice(n, 2),
-rng.integers(0, n - 1) and rng.choice(n - 2, size) return, with the state
-they leave: the random numbers the sampler read when it drew each subset from
-an array of the other players, so a given rng still gives the same estimate.
-From 3 up to _REPLAY_PLAYERS players the sampler replays this arithmetic in
-numpy, a block of whole pairs at a time from one read of raw values; rng is
-then put where the block's draws end, by skipping whole blocks of a Philox
-stream rather than reading its values again.  A block in which a draw
-rejects a value, or whose pairs take more values than it read, makes those
-numpy calls instead, one per draw, as other games always do (above 10,002
-players numpy picks a subset by a shuffle of all n - 2 indices).
+Carlo.  Its draws are defined by uniform keys from rng, read in this order:
+one rng.random((num_pairs, n)) array, whose row gives a pair the two players
+of lowest key; one rng.integers(0, n - 1) array, the size of each of the
+num_pairs * num_subsets subsets; and one rng.random((num_pairs * num_subsets,
+n)) array, whose row gives a subset the `size` players of lowest key outside
+its pair.  So pairs are uniform over distinct unordered pairs, sizes uniform
+in [0, n - 2] and subsets uniform at their size, for every n.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from fractions import Fraction
 from dataclasses import dataclass
 
@@ -75,17 +59,6 @@ SETFN_CHUNK = 32
 SETFN_BLOCK_BYTES = 1 << 16
 # rows per v.batch call when the exact routines tabulate all 2^n subsets
 _TABLE_BLOCK = 1 << 14
-# the sampler replays its draws from raw values up to this many players; in
-# bench/test_interaction_sampler.py that is faster than one numpy call per draw
-# at 64, 128 and 192 players and slower at 768, and no perfbench workload
-# runs above 64 players to test a higher limit end to end
-_REPLAY_PLAYERS = 128
-# raw values the draws of one block of the replay's pairs take on average, at
-# most: a block holds as many whole pairs as that allows, and at least one
-_RAW_BLOCK = 1 << 14
-_MASK32 = (1 << 32) - 1
-# 64-bit words in one block of Philox's output: one counter step gives 8 raw values
-_PHILOX_WORDS = 4
 
 
 @dataclass
@@ -348,161 +321,15 @@ def shapley_interaction_exact(v, a: int, b: int, n: int) -> float:
         _shapley_sum(table, n, (a,), (a, b)) + _shapley_sum(table, n, (b,), (a, b)))
 
 
-# -- the sampler's draws ------------------------------------------------------
-
-
-def _draw_per_call(rng, n: int, num_pairs: int, num_subsets: int):
-    """The sampler's draws, one numpy call each: (pairs, sizes, picks), with
-    each subset's picks in turn."""
-    choice, integers = rng.choice, rng.integers
-    pairs, sizes, picks = [], [], []
-    for _ in range(num_pairs):
-        pairs.append(choice(n, 2, replace=False))
-        for _ in range(num_subsets):
-            size = int(integers(0, n - 1))
-            sizes.append(size)
-            picks.append(choice(n - 2, size, replace=False))
-    return np.array(pairs), np.array(sizes), np.concatenate(picks)
-
-
-def _draw_replayed(rng, n: int, num_pairs: int, num_subsets: int):
-    """_draw_per_call's pairs, sizes and subsets (each subset's picks in some
-    order) replayed from blocks of rng's raw values; rng ends in the state
-    _draw_per_call leaves.  A block that _replay cannot replay is drawn by
-    _draw_per_call."""
-    n, bitgen = operator.index(n), rng.bit_generator
-    # as many whole pairs as take _RAW_BLOCK values on average, and at least one
-    per_block = max(1, _RAW_BLOCK // (3 + num_subsets * (n - 2)))
-    pairs, sizes, picks = [], [], []
-    for start in range(0, num_pairs, per_block):
-        count = min(per_block, num_pairs - start)
-        state = bitgen.state
-        raw = rng.integers(0, 1 << 32, size=_raw_need(n, count, num_subsets))
-        block = _replay(raw, n, count, num_subsets)
-        bitgen.state = state
-        if block is None:
-            block = _draw_per_call(rng, n, count, num_subsets)
-        else:
-            _skip_raw(rng, state, block[3])
-        for part, got in zip((pairs, sizes, picks), block):
-            part.append(got)
-    return np.concatenate(pairs), np.concatenate(sizes), np.concatenate(picks)
-
-
-def _skip_raw(rng, state, count: int):
-    """Put rng, now in `state`, in the state that reading count raw values
-    leaves.  A Philox rng advances its counter past the whole blocks of 8
-    values that lie between what is left of its current block and the last 1
-    to 8 values, and reads those: the read leaves the buffer, its position
-    and the held high half as reading all count values would, and what was
-    left of the current block is never seen.  Another bit generator, or a
-    count that ends within the next block, reads all count values."""
-    if state["bit_generator"] == "Philox":
-        left = state["has_uint32"] + 2 * (_PHILOX_WORDS - state["buffer_pos"])
-        blocks = (count - left - 1) // (2 * _PHILOX_WORDS)
-        if blocks > 0:
-            rng.bit_generator.advance(blocks)  # also drops what is left
-            count -= left + 2 * _PHILOX_WORDS * blocks
-    rng.integers(0, 1 << 32, size=count)
-
-
-def _raw_need(n: int, num_pairs: int, num_subsets: int) -> int:
-    """Raw values that num_pairs pairs take, but for odds of about 3e-5 (four
-    standard deviations): a subset takes 2 * size values, plus one if it is
-    empty and less one if it holds all n - 2 players, so n - 2 on average,
-    with a spread of about (n - 1) / sqrt(3) for its size uniform in [0, n - 2]."""
-    subsets = num_pairs * num_subsets
-    return math.ceil(3 * num_pairs + subsets * (n - 2)
-                     + 4 * (n - 1) * math.sqrt(subsets / 3))
-
-
-def _bounded(raw: np.ndarray, at: np.ndarray, r):
-    """numpy's bounded draws in [0, r) from the raw values at positions at,
-    and whether numpy rejects any of those values."""
-    prod = raw[at] * r
-    low = prod & _MASK32
-    # rare; numpy rejects below 2^32 mod r, which is < r
-    return prod >> 32, (low < r).any() and (low < (1 << 32) % r).any()
-
-
-def _layout(raw: np.ndarray, n: int, num_pairs: int, num_subsets: int):
-    """Where the draws of num_pairs pairs start in raw, as if no value is
-    rejected: (first value of each pair, of each subset, values taken), or
-    None if they take more values than raw holds."""
-    values, r, m = memoryview(raw), n - 1, n - 2
-    pair_at, size_at, end = [], [], 0
-    subset_at = size_at.append
-    try:
-        for _ in range(num_pairs):
-            pair_at.append(end)
-            end += 3
-            for _ in range(num_subsets):
-                size = values[end] * r >> 32
-                subset_at(end)
-                # its size draw, Floyd's draws (none for j = 0) and the shuffle's
-                end += 2 * size + (size == 0) - (size == m)
-    except IndexError:  # no value left for a size draw
-        return None
-    if end > len(raw):
-        return None
-    return np.array(pair_at, dtype=np.int64), np.array(size_at, dtype=np.int64), end
-
-
-def _replay(raw: np.ndarray, n: int, num_pairs: int, num_subsets: int):
-    """The draws of num_pairs pairs replayed from raw, an int64 array of raw
-    values: (pairs, sizes, picks, values taken), or None if a draw rejects a
-    value or the draws take more values than raw holds."""
-    layout = _layout(raw, n, num_pairs, num_subsets)
-    if layout is None:
-        return None
-    pair_at, size_at, used = layout
-    m = n - 2  # players outside a pair
-    a, a_bad = _bounded(raw, pair_at, n - 1)
-    b, b_bad = _bounded(raw, pair_at + 1, n)
-    sizes, size_bad = _bounded(raw, size_at, n - 1)
-    # draw t of a subset is Floyd's in [0, j + 1), j = m - size + t; the one
-    # at j = 0 reads no value, and r = 1 gives 0 and rejects nothing
-    first = np.cumsum(sizes) - sizes
-    t = np.arange(sizes.sum()) - np.repeat(first, sizes)
-    size = np.repeat(sizes, sizes)
-    j = m - size + t
-    floyd_at = np.repeat(size_at + 1 - (sizes == m), sizes) + t
-    x, x_bad = _bounded(raw, floyd_at, j + 1)
-    # the shuffle's draws in [0, size), ..., [0, 2) follow, one for each t > 0
-    _, shuffle_bad = _bounded(raw, floyd_at + size - 1, np.where(t > 0, size - t + 1, 1))
-    if a_bad or b_bad or size_bad or x_bad or shuffle_bad:
-        return None
-    # the pair is a, then b or n - 1 if b = a; a shuffle draw of 0 swaps them
-    b = np.where(b == a, n - 1, b)
-    head = np.where(raw[pair_at + 2] >> 31, a, b)
-    pairs = np.stack([head, a + b - head], axis=1)
-    # Floyd's step j adds x, or j if x is in already.  x is in if an earlier
-    # step drew x too (again), or if x >= m - size and step x added x itself,
-    # as it does when its own draw was in already: a link from step j down to
-    # step x, followed here until a step whose draw needs no link.
-    draw = np.arange(len(x))
-    key = np.repeat(np.arange(0, len(sizes) * m, m), sizes) + x
-    # one entry per subset and value: a subset takes m values on average
-    seen = np.full(len(sizes) * m, len(x))
-    np.minimum.at(seen, key, draw)
-    again = seen[key] < draw
-    link = ~again & (x < j) & (x >= m - size)
-    ptr = np.where(link, draw + x - j, draw)
-    for _ in range(m.bit_length()):  # a chain steps down j, so it has < m links
-        ptr = ptr[ptr]
-    picks = np.where(again[ptr], j, x)
-    return pairs, sizes, picks, used
-
-
 def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
                                  rng: np.random.Generator | None = None) -> InteractionEstimate:
     """Monte Carlo mean pairwise interaction via discrete second differences.
 
     Pairs are uniform over unordered distinct (a, b); per pair, subset sizes
-    are uniform in {0, ..., n-2} and subsets uniform at that size (the draws
-    are set out in the module docstring).  v must be
-    a set function from make_model_setfn or make_game_setfn: all four
-    evaluations of every sample are scored by one v.batch call.  stderr is
+    are uniform in {0, ..., n-2} and subsets uniform at that size, by the
+    key draws the module docstring sets out.  v must be a set function from
+    make_model_setfn or make_game_setfn: all four evaluations of every sample
+    are scored by one v.batch call.  stderr is
     the standard deviation (ddof=1) of the num_pairs per-pair means over
     sqrt(num_pairs), and 0.0 for one pair.  n and the counts must be integers,
     not bool: n at least 2 and the counts at least 1.
@@ -515,15 +342,16 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
         raise ValueError("need at least one pair and one subset")
     _check_batch(v)
     rng = rng if rng is not None else make_rng(0)
-    draw = _draw_replayed if 2 < n <= _REPLAY_PLAYERS else _draw_per_call
-    pairs, sizes, i = draw(rng, n, num_pairs, num_subsets)
-    # a pick i indexes the n - 2 players outside the pair (lo, hi) in order
     k = num_pairs * num_subsets
+    pairs = np.argsort(rng.random((num_pairs, n)), axis=1)[:, :2]
     a, b = np.repeat(pairs, num_subsets, axis=0).T
-    lo, hi = np.repeat(np.minimum(a, b), sizes), np.repeat(np.maximum(a, b), sizes)
-    players = i + (i >= lo) + (i >= hi - 1)
-    subsets = np.zeros((k, n), dtype=bool)
-    subsets.reshape(-1)[np.repeat(np.arange(0, k * n, n), sizes) + players] = True
+    sizes = rng.integers(0, n - 1, size=k)
+    keys = rng.random((k, n))
+    # the pair's keys sort last, past the n - 2 players a subset can hold
+    rows = np.arange(k)
+    keys[rows, a] = keys[rows, b] = np.inf
+    subsets = np.empty((k, n), dtype=bool)
+    subsets[rows[:, None], np.argsort(keys, axis=1)] = np.arange(n) < sizes[:, None]
     # rows 4j .. 4j+3 of the mask array are S u {a, b}, S u {a}, S u {b} and S
     # of sample j: every row holds S, rows 4j and 4j+1 hold a, rows 4j and 4j+2 b
     masks = np.repeat(subsets, 4, axis=0)

@@ -592,6 +592,20 @@ class TestExperimentRunner:
             run_experiment(self.base_config(tmp_path, **override))
         assert trained == []
 
+    @pytest.mark.parametrize("message,override", [
+        ("model spec 'conv': seed must be >= 0, got -1", {"models": [MLP, {**CONV, "seed": -1}]}),
+        ("dataset spec: seed must be an integer, got 1.5",
+         {"dataset": {"kind": "blobs", "n": 60, "seed": 1.5}}),
+    ], ids=["model-seed", "dataset-seed"])
+    def test_a_bad_seed_names_its_block_and_fails_before_training(self, tmp_path, monkeypatch,
+                                                                  message, override):
+        # TrainConfig and make_rng raise these without naming the block they read
+        trained = []
+        monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(self.base_config(tmp_path, **override))
+        assert trained == []
+
     @pytest.mark.parametrize("dims,classes,message", [
         ((4, 4, 1), 3, "model spec 'small': input shape (4, 4, 1) does not match the "
                        "dataset's (8, 8, 1)"),

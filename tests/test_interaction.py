@@ -8,11 +8,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_interaction
-from advgrad import interaction
 from advgrad.interaction import (
     EXACT_PLAYER_LIMIT,
     SETFN_BLOCK_BYTES,
@@ -577,8 +577,7 @@ class TestSampledInteraction:
         with pytest.raises(ValueError):
             expected_interaction_sampled(lambda s: 0.0, 1, 1, 1)
 
-    @pytest.mark.parametrize("n", [2, 64, interaction._REPLAY_PLAYERS + 1],
-                             ids=["per-call", "replayed", "per-call-large"])
+    @pytest.mark.parametrize("n", [2, 64, 768])
     @pytest.mark.parametrize("counts,message", [
         ((2.5, 3), "num_pairs must be an integer, got 2.5"),
         ((True, 3), "num_pairs must be an integer, got True"),
@@ -589,8 +588,7 @@ class TestSampledInteraction:
     ], ids=["pairs-float", "pairs-bool", "subsets-float", "subsets-numpy-bool", "no-pair",
             "negative-subsets"])
     def test_bad_counts_are_rejected_before_any_draw(self, n, counts, message):
-        # unchecked, 2.5 pairs would fail deep in numpy, and True would run one
-        # pair on the per-call path but fail in the replay
+        # unchecked, 2.5 pairs would fail deep in numpy, and True would run one pair
         rng = make_rng(46)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
@@ -610,28 +608,48 @@ class TestSampledInteraction:
         np.testing.assert_equal(rng.bit_generator.state, before)
 
 
-def per_subset_sampled_interaction(v, n, num_pairs, num_subsets, rng):
-    """The per-subset loop expected_interaction_sampled ran before it scored
-    all its subsets in one batch, kept as the reference; its stderr is the
-    per-pair one the sampler reports now."""
+def per_subset_draws(n, num_pairs, num_subsets, rng):
+    """The sampler's draws one pair and one subset at a time, from the same
+    three arrays of rng: a pair is the two players of lowest key, a subset the
+    `size` players of lowest key outside its pair.  Returns each sample's
+    (a, b, subset)."""
+    pair_keys = rng.random((num_pairs, n))
+    sizes = rng.integers(0, n - 1, size=num_pairs * num_subsets)
+    subset_keys = rng.random((num_pairs * num_subsets, n))
     samples = []
-    for _ in range(num_pairs):
-        a, b = (int(p) for p in rng.choice(n, size=2, replace=False))
-        others = np.array([p for p in range(n) if p not in (a, b)], dtype=int)
-        for _ in range(num_subsets):
-            size = int(rng.integers(0, n - 1))
-            subset = tuple(int(p) for p in rng.choice(others, size=size, replace=False))
-            d = (
-                v(subset + (a, b))
-                - v(subset + (a,))
-                - v(subset + (b,))
-                + v(subset)
-            )
-            samples.append(d)
-    arr = np.asarray(samples)
-    pair_means = [np.mean(samples[i:i + num_subsets])
-                  for i in range(0, len(samples), num_subsets)]
-    stderr = float(np.std(pair_means, ddof=1) / np.sqrt(num_pairs)) if num_pairs > 1 else 0.0
+    for p in range(num_pairs):
+        a, b = sorted(range(n), key=lambda q: pair_keys[p, q])[:2]
+        others = [q for q in range(n) if q not in (a, b)]
+        for j in range(p * num_subsets, (p + 1) * num_subsets):
+            subset = sorted(others, key=lambda q: subset_keys[j, q])[:sizes[j]]
+            samples.append((a, b, tuple(subset)))
+    return samples
+
+
+def reference_masks(samples, n):
+    """The mask array the sampler scores for samples: per (a, b, S), the rows
+    S u {a, b}, S u {a}, S u {b} and S."""
+    rows = [s + extra for a, b, s in samples for extra in ((a, b), (a,), (b,), ())]
+    masks = np.zeros((len(rows), n), dtype=bool)
+    for mask, row in zip(masks, rows):
+        mask[list(row)] = True
+    return masks
+
+
+def spy_setfn():
+    """A set function that scores every row 0, and the list of the mask
+    arrays it was asked to score."""
+    seen = []
+    return SimpleNamespace(batch=lambda m: seen.append(m.copy()) or np.zeros(len(m))), seen
+
+
+def loop_estimate(values, num_pairs, num_subsets):
+    """(value, stderr) of the per-sample rewards of S u {a, b}, S u {a}, S u {b}
+    and S, four to a row of values."""
+    values = np.asarray(values).reshape(-1, 4)
+    arr = values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]
+    pair_means = arr.reshape(num_pairs, num_subsets).mean(axis=1)
+    stderr = float(pair_means.std(ddof=1) / np.sqrt(num_pairs)) if num_pairs > 1 else 0.0
     return float(arr.mean()), stderr
 
 
@@ -640,6 +658,7 @@ def per_subset_sampled_interaction(v, n, num_pairs, num_subsets, rng):
        seed=st.integers(0, 2**16))
 @example(n=2, num_pairs=3, num_subsets=2, seed=0)
 @example(n=3, num_pairs=1, num_subsets=1, seed=1)
+@example(n=768, num_pairs=3, num_subsets=2, seed=2)
 def test_batched_sampler_matches_the_per_subset_loop(n, num_pairs, num_subsets, seed):
     # an MLP, not the quadratic game: there the second difference does not
     # depend on the subset S, so a sampler that lost S would still agree
@@ -657,32 +676,15 @@ def test_batched_sampler_matches_the_per_subset_loop(n, num_pairs, num_subsets, 
 
     batched_rng, loop_rng = make_rng(seed, 33), make_rng(seed, 33)
     est = expected_interaction_sampled(v, n, num_pairs, num_subsets, rng=batched_rng)
-    value, stderr = per_subset_sampled_interaction(v_reference, n, num_pairs, num_subsets,
-                                                   loop_rng)
+    samples = per_subset_draws(n, num_pairs, num_subsets, loop_rng)
+    np.testing.assert_equal(batched_rng.bit_generator.state, loop_rng.bit_generator.state)
+    rows = [s + extra for a, b, s in samples for extra in ((a, b), (a,), (b,), ())]
+    # the same masks in one v.batch call give the same bits
+    assert (est.value, est.stderr) == loop_estimate(v.batch(reference_masks(samples, n)),
+                                                    num_pairs, num_subsets)
+    value, stderr = loop_estimate([v_reference(row) for row in rows], num_pairs, num_subsets)
     assert est.value == pytest.approx(value, rel=1e-12, abs=1e-12)
     assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=1e-12)
-    np.testing.assert_equal(batched_rng.bit_generator.state, loop_rng.bit_generator.state)
-    assert_same_estimate_and_stream(v, n, num_pairs, num_subsets, seed)
-
-
-def assert_same_estimate_and_stream(v, n, num_pairs, num_subsets, seed):
-    lean_rng, reference_rng = make_rng(seed, 33), make_rng(seed, 33)
-    lean = expected_interaction_sampled(v, n, num_pairs, num_subsets, rng=lean_rng)
-    reference = reference_interaction.expected_interaction_sampled(
-        v, n, num_pairs, num_subsets, rng=reference_rng)
-    assert lean == reference  # value and stderr compared exactly
-    np.testing.assert_equal(lean_rng.bit_generator.state, reference_rng.bit_generator.state)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_sampler_matches_the_reference_at_the_workload_setting(seed):
-    # the perfbench interaction workload: an 8x8x1 MLP at 30 pairs x 5 subsets
-    shape = ImageShape(8, 8, 1)
-    model = build_model("mlp-1-hidden", shape, 3, seed=seed)
-    rng = make_rng(seed, 34)
-    v, n = make_model_setfn(model, rng.uniform(0, 255, size=shape.dims),
-                            rng.uniform(-32, 32, size=shape.dims), 1)
-    assert_same_estimate_and_stream(v, n, 30, 5, seed)
 
 
 def mlp_setfn(n, seed):
@@ -696,201 +698,194 @@ def mlp_setfn(n, seed):
     return v
 
 
-@pytest.mark.parametrize("n", [*range(2, 13), *range(120, 137)])
-def test_sampler_matches_the_reference_on_both_sides_of_the_replay_limit(n):
-    # 2 players and above _REPLAY_PLAYERS = 128 each draw is a numpy call
-    assert_same_estimate_and_stream(mlp_setfn(n, n), n, 6, 4, n)
-
-
-@pytest.mark.parametrize("n", [64, 300])
+@pytest.mark.parametrize("n", [2, 64, 300, 768])
 def test_sampler_takes_numpy_integer_counts(n):
-    assert_same_estimate_and_stream(mlp_setfn(n, 0), np.int64(n), np.int64(3), np.int64(2), 0)
-
-
-def test_sampler_matches_the_reference_in_numpys_tail_shuffle_regime():
-    # above 10,002 players rng.choice(n - 2, size) shuffles the tail of an
-    # array of all n - 2 indices instead of running Floyd's selection
-    zero = SimpleNamespace(batch=lambda masks: np.zeros(len(masks)))
-    assert_same_estimate_and_stream(zero, 10_003, 2, 3, 0)
-
-
-@pytest.mark.parametrize("n", [2, 3, interaction._REPLAY_PLAYERS, interaction._REPLAY_PLAYERS + 1])
-def test_draws_are_replayed_from_3_up_to_the_player_limit(monkeypatch, n):
-    replayed, replay = [], interaction._draw_replayed
-    monkeypatch.setattr(interaction, "_draw_replayed",
-                        lambda *args: replayed.append(args) or replay(*args))
-    expected_interaction_sampled(zero_game_setfn(n), n, 2, 2, rng=make_rng(0, 41))
-    assert len(replayed) == (2 < n <= interaction._REPLAY_PLAYERS)
+    v = mlp_setfn(n, 0)
+    numpy_counts = expected_interaction_sampled(v, np.int64(n), np.int64(3), np.int64(2),
+                                                rng=make_rng(0, 33))
+    assert numpy_counts == expected_interaction_sampled(v, n, 3, 2, rng=make_rng(0, 33))
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 129, 300])
-def test_scalar_replay_reads_what_numpy_draws(n, seed):
-    rng = make_rng(seed, 38)
-    pairs, sizes, subsets = [], [], []
-    for _ in range(4):
-        pairs.append(rng.choice(n, 2, replace=False).tolist())
-        for _ in range(3):
-            sizes.append(int(rng.integers(0, n - 1)))
-            subsets.append(rng.choice(n - 2, sizes[-1], replace=False).tolist())
-    # 4 pairs take fewer than 4 * (3 + 3 * (2n - 5)) values, unless one is rejected
-    raw = reference_interaction.RawValues(make_rng(seed, 38).integers(0, 1 << 32, size=30 * n))
-    assert reference_interaction.replay_draws(raw, n, 4, 3) == (pairs, sizes, subsets)
-    replayed = make_rng(seed, 38)
-    replayed.integers(0, 1 << 32, size=raw.read)
-    np.testing.assert_equal(replayed.bit_generator.state, rng.bit_generator.state)
+def test_draw_frequencies_fit_the_sampler_distribution(seed):
+    # at 5 players: 10 pairs, sizes 0 to 3, and C(3, size) subsets of the 3
+    # players outside a pair at each size
+    n, num_pairs, num_subsets = 5, 2000, 10
+    masks = []
+    spy = SimpleNamespace(batch=lambda m: masks.append(m) or np.zeros(len(m)))
+    expected_interaction_sampled(spy, n, num_pairs, num_subsets, rng=make_rng(seed, 50))
+    rows = masks[0].reshape(-1, 4, n)
+    subsets, pairs = rows[:, 3], rows[:, 0] & ~rows[:, 3]
+    # two players each: a subset holding a pair's player would leave one
+    assert (pairs.sum(axis=1) == 2).all()
+    # a pair is drawn once for its num_subsets samples
+    assert (pairs.reshape(num_pairs, num_subsets, n) == pairs[::num_subsets, None]).all()
+    bits = 1 << np.arange(n)
+    pair_codes, subset_codes = pairs @ bits, subsets @ bits
+    sizes = subsets.sum(axis=1)
+    all_pairs = [sum(1 << p for p in pair) for pair in itertools.combinations(range(n), 2)]
+    pair_p = scipy.stats.chisquare([(pair_codes[::num_subsets] == c).sum()
+                                    for c in all_pairs]).pvalue
+    size_p = scipy.stats.chisquare(np.bincount(sizes, minlength=n - 1)).pvalue
+    # the subsets of each pair at each size, against an even split of that
+    # pair's samples at that size: C(3, size) - 1 degrees of freedom each
+    observed, expected, df = [], [], 0
+    for pair in itertools.combinations(range(n), 2):
+        code = sum(1 << p for p in pair)
+        others = [p for p in range(n) if p not in pair]
+        for size in range(1, n - 2):
+            at_size = (pair_codes == code) & (sizes == size)
+            choices = list(itertools.combinations(others, size))
+            for subset in choices:
+                observed.append((at_size & (subset_codes == sum(1 << p for p in subset))).sum())
+                expected.append(at_size.sum() / len(choices))
+            df += len(choices) - 1
+    expected = np.array(expected)
+    subset_p = scipy.stats.chi2.sf(((observed - expected) ** 2 / expected).sum(), df)
+    print(f"seed {seed}: pair p = {pair_p:.3f}, size p = {size_p:.3f}, "
+          f"subset p = {subset_p:.3f}")
+    assert min(pair_p, size_p, subset_p) > 1e-3
 
 
-class CountingGenerator:
-    """Passes the block replay's reads through to rng and records their sizes."""
+def assert_draws_match_the_key_reference(n, num_pairs, num_subsets, make_generator):
+    """The sampler scores the masks of the per-subset key loop, in its order,
+    and leaves its rng where the loop leaves an equal rng."""
+    spy, seen = spy_setfn()
+    sampler_rng, loop_rng = make_generator(), make_generator()
+    expected_interaction_sampled(spy, n, num_pairs, num_subsets, rng=sampler_rng)
+    samples = per_subset_draws(n, num_pairs, num_subsets, loop_rng)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], reference_masks(samples, n))
+    np.testing.assert_equal(sampler_rng.bit_generator.state, loop_rng.bit_generator.state)
 
-    def __init__(self, rng):
-        self.rng, self.bit_generator, self.reads = rng, rng.bit_generator, []
 
-    def integers(self, low, high, size):
-        self.reads.append(size)
-        return self.rng.integers(low, high, size=size)
+@pytest.mark.parametrize("n", [*range(2, 13), 16, 17, 32, 33, 64, 65, 127, 128, 129, 130, 192,
+                               256, 300, 768])
+def test_sampler_draws_the_masks_of_the_key_loop(n):
+    # 6 pairs x 4 subsets: more than one subset per pair and more than one pair
+    assert_draws_match_the_key_reference(n, 6, 4, lambda: make_rng(n, 54))
+
+
+BIT_GENERATORS = {"pcg64": np.random.PCG64, "pcg64dxsm": np.random.PCG64DXSM,
+                  "philox": np.random.Philox, "sfc64": np.random.SFC64,
+                  "mt19937": np.random.MT19937}
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 129, 768])
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS.values(), ids=BIT_GENERATORS.keys())
+def test_key_draws_hold_for_any_bit_generator(bit_generator, n):
+    # the draw reads rng only through random and integers, so it is defined
+    # for a Generator over any bit generator, not only make_rng's Philox
+    assert_draws_match_the_key_reference(
+        n, 5, 3, lambda: np.random.Generator(bit_generator(1234 + n)))
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_first_raw_read_is_sized_to_the_expected_need(seed):
-    # the workload setting: 30 pairs x 5 subsets at 64 players take about 9,400
-    # values, which the first read covers without reading _RAW_BLOCK of them
-    need = interaction._raw_need(64, 30, 5)
-    assert 9_400 < need < interaction._RAW_BLOCK
-    rng = CountingGenerator(make_rng(seed, 47))
-    replayed = interaction._draw_replayed(rng, 64, 30, 5)
-    assert rng.reads[0] == need and len(rng.reads) == 2 and rng.reads[1] < need
-    per_call_rng = make_rng(seed, 47)
-    per_call = interaction._draw_per_call(per_call_rng, 64, 30, 5)
-    for got, want in zip(replayed[:2], per_call[:2]):
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
+def test_sampler_matches_the_key_loop_at_the_workload_setting(seed):
+    # an 8x8x1 MLP at 30 pairs x 5 subsets, on criterion 9's sampler streams
+    shape = ImageShape(8, 8, 1)
+    model = build_model("mlp-1-hidden", shape, 3, seed=seed)
+    rng = make_rng(seed, 34)
+    v, n = make_model_setfn(model, rng.uniform(0, 255, size=shape.dims),
+                            rng.uniform(-32, 32, size=shape.dims), 1)
+    est = expected_interaction_sampled(v, n, 30, 5, rng=make_rng(seed, 2000))
+    samples = per_subset_draws(n, 30, 5, make_rng(seed, 2000))
+    assert (est.value, est.stderr) == loop_estimate(v.batch(reference_masks(samples, n)), 30, 5)
 
 
-@pytest.mark.parametrize("before", range(10))
-def test_skipping_raw_values_leaves_the_state_a_read_leaves(before):
-    # reading 0-9 values first leaves every buffer_pos (1-4), with and without
-    # a held high half; counts run from within the current block of 8 values
-    # to thousands of blocks, both sides of each block boundary
-    for count in [*range(1, 30), 100, 9_400, 9_401, 9_407, 9_408]:
-        read, skipped = make_rng(before, 48), make_rng(before, 48)
-        read.integers(0, 1 << 32, size=before)
-        skipped.integers(0, 1 << 32, size=before)
-        state = skipped.bit_generator.state
-        read.integers(0, 1 << 32, size=count)
-        interaction._skip_raw(skipped, state, count)
-        np.testing.assert_equal(skipped.bit_generator.state, read.bit_generator.state)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64, 128, 129, 300, 768])
+def test_every_sample_holds_its_pair_and_a_subset_outside_it(n):
+    num_pairs, num_subsets = 20, 6
+    spy, seen = spy_setfn()
+    expected_interaction_sampled(spy, n, num_pairs, num_subsets, rng=make_rng(n, 51))
+    joint, only_a, only_b, subsets = seen[0].reshape(-1, 4, n).transpose(1, 0, 2)
+    # every row holds S, and adds to it one pair player, the other, or both
+    for row in (joint, only_a, only_b):
+        assert not (subsets & ~row).any()
+    first, second = only_a & ~subsets, only_b & ~subsets
+    assert (first.sum(axis=1) == 1).all() and (second.sum(axis=1) == 1).all()
+    assert not (first & second).any()
+    np.testing.assert_array_equal(joint & ~subsets, first | second)
+    assert (subsets.sum(axis=1) <= n - 2).all()
+    # a pair is drawn once for its num_subsets samples
+    pairs = (joint & ~subsets).reshape(num_pairs, num_subsets, n)
+    assert (pairs == pairs[:, :1]).all()
 
 
-@pytest.mark.parametrize("before", range(10))
-@pytest.mark.parametrize("n,num_pairs", [(3, 40), (64, 30), (128, 60)])
-def test_replayed_draws_leave_the_state_numpys_calls_leave(n, num_pairs, before):
-    # 60 pairs at 128 players take two blocks, the second starting mid-buffer
-    rng, per_call_rng = make_rng(before, 49), make_rng(before, 49)
-    rng.integers(0, 1 << 32, size=before)
-    per_call_rng.integers(0, 1 << 32, size=before)
-    replayed = interaction._draw_replayed(rng, n, num_pairs, 5)
-    pairs, sizes, picks = interaction._draw_per_call(per_call_rng, n, num_pairs, 5)
-    assert_same_draws(replayed, pairs.tolist(), sizes.tolist(),
-                      [s.tolist() for s in np.split(picks, np.cumsum(sizes)[:-1])])
-    np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_subset_sizes_reach_both_ends_of_their_range(n):
+    # sizes are uniform in [0, n - 2]: at 1,000 samples each size turns up
+    spy, seen = spy_setfn()
+    expected_interaction_sampled(spy, n, 200, 5, rng=make_rng(n, 55))
+    sizes = seen[0][3::4].sum(axis=1)
+    assert set(sizes.tolist()) == set(range(n - 1))
 
 
-def test_replay_reads_again_from_a_bit_generator_other_than_philox():
-    rng, per_call_rng = (np.random.Generator(np.random.PCG64(5)) for _ in range(2))
-    interaction._draw_replayed(rng, 64, 30, 5)
-    interaction._draw_per_call(per_call_rng, 64, 30, 5)
-    np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
+@pytest.mark.parametrize("num_subsets", [1, 7])
+@pytest.mark.parametrize("n", [2, 5, 64, 768])
+def test_pair_draw_does_not_depend_on_the_subset_count(n, num_subsets):
+    # the pairs come from the first rng array, read before any subset draw
+    def drawn_pairs(count):
+        spy, seen = spy_setfn()
+        expected_interaction_sampled(spy, n, 9, count, rng=make_rng(n, 56))
+        rows = seen[0].reshape(9, count, 4, n)[:, 0]
+        return rows[:, 0] & ~rows[:, 3]
+
+    np.testing.assert_array_equal(drawn_pairs(num_subsets), drawn_pairs(3))
 
 
-def assert_same_draws(got, pairs, sizes, subsets):
-    """got's pairs and sizes equal pairs and sizes, and its picks hold each
-    of subsets, in some order."""
-    got_pairs, got_sizes, picks = got[:3]
-    assert got_pairs.tolist() == pairs and got_sizes.tolist() == sizes
-    got_subsets = np.split(picks, np.cumsum(sizes)[:-1])
-    assert [sorted(s.tolist()) for s in got_subsets] == [sorted(s) for s in subsets]
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 3, 6, 17, 64])
+def test_quadratic_estimate_is_the_mean_interaction_of_its_drawn_pairs(n, seed):
+    # in a quadratic game every second difference of pair (a, b) is
+    # d_a H_ab d_b whatever S is, so the estimate reads only the pair draw:
+    # the two lowest of n keys in each row of the first rng array
+    rng = make_rng(seed, 52)
+    game = random_game(rng, n)
+    d = rng.normal(size=n)
+    v, _ = make_game_setfn(game, d)
+    num_pairs, num_subsets = 8, 3
+    est = expected_interaction_sampled(v, n, num_pairs, num_subsets, rng=make_rng(seed, 53))
+    pairs = np.argsort(make_rng(seed, 53).random((num_pairs, n)), axis=1)[:, :2]
+    per_pair = np.array([d[a] * game.H[a, b] * d[b] for a, b in pairs])
+    assert est.value == pytest.approx(per_pair.mean(), rel=1e-9, abs=1e-9)
+    assert est.stderr == pytest.approx(per_pair.std(ddof=1) / np.sqrt(num_pairs),
+                                       rel=1e-9, abs=1e-9)
 
 
-def zeroed_stream(n, num_pairs, num_subsets):
-    # every 20th value on average is 0, which a draw in [0, r) rejects unless
-    # r is a power of two
-    rng = make_rng(n, 39)
-    raw = rng.integers(0, 1 << 32, size=4 * num_pairs * (3 + num_subsets * 2 * n))
-    raw[rng.random(len(raw)) < 0.05] = 0
-    return raw
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_each_player_outside_the_pair_joins_the_subset_half_the_time(n, seed):
+    # P(p in S | p outside the pair) = E[size] / (n - 2) = 1/2, one
+    # independent Bernoulli draw per sample
+    spy, seen = spy_setfn()
+    expected_interaction_sampled(spy, n, 200, 10, rng=make_rng(seed, 57))
+    rows = seen[0].reshape(-1, 4, n)
+    subsets, pairs = rows[:, 3], rows[:, 0] & ~rows[:, 3]
+    outside = ~pairs
+    pvalues = [scipy.stats.binomtest(int(subsets[outside[:, p], p].sum()),
+                                     int(outside[:, p].sum()), 0.5).pvalue for p in range(n)]
+    assert min(pvalues) > 1e-3 / n, min(pvalues)
 
 
-# (n, num_pairs, num_subsets, raw values) of streams that force rejections
-CRAFTED_STREAMS = {
-    **{f"zeros-{n}-{pairs}x{subsets}": (n, pairs, subsets, zeroed_stream(n, pairs, subsets))
-       for n, pairs, subsets in [(3, 50, 4), (7, 20, 3), (64, 30, 5), (100, 40, 5),
-                                 (128, 12, 4)]},
-    # one pair at n = 3 takes at most 4 values; here its draw in [0, 3)
-    # rejects three zeros, so the pair runs past those 4 values
-    "overrun": (3, 1, 1, np.concatenate([[5, 0, 0, 0],
-                                         make_rng(0, 42).integers(0, 1 << 32, size=16)])),
-    # pair 1 takes the first 4 values; pair 2's draw in [0, 3) rejects the 0
-    # at index 5
-    "second-pair": (3, 2, 1, np.concatenate([[5, 7, 9, 11, 1 << 31, 0, 13, 15, 17],
-                                             make_rng(0, 43).integers(0, 1 << 32, size=16)])),
-}
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [3, 16, 64])
+def test_each_player_joins_a_pair_with_probability_two_over_n(n, seed):
+    num_pairs = 2000
+    spy, seen = spy_setfn()
+    expected_interaction_sampled(spy, n, num_pairs, 1, rng=make_rng(seed, 58))
+    rows = seen[0].reshape(-1, 4, n)
+    counts = (rows[:, 0] & ~rows[:, 3]).sum(axis=0)
+    pvalues = [scipy.stats.binomtest(int(c), num_pairs, 2 / n).pvalue for c in counts]
+    assert min(pvalues) > 1e-3 / n, min(pvalues)
 
 
-@pytest.mark.parametrize("name", CRAFTED_STREAMS)
-def test_block_replay_gives_up_exactly_when_numpy_rejects_a_value(name):
-    n, num_pairs, num_subsets, raw = CRAFTED_STREAMS[name]
-    raw = np.asarray(raw, dtype=np.int64)
-    whole = reference_interaction.RawValues(raw)
-    starts = []  # the first value of each pair
-    for _ in range(num_pairs):
-        starts.append(whole.read)
-        reference_interaction.replay_draws(whole, n, 1, num_subsets)
-    assert whole.rejected > 0
-    assert interaction._replay(raw, n, num_pairs, num_subsets) is None
-    # blocks of 1 to 3 pairs from each pair on
-    for start, count in itertools.product(starts, (1, 2, 3)):
-        reference = reference_interaction.RawValues(raw[start:])
-        draws = reference_interaction.replay_draws(reference, n, count, num_subsets)
-        block = interaction._replay(raw[start:], n, count, num_subsets)
-        if reference.rejected:
-            assert block is None
-            continue
-        assert_same_draws(block, *draws)
-        assert block[3] == reference.read
-        # one value short, the block's pairs run past the values it read
-        assert interaction._replay(raw[start:start + reference.read - 1], n, count,
-                                   num_subsets) is None
-
-
-# three blocks each: 4,096 pairs a block at n = 3, 52 at n = 64 and 25 at n = 128
-@pytest.mark.parametrize("n,num_pairs,num_subsets", [(3, 9_000, 1), (64, 120, 5), (128, 60, 5)])
-def test_a_block_the_replay_gives_up_is_drawn_by_numpy(monkeypatch, n, num_pairs, num_subsets):
-    blocks, replay = [], interaction._replay
-
-    def give_up_on_the_second_block(raw, n, count, num_subsets):
-        blocks.append(count)
-        return None if len(blocks) == 2 else replay(raw, n, count, num_subsets)
-
-    monkeypatch.setattr(interaction, "_replay", give_up_on_the_second_block)
-    rng, per_call_rng = make_rng(n, 44), make_rng(n, 44)
-    replayed = interaction._draw_replayed(rng, n, num_pairs, num_subsets)
-    pairs, sizes, picks = interaction._draw_per_call(per_call_rng, n, num_pairs, num_subsets)
-    assert len(blocks) == 3
-    assert_same_draws(replayed, pairs.tolist(), sizes.tolist(),
-                      [s.tolist() for s in np.split(picks, np.cumsum(sizes)[:-1])])
-    np.testing.assert_equal(rng.bit_generator.state, per_call_rng.bit_generator.state)
-
-
-def test_criterion_9_streams_are_all_replayed(monkeypatch):
-    # the acceptance test's 600 estimates: seeds 0-2, 200 examples each, 64
-    # players at 30 pairs x 5 subsets
-    monkeypatch.setattr(interaction, "_draw_per_call",
-                        lambda *args: pytest.fail("a block was drawn by numpy's calls"))
-    for seed in range(3):
-        for i in range(200):
-            interaction._draw_replayed(make_rng(seed, 2000 + i), 64, 30, 5)
+@pytest.mark.parametrize("n", [2, 64, 768])
+def test_an_omitted_rng_is_make_rng_0(n):
+    spy, seen = spy_setfn()
+    expected_interaction_sampled(spy, n, 4, 3)
+    expected_interaction_sampled(spy, n, 4, 3, rng=make_rng(0))
+    np.testing.assert_array_equal(seen[0], seen[1])
 
 
 def table_setfn(v, n):
