@@ -22,13 +22,21 @@ it, and the harness scores a whole cell of examples with it.
 
 The attack loop decides once per attack what does not change between steps:
 the labels are checked against every model, the budget box is built, the
-step rule becomes a scale and a sign flag for the `_step` kernel (which
-`apply_step` wraps), and the transform pipeline, its VT/EMI state and the
-momentum buffer exist only when the config uses them.  A config without
-transforms calls `ensemble_gradient` on the iterate directly.  The loop
-calls the public gradient functions through this module's globals and the
-models' public `input_gradient`, so a profiler that rebinds them sees every
-step.
+step rule becomes a scale and a sign flag, and the transforms' VT/EMI state
+and the momentum buffer exist only when the config uses them.  The
+transform lookup (`_Pipeline`) is built once per config and kept on it.  A
+config without transforms calls `ensemble_gradient` on the iterate directly.
+The loop calls the public gradient functions through this module's globals
+and the models' public `input_gradient`, so a profiler that rebinds them
+sees every step.
+
+Each step works in buffers it owns, with the operations of the public
+functions in the same order, so the bits are theirs: the momentum buffer
+takes ``g *= mu; grad /= l1; g += grad`` (`momentum_accumulate` returns
+``mu * g + grad / l1``), the iterate takes ``x += scale * direction`` (or
+``scale * sign(direction)``, as `apply_step`) and is clamped into the box in
+place, and `ensemble_gradient` adds every other model's gradient into the
+first one's.  The L1 norm is one ufunc reduction (`_l1`).
 """
 
 from __future__ import annotations
@@ -219,6 +227,12 @@ class AttackConfig:
                 raise ValueError(
                     f"generator was trained for {trained} steps, requested {self.steps}")
 
+    @functools.cached_property
+    def _pipeline(self) -> "_Pipeline | None":
+        """The transforms as the attack loop looks them up, built on first use
+        and kept for the config's lifetime; None without transforms."""
+        return _Pipeline.of(self) if self.transforms else None
+
 
 @dataclass
 class AttackResult:
@@ -232,23 +246,25 @@ class AttackResult:
 # -- pipeline pieces --------------------------------------------------------
 
 
-def _momentum(g_prev, grad, mu, l1):
-    """mu * g_prev + grad / l1, where l1 is ||grad||_1 as the caller computed it."""
-    return mu * g_prev + grad / l1
+def _l1(grad):
+    """||grad||_1 as one ufunc reduction over the whole array, the bits of
+    np.abs(grad).sum()."""
+    return np.add.reduce(np.abs(grad), axis=None)
 
 
 def momentum_accumulate(g_prev: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
     """mu * g_prev + grad / ||grad||_1.
 
-    The attack loop already has the step's L1 norm, so it calls the same
-    kernel (`_momentum`) without this function's checks and second norm.
+    The attack loop already has the step's L1 norm and owns both arrays, so
+    it runs the same three operations in place, without this function's
+    checks and second norm.
     """
     if g_prev.shape != grad.shape:
         raise ValueError("momentum and gradient shapes differ")
-    l1 = np.abs(grad).sum()
+    l1 = _l1(grad)
     if l1 == 0.0:
         raise DegenerateGradientError("zero gradient in momentum accumulation")
-    return _momentum(g_prev, grad, mu, l1)
+    return mu * g_prev + grad / l1
 
 
 @functools.lru_cache(maxsize=128)
@@ -289,9 +305,10 @@ def _sum_rows(rows: np.ndarray) -> np.ndarray:
     rows are read as two columns, the second a stride-0 repeat of the first.
     """
     flat = rows.reshape(len(rows), -1)
-    if flat.shape[1] == 1:
+    size = flat.shape[1]
+    if size == 1:
         flat = np.broadcast_to(flat, (len(rows), 2))
-    return np.add.reduce(flat, axis=0, initial=0.0)[:rows[0].size].reshape(rows.shape[1:])
+    return np.add.reduce(flat, axis=0, initial=0.0)[:size].reshape(rows.shape[1:])
 
 
 @functools.lru_cache(maxsize=16)
@@ -340,14 +357,19 @@ def ensemble_gradient(models, x: np.ndarray, y: int) -> np.ndarray:
     """Gradient of the mean of the per-model cross-entropy losses.
 
     x is one image or an (N, H, W, C) batch of points; each model sees the
-    whole batch in one input_gradient call.
+    whole batch in one input_gradient call.  The other models' gradients are
+    added into the first model's, in model order, so input_gradient must
+    return a fresh array; one model's gradient is returned as it is.  A sum
+    from 0.0 would differ only in turning a -0.0 into +0.0.
     """
     if not models:
         raise ValueError("need at least one source model")
-    if len(models) == 1:
-        # the mean's 0 + g and / 1 would only turn a -0.0 into +0.0
-        return models[0].input_gradient(x, y)
-    return sum(m.input_gradient(x, y) for m in models) / len(models)
+    grad = models[0].input_gradient(x, y)
+    if len(models) > 1:
+        for model in models[1:]:
+            grad += model.input_gradient(x, y)
+        grad /= len(models)
+    return grad
 
 
 def ensemble_loss(models, x: np.ndarray, y: int) -> float:
@@ -368,40 +390,47 @@ def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     x = np.asarray(x, dtype=np.float64)
-    # the scales 1, 1/2, ..., 1/2^(m-1) as a column over x's axes
-    scales = (0.5 ** np.arange(m)).reshape((m,) + (1,) * x.ndim)
+    scales = _sim_scales(m, x.ndim)
     copies = scales * x
     grads = ensemble_gradient(models, copies.reshape((-1,) + x.shape[-3:]), y)
     return _sum_rows(scales * grads.reshape(copies.shape)) / m
 
 
-def _step(x_adv, direction, scale, sign):
-    """x_adv + scale * sign(direction) when sign, else x_adv + scale * direction; a fresh array."""
-    return x_adv + scale * (np.sign(direction) if sign else direction)
+@functools.lru_cache(maxsize=32)
+def _sim_scales(m: int, ndim: int) -> np.ndarray:
+    """Read-only column of the SIM scales 1, 1/2, ..., 1/2^(m-1) over ndim axes."""
+    scales = (0.5 ** np.arange(m)).reshape((m,) + (1,) * ndim)
+    scales.flags.writeable = False
+    return scales
 
 
 def apply_step(x_adv, direction, rule, gamma_override: float | None = None):
-    """One unprojected update; sign(0) = 0 in the sign rule.
+    """One unprojected update, a fresh array; sign(0) = 0 in the sign rule.
 
-    The attack loop reads the rule's scale and kind once per attack and calls
-    the same kernel (`_step`) without this function's checks.
+    The attack loop reads the rule's scale and kind once per attack and adds
+    the same update into its own iterate in place, without this function's
+    checks.
     """
     if x_adv.shape != direction.shape:
         raise ValueError("iterate and direction shapes differ")
     if isinstance(rule, SignStep):
-        return _step(x_adv, direction, rule.alpha, True)
+        return x_adv + rule.alpha * np.sign(direction)
     if isinstance(rule, FixedScaleStep):
-        return _step(x_adv, direction, rule.gamma, False)
+        return x_adv + rule.gamma * direction
     if isinstance(rule, AdaptiveStep):
         if gamma_override is None:
             raise ValueError("adaptive rule needs the per-step gamma")
-        return _step(x_adv, direction, gamma_override, False)
+        return x_adv + gamma_override * direction
     raise TypeError(f"unknown step rule {rule!r}")
 
 
 def _box(x_orig, epsilon):
-    """Per-pixel bounds (lo, hi) of [orig - eps, orig + eps] intersected with [0, 255]."""
-    return np.clip(x_orig - epsilon, 0.0, 255.0), np.clip(x_orig + epsilon, 0.0, 255.0)
+    """Per-pixel bounds (lo, hi) of [orig - eps, orig + eps] intersected with
+    [0, 255] for a float64 x_orig, each clamped in place by np.maximum and
+    np.minimum (np.clip gives the same values at a few microseconds more per
+    call, but keeps a -0.0 that np.maximum turns into +0.0)."""
+    lo, hi = x_orig - epsilon, x_orig + epsilon
+    return _clamp(lo, 0.0, 255.0, out=lo), _clamp(hi, 0.0, 255.0, out=hi)
 
 
 def _clamp(x, lo, hi, out=None):
@@ -422,7 +451,9 @@ def project(x_adv, x_orig, epsilon):
         raise ValueError("shapes differ in projection")
     if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
-    return _clamp(x_adv, *_box(x_orig, epsilon))
+    # _box clamps its bounds in place, so they must be float64 even for an
+    # integer original
+    return _clamp(x_adv, *_box(np.asarray(x_orig, dtype=np.float64), epsilon))
 
 
 # -- attack loop ------------------------------------------------------------
@@ -495,7 +526,7 @@ def _pipeline_gradient(models, x_eval, label, pipe: _Pipeline, state, rng):
         grad = tuned
 
     if emi is not None:
-        l1 = np.abs(grad).sum()
+        l1 = _l1(grad)
         state["emi_dir"] = grad / l1 if l1 > 0 else np.zeros_like(grad)
 
     if tim is not None:
@@ -540,10 +571,11 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
     x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("input image has non-finite pixels")
-    # decided once per attack: the budget box, the transforms and their
-    # state, the momentum buffer, the step rule's scale and kind
+    # decided once per attack: the budget box, the transforms' state, the
+    # momentum buffer, the step rule's scale and kind; once per config: the
+    # transform lookup
     lo, hi = _box(x, cfg.epsilon)
-    pipe = _Pipeline.of(cfg) if cfg.transforms else None
+    pipe = cfg._pipeline
     state = {}
     if pipe is not None and pipe.vt is not None:
         state["vt_var"] = np.zeros_like(x)
@@ -570,21 +602,24 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
             grad = _pipeline_gradient(source_models, x_eval, attack_label, pipe, state, rng)
         if cfg.targeted:
             grad = -grad  # descend the target's loss
-        l1 = np.abs(grad).sum()
+        l1 = _l1(grad)
         if l1 == 0.0:
             early = True
             break
         if not math.isfinite(l1):
             raise DegenerateGradientError(f"non-finite gradient at step {t}")
         if mu is not None:
-            g_mom = _momentum(g_mom, grad, mu, l1)
+            # mu * g_mom + grad / l1 in place: the step owns grad
+            g_mom *= mu
+            grad /= l1
+            g_mom += grad
             direction = g_mom
         else:
             direction = grad
         if adaptive:
             scale = float(rule.generator.gamma_forward(t, x_adv, direction))
-        x_adv = _step(x_adv, direction, scale, sign)
-        _clamp(x_adv, lo, hi, out=x_adv)  # _step returned a fresh array
+        x_adv += scale * (np.sign(direction) if sign else direction)
+        _clamp(x_adv, lo, hi, out=x_adv)
         trace.append(scale)
         steps_used = t + 1
 

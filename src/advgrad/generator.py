@@ -273,9 +273,13 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
     takes its updates in episode order, so in exact arithmetic the fronts give
     the serial loop's theta.  A batched input_gradient may differ from the
     single-image call in its last bits, so theta agrees with the serial loop
-    to rounding that training carries forward (the tests hold it to 1e-12
-    relative at learning rate 1), and bit for bit when every model computes
-    its batch one row at a time.
+    to rounding that training carries forward, and bit for bit when every
+    model computes its batch one row at a time.  The drift grows with the
+    learning rate.  Over 20 seeds of 12 episodes x 4 steps (8x8x1 images,
+    hidden=(8, 4), pools of 2-4 models), the largest deviation of a step's
+    parameters, over its largest parameter, was 6e-16 at learning rate 0.3,
+    2.8e-15 at 1 and 1.5e-12 at 7.5; hypothesis found 6.1e-12 at 7.5 after
+    7 episodes.  The tests hold it to 1e-12 relative at learning rate 1.
     """
     if len(model_pool) < 2:
         raise ValueError(

@@ -293,9 +293,17 @@ def build_dataset(spec: dict) -> LabeledDataset:
         return load_cifar_binary(spec["path"])
     _check_keys(spec, {"kind", "seed", "n", "image_shape", "num_classes"}, ("kind", "n"),
                 "dataset spec")
-    shape = ImageShape(*spec.get("image_shape", (8, 8, 1)))
-    return synth_dataset(kind, spec["n"], shape, spec.get("seed", 0),
-                         num_classes=spec.get("num_classes", 3))
+    n, num_classes = spec["n"], spec.get("num_classes", 3)
+    dims = spec.get("image_shape", (8, 8, 1))
+    _check_count("dataset spec: n", n, 2)
+    _check_count("dataset spec: num_classes", num_classes, 1)
+    if not isinstance(dims, (list, tuple)) or len(dims) != 3:
+        raise ValueError("dataset spec: image_shape must be [height, width, channels], "
+                         f"got {dims!r}")
+    for name, value in zip(("height", "width", "channels"), dims):
+        _check_count(f"dataset spec: image_shape {name}", value, 1)
+    return synth_dataset(kind, n, ImageShape(*dims), spec.get("seed", 0),
+                         num_classes=num_classes)
 
 
 def _prepare_models(specs, references, train_set: LabeledDataset, labels):

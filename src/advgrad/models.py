@@ -5,6 +5,18 @@ tanh MLP, and a tiny two-stage convnet with average pooling.  Inputs live on
 the 0-255 pixel scale; each model standardizes internally (divide by 255,
 subtract 0.5), so all gradients returned here are with respect to 0-255
 pixels.
+
+An attack step makes one gradient call on one image, so the dense models'
+path is held near its floor of numpy calls, each kept cheap, with the bits of
+the plain ``@`` forms (``tests/reference_models.py``).  Products of one row
+or one batch run np.dot, which costs less per call than ``@``; an
+(M, N, d) stack runs np.matmul, one GEMM per batch, since np.dot would merge
+the batches into one GEMM whose row bits differ.  Bias adds, tanh, the
+softmax's exp and normalization, the tanh slope and the final 1/255 scale
+run in place on fresh arrays; the softmax calls np.maximum.reduce and
+np.add.reduce directly; a batch with one label subtracts its one-hot as one
+column.  TinyConv's 2x2 pool adds four strided quarters on larger inputs
+(`_avgpool2`).
 """
 
 from __future__ import annotations
@@ -91,14 +103,20 @@ class TrainConfig:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of one logit vector or a batch of them."""
+    """Softmax over the last axis of one logit vector or a batch of them.
+
+    The ufunc reductions are called directly, without the .max() and .sum()
+    wrappers; a vector takes them whole, the same bits as the keepdims form.
+    """
     if logits.ndim == 1:
-        # the same bits as the keepdims form, without its reshaped reductions
-        e = np.exp(logits - logits.max())
-        return e / e.sum()
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+        e = logits - np.maximum.reduce(logits)
+        np.exp(e, out=e)
+        e /= np.add.reduce(e)
+        return e
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -153,14 +171,14 @@ class Model:
 
     def _check_batch(self, x: np.ndarray, y):
         """Labels for batch x from one integer label or an (N,) integer array:
-        a 0-d label for every row, or the (N,) labels.  Either indexes the rows
-        of an (N, classes) array with np.arange(N)."""
+        a 0-d label for every row, or the (N,) labels.  _loss_backward takes
+        a 0-d label's one-hot as one column, the (N,) labels with np.arange(N)."""
         self._check_rows(x)
         labels = np.asarray(y)
         if labels.dtype.kind not in "iu":
             raise ValueError(f"labels must be integers, got {labels.dtype}")
         if labels.ndim == 0:
-            # one label broadcasts against np.arange(N), so it is not repeated
+            # one label is one column of the one-hot, so it is not repeated
             if not 0 <= int(labels) < self.num_classes:
                 raise ValueError(f"labels out of range for {self.num_classes} classes")
             return labels
@@ -171,7 +189,9 @@ class Model:
         return labels
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
-        return x / 255.0 - 0.5
+        z = x / 255.0
+        z -= 0.5
+        return z
 
     def _forward(self, z: np.ndarray):
         """Return (logits, cache) for standardized z of shape (N, H, W, C) or (H, W, C).
@@ -219,16 +239,20 @@ class Model:
 
     def _loss_backward(self, x: np.ndarray, y, params: bool, inputs: bool = True):
         """Cross-entropy backward for one image and an int label, or for a batch
-        (N, H, W, C) and an (N,) label array.  Returns (dx on the 0-255 scale or
+        (N, H, W, C) and a 0-d or (N,) label array.  Returns (dx on the 0-255 scale or
         None when inputs is False, param_grads summed over the batch or None)."""
         logits, cache = self._forward(self._standardize(x))
         dlogits = _softmax(logits)
-        if dlogits.ndim == 2:
-            dlogits[np.arange(len(dlogits)), y] -= 1.0
-        else:
+        if dlogits.ndim == 1:
             dlogits[y] -= 1.0
+        elif y.ndim == 0:
+            dlogits[:, y] -= 1.0  # one label: its one-hot is one column
+        else:
+            dlogits[np.arange(len(dlogits)), y] -= 1.0
         dz, grads = self._backward(dlogits, cache, params, inputs)
-        return (dz / 255.0 if inputs else None), grads
+        if inputs:
+            dz /= 255.0  # _backward's dz is a fresh array
+        return dz, grads
 
     def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
         """Exact gradient of the cross-entropy loss w.r.t. 0-255 pixels.
@@ -266,15 +290,17 @@ class SoftmaxLinear(Model):
 
     def _forward(self, z):
         # (H, W, C) -> (d,), (N, H, W, C) -> (N, d) and (M, N, H, W, C) ->
-        # (M, N, d); z @ W.T serves all three, with one GEMM per batch of a stack
+        # (M, N, d); a stack goes to np.matmul, one GEMM per batch
         zf = z.reshape(z.shape[:-3] + (-1,))
-        return zf @ self.params["W"].T + self.params["b"], zf
+        logits = (np.dot if zf.ndim < 3 else np.matmul)(zf, self.params["W"].T)
+        logits += self.params["b"]
+        return logits, zf
 
     def _backward(self, dlogits, zf, params, inputs=True):
-        grads = {"W": dlogits.T @ zf, "b": dlogits.sum(axis=0)} if params else None
+        grads = {"W": np.dot(dlogits.T, zf), "b": dlogits.sum(axis=0)} if params else None
         if not inputs:
             return None, grads
-        dz = dlogits @ self.params["W"]
+        dz = np.dot(dlogits, self.params["W"])
         return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
 
 
@@ -297,31 +323,67 @@ class TanhMLP(Model):
 
     def _forward(self, z):
         zf = z.reshape(z.shape[:-3] + (-1,))
-        h = np.tanh(zf @ self.params["W1"].T + self.params["b1"])
-        logits = h @ self.params["W2"].T + self.params["b2"]
+        dot = np.dot if zf.ndim < 3 else np.matmul  # as in SoftmaxLinear
+        h = dot(zf, self.params["W1"].T)
+        h += self.params["b1"]
+        np.tanh(h, out=h)
+        logits = dot(h, self.params["W2"].T)
+        logits += self.params["b2"]
         return logits, (zf, h)
 
     def _backward(self, dlogits, cache, params, inputs=True):
         zf, h = cache
-        da1 = (dlogits @ self.params["W2"]) * (1.0 - h * h)
+        slope = h * h
+        np.subtract(1.0, slope, out=slope)
+        da1 = np.dot(dlogits, self.params["W2"])
+        da1 *= slope
         grads = None
         if params:
             grads = {
-                "W2": dlogits.T @ h,
+                "W2": np.dot(dlogits.T, h),
                 "b2": dlogits.sum(axis=0),
-                "W1": da1.T @ zf,
+                "W1": np.dot(da1.T, zf),
                 "b1": da1.sum(axis=0),
             }
         if not inputs:
             return None, grads
-        dz = da1 @ self.params["W1"]
+        dz = np.dot(da1, self.params["W1"])
         return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
 
 
+# the least input size at which _avgpool2 adds the strided quarters; below it
+# the one reshaped sum is as fast or faster (timeit, 2-core host, min of 7:
+# 3.2 against 4.4 us for (1, 8, 8, 6), 4.9 against 4.9 us for (2, 8, 8, 6)),
+# above it the adds are faster (6.4 against 5.2 us for (3, 8, 8, 6), 14.2
+# against 7.5 us for (32, 4, 4, 6), 52 against 17 us for (32, 8, 8, 6))
+POOL_STRIDED_SIZE = 1024
+
+
 def _avgpool2(x):
+    """2x2 average pool of an (N, H, W, C) batch, bit for bit the sum and
+    division np.mean(axis=(2, 4)) runs on the (N, H/2, 2, W/2, 2, C) view.
+
+    With more than one channel numpy's sum adds each window's four values to
+    0.0 in the order (0, 0), (0, 1), (1, 0), (1, 1), so from
+    POOL_STRIDED_SIZE values on the pool adds the four strided quarters in
+    that order.  With one channel numpy sums each of the window's two rows
+    first, so the reshaped sum always runs.
+    """
     n, h, w, c = x.shape
-    # the sum and division np.mean(axis=(2, 4)) runs, without its Python overhead
-    return x.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4)) / 4.0
+    if c == 1 or x.size < POOL_STRIDED_SIZE:
+        return x.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4)) / 4.0
+    return _avgpool2_strided(x)
+
+
+def _avgpool2_strided(x):
+    """The four-add form of _avgpool2 for an (N, H, W, C) batch with even H
+    and W; equal to the reshaped sum bit for bit when C > 1."""
+    out = x[:, 0::2, 0::2] + 0.0  # numpy's sum starts at 0.0, which turns -0.0 into +0.0
+    out += x[:, 0::2, 1::2]
+    out += x[:, 1::2, 0::2]
+    out += x[:, 1::2, 1::2]
+    out /= 4.0
+    return out
 
 
 def _avgpool2_backward(d):

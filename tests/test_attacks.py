@@ -116,6 +116,14 @@ class TestProjection:
         with pytest.raises(ValueError):
             project(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), -1.0)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_integer_images_clamp_as_floats(self, dtype):
+        # the box is built in place, which an integer original must not limit
+        orig = np.array([[[0], [2], [254]]], dtype=dtype)
+        out = project(np.array([[[3], [300], [-4]]]), orig, 1)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.array([[[1.0], [3.0], [253.0]]]))
+
 
 class TestMomentum:
     def test_hand_computed_accumulation(self):

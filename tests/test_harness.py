@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +605,27 @@ class TestExperimentRunner:
         monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(self.base_config(tmp_path, **override))
+        assert trained == []
+
+    @pytest.mark.parametrize("message,dataset", [
+        ("dataset spec: n must be an integer, got 2.5", {"n": 2.5}),
+        ("dataset spec: num_classes must be >= 1, got 0", {"n": 10, "num_classes": 0}),
+        ("dataset spec: n must be >= 2, got 1", {"n": 1}),
+        ("dataset spec: image_shape must be [height, width, channels], got [8, 8]",
+         {"n": 10, "image_shape": [8, 8]}),
+        ("dataset spec: image_shape width must be >= 1, got 0",
+         {"n": 10, "image_shape": [8, 0, 1]}),
+    ], ids=["float-n", "no-classes", "one-example", "two-dims", "zero-width"])
+    def test_a_bad_synthetic_dataset_block_is_named_and_fails_before_training(
+            self, tmp_path, monkeypatch, message, dataset):
+        # these used to raise a TypeError, an IndexError after a numpy
+        # RuntimeWarning, or a message without the block's name
+        trained = []
+        monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run_experiment(self.base_config(tmp_path, dataset={"kind": "blobs", **dataset}))
         assert trained == []
 
     @pytest.mark.parametrize("dims,classes,message", [

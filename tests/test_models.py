@@ -9,12 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference_models
 import sliding_window_conv as sliding
 from advgrad import models, numerics
 from advgrad.models import (
     LabeledDataset,
     _avgpool2,
     _avgpool2_backward,
+    _avgpool2_strided,
     _log_softmax,
     _softmax,
     TrainConfig,
@@ -28,6 +30,11 @@ from advgrad.numerics import ImageShape, finite_diff_gradient, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
 KINDS = ("softmax-linear", "mlp-1-hidden", "tiny-conv")
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns, signed zeros included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def random_image(rng, shape=SHAPE):
@@ -433,6 +440,26 @@ class TestConvKernel:
             assert np.array_equal(_avgpool2_backward(x), np.broadcast_to(
                 quarter, (n, h, 2, w, 2, c)).reshape(n, 2 * h, 2 * w, c))
 
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 40), st.integers(1, 9), st.integers(1, 9),
+                           st.integers(1, 12)),
+           data=st.data())
+    @example(shape=(32, 4, 4, 6), data=None)  # TinyConv's first pool on a minibatch
+    @example(shape=(32, 4, 4, 1), data=None)  # the same with channels (1, 1)
+    def test_strided_pool_equals_the_reshaped_sum_bit_for_bit(self, shape, data):
+        n, half_h, half_w, c = shape
+        shape = (n, 2 * half_h, 2 * half_w, c)
+        if data is None:
+            x = make_rng(18).normal(size=shape)
+        else:
+            # magnitudes far apart, so that the order of the adds shows in the bits
+            x = data.draw(hnp.arrays(np.float64, shape, elements=st.one_of(
+                st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300]))))
+        want = x.reshape(n, half_h, 2, half_w, 2, c).sum(axis=(2, 4)) / 4.0
+        assert same_bits(_avgpool2(x), want)
+        if c > 1:
+            assert same_bits(_avgpool2_strided(x), want)
+
     def test_only_parameter_gradients_ask_the_kernel_for_weight_gradients(self, monkeypatch):
         model = build_model("tiny-conv", SHAPE, 3, seed=0)
         asked = []
@@ -663,3 +690,70 @@ class TestCheckpoints:
         # and saving writes the same layout back
         save_model(model, str(tmp_path / "again.json"))
         assert json.loads((tmp_path / "again.json").read_text()) == doc
+
+
+class TestReferencePath:
+    """The model path against its verbatim copy from before its numpy calls
+    were cut (``tests/reference_models.py``): np.dot in place of ``@`` on one
+    row or one batch, the ufunc reductions of the softmax, a 0-d label's
+    one-hot as one column, in-place updates and the strided pool all keep
+    every bit."""
+
+    @staticmethod
+    def model_and_twin(kind, seed, weight_scale):
+        model = build_model(kind, SHAPE, 4, seed=seed)
+        for value in model.params.values():
+            value *= weight_scale  # a larger scale gives trained-model logit gaps
+        return model, reference_models.reference_copy(model)
+
+    @staticmethod
+    def images(seed, rows):
+        rng = make_rng(seed, 51)
+        x = rng.uniform(0.0, 255.0, size=(rows,) + SHAPE.dims)
+        # pixels at the ends of the range, where the iterates of an attack sit
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = 255.0
+        return x
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**16),
+           weight_scale=st.sampled_from([1.0, 8.0, 40.0]), rows=st.integers(1, 40),
+           one_label=st.booleans())
+    def test_batches_equal_the_reference_bit_for_bit(self, kind, seed, weight_scale, rows,
+                                                     one_label):
+        model, twin = self.model_and_twin(kind, seed, weight_scale)
+        x = self.images(seed, rows)
+        y = np.int64(seed % 4) if one_label else make_rng(seed, 52).integers(0, 4, size=rows)
+        assert same_bits(model.input_gradient(x, y), twin.input_gradient(x, y))
+        assert np.array_equal(model.predict(x), twin.predict(x))
+        logits, _ = model._forward(model._standardize(x))
+        assert same_bits(logits, twin._forward(twin._standardize(x))[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**16),
+           weight_scale=st.sampled_from([1.0, 8.0, 40.0]), label=st.integers(0, 3))
+    def test_one_image_equals_the_reference_bit_for_bit(self, kind, seed, weight_scale, label):
+        model, twin = self.model_and_twin(kind, seed, weight_scale)
+        x = self.images(seed, 1)[0]
+        assert same_bits(model.input_gradient(x, label), twin.input_gradient(x, label))
+        assert same_bits(model.logits(x), twin.logits(x))
+        assert model.predict(x) == twin.predict(x)
+        assert model.cross_entropy_loss(x, label) == twin.cross_entropy_loss(x, label)
+        got, want = model.parameter_gradients(x, label), twin.parameter_gradients(x, label)
+        assert all(same_bits(got[k], want[k]) for k in want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**16),
+           stack=st.sampled_from([(2, 32), (3, 5), (1, 40)]))
+    def test_stacks_and_training_batches_equal_the_reference_bit_for_bit(self, kind, seed,
+                                                                          stack):
+        # a stack keeps one GEMM per batch (np.matmul); np.dot would merge them
+        model, twin = self.model_and_twin(kind, seed, 8.0)
+        z = model._standardize(self.images(seed, stack[0] * stack[1]))
+        z = z.reshape(stack + SHAPE.dims)
+        assert same_bits(model._forward(z)[0], twin._forward(z)[0])
+        x, y = self.images(seed, 16), make_rng(seed, 53).integers(0, 4, size=16)
+        dx, grads = model._loss_backward(x, y, params=True)
+        ref_dx, ref_grads = twin._loss_backward(x, y, params=True)
+        assert same_bits(dx, ref_dx)
+        assert all(same_bits(grads[k], ref_grads[k]) for k in ref_grads)
