@@ -7,11 +7,14 @@ the sign, fixed-scale and momentum rules; one attack step with each transform
 alone, with the full transform stack, and with the full stack on two source
 models (the MLP and a softmax-linear model); a 20-episode generator
 training run (5 attack steps, MLP and tiny-conv pool), whose reference runs
-the episodes one after another; and the scoring of one 12-example harness
+the episodes one after another; the scoring of one 12-example harness
 cell against a tiny-conv and a softmax-linear target, batched (one predict
 per target, as the harness scores a cell) beside once per image (one predict
-per target and example, as run_attack scores its targets).  Run from the
-repository root:
+per target and example, as run_attack scores its targets); and the attack of
+one 12-example cell by the MLP with BIM, the scaled step with momentum and
+the scaled step with the full transform stack, in one batched call of the
+attack loop (as the harness attacks a sweep cell) beside 12 run_attack calls
+(as it attacks a matrix cell).  Run from the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_attack_step.py --benchmark-max-time=3 \
         --benchmark-json=BENCH_attack.json
@@ -65,6 +68,24 @@ def score_each_image(target_models, adversarials, labels, acfg):
 
 
 SCORERS = {"batched": _score_cell, "per-image": score_each_image}
+CELL_ATTACKS = {
+    "bim": AttackConfig(epsilon=16.0, steps=10, step_rule=SignStep(1.6)),
+    "scaled": AttackConfig(epsilon=16.0, steps=10, step_rule=FixedScaleStep(16.0),
+                           momentum=1.0),
+    "stack": dataclasses.replace(STACK, steps=10),
+}
+
+
+def attack_batched(sources, images, labels, cfg, rngs):
+    return attacks._attack_loop(sources, [], images, labels, cfg, rngs)
+
+
+def attack_each_example(sources, images, labels, cfg, rngs):
+    return [attacks.run_attack(sources, [], x, int(y), cfg, rng=rngs[i] if rngs else None)
+            for i, (x, y) in enumerate(zip(images, labels))]
+
+
+CELL_LOOPS = {"batched": attack_batched, "per-example": attack_each_example}
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +138,18 @@ def test_score_a_12_example_cell(benchmark, scorer):
     labels = np.arange(12) % 3
     success = benchmark(SCORERS[scorer], targets, adversarials, labels, RULES["sign"])
     assert success.shape == (12, 2)
+
+
+@pytest.mark.parametrize("loop", CELL_LOOPS)
+@pytest.mark.parametrize("attack", CELL_ATTACKS)
+def test_attack_a_12_example_cell(benchmark, mlp, attack, loop):
+    cfg = CELL_ATTACKS[attack]
+    images = make_rng(0, 93).uniform(0.0, 255.0, size=(12,) + SHAPE.dims)
+    labels = np.arange(12) % 3
+
+    def attack_cell():
+        # fresh streams per call keep every round on the same draws
+        rngs = [make_rng(0, 1000 + i) for i in range(12)] if cfg.transforms else None
+        return CELL_LOOPS[loop]([mlp], images, labels, cfg, rngs)
+
+    assert len(benchmark(attack_cell)) == 12

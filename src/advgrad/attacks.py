@@ -20,6 +20,20 @@ transforms draw, so an attack without them needs no rng.
 Success is defined once, by `_succeeded`: run_attack scores its targets with
 it, and the harness scores a whole cell of examples with it.
 
+There is one attack loop, `_attack_loop`, over one (H, W, C) image or an
+(N, H, W, C) batch with (N,) labels and one rng per row.  run_attack is its
+one-image case, and hands the models the single image, so its bits and its
+cost per step stay those of a loop without batches.  In a batch, row i draws
+from its own stream in the one-image order (DIM, then EMI, then VT, each
+step), stops on its own at a zero gradient (it keeps its iterate and draws no
+more), and gets its own adaptive gamma from one gamma_forward call per step;
+SIM, the ensemble and TIM run over the whole batch with the row-order sums.
+So a row agrees with its one-image attack to 1e-12 relative, and its rng
+ends in the same state.  The harness attacks its sweep cells, which only
+read ASR, through the batch, and its matrix cells through run_attack, one
+example per call: that keeps the per-example report files byte-identical,
+and a profiler that times run_attack still sees one example per call.
+
 The attack loop decides once per attack what does not change between steps:
 the labels are checked against every model, the budget box is built, the
 step rule becomes a scale and a sign flag, and the transforms' VT/EMI state
@@ -335,29 +349,37 @@ def _tim_taps(h: int, w: int, c: int, k: int, sigma: float):
 def tim_smooth(grad: np.ndarray, k: int, sigma: float | None = None) -> np.ndarray:
     """Per-channel Gaussian convolution with edge replication.
 
-    For a float64 gradient, bit for bit
+    grad is one (H, W, C) gradient or an (N, H, W, C) batch, smoothed row by
+    row.  For a float64 gradient, bit for bit
     ``scipy.ndimage.convolve(grad, kernel[:, :, None], mode="nearest")`` with
     ``kernel = gaussian_kernel_2d(k, sigma)``: each output value starts at 0.0
     and adds ``w * x`` one tap at a time, in the order of `_tim_taps`.
     """
-    if grad.ndim != 3:
-        raise ValueError("tim_smooth expects an (H, W, C) gradient")
+    if grad.ndim not in (3, 4):
+        raise ValueError("tim_smooth expects an (H, W, C) gradient or an (N, H, W, C) batch")
     if sigma is None:
         sigma = k / 3.0
-    table, weights = _tim_taps(*grad.shape, k, sigma)
+    table, weights = _tim_taps(*grad.shape[-3:], k, sigma)
     # indexing, not take: take copies a read-only index array on every call
-    terms = grad.reshape(-1)[table]
-    terms *= weights
+    if grad.ndim == 3:
+        terms = grad.reshape(-1)[table]
+        terms *= weights
+    else:
+        # a batch gathers (H * W * C, N) columns: each tap row holds every image
+        terms = grad.reshape(len(grad), -1).T[table]
+        terms *= weights[:, :, None]
     # one row per tap, added in tap order; a pairwise or BLAS reduction
     # would round differently
-    return _sum_rows(terms).reshape(grad.shape)
+    total = _sum_rows(terms)
+    return (total if grad.ndim == 3 else total.T).reshape(grad.shape)
 
 
-def ensemble_gradient(models, x: np.ndarray, y: int) -> np.ndarray:
+def ensemble_gradient(models, x: np.ndarray, y) -> np.ndarray:
     """Gradient of the mean of the per-model cross-entropy losses.
 
-    x is one image or an (N, H, W, C) batch of points; each model sees the
-    whole batch in one input_gradient call.  The other models' gradients are
+    x is one image with an int label, or an (N, H, W, C) batch of points with
+    one int label or an (N,) label array; each model sees the whole batch in
+    one input_gradient call.  The other models' gradients are
     added into the first model's, in model order, so input_gradient must
     return a fresh array; one model's gradient is returned as it is.  A sum
     from 0.0 would differ only in turning a -0.0 into +0.0.
@@ -381,17 +403,20 @@ def ensemble_loss(models, x: np.ndarray, y: int) -> float:
     return sum(m.cross_entropy_loss(x, y) for m in models) / len(models)
 
 
-def sim_gradient(models, x: np.ndarray, y: int, m: int) -> np.ndarray:
+def sim_gradient(models, x: np.ndarray, y, m: int) -> np.ndarray:
     """(1/m) sum_i grad of J(f(x / 2^i)); the 1/2^i chain-rule factor stays.
 
-    x is one image or an (N, H, W, C) batch of points.  The m scaled copies of
-    every point go to the models as one batch.
+    x is one image or an (N, H, W, C) batch of points, with labels as
+    ensemble_gradient takes them.  The m scaled copies of every point go to
+    the models as one batch.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     x = np.asarray(x, dtype=np.float64)
     scales = _sim_scales(m, x.ndim)
     copies = scales * x
+    if isinstance(y, np.ndarray):
+        y = np.tile(y, m)  # copy i of point j is row i * N + j
     grads = ensemble_gradient(models, copies.reshape((-1,) + x.shape[-3:]), y)
     return _sum_rows(scales * grads.reshape(copies.shape)) / m
 
@@ -478,42 +503,63 @@ class _Pipeline:
                    vt.beta * cfg.epsilon if vt is not None else 0.0)
 
 
+def _row_l1(grad):
+    """||row||_1 of each row of an (N, H, W, C) batch, as an (N, 1, 1, 1)
+    column; each row has the bits of `_l1` on that row alone."""
+    return np.add.reduce(np.abs(grad), axis=(1, 2, 3), keepdims=True)
+
+
+def _uniform(rng, low, high, size):
+    """rng.uniform(low, high, size) from one rng; from a list of N rngs, one
+    per batch row, the N draws side by side, as a (size[0], N) + size[1:] array."""
+    if isinstance(rng, list):
+        return np.stack([r.uniform(low, high, size=size) for r in rng], axis=1)
+    return rng.uniform(low, high, size=size)
+
+
 def _pipeline_gradient(models, x_eval, label, pipe: _Pipeline, state, rng):
     """Compose the configured transforms into one gradient evaluation.
 
-    The EMI points (or x_eval alone) and the VT neighbours are drawn first,
-    each kind in one call, into one batch of points for SIM or the ensemble.
-    EMI point i is x_eval + (u_i * eta) * emi_dir and VT neighbour j is
-    x_eval + v_j, the operands of a per-point loop.  A single point (x_eval
-    without EMI and VT, or one EMI point) goes to SIM or the ensemble as one
-    image.
+    x_eval is one image with its label and rng, or an (N, H, W, C) batch with
+    its labels and a list of N rngs, one per row; the arrays in `state` have
+    x_eval's shape.  The EMI points (or x_eval alone) and the VT neighbours
+    are drawn first, each kind in one call per rng, into one batch of points
+    for SIM or the ensemble; a batch's points go point-major, so row
+    p * N + i is point p of row i.  EMI point i is x_eval + (u_i * eta) *
+    emi_dir and VT neighbour j is x_eval + v_j, the operands of a per-point
+    loop.  A single point (x_eval without EMI and VT, or one EMI point) goes
+    to SIM or the ensemble in x_eval's shape, so one image as one image.
     """
     sim, vt, emi, tim = pipe.sim, pipe.vt, pipe.emi, pipe.tim
 
     n_centre = emi.n if emi is not None else 1
     n_points = n_centre + (vt.n if vt is not None else 0)
     if emi is None and vt is None:
-        points = x_eval  # one point: the gradient functions take the image as it is
+        points = x_eval  # one point: the gradient functions take x_eval as it is
     else:
         points = np.empty((n_points,) + x_eval.shape)
         centre = points[:n_centre]
         if emi is None:
             centre[0] = x_eval
         else:
-            offsets = rng.uniform(-1.0, 1.0, size=emi.n) * emi.eta
-            np.multiply(offsets.reshape((-1,) + (1,) * x_eval.ndim), state["emi_dir"], out=centre)
+            offsets = _uniform(rng, -1.0, 1.0, (emi.n,)) * emi.eta
+            np.multiply(offsets.reshape(offsets.shape + (1,) * 3), state["emi_dir"], out=centre)
             centre += x_eval
         if vt is not None:
             radius = pipe.vt_radius
-            np.add(x_eval, rng.uniform(-radius, radius, size=(vt.n,) + x_eval.shape),
+            np.add(x_eval, _uniform(rng, -radius, radius, (vt.n,) + x_eval.shape[-3:]),
                    out=points[n_centre:])
         if n_points == 1:
-            points = points[0]  # one EMI point goes as one image too
+            points = points[0]  # one EMI point goes as x_eval does too
 
+    flat, labels = points, label
+    if points.ndim == 5:  # several points of each batch row
+        flat = points.reshape((-1,) + x_eval.shape[-3:])
+        labels = np.tile(label, n_points) if isinstance(label, np.ndarray) else label
     if sim is not None:
-        rows = sim_gradient(models, points, label, sim.m)
+        rows = sim_gradient(models, flat, labels, sim.m)
     else:
-        rows = ensemble_gradient(models, points, label)
+        rows = ensemble_gradient(models, flat, labels)
     if points is x_eval:
         grad = rows
     else:
@@ -525,9 +571,14 @@ def _pipeline_gradient(models, x_eval, label, pipe: _Pipeline, state, rng):
         state["vt_var"] = _sum_rows(rows[n_centre:]) / vt.n - grad
         grad = tuned
 
-    if emi is not None:
+    # one image keeps the scalar test: np.divide with `where` gives the same
+    # bits at about a microsecond more per call
+    if emi is not None and grad.ndim == 3:
         l1 = _l1(grad)
         state["emi_dir"] = grad / l1 if l1 > 0 else np.zeros_like(grad)
+    elif emi is not None:
+        l1 = _row_l1(grad)
+        state["emi_dir"] = np.divide(grad, l1, out=np.zeros_like(grad), where=l1 > 0)
 
     if tim is not None:
         grad = tim_smooth(grad, tim.k, tim.sigma)
@@ -543,7 +594,8 @@ def _succeeded(pred, y, cfg: AttackConfig):
 
 def run_attack(source_models, target_models, x, y, cfg: AttackConfig,
                rng: np.random.Generator | None = None) -> AttackResult:
-    """Full iterative attack; returns the final example and per-target flags.
+    """Full iterative attack on one image; returns the final example and
+    per-target flags.
 
     With steps=1, SignStep(alpha=epsilon) and no momentum this is exactly
     the one-step fast gradient sign attack.  A target's flag is the success
@@ -551,24 +603,43 @@ def run_attack(source_models, target_models, x, y, cfg: AttackConfig,
     input.  y, and target_label when targeted, must be a class of every
     source and target model.
     """
+    if np.ndim(x) != 3:
+        raise ValueError("run_attack takes one (H, W, C) image")
     return _attack_loop(source_models, target_models, x, y, cfg, rng)
 
 
 def _attack_loop(source_models, target_models, x, y, cfg, rng):
+    """The attack of one image x with its int label y and rng (None: stream
+    0 of seed 0, drawn only with transforms), or of an (N, H, W, C) batch
+    with its (N,) labels and a list of N rngs, one per row (None without
+    transforms).  Returns one AttackResult for an image, a list of N for a
+    batch.
+
+    A batch row stops where the row alone would: at a zero gradient, after
+    which it neither moves nor draws.  A non-finite gradient in any row
+    raises DegenerateGradientError.
+    """
     # run_attack and generator.run_attack_adaptive both enter here, so a
     # profiler wrapping the public functions counts each attack once
     if not source_models:
         raise ValueError("need at least one source model")
+    x = np.asarray(x, dtype=np.float64)
+    batch = x.ndim == 4
+    if batch and np.shape(y) != (len(x),):
+        raise ValueError(f"a batch of {len(x)} images needs {len(x)} labels")
     # every model must know the labels, including with steps=0, which only scores
-    labels = (y, cfg.target_label) if cfg.targeted else (y,)
+    labels = tuple(np.unique(y)) if batch else (y,)
+    if cfg.targeted:
+        labels += (cfg.target_label,)
     for model in (*source_models, *target_models):
         for label in labels:
             _check_label(label, model.num_classes)
-    if cfg.targeted and cfg.target_label == y:
+    if cfg.targeted and np.any(np.equal(y, cfg.target_label)):
         raise ValueError("target label must differ from the true label")
+    if cfg.transforms and batch and (rng is None or len(rng) != len(x)):
+        raise ValueError("a batch with transforms needs one rng per row")
     if rng is None and cfg.transforms:
         rng = make_rng(0)  # only the transforms draw random numbers
-    x = np.asarray(x, dtype=np.float64)
     if not np.isfinite(x).all():
         raise ValueError("input image has non-finite pixels")
     # decided once per attack: the budget box, the transforms' state, the
@@ -589,24 +660,49 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
     scale = None if adaptive else (rule.alpha if sign else rule.gamma)
     attack_label = cfg.target_label if cfg.targeted else y
     x_adv = x.copy()
-    trace: list[float] = []
-    early = False
-    steps_used = 0
+    n = len(x) if batch else 1
+    steps_used, early = [cfg.steps] * n, [False] * n
+    gammas = [[] for _ in range(n)] if adaptive else None  # the trace of each row
+    if batch:
+        live = np.arange(n)  # the rows still attacking
+        out = np.empty_like(x)  # a row is written here when it stops
     for t in range(cfg.steps):
         if pipe is None:
             grad = ensemble_gradient(source_models, x_adv, attack_label)
         else:
             x_eval = x_adv
-            if pipe.dim is not None:
-                x_eval = dim_transform(x_adv, pipe.dim.p, rng, pipe.dim.min_fraction)
+            dim = pipe.dim
+            if dim is not None and batch:
+                x_eval = np.stack([dim_transform(row, dim.p, row_rng, dim.min_fraction)
+                                   for row, row_rng in zip(x_adv, rng)])
+            elif dim is not None:
+                x_eval = dim_transform(x_adv, dim.p, rng, dim.min_fraction)
             grad = _pipeline_gradient(source_models, x_eval, attack_label, pipe, state, rng)
         if cfg.targeted:
             grad = -grad  # descend the target's loss
-        l1 = _l1(grad)
-        if l1 == 0.0:
-            early = True
-            break
-        if not math.isfinite(l1):
+        if batch:
+            l1 = _row_l1(grad)
+            stop = l1.reshape(-1) == 0.0
+            if stop.any():
+                out[live[stop]] = x_adv[stop]
+                for row in live[stop].tolist():
+                    steps_used[row], early[row] = t, True
+                keep = ~stop
+                live = live[keep]
+                if not len(live):
+                    break
+                x_adv, lo, hi, grad, l1 = x_adv[keep], lo[keep], hi[keep], grad[keep], l1[keep]
+                g_mom = g_mom[keep] if g_mom is not None else None
+                state = {k: v[keep] for k, v in state.items()}
+                rng = [r for r, kept in zip(rng, keep) if kept] if rng is not None else None
+                attack_label = attack_label if cfg.targeted else attack_label[keep]
+            top = l1.max()
+        else:
+            l1 = top = _l1(grad)
+            if l1 == 0.0:
+                steps_used[0], early[0] = t, True
+                break
+        if not math.isfinite(top):
             raise DegenerateGradientError(f"non-finite gradient at step {t}")
         if mu is not None:
             # mu * g_mom + grad / l1 in place: the step owns grad
@@ -617,20 +713,29 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
         else:
             direction = grad
         if adaptive:
-            scale = float(rule.generator.gamma_forward(t, x_adv, direction))
+            # one generator call for every live row
+            gamma = rule.generator.gamma_forward(t, x_adv, direction)
+            if batch:
+                scale = gamma.reshape(-1, 1, 1, 1)
+                for row, g in zip(live.tolist(), gamma.tolist()):
+                    gammas[row].append(g)
+            else:
+                scale = gamma
+                gammas[0].append(gamma)
         x_adv += scale * (np.sign(direction) if sign else direction)
         _clamp(x_adv, lo, hi, out=x_adv)
-        trace.append(scale)
-        steps_used = t + 1
 
-    success = [_succeeded(tm.predict(x_adv), y, cfg) for tm in target_models]
-    return AttackResult(
-        adversarial=x_adv,
-        step_trace=trace,
-        success=success,
-        early_stopped=early,
-        steps_used=steps_used,
-    )
+    traces = gammas if adaptive else [[scale] * s for s in steps_used]
+    if not batch:
+        success = [_succeeded(tm.predict(x_adv), y, cfg) for tm in target_models]
+        return AttackResult(adversarial=x_adv, step_trace=traces[0], success=success,
+                            early_stopped=early[0], steps_used=steps_used[0])
+    out[live] = x_adv
+    flags = [_succeeded(tm.predict(out), y, cfg).tolist() for tm in target_models]
+    return [AttackResult(adversarial=out[i], step_trace=traces[i],
+                         success=[f[i] for f in flags], early_stopped=early[i],
+                         steps_used=steps_used[i])
+            for i in range(n)]
 
 
 # -- JSON config serialization ---------------------------------------------

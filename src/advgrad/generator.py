@@ -13,15 +13,16 @@ an AdaptiveStep rule.
 
 The forward and backward passes run n rows at once, each row with the
 parameters of its own step; the single-image gamma_forward and
-parameter_gradient are the one-row case.  train_generator runs its
-episodes on a wavefront: step t of episode k needs only theta_t as episode
-k - 1 left it and its own iterate from step t - 1, so the steps with
-k + t = tau form one front, with one batched generator step and one
-input_gradient call per pool model.  In exact arithmetic that is the serial
-episode loop; in floating point theta differs from it only where a batched
-model gradient differs from the single-image one in its last bits, which
-training carries forward (the tests bound the drift at 1e-12 relative at
-learning rate 1).
+parameter_gradient are the one-row case, and gamma_forward on a batch runs
+theta_t on every row (the batched attack loop calls it once per step).
+train_generator runs its episodes on a wavefront: step t of episode k needs
+only theta_t as episode k - 1 left it and its own iterate from step t - 1,
+so the steps with k + t = tau form one front, with one batched generator
+step and one input_gradient call per pool model.  In exact arithmetic that
+is the serial episode loop; in floating point theta differs from it only
+where a batched model gradient differs from the single-image one in its
+last bits, which training carries forward (the tests bound the drift at
+1e-12 relative at learning rate 1).
 """
 
 from __future__ import annotations
@@ -201,11 +202,19 @@ class ScalingFactorGenerator:
         h = p["W1"] @ flat + p["b1"]
         return layers, a.shape, flat, h, float(p["W2"] @ h + p["b2"][0])
 
-    def gamma_forward(self, t, x_adv, grad) -> float:
-        """Positive step scale for attack step t (0-based)."""
-        gamma, _ = self._forward(self._step_params(t), np.asarray(x_adv, dtype=np.float64)[None],
-                                 np.asarray(grad, dtype=np.float64)[None])
-        return float(gamma[0])
+    def gamma_forward(self, t, x_adv, grad):
+        """Positive step scale for attack step t (0-based): a float for one
+        image, an (N,) array for an (N, H, W, C) batch of iterates and
+        gradients, each row with theta_t and the bits of its one-image call."""
+        x_adv = np.asarray(x_adv, dtype=np.float64)
+        grad = np.asarray(grad, dtype=np.float64)
+        if x_adv.ndim == 3:
+            gamma, _ = self._forward(self._step_params(t), x_adv[None], grad[None])
+            return float(gamma[0])
+        # theta_t broadcast to every row, a stride-0 view
+        p = {k: np.broadcast_to(v, (len(x_adv),) + v.shape[1:])
+             for k, v in self._step_params(t).items()}
+        return self._forward(p, x_adv, grad)[0]
 
     def parameter_gradient(self, t, x_adv, grad, upstream: float) -> dict[str, np.ndarray]:
         """upstream * d(gamma)/d(theta_t), exact."""

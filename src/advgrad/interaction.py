@@ -13,6 +13,11 @@ num_pairs * num_subsets subsets; and one rng.random((num_pairs * num_subsets,
 n)) array, whose row gives a subset the `size` players of lowest key outside
 its pair.  So pairs are uniform over distinct unordered pairs, sizes uniform
 in [0, n - 2] and subsets uniform at their size, for every n.
+
+A subset is read with one sort and a threshold: the players whose key is
+below the row's size-th lowest key (0-based).  That is the `size` lowest
+whenever the row has no two equal keys; the keys are 53-bit uniforms, so a
+row of n has a tie with probability about n^2 * 2^-53.
 """
 
 from __future__ import annotations
@@ -347,11 +352,11 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
     a, b = np.repeat(pairs, num_subsets, axis=0).T
     sizes = rng.integers(0, n - 1, size=k)
     keys = rng.random((k, n))
-    # the pair's keys sort last, past the n - 2 players a subset can hold
+    # the pair's keys sort last, past the n - 2 players a subset can hold; a
+    # subset is the players whose key is below its row's size-th lowest key
     rows = np.arange(k)
     keys[rows, a] = keys[rows, b] = np.inf
-    subsets = np.empty((k, n), dtype=bool)
-    subsets[rows[:, None], np.argsort(keys, axis=1)] = np.arange(n) < sizes[:, None]
+    subsets = keys < np.sort(keys, axis=1)[rows, sizes][:, None]
     # rows 4j .. 4j+3 of the mask array are S u {a, b}, S u {a}, S u {b} and S
     # of sample j: every row holds S, rows 4j and 4j+1 hold a, rows 4j and 4j+2 b
     masks = np.repeat(subsets, 4, axis=0)

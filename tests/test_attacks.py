@@ -250,6 +250,19 @@ class TestTimSmooth:
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
 
+    @settings(max_examples=100, deadline=None)
+    @given(g=st.tuples(st.integers(1, 13), st.integers(1, 12), st.integers(1, 12),
+                       st.integers(1, 3)).flatmap(lambda shape: hnp.arrays(
+               np.float64, shape, elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]))),
+           k=st.sampled_from([1, 3, 5, 9]), sigma=st.floats(0.03, 30.0))
+    @example(g=np.full((3, 1, 1, 1), -0.0), k=3, sigma=1.0)
+    def test_a_batch_smooths_each_image_as_alone_bit_for_bit(self, g, k, sigma):
+        out = tim_smooth(g, k, sigma)
+        alone = np.stack([tim_smooth(image, k, sigma) for image in g])
+        assert out.shape == g.shape
+        assert np.array_equal(out, alone)
+        assert np.array_equal(np.signbit(out), np.signbit(alone))
+
     @pytest.mark.parametrize("k", [4, 0, -1])
     def test_rejects_even_or_nonpositive_k(self, k):
         with pytest.raises(ValueError, match="odd"):
@@ -588,6 +601,15 @@ class TestTracingContract:
         assert res.steps_used == 4
         assert ensemble_calls == [n_sources] * 4
         assert sorted(grad_calls) == sorted([id(m) for m in sources] * 4)
+        # a batch makes the same calls, each on every row at once
+        ensemble_calls.clear()
+        grad_calls.clear()
+        images = np.stack([random_image(25 + i) for i in range(3)])
+        rngs = [make_rng(6, 1000 + i) for i in range(3)]
+        rows = attacks._attack_loop(sources, sources, images, np.array([0, 1, 2]), cfg, rngs)
+        assert [row.steps_used for row in rows] == [4] * 3
+        assert ensemble_calls == [n_sources] * 4
+        assert sorted(grad_calls) == sorted([id(m) for m in sources] * 4)
 
 
 def per_point_sim_gradient(models, x, y, m):
@@ -796,6 +818,129 @@ class TestVectorizedPipelineContracts:
         for part in index:
             with pytest.raises(ValueError):
                 part[0] = 1
+
+
+class GradientAbove:
+    """A source model whose gradient is `value` at every point whose first
+    pixel is at least `at`; with 0.0 an attack stops once a step carries it
+    there."""
+
+    def __init__(self, model, at, value=0.0):
+        self.model, self.at, self.value = model, at, value
+        self.image_shape, self.num_classes = model.image_shape, model.num_classes
+
+    def input_gradient(self, x, y):
+        grad = self.model.input_gradient(x, y)
+        grad[np.asarray(x)[..., 0, 0, 0] >= self.at] = self.value
+        return grad
+
+
+class TestBatchedLoop:
+    """_attack_loop on an (N, H, W, C) batch against run_attack on each row,
+    each row with its own stream make_rng(seed, 1000 + i)."""
+
+    TRANSFORMS = {"dim": Dim(p=0.8, min_fraction=0.75), "tim": Tim(k=3), "sim": Sim(m=2),
+                  "vt": Vt(n=3, beta=1.5), "emi": Emi(n=2, eta=7.0)}
+
+    @staticmethod
+    def streams(cfg, seed, n):
+        return [make_rng(seed, 1000 + i) for i in range(n)] if cfg.transforms else None
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["softmax-linear", "mlp-1-hidden", "tiny-conv"]),
+        shape=st.sampled_from([SHAPE, ImageShape(4, 4, 3)]),
+        n=st.integers(1, 16),
+        n_models=st.integers(1, 2),
+        transforms=st.sampled_from([(), ("dim",), ("tim",), ("sim",), ("vt",), ("emi",),
+                                    ("dim", "tim", "sim", "vt", "emi")]),
+        momentum=st.sampled_from([None, 1.0, 0.5]),
+        rule=st.sampled_from(["sign", "fixed", "adaptive"]),
+        targeted=st.booleans(),
+        stopping=st.booleans(),
+        steps=st.integers(0, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_row_matches_its_own_run_attack(self, kind, shape, n, n_models, transforms,
+                                                 momentum, rule, targeted, stopping, steps,
+                                                 seed):
+        models = [build_model(kind, shape, 3, seed=seed + s) for s in range(n_models)]
+        draw = make_rng(seed, 63)
+        images = draw.uniform(0.0, 255.0, size=(n,) + shape.dims)
+        labels = draw.integers(0, 2 if targeted else 3, size=n)  # 2 is the target
+        sources = models
+        if stopping:
+            # rows that start at or above the median first pixel stop at step 0,
+            # others once a step carries them there
+            sources = [GradientAbove(m, np.median(images[:, 0, 0, 0])) for m in models]
+        if rule == "adaptive":
+            steps = max(steps, 1)  # a generator has at least one step
+        step_rule = {
+            "sign": lambda: SignStep(1.6),
+            "fixed": lambda: FixedScaleStep(1e4 if momentum is None else 16.0),
+            "adaptive": lambda: AdaptiveStep(ScalingFactorGenerator(
+                steps, shape, hidden=(4, 2), seed=seed, head_scale=1e3)),
+        }[rule]()
+        cfg = AttackConfig(epsilon=16.0, steps=steps, step_rule=step_rule, momentum=momentum,
+                           transforms=tuple(self.TRANSFORMS[t] for t in transforms),
+                           targeted=targeted, target_label=2 if targeted else None)
+        targets = models[:1] + [build_model("tiny-conv", shape, 3, seed=9)]
+        batch_rngs, row_rngs = self.streams(cfg, seed, n), self.streams(cfg, seed, n)
+        rows = attacks._attack_loop(sources, targets, images, labels, cfg, batch_rngs)
+        assert len(rows) == n
+        for i, (row, x, y) in enumerate(zip(rows, images, labels)):
+            alone = run_attack(sources, targets, x, int(y), cfg,
+                               rng=row_rngs[i] if row_rngs else None)
+            assert (row.steps_used, row.early_stopped) == (alone.steps_used, alone.early_stopped)
+            assert row.success == alone.success
+            if row_rngs:
+                # the Philox state holds small arrays, which repr prints in full
+                assert (repr(batch_rngs[i].bit_generator.state)
+                        == repr(row_rngs[i].bit_generator.state))
+            if rule == "sign":
+                # a batched gradient differs from the one-image gradient in its
+                # last bits, which a sign step drops (unless |g| is within them
+                # of 0, which these draws never bring)
+                assert np.array_equal(row.adversarial, alone.adversarial)
+                assert row.step_trace == alone.step_trace
+            else:
+                np.testing.assert_allclose(row.adversarial, alone.adversarial,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(row.step_trace, alone.step_trace, rtol=1e-12, atol=0)
+
+    def test_a_stopped_row_keeps_its_iterate_while_the_others_move(self):
+        model = build_model("mlp-1-hidden", SHAPE, 3, seed=0)
+        images = np.stack([random_image(30 + i) for i in range(4)])
+        images[1, 0, 0, 0] = images[3, 0, 0, 0] = 250.0
+        cfg = AttackConfig(epsilon=16.0, steps=3, step_rule=SignStep(4.0))
+        rows = attacks._attack_loop([GradientAbove(model, 240.0)], [model], images,
+                                    np.array([0, 1, 2, 0]), cfg, None)
+        assert [(r.steps_used, r.early_stopped) for r in rows] == [
+            (3, False), (0, True), (3, False), (0, True)]
+        assert np.array_equal(rows[1].adversarial, images[1])
+        assert not np.array_equal(rows[0].adversarial, images[0])
+
+    def test_a_non_finite_gradient_in_one_row_raises(self):
+        model = build_model("softmax-linear", SHAPE, 3, seed=0)
+        images = np.stack([random_image(32), random_image(33)])
+        images[1, 0, 0, 0] = 250.0
+        cfg = AttackConfig(epsilon=8.0, steps=2, step_rule=SignStep(1.0))
+        with pytest.raises(DegenerateGradientError, match="non-finite"):
+            attacks._attack_loop([GradientAbove(model, 240.0, np.nan)], [model], images,
+                                 np.array([0, 1]), cfg, None)
+
+    def test_rejects_a_batch_without_one_label_and_one_stream_per_row(self):
+        models = make_models(1)
+        images = np.stack([random_image(34), random_image(35)])
+        plain = AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0))
+        with pytest.raises(ValueError, match="2 labels"):
+            attacks._attack_loop(models, [], images, np.array([0]), plain, None)
+        stack = dataclasses.replace(plain, transforms=(Dim(),))
+        for rngs in (None, [make_rng(0)]):
+            with pytest.raises(ValueError, match="one rng per row"):
+                attacks._attack_loop(models, [], images, np.array([0, 1]), stack, rngs)
+        with pytest.raises(ValueError, match="one .H, W, C. image"):
+            run_attack(models, [], images, 0, plain)
 
 
 class TestSignScaleEquivalence:

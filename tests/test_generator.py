@@ -158,6 +158,23 @@ class TestForward:
             gen.gamma_forward(0, np.zeros((4, 4, 1)), np.zeros((4, 4, 1)))
 
 
+    @pytest.mark.parametrize("arch,shape", [("mlp", SHAPE), ("mlp", ImageShape(4, 4, 3)),
+                                            ("conv", ImageShape(16, 16, 2))])
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_a_batch_gives_each_row_the_one_image_gamma_bit_for_bit(self, arch, shape, n):
+        gen = ScalingFactorGenerator(3, shape, arch=arch, seed=4, hidden=(12, 6),
+                                     conv_channels=4, head_scale=1e3)
+        rng = make_rng(n, 61)
+        x = rng.uniform(0, 255, size=(n,) + shape.dims)
+        grad = rng.normal(scale=1e-4, size=(n,) + shape.dims)
+        grad[0] = 0.0  # a zero gradient reads 0 in the generator's input
+        for t in range(gen.steps):
+            gammas = gen.gamma_forward(t, x, grad)
+            assert gammas.shape == (n,) and gammas.dtype == np.float64
+            assert gammas.tolist() == [gen.gamma_forward(t, xi, gi) for xi, gi in zip(x, grad)]
+        assert isinstance(gen.gamma_forward(0, x[0], grad[0]), float)
+
+
 class TestParameterGradient:
     @pytest.mark.parametrize("arch", ["mlp", "conv"])
     def test_matches_finite_differences(self, arch):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advgrad.harness import (
     ExperimentConfig,
@@ -450,14 +452,20 @@ class TestExperimentRunner:
             run_experiment(cfg)
 
     def test_sweep_reuses_the_matrix_cell_at_the_config_epsilon(self, tmp_path, monkeypatch):
-        calls = []
-        run_attack = attacks.run_attack
+        calls, batches = [], []
+        run_attack, attack_loop = attacks.run_attack, attacks._attack_loop
 
         def spy(*args, **kwargs):
             calls.append(1)
             return run_attack(*args, **kwargs)
 
+        def spy_loop(source_models, target_models, x, y, acfg, rng):
+            if np.ndim(x) == 4:  # run_attack hands the loop one image
+                batches.append(len(x))
+            return attack_loop(source_models, target_models, x, y, acfg, rng)
+
         monkeypatch.setattr(attacks, "run_attack", spy)
+        monkeypatch.setattr(attacks, "_attack_loop", spy_loop)
         own = {"bim": 8.0, "scaled": 4.0}
         cfg = self.base_config(
             tmp_path, seeds=[0, 1], sources=["mlp", "mlp+conv"], epsilon_grid=[4.0, 8, 16.0],
@@ -471,7 +479,10 @@ class TestExperimentRunner:
         # neither config has transforms, so one cell serves both seeds
         matrix_cells = 1 * 2 * 2  # seeds x attacks x sources
         fresh_sweep_cells = 2 * 2 * 2  # attacks x grid values off their epsilon x sources
-        assert len(calls) == (matrix_cells + fresh_sweep_cells) * cfg.eval_count
+        # a matrix cell is one run_attack call per example, a fresh sweep cell
+        # one batched call on all its examples
+        assert len(calls) == matrix_cells * cfg.eval_count
+        assert batches == [cfg.eval_count] * fresh_sweep_cells
         first_seed = {(r["method"], r["source"], r["target"]): r["asr"]
                       for r in read_csv(paths["metrics"]) if r["seed"] == "0"}
         reused = [r for r in read_csv(paths["sweep"])
@@ -844,6 +855,89 @@ class TestAttackCell:
         assert len(given) == len(eval_set)
         for i, rng in enumerate(given):
             assert rng.bit_generator.state["state"]["key"].tolist() == [5, 1000 + i]
+
+
+class TestBatchedSweep:
+    """run_experiment attacks a fresh sweep cell in one batched call.  Each such
+    cell is attacked again one run_attack call per example, and a success flag
+    that differs must sit at a decision boundary: the target's top-two logit
+    gap at the per-example adversarial below 1e-9 of its largest |logit|."""
+
+    @staticmethod
+    def run_checking_flips(cfg, monkeypatch):
+        compared, flips = [], []
+        attack_cell = harness._attack_cell
+
+        def spy(source_models, target_models, eval_set, acfg, seed, batched=False):
+            out = attack_cell(source_models, target_models, eval_set, acfg, seed, batched)
+            if batched:
+                records, success = attack_cell(source_models, target_models, eval_set, acfg,
+                                               seed)
+                assert [r[0] for r in records] == [r[0] for r in out[0]]
+                compared.append(success.size)
+                for (i, _, _, res), got, want in zip(records, out[1], success):
+                    for model, hit, alone in zip(target_models, got, want):
+                        if hit != alone:
+                            logits = np.sort(model.logits(res.adversarial))
+                            flips.append((acfg.epsilon, i, logits[-1] - logits[-2]))
+                            assert logits[-1] - logits[-2] < 1e-9 * np.abs(logits).max()
+            return out
+
+        monkeypatch.setattr(harness, "_attack_cell", spy)
+        run_experiment(cfg)
+        return compared, flips
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_benchmark_config_sweep_flags_match_per_example_attacks(self, tmp_path, monkeypatch,
+                                                                     seed):
+        # the seed rule of the benchmark's experiment workload
+        doc = json.loads((REPO / "perfbench" / "experiment.json").read_text())
+        doc["dataset"]["seed"] = seed
+        for offset, spec in enumerate(doc["models"]):
+            spec["seed"] = seed + offset
+        doc.update(seeds=[seed, seed + 1], output_dir=str(tmp_path / "out"))
+        compared, flips = self.run_checking_flips(ExperimentConfig.from_dict(doc), monkeypatch)
+        # grid values x attacks x sources, none at a config's own epsilon
+        assert compared == [doc["eval_count"] * len(doc["targets"])] * 2 * 4 * 2
+        assert flips == []
+
+    RULES = [{"type": "sign", "alpha": 2.0}, {"type": "fixed", "gamma": 8.0}]
+    STACK = [{"type": "dim", "p": 0.5, "min_fraction": 0.75}, {"type": "tim", "k": 3},
+             {"type": "sim", "m": 2}, {"type": "vt", "n": 2, "beta": 1.5},
+             {"type": "emi", "n": 2, "eta": 7.0}]
+
+    @settings(max_examples=12, deadline=None)
+    @given(data_seed=st.integers(0, 2**16), rule=st.sampled_from(RULES),
+           momentum=st.sampled_from([None, 1.0]), transforms=st.booleans(),
+           targeted=st.booleans(), grid=st.lists(st.sampled_from([2.0, 4.0, 16.0, 32.0]),
+                                                  min_size=1, max_size=2, unique=True),
+           eval_count=st.integers(1, 10), steps=st.integers(1, 4))
+    def test_small_config_sweep_flags_match_per_example_attacks(
+            self, tmp_path_factory, data_seed, rule, momentum, transforms, targeted, grid,
+            eval_count, steps):
+        config = {"epsilon": 8.0, "steps": steps, "step_rule": rule}
+        if momentum is not None:
+            config["momentum"] = momentum
+        if transforms:
+            config["transforms"] = self.STACK
+        if targeted:
+            config.update(targeted=True, target_label=0)
+        cfg = ExperimentConfig.from_dict({
+            "dataset": {"kind": "blobs", "n": 40, "image_shape": [8, 8, 1],
+                        "seed": data_seed, "num_classes": 3},
+            "models": [{"name": "mlp", "kind": "mlp-1-hidden", "epochs": 3, "seed": 0},
+                       {"name": "lin", "kind": "softmax-linear", "epochs": 3, "seed": 1}],
+            "attacks": [{"name": "a", "config": config}],
+            "sources": ["mlp", "mlp+lin"], "targets": ["lin", "mlp"], "seeds": [0],
+            "eval_count": eval_count, "epsilon_grid": grid,
+            "output_dir": str(tmp_path_factory.mktemp("sweep") / "out")})
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            try:
+                compared, _ = self.run_checking_flips(cfg, monkeypatch)
+            except ValueError as err:  # every eval example has the target label
+                assert targeted and "every eval example" in str(err)
+                return
+        assert len(compared) == 2 * len(grid)
 
 
 class TestShippedConfigs:
