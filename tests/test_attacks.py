@@ -857,7 +857,7 @@ class TestBatchedLoop:
         momentum=st.sampled_from([None, 1.0, 0.5]),
         rule=st.sampled_from(["sign", "fixed", "adaptive"]),
         targeted=st.booleans(),
-        stopping=st.booleans(),
+        stopping=st.sampled_from([None, "some", "all"]),
         steps=st.integers(0, 4),
         seed=st.integers(0, 2**16),
     )
@@ -870,9 +870,11 @@ class TestBatchedLoop:
         labels = draw.integers(0, 2 if targeted else 3, size=n)  # 2 is the target
         sources = models
         if stopping:
-            # rows that start at or above the median first pixel stop at step 0,
-            # others once a step carries them there
-            sources = [GradientAbove(m, np.median(images[:, 0, 0, 0])) for m in models]
+            # "some": rows that start at or above the median first pixel stop at
+            # step 0, others once a step carries them there; "all": every row
+            # stops at step 0
+            at = np.median(images[:, 0, 0, 0]) if stopping == "some" else -1.0
+            sources = [GradientAbove(m, at) for m in models]
         if rule == "adaptive":
             steps = max(steps, 1)  # a generator has at least one step
         step_rule = {
@@ -919,6 +921,18 @@ class TestBatchedLoop:
             (3, False), (0, True), (3, False), (0, True)]
         assert np.array_equal(rows[1].adversarial, images[1])
         assert not np.array_equal(rows[0].adversarial, images[0])
+
+    def test_every_row_stopping_at_once_returns_each_original_image(self):
+        model = build_model("mlp-1-hidden", SHAPE, 3, seed=0)
+        images = np.stack([random_image(40 + i) for i in range(3)])
+        cfg = AttackConfig(epsilon=16.0, steps=3, step_rule=SignStep(4.0))
+        rows = attacks._attack_loop([GradientAbove(model, -1.0)], [model], images,
+                                    np.array([0, 1, 2]), cfg, None)
+        for row, x, y in zip(rows, images, (0, 1, 2)):
+            alone = run_attack([GradientAbove(model, -1.0)], [model], x, y, cfg)
+            assert (row.steps_used, row.early_stopped) == (0, True)
+            assert np.array_equal(row.adversarial, x)
+            assert row.success == alone.success
 
     def test_a_non_finite_gradient_in_one_row_raises(self):
         model = build_model("softmax-linear", SHAPE, 3, seed=0)
