@@ -22,12 +22,17 @@ The ``test_scoring`` cases time the MLP set function's ``v.batch`` alone on the
 standardized input and runs whole chunks in stacked forward passes, and
 ``reference`` is the chunked scoring it replaced
 (``reference_interaction.model_setfn_batch``), one forward pass per 32 rows.
-Both give the same rewards bit for bit.
+Both give the same rewards bit for bit.  The plain cases score the masks of
+one estimate every round, which the branch predictor partly learns; the
+``fresh`` cases cycle through the masks of 16 estimates, as the workload
+scores a new estimate each time, so a select whose cost depends on the mask
+shows there.
 
 The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
 runs each case once, untimed, in the suite's own interpreter.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,6 +48,8 @@ NUM_PAIRS, NUM_SUBSETS = 30, 5
 # an estimate scores 4 subsets per (pair, subset) sample
 SETFN_EVALS = 4 * NUM_PAIRS * NUM_SUBSETS
 FREE = SimpleNamespace(batch=lambda masks: np.zeros(len(masks)))
+# distinct estimates a `fresh` scoring case cycles through
+FRESH_ESTIMATES = 16
 ESTIMATES = [("model", 64), ("free", 64), ("free", 128), ("free", 192), ("free", 768)]
 
 
@@ -79,15 +86,29 @@ def test_one_estimate(benchmark, model_setfn, scoring, n):
     record_evals_per_s(benchmark)
 
 
-@pytest.mark.parametrize("scoring", ["lean", "reference"])
-def test_scoring(benchmark, setfn_args, model_setfn, scoring):
+def estimate_masks(count):
+    """The mask arrays of `count` estimates, drawn from streams 2000, 2001, ..."""
     masks = []
-    interaction.expected_interaction_sampled(
-        SimpleNamespace(batch=lambda m: masks.append(m) or np.zeros(len(m))),
-        SHAPE.size, NUM_PAIRS, NUM_SUBSETS, rng=make_rng(0, 2000))
+    capture = SimpleNamespace(batch=lambda m: masks.append(m) or np.zeros(len(m)))
+    for stream in range(2000, 2000 + count):
+        interaction.expected_interaction_sampled(capture, SHAPE.size, NUM_PAIRS, NUM_SUBSETS,
+                                                 rng=make_rng(0, stream))
+    return masks
+
+
+SCORINGS = [("lean", 1), ("reference", 1), ("lean", FRESH_ESTIMATES),
+            ("reference", FRESH_ESTIMATES)]
+
+
+@pytest.mark.parametrize("scoring,estimates", SCORINGS,
+                         ids=["lean", "reference", "lean-fresh", "reference-fresh"])
+def test_scoring(benchmark, setfn_args, model_setfn, scoring, estimates):
+    masks = estimate_masks(estimates)
     reference = reference_interaction.model_setfn_batch(*setfn_args)
     score = model_setfn.batch if scoring == "lean" else reference
-    assert masks[0].shape == (SETFN_EVALS, SHAPE.size)
-    assert score(masks[0]).tobytes() == reference(masks[0]).tobytes()
-    benchmark(score, masks[0])
+    for m in masks:
+        assert m.shape == (SETFN_EVALS, SHAPE.size)
+        assert score(m).tobytes() == reference(m).tobytes()
+    rounds = itertools.cycle(masks)
+    benchmark(lambda: score(next(rounds)))
     record_evals_per_s(benchmark)

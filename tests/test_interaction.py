@@ -18,6 +18,7 @@ from advgrad.interaction import (
     SETFN_BLOCK_BYTES,
     SETFN_CHUNK,
     AnalyticGame,
+    _exact_select,
     coefficients,
     coefficients_exact,
     exact_mean_interaction,
@@ -182,6 +183,16 @@ class TestRewards:
         with pytest.raises(ValueError, match=message):
             reward(model, x, np.zeros_like(x), y)
 
+    @pytest.mark.parametrize("delta", [3.0, np.ones((8, 1)), np.ones((1, 8, 8, 1))],
+                             ids=["scalar", "row", "batch"])
+    def test_reward_rejects_a_delta_of_another_shape(self, delta):
+        # unchecked, the scalar and the (8, 1) delta broadcast and returned a number
+        model = build_model("mlp-1-hidden", ImageShape(8, 8, 1), 3, seed=0)
+        x = make_rng(6).uniform(0, 255, size=(8, 8, 1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"x (8, 8, 1) and delta_subset {np.shape(delta)} must both have")):
+            reward(model, x, delta, 0)
+
     def test_game_reward_quadratic_form(self):
         game = random_game(make_rng(7), 4)
         d = np.array([0.5, -1.0, 2.0, 0.0])
@@ -337,6 +348,33 @@ def test_model_batch_matches_the_chunked_reference_bit_for_bit(kind, dims, rows,
     got = v.batch(masks)
     want = reference_interaction.model_setfn_batch(model, x, delta, y)(masks)
     assert got.shape == want.shape == (rows,)
+    assert got.tobytes() == want.tobytes()
+
+
+# signed zeros, the smallest subnormals, a subnormal of many bits and
+# near-overflow magnitudes, beside any other finite value
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300]
+SELECT_VALUES = st.one_of(st.sampled_from(EDGE_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, 31, 32, 33, 128, 600]),
+       density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+       values=st.integers(1, 80).flatmap(
+           lambda n: st.tuples(*[st.lists(SELECT_VALUES, min_size=n, max_size=n)] * 2)),
+       seed=st.integers(0, 2**16))
+@example(rows=600, density=0.5, values=(EDGE_FLOATS, EDGE_FLOATS[::-1]), seed=0)
+@example(rows=33, density=0.5, values=([-0.0] * 3, [0.0] * 3), seed=1)
+@example(rows=1, density=0.5, values=([1e300, -1e300], [-1e300, 5e-324]), seed=2)
+def test_exact_select_is_np_where_bit_for_bit(rows, density, values, seed):
+    # row counts of one chunk and around it, of a stack of 4 and of an
+    # estimate, with all-false, sparse, even, dense and all-true masks
+    if_true, if_false = (np.array(v, dtype=np.float64) for v in values)
+    masks = make_rng(seed, 46).random((rows, if_true.size)) < density
+    got = _exact_select(if_true, if_false)(masks)
+    want = np.where(masks, if_true, if_false)
+    assert got.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
