@@ -7,7 +7,11 @@ the sign, fixed-scale and momentum rules; one attack step with each transform
 alone, with the full transform stack, and with the full stack on two source
 models (the MLP and a softmax-linear model); a 20-episode generator
 training run (5 attack steps, MLP and tiny-conv pool), whose reference runs
-the episodes one after another; the scoring of one 12-example harness
+the episodes one after another; 60 episodes of generator training at the
+transfer workload's setting (its trained MLP and tiny-conv, hidden=(64, 32),
+head scale 2e5), beside the first front-by-front loop (``wavefront``) and
+the serial loop; one gamma_forward call on one image, beside the
+single-image forward of the reference; the scoring of one 12-example harness
 cell against a tiny-conv and a softmax-linear target, batched (one predict
 per target, as the harness scores a cell) beside once per image (one predict
 per target and example, as run_attack scores its targets); and the attack of
@@ -41,7 +45,7 @@ from advgrad import attacks, generator
 from advgrad.attacks import AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Sim, Tim, Vt
 from advgrad.generator import GeneratorTrainConfig
 from advgrad.harness import _score_cell, synth_dataset
-from advgrad.models import build_model
+from advgrad.models import TrainConfig, build_model, train_classifier
 from advgrad.numerics import ImageShape, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
@@ -59,6 +63,10 @@ STACK = AttackConfig(epsilon=16.0, steps=1, step_rule=FixedScaleStep(16.0), mome
 ALONE = {type(t).__name__.lower(): dataclasses.replace(STACK, transforms=(t,))
          for t in (Dim(p=1.0), Tim(), Sim(m=2), Vt(n=4), Emi(n=3))}
 TRAINERS = {"lean": generator.train_generator, "reference": reference.train_generator}
+# the transfer setting: the front loop, the first front loop and the serial loop
+TRANSFER_TRAINERS = {"lean": generator.train_generator,
+                     "wavefront": reference.train_generator_wavefront,
+                     "reference": reference.train_generator}
 
 
 def score_each_image(target_models, adversarials, labels, acfg):
@@ -128,6 +136,40 @@ def test_generator_training_20_episodes(benchmark, mlp, trainer):
     dataset = synth_dataset("blobs", 30, SHAPE, seed=0, num_classes=3)
     cfg = GeneratorTrainConfig(total_steps=20, attack_steps=5, learning_rate=1.0, epsilon=EPS)
     benchmark(TRAINERS[trainer], dataset, pool, cfg, head_scale=2e5, hidden=(64, 32))
+
+
+@pytest.fixture(scope="module")
+def transfer_setting():
+    """The transfer workload's training set size and its two models, trained as it trains them."""
+    dataset = synth_dataset("blobs", 480, SHAPE, seed=0, num_classes=3)
+    pool = [train_classifier(dataset, kind, TrainConfig(epochs=10, seed=seed))[0]
+            for kind, seed in (("mlp-1-hidden", 0), ("tiny-conv", 100))]
+    return dataset, pool
+
+
+@pytest.mark.parametrize("trainer", TRANSFER_TRAINERS)
+def test_generator_training_transfer_setting(benchmark, transfer_setting, trainer):
+    # 60 of the workload's 300 episodes
+    dataset, pool = transfer_setting
+    cfg = GeneratorTrainConfig(total_steps=60, attack_steps=5, learning_rate=1.0,
+                               epsilon=EPS)
+    gen = benchmark(TRANSFER_TRAINERS[trainer], dataset, pool, cfg, head_scale=2e5,
+                    hidden=(64, 32))
+    want = generator.train_generator(dataset, pool, cfg, head_scale=2e5, hidden=(64, 32))
+    if trainer != "reference":  # the serial loop agrees to rounding only
+        assert all(np.array_equal(gen.theta[t][k], want.theta[t][k])
+                   for t in range(5) for k in want.theta[t])
+
+
+@pytest.mark.parametrize("forward", ["lean", "reference"])
+def test_gamma_forward_one_image(benchmark, forward):
+    # gamma_forward on one image, beside the single-image forward it replaced
+    gen = generator.ScalingFactorGenerator(5, SHAPE, seed=0, head_scale=2e5, hidden=(64, 32))
+    draw = make_rng(0, 94)
+    x, grad = draw.uniform(0.0, 255.0, size=SHAPE.dims), draw.normal(size=SHAPE.dims)
+    call = {"lean": lambda: gen.gamma_forward(2, x, grad),
+            "reference": lambda: reference._forward(gen, 2, x, grad)[0]}[forward]
+    assert benchmark(call) == gen.gamma_forward(2, x, grad)
 
 
 @pytest.mark.parametrize("scorer", SCORERS)

@@ -11,18 +11,21 @@ kernels get zero gradient.  All gradients are hand-written and
 finite-difference checked.  The attack itself is attacks.run_attack with
 an AdaptiveStep rule.
 
-The forward and backward passes run n rows at once, each row with the
-parameters of its own step; the single-image gamma_forward and
-parameter_gradient are the one-row case, and gamma_forward on a batch runs
-theta_t on every row (the batched attack loop calls it once per step).
+The forward and backward passes take one image or n rows at once, with one
+step's parameters shared by every row or a stack of one step per row; the
+one-image gamma_forward and parameter_gradient run theta_t on their image,
+and gamma_forward on a batch runs theta_t on every row (the batched attack
+loop calls it once per step), each row with the bits of its one-image call.
 train_generator runs its episodes on a wavefront: step t of episode k needs
 only theta_t as episode k - 1 left it and its own iterate from step t - 1,
 so the steps with k + t = tau form one front, with one batched generator
-step and one input_gradient call per pool model.  In exact arithmetic that
-is the serial episode loop; in floating point theta differs from it only
-where a batched model gradient differs from the single-image one in its
-last bits, which training carries forward (the tests bound the drift at
-1e-12 relative at learning rate 1).
+step and one input_gradient call per pool model.  The episodes' examples and
+model pairs are drawn before the fronts, a block at a time, and each episode
+keeps one row of the training buffers for its whole attack.  In exact
+arithmetic that is the serial episode loop; in floating point theta differs
+from it only where a batched model gradient differs from the single-image
+one in its last bits, which training carries forward (the tests bound the
+drift at 1e-12 relative at learning rate 1).
 """
 
 from __future__ import annotations
@@ -53,6 +56,11 @@ __all__ = [
 
 GENERATOR_FORMAT = "advgrad-generator-v1"
 _IN_EPS = 1e-5
+# train_generator draws its episodes in blocks of about this many bytes of
+# per-episode rows (iterate, gradient and box of each): 64 episodes at 8x8x1.
+# Smaller blocks train slower: 8 episodes per block took 77 ms against 73 ms
+# for the transfer setting's 300 episodes (2-core Xeon, OpenBLAS)
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass
@@ -101,12 +109,17 @@ class ScalingFactorGenerator:
     def __init__(self, steps: int, image_shape: ImageShape, arch: str = "mlp",
                  seed: int = 0, head_scale: float = 10.0,
                  hidden: tuple[int, int] = (512, 128), conv_channels: int = 32):
-        if steps < 1:
-            raise ValueError("need at least one attack step")
+        _check_count("steps", steps, 1)
         if arch not in ("mlp", "conv"):
             raise ValueError(f"unknown generator architecture {arch!r}")
-        if head_scale <= 0:
-            raise ValueError("head scale must be positive")
+        # a NaN fails every comparison, so the check asks for the valid range
+        if not 0 < head_scale < math.inf:
+            raise ValueError(f"head scale must be positive and finite, got {head_scale!r}")
+        if not isinstance(hidden, (tuple, list)) or len(hidden) != 2:
+            raise ValueError(f"hidden must be two integers, got {hidden!r}")
+        for i, width in enumerate(hidden):
+            _check_count(f"hidden[{i}]", width, 1)
+        _check_count("conv_channels", conv_channels, 1)
         if arch == "conv" and (image_shape.height < 8 or image_shape.height % 8
                                or image_shape.width % 8):
             raise ValueError("conv generator needs image sides divisible by 8 and >= 8")
@@ -147,48 +160,62 @@ class ScalingFactorGenerator:
 
     # -- forward / backward ------------------------------------------------
     #
-    # Both passes run n rows at once.  Row i has its own parameter set: p[k][i]
-    # is parameter k of row i's step.  A single-image call is the n = 1 case,
-    # on views of theta[t] (_step_params); train_generator passes a slice of
-    # its (T, ...) parameter stack, one consecutive step per row.
-
-    def _step_params(self, t):
-        return {k: v[None] for k, v in self.theta[t].items()}
+    # Both passes take one image or n rows at once: the inputs have the image
+    # shape, with a leading row axis for n rows.  Each parameter p[k] is either
+    # one step's array, shared by every row (gamma_forward and
+    # parameter_gradient pass theta[t]), or a stack with one step per row,
+    # p[k][i] for row i (train_generator passes a slice of its (T, ...)
+    # parameter stack).  Either way each row gets the bits of its one-image call.
 
     def _inputs(self, x_adv, grad):
-        """Rows [x / 255 - 0.5 | grad / peak] of n flattened (iterate, gradient)
-        pairs, where peak is the row's largest |grad|; without a positive peak
-        the gradient part reads 0."""
+        """[x / 255 - 0.5 | grad / peak] of the flattened (iterate, gradient)
+        pair of one image or of each of n rows, where peak is the pair's
+        largest |grad|; without a positive peak the gradient part reads 0."""
         x_adv = np.asarray(x_adv, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
-        if x_adv.shape[1:] != self.image_shape.dims or grad.shape != x_adv.shape:
+        if (x_adv.ndim not in (3, 4) or x_adv.shape[-3:] != self.image_shape.dims
+                or grad.shape != x_adv.shape):
             raise ValueError("iterate and gradient must both match the generator image shape")
-        n, d = len(x_adv), self.image_shape.size
-        grad = grad.reshape(n, d)
-        v = np.zeros((n, 2 * d))
-        np.subtract(x_adv.reshape(n, d) / 255.0, 0.5, out=v[:, :d])
-        peak = np.abs(grad).max(axis=1, keepdims=True)
-        np.divide(grad, peak, out=v[:, d:], where=peak > 0)
+        d = self.image_shape.size
+        v = np.zeros(x_adv.shape[:-3] + (2 * d,))
+        xs, gs = v[..., :d], v[..., d:]
+        np.subtract(x_adv.reshape(xs.shape) / 255.0, 0.5, out=xs)
+        grad = grad.reshape(gs.shape)
+        if grad.ndim == 1:
+            # one image: a scalar test costs less than a masked divide
+            peak = np.abs(grad).max()
+            if peak > 0:
+                np.divide(grad, peak, out=gs)
+        else:
+            peak = np.abs(grad).max(axis=1, keepdims=True)
+            np.divide(grad, peak, out=gs, where=peak > 0)
         return v
 
     def _forward(self, p, x_adv, grad):
-        """gamma (n,) and the backward cache of n (iterate, gradient) rows."""
+        """gamma (a scalar, or (n,)) and the backward cache of one (iterate,
+        gradient) pair or of n rows."""
         v = self._inputs(x_adv, grad)
         if self.arch == "mlp":
-            # matmul over the stacks takes one BLAS matrix-vector product (the
-            # last layer: one dot) per row, with the bits of p[k][i] @ v[i]
-            h1 = np.tanh(np.matmul(p["W1"], v[:, :, None])[:, :, 0] + p["b1"])
-            h2 = np.tanh(np.matmul(p["W2"], h1[:, :, None])[:, :, 0] + p["b2"])
-            raw = np.matmul(p["W3"][:, None, :], h2[:, :, None])[:, 0, 0] + p["b3"][:, 0]
+            # matmul takes one BLAS matrix-vector product (the last layer: one
+            # dot) per row, with the bits of the row's own p[k] @ v
+            h1 = np.tanh(np.matmul(p["W1"], v[..., None])[..., 0] + p["b1"])
+            h2 = np.tanh(np.matmul(p["W2"], h1[..., None])[..., 0] + p["b2"])
+            raw = np.matmul(p["W3"][..., None, :], h2[..., None])[..., 0, 0] + p["b3"][..., 0]
             cache = ("mlp", v, h1, h2, raw)
         else:
             dims, d = self.image_shape.dims, self.image_shape.size
-            rows = [self._conv_forward({k: w[i] for k, w in p.items()},
-                                       v[i, :d].reshape(dims), v[i, d:].reshape(dims))
-                    for i in range(len(v))]
-            raw = np.array([row[-1] for row in rows])
+            flat = v.reshape(-1, 2 * d)
+            rows = [self._conv_forward(self._row_params(p, i), flat[i, :d].reshape(dims),
+                                       flat[i, d:].reshape(dims))
+                    for i in range(len(flat))]
+            raw = np.array([row[-1] for row in rows]).reshape(v.shape[:-1])
             cache = ("conv", rows, raw)
         return self.head_scale * np.logaddexp(0.0, raw), cache
+
+    @staticmethod
+    def _row_params(p, i):
+        """Row i's parameters: a stack has one more axis than a step's bias c1."""
+        return {k: w[i] for k, w in p.items()} if p["c1"].ndim == 2 else p
 
     @staticmethod
     def _conv_forward(p, xs, gs):
@@ -206,44 +233,39 @@ class ScalingFactorGenerator:
         """Positive step scale for attack step t (0-based): a float for one
         image, an (N,) array for an (N, H, W, C) batch of iterates and
         gradients, each row with theta_t and the bits of its one-image call."""
-        x_adv = np.asarray(x_adv, dtype=np.float64)
-        grad = np.asarray(grad, dtype=np.float64)
-        if x_adv.ndim == 3:
-            gamma, _ = self._forward(self._step_params(t), x_adv[None], grad[None])
-            return float(gamma[0])
-        # theta_t broadcast to every row, a stride-0 view
-        p = {k: np.broadcast_to(v, (len(x_adv),) + v.shape[1:])
-             for k, v in self._step_params(t).items()}
-        return self._forward(p, x_adv, grad)[0]
+        gamma, _ = self._forward(self.theta[t], x_adv, grad)
+        return float(gamma) if gamma.ndim == 0 else gamma
 
     def parameter_gradient(self, t, x_adv, grad, upstream: float) -> dict[str, np.ndarray]:
-        """upstream * d(gamma)/d(theta_t), exact."""
-        p = self._step_params(t)
-        _, cache = self._forward(p, np.asarray(x_adv, dtype=np.float64)[None],
-                                 np.asarray(grad, dtype=np.float64)[None])
-        return {k: g[0] for k, g in self._backward(p, cache, np.array([upstream])).items()}
+        """upstream * d(gamma)/d(theta_t) at one image, exact."""
+        p = self.theta[t]
+        _, cache = self._forward(p, x_adv, grad)
+        return self._backward(p, cache, upstream)
 
     def _backward(self, p, cache, upstream):
-        """upstream[i] * d(gamma_i)/d(row i's parameters), stacked as p is."""
+        """upstream * d(gamma)/d(parameters) of one image (shaped as p) or of
+        each of n rows (stacked, one row each); upstream is a scalar or (n,)."""
         raw = cache[-1]
         e = np.exp(-np.abs(raw))  # the sigmoid of raw, without overflow on either side
         draw = upstream * self.head_scale * np.where(raw >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         if cache[0] == "mlp":
             _, v, h1, h2, _ = cache
-            d = draw[:, None]
+            d = draw[..., None]
             grads = {"W3": d * h2, "b3": d}
             da2 = d * p["W3"] * (1.0 - h2 * h2)
             # each outer product entry is one product, which einsum rounds as `*` does
-            grads["W2"] = np.einsum("ni,nj->nij", da2, h1)
+            grads["W2"] = np.einsum("...i,...j->...ij", da2, h1)
             grads["b2"] = da2
-            dh1 = np.matmul(p["W2"].transpose(0, 2, 1), da2[:, :, None])[:, :, 0]
+            dh1 = np.matmul(np.swapaxes(p["W2"], -1, -2), da2[..., None])[..., 0]
             da1 = dh1 * (1.0 - h1 * h1)
-            grads["W1"] = np.einsum("ni,nj->nij", da1, v)
+            grads["W1"] = np.einsum("...i,...j->...ij", da1, v)
             grads["b1"] = da1
             return grads
-        rows = [self._conv_backward({k: w[i] for k, w in p.items()}, row, draw[i])
+        flat = draw.reshape(-1)
+        rows = [self._conv_backward(self._row_params(p, i), row, flat[i])
                 for i, row in enumerate(cache[1])]
-        return {k: np.stack([g[k] for g in rows]) for k in rows[0]}
+        return {k: np.stack([g[k] for g in rows]).reshape(draw.shape + rows[0][k].shape)
+                for k in rows[0]}
 
     @staticmethod
     def _conv_backward(p, row, draw):
@@ -274,21 +296,25 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
     The episodes run on a wavefront.  Step t of episode k reads only theta_t
     as episode k - 1 left it and its own iterate from step t - 1, so the
     steps with k + t = tau are independent, and front tau runs them together:
-    up to attack_steps episodes are in flight, one enters per front (its
-    draws in the order of the serial loop), and each front makes one
-    input_gradient call per pool model.  That call covers every row the model
-    scores, every row whose next gradient it supplies (both at the new
-    iterate) and the entering episode's first gradient.  Each theta_t still
-    takes its updates in episode order, so in exact arithmetic the fronts give
-    the serial loop's theta.  A batched input_gradient may differ from the
-    single-image call in its last bits, so theta agrees with the serial loop
-    to rounding that training carries forward, and bit for bit when every
-    model computes its batch one row at a time.  The drift grows with the
-    learning rate.  Over 20 seeds of 12 episodes x 4 steps (8x8x1 images,
-    hidden=(8, 4), pools of 2-4 models), the largest deviation of a step's
-    parameters, over its largest parameter, was 6e-16 at learning rate 0.3,
-    2.8e-15 at 1 and 1.5e-12 at 7.5; hypothesis found 6.1e-12 at 7.5 after
-    7 episodes.  The tests hold it to 1e-12 relative at learning rate 1.
+    up to attack_steps episodes are in flight and one enters per front.  The
+    episodes' draws are made before the fronts, in the serial loop's order
+    and a block of episodes at a time (_BLOCK_BYTES), with their examples,
+    labels and budget boxes; an episode keeps one buffer row from its entry
+    to its last step.  Each front makes one input_gradient call per pool
+    model.  That call covers every row the model scores, every row whose
+    next gradient it supplies (both at the new iterate) and the entering
+    episode's first gradient, gathered from the rows in that order, scored
+    rows first.  Each theta_t still takes its updates in episode order, so
+    in exact arithmetic the fronts give the serial loop's theta.  A batched
+    input_gradient may differ from the single-image call in its last bits,
+    so theta agrees with the serial loop to rounding that training carries
+    forward, and bit for bit when every model computes its batch one row at
+    a time.  The drift grows with the learning rate.  Over 20 seeds of 12
+    episodes x 4 steps (8x8x1 images, hidden=(8, 4), pools of 2-4 models),
+    the largest deviation of a step's parameters, over its largest
+    parameter, was 6e-16 at learning rate 0.3, 2.8e-15 at 1 and 1.5e-12 at
+    7.5; hypothesis found 6.1e-12 at 7.5 after 7 episodes.  The tests hold
+    it to 1e-12 relative at learning rate 1.
     """
     if len(model_pool) < 2:
         raise ValueError(
@@ -312,56 +338,95 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
     # so that the consecutive steps of a front are one slice
     stack = {k: np.stack([p[k] for p in gen.theta]) for k in gen.theta[0]}
     gen.theta = [{k: s[t] for k, s in stack.items()} for t in range(gen.steps)]
+    steps, last, dims = cfg.attack_steps, cfg.attack_steps - 1, dataset.image_shape.dims
     rng = make_rng(cfg.seed, stream=9)
-    last, dims = cfg.attack_steps - 1, dataset.image_shape.dims
-    # row t holds the episode now at attack step t: its iterate, c_x's
-    # gradient there, its budget box and label, and the pool indices of c_x
-    # and c_y; rows [a, b) are in flight
-    x_at, g_at, lo, hi = (np.empty((cfg.attack_steps,) + dims) for _ in range(4))
-    label, cx, cy = (np.empty(cfg.attack_steps, dtype=np.int64) for _ in range(3))
-    a = b = started = 0
+    block = max(1, _BLOCK_BYTES // (4 * 8 * dataset.image_shape.size))
+    rows = block + steps
+    # row r holds one episode for its whole attack: its iterate, c_x's gradient
+    # there, its budget box and label, and the pool indices of c_x and c_y.
+    # The rows base + [a, b) are in flight, the episode at attack step t in
+    # row base + t, and base drops by one per front, so an episode keeps its
+    # row; the drawn episodes wait below, the next to enter in row base - 1.
+    x_at, g_at, lo, hi = (np.empty((rows,) + dims) for _ in range(4))
+    label = np.empty(rows, dtype=np.int64)
+    cx, cy = [0] * rows, [0] * rows
+    # a front's gamma * gradient rows, and the views of the stack that each
+    # window (a, b) of steps uses, made once
+    scaled = np.empty((steps,) + dims)
+    windows = {}
+    a = b = started = drawn = 0
+    base = rows
     while started < cfg.total_steps or a < b:
-        n = b - a
-        params = {k: s[a:b] for k, s in stack.items()}
-        x_next = x_at[a:b]  # no row in flight on the first front
-        if n:
-            gamma, cache = gen._forward(params, x_at[a:b], g_at[a:b])
-            x_next = x_at[a:b] + gamma[:, None, None, None] * g_at[a:b]
-            _clamp(x_next, lo[a:b], hi[a:b], out=x_next)
-        keep = min(b, last) - a  # front rows [0, keep) take another step
-        # the rows each c_x attacks: x_next of those rows, then the entering example
-        points, labels, grad_by = x_next[:keep], label[a:a + keep], cx[a:a + keep]
         entering = started < cfg.total_steps
-        if entering:
-            i = int(rng.integers(len(dataset)))
-            new_cx, new_cy = (int(j) for j in rng.choice(len(model_pool), size=2, replace=False))
-            x = dataset.images[i]
-            points = np.concatenate([points, x[None]])
-            labels = np.append(labels, dataset.labels[i])
-            grad_by = np.append(grad_by, new_cx)
-            started += 1
-        score, grads = np.empty_like(x_next), np.empty_like(points)
-        for m, model in enumerate(model_pool):
-            scored, attacked = np.flatnonzero(cy[a:b] == m), np.flatnonzero(grad_by == m)
-            if len(scored) or len(attacked):
-                out = model.input_gradient(np.concatenate([x_next[scored], points[attacked]]),
-                                           np.concatenate([label[a:b][scored], labels[attacked]]))
-                score[scored], grads[attacked] = out[:len(scored)], out[len(scored):]
+        if entering and started == drawn:
+            # the episodes in flight move up to the last rows (a is 0 while
+            # episodes enter), and the next block is drawn below them
+            count = min(block, cfg.total_steps - drawn)
+            top = rows - b
+            for buf in (x_at, g_at, lo, hi, label, cx, cy):
+                buf[top:rows] = buf[base:base + b]
+            base, drawn = top, drawn + count
+            # the block's first episode goes to the highest row, next to enter
+            new = slice(base - count, base)
+            example, c_x, c_y = _draw_episodes(rng, count, len(dataset), len(model_pool))[:, ::-1]
+            cx[new], cy[new] = c_x.tolist(), c_y.tolist()
+            x_at[new], label[new] = dataset.images[example], dataset.labels[example]
+            lo[new], hi[new] = _box(x_at[new], cfg.epsilon)
+        n, r0 = b - a, base + a
+        keep = min(b, last) - a  # rows [r0, r0 + keep) take another step
         if n:
-            upstream = (score * g_at[a:b]).reshape(n, -1).sum(axis=1)
-            for k, g in gen._backward(params, cache, upstream).items():
-                g *= cfg.learning_rate  # in place: no second temporary of W1's size
-                params[k] += g
-        # the rows that take another step move on to row t + 1
-        for buf, front in ((x_at, x_next), (g_at, grads), (lo, lo[a:b]), (hi, hi[a:b]),
-                           (label, label[a:b]), (cx, cx[a:b]), (cy, cy[a:b])):
-            buf[a + 1:a + 1 + keep] = front[:keep]
-        a, b = a + 1, a + 1 + keep
+            if (a, b) not in windows:
+                windows[a, b] = {k: s[a:b] for k, s in stack.items()}
+            params = windows[a, b]
+            x, g = x_at[r0:r0 + n], g_at[r0:r0 + n]
+            gamma, cache = gen._forward(params, x, g)
+            x += np.multiply(gamma[:, None, None, None], g, out=scaled[:n])
+            _clamp(x, lo[r0:r0 + n], hi[r0:r0 + n], out=x)
+        # query row u is x_at row ask[u]: c_y scores every row at its new
+        # iterate (u < n), and c_x attacks there every row that takes another
+        # step, after the entering episode's example in row r0 - 1
+        ask = [*range(r0, r0 + n), *range(r0 - entering, r0 + keep)]
+        # each model answers its rows in one input_gradient call: the rows it
+        # scores, then the rows it attacks, the entering episode last.  A
+        # batched gradient's bits can depend on its rows' count and places,
+        # and in this order theta has the bits of the wavefront loop kept in
+        # tests/reference_attack_step.py
+        order, ends = [], []
+        for m in range(len(model_pool)):
+            order += [u for u in range(n) if cy[ask[u]] == m]
+            order += [u for u in range(n + entering, len(ask)) if cx[ask[u]] == m]
+            if entering and cx[r0 - 1] == m:
+                order.append(n)
+            ends.append(len(order))
+        src = [ask[u] for u in order]
+        points, labels = x_at[src], label[src]
+        answer = np.empty_like(points)  # answer[u] for query row u
+        start = 0
+        for model, end in zip(model_pool, ends):
+            if end > start:
+                answer[order[start:end]] = model.input_gradient(points[start:end],
+                                                                labels[start:end])
+            start = end
+        if n:
+            upstream = (answer[:n] * g).reshape(n, -1).sum(axis=1)
+            for k, grad in gen._backward(params, cache, upstream).items():
+                grad *= cfg.learning_rate  # in place: no second temporary of W1's size
+                params[k] += grad
+        g_at[r0 - entering:r0 + keep] = answer[n:]
+        base, a, b = base - 1, a + 1, a + 1 + keep
         if entering:
-            a = 0
-            x_at[0], g_at[0], label[0], cx[0], cy[0] = x, grads[-1], labels[-1], new_cx, new_cy
-            lo[0], hi[0] = _box(x, cfg.epsilon)
+            a, started = 0, started + 1
     return gen
+
+
+def _draw_episodes(rng, count, n_examples, n_models):
+    """(example, c_x, c_y) index arrays of the next count episodes, drawn as
+    the serial loop draws them: one integers and one choice call per episode."""
+    picks = np.empty((count, 3), dtype=np.int64)
+    for row in picks:
+        row[0] = rng.integers(n_examples)
+        row[1:] = rng.choice(n_models, size=2, replace=False)
+    return picks.T
 
 
 def run_attack_adaptive(gen: ScalingFactorGenerator, models, x, y,
@@ -399,7 +464,7 @@ def load_generator(path: str) -> ScalingFactorGenerator:
         raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
     gen = ScalingFactorGenerator(
         doc["steps"], ImageShape(*doc["image_shape"]), arch=doc["arch"],
-        head_scale=doc["head_scale"], hidden=tuple(doc["hidden"]),
+        head_scale=doc["head_scale"], hidden=doc["hidden"],
         conv_channels=doc["conv_channels"],
     )
     if len(doc["theta"]) != gen.steps:

@@ -136,8 +136,10 @@ def synth_dataset(kind: str, n: int, image_shape: ImageShape, seed: int,
 
     Labels are balanced to within one example by construction.
     """
+    _check_count("n", n)
     if n < 2:
         raise ValueError("need at least two examples")
+    _check_count("num_classes", num_classes, 1)
     rng = make_rng(seed, stream=11)
     h, w, c = image_shape.dims
     labels = np.arange(n) % num_classes

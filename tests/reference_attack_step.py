@@ -18,7 +18,11 @@ single-image gradient calls and one single-image generator step per attack
 step.  The library runs the steps of one front together, so its theta equals
 this loop's bit for bit only when each pool model computes a batch one row
 at a time; with batched model gradients the two agree to 1e-12 relative at
-learning rate 1.
+learning rate 1.  `train_generator_wavefront` is the first front-by-front
+version of the library loop, which drew each episode as it entered and
+rebuilt each model's rows with `np.flatnonzero` and `np.concatenate` on
+every front; the library's theta must equal its theta bit for bit, with any
+pool.
 
 Some things differ from the library code they were copied from:
 `AttackResult` has no final loss any more, so none is computed; the methods
@@ -34,7 +38,7 @@ import numpy as np
 
 from advgrad.attacks import (
     AdaptiveStep, AttackResult, DegenerateGradientError, Dim, Emi, Sim, SignStep, Tim, Vt,
-    _tim_taps, apply_step,
+    _box, _clamp, _tim_taps, apply_step,
 )
 from advgrad.generator import (
     ScalingFactorGenerator, _instance_norm, _instance_norm_backward,
@@ -371,3 +375,73 @@ def _ascent_episode(gen, c_x, c_y, x, y, cfg):
         for k, gval in _backward_cache(gen, t, cache, upstream).items():
             gen.theta[t][k] = gen.theta[t][k] + cfg.learning_rate * gval
         x_adv = x_next
+
+
+def train_generator_wavefront(dataset, model_pool, cfg, arch="mlp", head_scale=10.0,
+                              hidden=(512, 128)):
+    """The library's train_generator as it first ran its episodes on a
+    wavefront: steps with k + t = tau form one front, with one input_gradient
+    call per pool model, and the episode's draws, its box and the rows each
+    model answers are made front by front (`np.flatnonzero`,
+    `np.concatenate`, `np.append`).  Row t holds the episode at attack step t,
+    and the rows move up one per front.  The library's loop must give this
+    loop's theta bit for bit, with every pool model.  The pool and dataset
+    checks are left out."""
+    gen = ScalingFactorGenerator(
+        cfg.attack_steps, dataset.image_shape, arch=arch, seed=cfg.seed,
+        head_scale=head_scale, hidden=hidden,
+    )
+    # one (T, ...) array per parameter, with theta[t][k] a view of its row t,
+    # so that the consecutive steps of a front are one slice
+    stack = {k: np.stack([p[k] for p in gen.theta]) for k in gen.theta[0]}
+    gen.theta = [{k: s[t] for k, s in stack.items()} for t in range(gen.steps)]
+    rng = make_rng(cfg.seed, stream=9)
+    last, dims = cfg.attack_steps - 1, dataset.image_shape.dims
+    # row t holds the episode now at attack step t: its iterate, c_x's
+    # gradient there, its budget box and label, and the pool indices of c_x
+    # and c_y; rows [a, b) are in flight
+    x_at, g_at, lo, hi = (np.empty((cfg.attack_steps,) + dims) for _ in range(4))
+    label, cx, cy = (np.empty(cfg.attack_steps, dtype=np.int64) for _ in range(3))
+    a = b = started = 0
+    while started < cfg.total_steps or a < b:
+        n = b - a
+        params = {k: s[a:b] for k, s in stack.items()}
+        x_next = x_at[a:b]  # no row in flight on the first front
+        if n:
+            gamma, cache = gen._forward(params, x_at[a:b], g_at[a:b])
+            x_next = x_at[a:b] + gamma[:, None, None, None] * g_at[a:b]
+            _clamp(x_next, lo[a:b], hi[a:b], out=x_next)
+        keep = min(b, last) - a  # front rows [0, keep) take another step
+        # the rows each c_x attacks: x_next of those rows, then the entering example
+        points, labels, grad_by = x_next[:keep], label[a:a + keep], cx[a:a + keep]
+        entering = started < cfg.total_steps
+        if entering:
+            i = int(rng.integers(len(dataset)))
+            new_cx, new_cy = (int(j) for j in rng.choice(len(model_pool), size=2, replace=False))
+            x = dataset.images[i]
+            points = np.concatenate([points, x[None]])
+            labels = np.append(labels, dataset.labels[i])
+            grad_by = np.append(grad_by, new_cx)
+            started += 1
+        score, grads = np.empty_like(x_next), np.empty_like(points)
+        for m, model in enumerate(model_pool):
+            scored, attacked = np.flatnonzero(cy[a:b] == m), np.flatnonzero(grad_by == m)
+            if len(scored) or len(attacked):
+                out = model.input_gradient(np.concatenate([x_next[scored], points[attacked]]),
+                                           np.concatenate([label[a:b][scored], labels[attacked]]))
+                score[scored], grads[attacked] = out[:len(scored)], out[len(scored):]
+        if n:
+            upstream = (score * g_at[a:b]).reshape(n, -1).sum(axis=1)
+            for k, g in gen._backward(params, cache, upstream).items():
+                g *= cfg.learning_rate  # in place: no second temporary of W1's size
+                params[k] += g
+        # the rows that take another step move on to row t + 1
+        for buf, front in ((x_at, x_next), (g_at, grads), (lo, lo[a:b]), (hi, hi[a:b]),
+                           (label, label[a:b]), (cx, cx[a:b]), (cy, cy[a:b])):
+            buf[a + 1:a + 1 + keep] = front[:keep]
+        a, b = a + 1, a + 1 + keep
+        if entering:
+            a = 0
+            x_at[0], g_at[0], label[0], cx[0], cy[0] = x, grads[-1], labels[-1], new_cx, new_cy
+            lo[0], hi[0] = _box(x, cfg.epsilon)
+    return gen

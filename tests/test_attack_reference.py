@@ -10,6 +10,7 @@ rate 1.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import reference_attack_step as reference
-from advgrad import attacks
+from advgrad import attacks, generator
 from advgrad.attacks import (
     AdaptiveStep, AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Sim, Tim, Vt, project,
     run_attack,
@@ -291,6 +292,47 @@ class TestTrainGenerator:
         # at 7.5 drifted 6e-12), so the 1e-12 bound is checked above at 1.0
         assert_same_theta(*trained_pair(ds, [RowWise(m) for m in models], cfg,
                                         head_scale=2e5, hidden=(8, 4)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        total_steps=st.integers(0, 40),
+        attack_steps=st.integers(1, 6),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=4),
+        shape=st.sampled_from([SHAPE, ImageShape(4, 4, 3)]),
+        hidden=st.sampled_from([(8, 4), (64, 32)]),
+        learning_rate=st.sampled_from([1e-3, 0.3, 1.0, 7.5]),
+        block=st.sampled_from([1, 3, None]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_theta_equals_the_first_wavefront_loop_with_batched_models(
+            self, total_steps, attack_steps, kinds, shape, hidden, learning_rate, block, seed):
+        # the same model calls on the same rows in the same order: bit for bit
+        # with the real batched gradients, at any learning rate
+        ds = synth_dataset("blobs", 12, shape, seed=seed, num_classes=3)
+        pool = [build_model(kind, shape, 3, seed=seed + s) for s, kind in enumerate(kinds)]
+        cfg = GeneratorTrainConfig(total_steps=total_steps, attack_steps=attack_steps,
+                                   learning_rate=learning_rate, epsilon=32.0, seed=seed)
+        kwargs = {"head_scale": 2e5, "hidden": hidden}
+        # episodes drawn one or three per block, or as many as fit the default block
+        size = 4 * 8 * shape.size * block if block else generator._BLOCK_BYTES
+        with mock.patch.object(generator, "_BLOCK_BYTES", size):
+            got = train_generator(ds, pool, cfg, **kwargs).theta
+        assert_same_theta(got, reference.train_generator_wavefront(ds, pool, cfg, **kwargs).theta)
+
+    def test_theta_equals_the_first_wavefront_loop_at_the_transfer_setting(self):
+        # an MLP and a tiny-conv pool, 5 steps, hidden=(64, 32), head scale 2e5;
+        # 8 episodes per block, so that the draws cross block boundaries
+        ds = synth_dataset("blobs", 60, SHAPE, seed=0, num_classes=3)
+        pool = [build_model("mlp-1-hidden", SHAPE, 3, seed=0),
+                build_model("tiny-conv", SHAPE, 3, seed=1)]
+        cfg = GeneratorTrainConfig(total_steps=60, attack_steps=5, learning_rate=1.0,
+                                   epsilon=64.0, seed=0)
+        kwargs = {"head_scale": 2e5, "hidden": (64, 32)}
+        with mock.patch.object(generator, "_BLOCK_BYTES", 8 * 4 * 8 * SHAPE.size):
+            got = train_generator(ds, pool, cfg, **kwargs).theta
+        assert_same_theta(got, reference.train_generator_wavefront(ds, pool, cfg, **kwargs).theta)
+        fresh = ScalingFactorGenerator(5, SHAPE, seed=0, **kwargs).theta
+        assert all(not np.array_equal(got[t][k], fresh[t][k]) for t in range(5) for k in got[t])
 
     def test_a_zero_gradient_row_feeds_the_generator_zeros(self):
         # a row whose gradient has no positive peak enters the generator as

@@ -65,6 +65,13 @@ def test_train_generator_requires_two_checkpoints(tmp_path):
         main(["train-generator", "--pool", str(a), "--n", "30",
               "--steps", "2", "--total-steps", "3",
               "--out", str(tmp_path / "gen2.json")])
+    # a NaN head scale passed a `<= 0` check and trained a NaN theta
+    for value in ("nan", "inf"):
+        with pytest.raises(SystemExit, match="head scale must be positive and finite"):
+            main(["train-generator", "--pool", str(a), str(b), "--n", "30", "--steps", "2",
+                  "--total-steps", "3", "--head-scale", value,
+                  "--out", str(tmp_path / "gen3.json")])
+    assert not (tmp_path / "gen3.json").exists()
 
 
 def experiment_config(tmp_path, **overrides):

@@ -50,9 +50,15 @@ class TestConstruction:
             for k in pa:
                 assert np.array_equal(pa[k], pb[k])
 
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            ScalingFactorGenerator(0, SHAPE)
+    @pytest.mark.parametrize("steps,message", [
+        (0, "steps must be >= 1, got 0"),
+        (2.5, "steps must be an integer, got 2.5"),
+        (True, "steps must be an integer, got True"),
+    ], ids=["zero", "float", "bool"])
+    def test_rejects_a_step_count_that_is_not_a_positive_integer(self, steps, message):
+        # 2.5 raised a TypeError from range(), and True built a 1-step generator
+        with pytest.raises(ValueError, match=message):
+            ScalingFactorGenerator(steps, SHAPE)
 
     def test_rejects_unknown_arch(self):
         with pytest.raises(ValueError):
@@ -62,9 +68,41 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ScalingFactorGenerator(3, ImageShape(4, 4, 1), arch="conv")
 
-    def test_rejects_nonpositive_head_scale(self):
-        with pytest.raises(ValueError):
-            ScalingFactorGenerator(3, SHAPE, head_scale=0.0)
+    @pytest.mark.parametrize("head_scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_head_scale_that_is_not_positive_and_finite(self, head_scale):
+        # NaN and inf passed a `head_scale <= 0` check; NaN trained to a NaN theta
+        with pytest.raises(ValueError, match="head scale must be positive and finite"):
+            ScalingFactorGenerator(3, SHAPE, head_scale=head_scale)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"hidden": (0, 4)}, r"hidden\[0\] must be >= 1, got 0"),
+        ({"hidden": (4, 0)}, r"hidden\[1\] must be >= 1, got 0"),
+        ({"hidden": (-1, 4)}, r"hidden\[0\] must be >= 1, got -1"),
+        ({"hidden": (4.5, 2)}, r"hidden\[0\] must be an integer, got 4.5"),
+        ({"hidden": (True, 2)}, r"hidden\[0\] must be an integer, got True"),
+        ({"hidden": (4,)}, r"hidden must be two integers, got \(4,\)"),
+        ({"hidden": (4, 2, 1)}, r"hidden must be two integers, got \(4, 2, 1\)"),
+        ({"hidden": 4}, "hidden must be two integers, got 4"),
+        ({"conv_channels": 0}, "conv_channels must be >= 1, got 0"),
+        ({"conv_channels": 2.0}, "conv_channels must be an integer, got 2.0"),
+    ], ids=["zero-first", "zero-second", "negative", "float", "bool", "one", "three",
+            "not-a-pair", "no-channels", "float-channels"])
+    @pytest.mark.parametrize("arch", ["mlp", "conv"])
+    def test_rejects_bad_layer_widths_by_name_before_any_draw(self, monkeypatch, arch, kwargs,
+                                                              message):
+        # hidden=(0, 4) built a generator whose gamma ignored its inputs; the
+        # others failed in numpy or in tuple unpacking, without the field's name
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a stream was made before the checks")
+
+        monkeypatch.setattr(generator, "make_rng", no_draws)
+        with pytest.raises(ValueError, match=message):
+            ScalingFactorGenerator(3, ImageShape(16, 16, 1), arch=arch, **kwargs)
+
+    def test_takes_numpy_integer_widths(self):
+        gen = ScalingFactorGenerator(2, SHAPE, hidden=[np.int64(6), np.int32(3)],
+                                     conv_channels=np.int64(4))
+        assert gen.hidden == (6, 3) and gen.theta[0]["W2"].shape == (3, 6)
 
     def test_train_config_rejects_negative_total_steps(self):
         with pytest.raises(ValueError, match="total_steps"):
@@ -173,6 +211,27 @@ class TestForward:
             assert gammas.shape == (n,) and gammas.dtype == np.float64
             assert gammas.tolist() == [gen.gamma_forward(t, xi, gi) for xi, gi in zip(x, grad)]
         assert isinstance(gen.gamma_forward(0, x[0], grad[0]), float)
+
+
+    @pytest.mark.parametrize("arch,shape", [("mlp", SHAPE), ("mlp", ImageShape(4, 4, 3)),
+                                            ("conv", ImageShape(16, 16, 2))])
+    def test_a_zero_gradient_gives_one_image_the_gamma_of_its_batch_row(self, arch, shape):
+        # one image tests its gradient peak as a scalar and a batch masks its
+        # divide; either way a zero gradient, -0.0 entries included, reads +0.0
+        gen = ScalingFactorGenerator(2, shape, arch=arch, seed=5, hidden=(12, 6),
+                                     conv_channels=4, head_scale=1e3)
+        rng = make_rng(3, 61)
+        x = rng.uniform(0, 255, size=(3,) + shape.dims)
+        grad = rng.normal(scale=1e-4, size=(3,) + shape.dims)
+        grad[1] = 0.0
+        grad[1].reshape(-1)[::2] = -0.0
+        v = gen._inputs(x[1], grad[1])
+        assert not v[shape.size:].any() and not np.signbit(v[shape.size:]).any()
+        for t in range(gen.steps):
+            batch = gen.gamma_forward(t, x, grad)
+            alone = gen.gamma_forward(t, x[1], grad[1])
+            assert alone.hex() == float(batch[1]).hex()
+            assert alone.hex() == gen.gamma_forward(t, x[1], np.zeros(shape.dims)).hex()
 
 
 class TestParameterGradient:
@@ -394,6 +453,23 @@ class TestTraining:
         # episode's entry, the others as next-step rows) and one score row
         assert sum(calls) == total_steps * (2 * attack_steps)
 
+    def test_rejects_a_non_finite_head_scale_before_any_draw(self, monkeypatch):
+        # with head_scale=nan training finished with a NaN theta, and the
+        # adaptive attack then raised DegenerateGradientError at step 1
+        ds = synth_dataset("blobs", 30, SHAPE, seed=0, num_classes=3)
+        pool = [build_model(kind, SHAPE, 3, seed=0) for kind in ("mlp-1-hidden", "tiny-conv")]
+        cfg = GeneratorTrainConfig(total_steps=3, attack_steps=2, learning_rate=1.0, epsilon=8.0)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a stream was made before the checks")
+
+        monkeypatch.setattr(generator, "make_rng", no_draws)
+        for head_scale in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="head scale must be positive and finite"):
+                train_generator(ds, pool, cfg, head_scale=head_scale, hidden=(12, 6))
+        with pytest.raises(ValueError, match=r"hidden\[1\] must be >= 1"):
+            train_generator(ds, pool, cfg, hidden=(12, 0))
+
     def test_training_changes_parameters(self):
         ds = synth_dataset("blobs", 40, SHAPE, seed=1)
         pool = self.make_pool(ds)
@@ -494,6 +570,21 @@ class TestCheckpoints:
                 gen.gamma_forward(t, x, grad), rel=1e-12)
         assert loaded.arch == arch
         assert loaded.steps == gen.steps
+
+    @pytest.mark.parametrize("hidden,message", [
+        ([0, 4], r"hidden\[0\] must be >= 1, got 0"),
+        ([4], r"hidden must be two integers, got \[4\]"),
+        (4, "hidden must be two integers, got 4"),
+        ([4.5, 2], r"hidden\[0\] must be an integer, got 4.5"),
+    ], ids=["zero", "one", "not-a-list", "float"])
+    def test_rejects_a_checkpoint_with_bad_hidden_widths(self, tmp_path, hidden, message):
+        path = tmp_path / "gen.json"
+        save_generator(small_generator(), str(path))
+        doc = json.loads(path.read_text())
+        doc["hidden"] = hidden
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_generator(str(path))
 
     def test_rejects_foreign_format(self, tmp_path):
         path = tmp_path / "bad.json"

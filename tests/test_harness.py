@@ -155,6 +155,28 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset("two-moons-image", 10, SHAPE, seed=0, num_classes=3)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"num_classes": 0}, "num_classes must be >= 1, got 0"),
+        ({"num_classes": -2}, "num_classes must be >= 1, got -2"),
+        ({"num_classes": 2.0}, "num_classes must be an integer, got 2.0"),
+        ({"num_classes": True}, "num_classes must be an integer, got True"),
+        ({"n": 10.0}, "n must be an integer, got 10.0"),
+        ({"n": 1}, "need at least two examples"),
+    ], ids=["no-classes", "negative-classes", "float-classes", "bool-classes", "float-n",
+            "one-example"])
+    def test_rejects_a_bad_count_by_name(self, kwargs, message):
+        # num_classes=0 warned of a division by zero and raised IndexError; the
+        # others failed inside numpy
+        args = {"n": 10, "num_classes": 3, **kwargs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                synth_dataset("blobs", args["n"], SHAPE, seed=0, num_classes=args["num_classes"])
+
+    def test_takes_numpy_integer_counts(self):
+        ds = synth_dataset("blobs", np.int64(10), SHAPE, seed=0, num_classes=np.int32(2))
+        assert ds.images.shape == (10, 8, 8, 1) and ds.num_classes == 2
+
 
 class TestMetrics:
     def test_hand_computed_mad_rmsd(self):
