@@ -28,6 +28,14 @@ one estimate every round, which the branch predictor partly learns; the
 scores a new estimate each time, so a select whose cost depends on the mask
 shows there.
 
+The ``test_exact_interactions`` cases time the exact interaction of every
+pair of a 12-unit game, the set function of a 1x12x1 MLP with 3 classes (66
+pairs, 4,096 subsets): ``matrix`` is one
+`advgrad.interaction.shapley_interaction_matrix_exact` call, which scores one
+table of all subsets and reads every pair from it, and ``per-pair`` is 66
+`advgrad.interaction.shapley_interaction_exact` calls, each of which scores
+its own table.  Both give the same values bit for bit.
+
 The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
 runs each case once, untimed, in the suite's own interpreter.
 """
@@ -112,3 +120,25 @@ def test_scoring(benchmark, setfn_args, model_setfn, scoring, estimates):
     rounds = itertools.cycle(masks)
     benchmark(lambda: score(next(rounds)))
     record_evals_per_s(benchmark)
+
+
+EXACT_SHAPE = ImageShape(1, 12, 1)
+
+
+def per_pair_matrix(v, n):
+    matrix = np.zeros((n, n))
+    for a, b in itertools.combinations(range(n), 2):
+        matrix[a, b] = matrix[b, a] = interaction.shapley_interaction_exact(v, a, b, n)
+    return matrix
+
+
+@pytest.mark.parametrize("path", ["matrix", "per-pair"])
+def test_exact_interactions(benchmark, path):
+    rng = make_rng(0, 94)
+    v, n = interaction.make_model_setfn(
+        build_model("mlp-1-hidden", EXACT_SHAPE, 3, seed=0),
+        rng.uniform(0.0, 255.0, size=EXACT_SHAPE.dims),
+        rng.uniform(-1000.0, 1000.0, size=EXACT_SHAPE.dims), 0)
+    read = interaction.shapley_interaction_matrix_exact if path == "matrix" else per_pair_matrix
+    matrix = benchmark(read, v, n)
+    assert matrix.tobytes() == interaction.shapley_interaction_matrix_exact(v, n).tobytes()

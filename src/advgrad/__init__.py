@@ -43,6 +43,7 @@ from .interaction import (
     predicted_delta,
     predicted_interaction,
     shapley_interaction_exact,
+    shapley_interaction_matrix_exact,
     shapley_value_exact,
     simulate_raw,
 )

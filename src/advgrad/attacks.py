@@ -224,6 +224,10 @@ class AttackConfig:
             raise ValueError("momentum decay must be finite and >= 0")
         if self.targeted and self.target_label is None:
             raise ValueError("targeted attack needs a target_label")
+        # an untargeted attack would run and be scored without its target
+        if not self.targeted and self.target_label is not None:
+            raise ValueError("target_label is set but targeted is False; "
+                             "set targeted=True or drop target_label")
         _kind(self.step_rule, "step rule")
         object.__setattr__(self, "transforms", tuple(self.transforms))
         kinds = [_kind(t, "transform") for t in self.transforms]

@@ -57,11 +57,7 @@ def _cmd_train_generator(args):
                                learning_rate=args.lr,
                                epsilon=args.epsilon,
                                seed=args.seed)
-    try:
-        gen = train_generator(dataset, pool, cfg, arch=args.arch,
-                              head_scale=args.head_scale)
-    except ValueError as err:
-        sys.exit(str(err))
+    gen = train_generator(dataset, pool, cfg, arch=args.arch, head_scale=args.head_scale)
     save_generator(gen, args.out)
     print(f"trained {args.arch} generator for {args.steps} steps "
           f"({args.total_steps} outer iterations), saved to {args.out}")
@@ -160,7 +156,11 @@ def main(argv=None):
     p.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    args.func(args)
+    # a bad config, checkpoint or data file ends the run with its message
+    try:
+        args.func(args)
+    except (ValueError, FileNotFoundError) as err:
+        sys.exit(str(err))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,15 @@
 """Shapley values, pairwise interaction indices, and the closed-form
 trajectory analysis of the momentum + scaled-step update.
 
-The exact routines serve as oracles: they read every Shapley sum from one
-v.batch table of all 2^n subsets, independent of the closed forms they verify
-and of the sampler's second differences.
+The exact routines serve as oracles, independent of the closed forms they
+verify and of the sampler's draws.  Each scores one v.batch table of all 2^n
+subsets and reads each quantity from it as one sum, the Grabisch-Roubens index
+of one player (the Shapley value) or of a pair (the interaction): the
+discrete derivative of the table over the subsets of the other players,
+weighted by their size.  shapley_interaction_matrix_exact reads every pair
+from one table: at n = 16 (a 4x4x1 tiny-conv game, 2-core VM, numpy 2.4 on
+OpenBLAS) all 120 pairs take about 0.2 s, where one shapley_interaction_exact
+call, which builds its own table, takes about 0.23 s.
 
 expected_interaction_sampled estimates the mean pairwise interaction by Monte
 Carlo.  Its draws are defined by uniform keys from rng, read in this order:
@@ -31,6 +37,7 @@ takes 41-43 us on any mask.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from fractions import Fraction
@@ -55,6 +62,7 @@ __all__ = [
     "make_game_setfn",
     "shapley_value_exact",
     "shapley_interaction_exact",
+    "shapley_interaction_matrix_exact",
     "expected_interaction_sampled",
     "exact_mean_interaction",
     "predicted_interaction",
@@ -342,32 +350,50 @@ def _subset_values(v, n: int, *players) -> np.ndarray:
     return table
 
 
-def _shapley_sum(table: np.ndarray, n: int, joined, outside) -> float:
-    """Sum of w(|S|) * (T[S u joined] - T[S]) over the subsets S of the players
-    not in outside; w weighs a game of those players plus joined as one."""
-    subsets, sizes = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    for p in sorted(set(range(n)) - set(outside)):
-        subsets = np.concatenate([subsets, subsets | 1 << p])
+def _derivative_sum(table: np.ndarray, n: int, players) -> float:
+    """Grabisch-Roubens index of the players P: the sum over the subsets S of
+    the other players of Delta_P T(S) / (m * C(m - 1, |S|)), m = n - |P| + 1.
+
+    Delta_P is the discrete derivative, T[S u i] - T[S] for one player and
+    T[S u ab] - T[S u a] - T[S u b] + T[S] for a pair.  Viewed as a (2,) * n
+    array, the table holds bit p of a mask on axis n - 1 - p, so each player's
+    difference is one np.diff along its axis, taken in ascending player order
+    so that (a, b) and (b, a) give the same bits.  The flattened differences
+    run over the other players' masks in ascending bit order, so entry k's
+    subset has the size of k's popcount, built by doubling."""
+    diffs = table.reshape((2,) * n)
+    for p in sorted(players):
+        diffs = np.diff(diffs, axis=n - 1 - p)
+    m = n - len(players) + 1
+    sizes = np.zeros(1, dtype=np.int64)
+    for _ in range(m - 1):
         sizes = np.concatenate([sizes, sizes + 1])
-    m = n - len(outside) + 1
     weights = 1 / np.array([m * math.comb(m - 1, s) for s in range(m)], dtype=float)
-    gain = table[subsets | sum(1 << p for p in joined)] - table[subsets]
-    return float(weights[sizes] @ gain)
+    return float(weights[sizes] @ diffs.reshape(-1))
 
 
 def shapley_value_exact(v, i: int, n: int) -> float:
     """Shapley attribution of player i, summed over all subsets of the others."""
-    return _shapley_sum(_subset_values(v, n, i), n, (i,), (i,))
+    return _derivative_sum(_subset_values(v, n, i), n, (i,))
 
 
 def shapley_interaction_exact(v, a: int, b: int, n: int) -> float:
-    """Pairwise interaction: joint contribution of {a, b} as a singleton
-    minus the standalone contributions with the partner removed."""
+    """Pairwise Shapley interaction of players a and b: the weighted sum of
+    their second differences over the subsets of the other players."""
     if a == b:
         raise ValueError("interaction needs two distinct players")
-    table = _subset_values(v, n, a, b)
-    return _shapley_sum(table, n, (a, b), (a, b)) - (
-        _shapley_sum(table, n, (a,), (a, b)) + _shapley_sum(table, n, (b,), (a, b)))
+    return _derivative_sum(_subset_values(v, n, a, b), n, (a, b))
+
+
+def shapley_interaction_matrix_exact(v, n: int) -> np.ndarray:
+    """Pairwise interaction of every pair of players from one table: the
+    symmetric (n, n) array whose (a, b) entry has the bits of
+    shapley_interaction_exact(v, a, b, n), with zeros on the diagonal."""
+    table = _subset_values(v, n)
+    matrix = np.zeros((n, n))
+    for a, b in itertools.combinations(range(n), 2):
+        matrix[a, b] = matrix[b, a] = _derivative_sum(table, n, (a, b))
+    return matrix
 
 
 def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,

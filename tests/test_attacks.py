@@ -400,6 +400,11 @@ class TestAttackLoop:
         with pytest.raises(ValueError):
             AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0), targeted=True)
 
+    def test_target_label_needs_targeted(self):
+        # an untargeted config with a target label ran and was scored untargeted
+        with pytest.raises(ValueError, match="target_label is set but targeted is False"):
+            AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0), target_label=2)
+
     # NaN fails every comparison, so a `value < 0` check lets it through
     @pytest.mark.parametrize("field,value", [("epsilon", math.nan), ("momentum", math.nan),
                                              ("momentum", math.inf)])
@@ -1027,8 +1032,7 @@ class TestConfigSerialization:
         cfg = AttackConfig(
             epsilon=data.draw(st.floats(0.0, 255.0), label="epsilon"), steps=steps,
             step_rule=rule, momentum=data.draw(st.none() | st.floats(0.0, 2.0), label="mu"),
-            transforms=transforms, targeted=target is not None and data.draw(st.booleans()),
-            target_label=target,
+            transforms=transforms, targeted=target is not None, target_label=target,
         )
         assert config_from_dict(config_to_dict(cfg), generator=gen) == cfg
 
@@ -1076,6 +1080,10 @@ class TestConfigSerialization:
     def test_adaptive_rule_needs_a_generator(self):
         with pytest.raises(ValueError, match="generator instance"):
             config_from_dict({**self.BASE, "step_rule": {"type": "adaptive"}})
+
+    def test_a_target_label_without_targeted_in_a_doc_raises(self):
+        with pytest.raises(ValueError, match="target_label is set but targeted is False"):
+            config_from_dict({**self.BASE, "target_label": 2})
 
     def test_dict_is_json_serializable(self):
         import json

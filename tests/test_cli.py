@@ -1,6 +1,7 @@
 """End-to-end smoke tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -133,6 +134,23 @@ def test_interaction_subcommand_without_interaction_block(tmp_path, capsys):
     assert "histogram: " in out and "interaction: " in out
     assert (tmp_path / "out" / "histogram.csv").exists()
     assert (tmp_path / "out" / "interaction.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep", "interaction"])
+def test_a_config_without_models_exits_with_its_message(tmp_path, command):
+    doc = json.loads(experiment_config(tmp_path).read_text())
+    del doc["models"]
+    path = tmp_path / "no-models.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match="missing required key 'models'"):
+        main([command, "--config", str(path)])
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_config_path_that_does_not_exist_exits_with_its_message(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit, match=re.escape(f"No such file or directory: '{missing}'")):
+        main(["attack", "--config", str(missing)])
 
 
 def test_verify_props_is_not_a_command(capsys):

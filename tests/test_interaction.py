@@ -30,6 +30,7 @@ from advgrad.interaction import (
     predicted_interaction,
     reward,
     shapley_interaction_exact,
+    shapley_interaction_matrix_exact,
     shapley_value_exact,
     simulate_raw,
 )
@@ -447,11 +448,6 @@ class TestShapleyExact:
         values = [shapley_value_exact(v, i, 4) for i in range(4)]
         assert max(values) - min(values) < 1e-12
 
-    def test_player_limit_guard(self):
-        with pytest.raises(ValueError, match="limited"):
-            shapley_value_exact(zero_game_setfn(EXACT_PLAYER_LIMIT + 1), 0,
-                                EXACT_PLAYER_LIMIT + 1)
-
 
 class TestShapleyInteraction:
     def test_additive_game_has_zero_interaction(self):
@@ -489,10 +485,14 @@ class TestShapleyInteraction:
         assert abs(exact - d[3] * game.H[3, 17] * d[17]) < 1e-9
 
 
+# each call reads one quantity of player p; the matrix call reads entry (0, p)
 EXACT_CALLS = {
     "value": lambda v, n, p: shapley_value_exact(v, p, n),
     "interaction": lambda v, n, p: shapley_interaction_exact(v, 0, p, n),
+    "matrix": lambda v, n, p: shapley_interaction_matrix_exact(v, n)[0, p],
 }
+# the calls that take player indices
+PLAYER_CALLS = {key: EXACT_CALLS[key] for key in ("value", "interaction")}
 
 
 @pytest.mark.parametrize("call", EXACT_CALLS.values(), ids=EXACT_CALLS.keys())
@@ -504,10 +504,11 @@ class TestExactArguments:
         with pytest.raises(ValueError, match=rf"\(k, 4\) bool array, got bool \(\d+, {n}\)"):
             call(v, n, 1)
 
-    @pytest.mark.parametrize("player", [4, -1, 1.5, True])
-    def test_bad_player_index_is_rejected(self, call, player):
-        with pytest.raises(ValueError, match=rf"player index {player!r} is not an integer"):
-            call(zero_game_setfn(4), 4, player)
+    def test_player_limit_is_checked_before_any_evaluation(self, call):
+        spy, seen = spy_setfn()
+        with pytest.raises(ValueError, match=f"limited to {EXACT_PLAYER_LIMIT} players"):
+            call(spy, EXACT_PLAYER_LIMIT + 1, 1)
+        assert seen == []
 
     def test_numpy_integer_indices_are_players(self, call):
         v, _ = make_game_setfn(random_game(make_rng(41), 4), make_rng(42).normal(size=4))
@@ -523,6 +524,13 @@ class TestExactArguments:
         with pytest.raises(TypeError, match="batch"):
             call(v, 4, 1)
         assert calls == []
+
+
+@pytest.mark.parametrize("player", [4, -1, 1.5, True])
+@pytest.mark.parametrize("call", PLAYER_CALLS.values(), ids=PLAYER_CALLS.keys())
+def test_bad_player_index_is_rejected(call, player):
+    with pytest.raises(ValueError, match=rf"player index {player!r} is not an integer"):
+        call(zero_game_setfn(4), 4, player)
 
 
 @settings(max_examples=40, deadline=None)
@@ -545,8 +553,12 @@ def test_exact_routines_match_the_per_subset_enumeration(n, kind, seed):
     for i in range(n):
         assert abs(shapley_value_exact(v, i, n)
                    - reference_interaction.shapley_value_exact(v, i, n)) <= tolerance
+    matrix = shapley_interaction_matrix_exact(v, n)
+    assert matrix.shape == (n, n) and (matrix == matrix.T).all() and (np.diag(matrix) == 0).all()
     for a, b in itertools.combinations(range(n), 2):
-        assert abs(shapley_interaction_exact(v, a, b, n)
+        # one table and one sum per pair: the matrix entry has the routine's bits
+        assert matrix[a, b] == shapley_interaction_exact(v, a, b, n)
+        assert abs(matrix[a, b]
                    - reference_interaction.shapley_interaction_exact(v, a, b, n)) <= tolerance
 
 
@@ -926,14 +938,6 @@ def test_an_omitted_rng_is_make_rng_0(n):
     np.testing.assert_array_equal(seen[0], seen[1])
 
 
-def table_setfn(v, n):
-    """A set function that scores all 2^n subsets with v once and then answers
-    v.batch from that table."""
-    table = v.batch(every_subset(n))
-    bits = 1 << np.arange(n)
-    return SimpleNamespace(batch=lambda masks: table[masks @ bits])
-
-
 # a 1x6x1 input has 15 pairs; tiny-conv needs sides divisible by 4, so 4x4x1
 # is its smallest input (n = 16, 120 pairs)
 EXACT_MEAN_SHAPES = {"softmax-linear": ImageShape(1, 6, 1), "mlp-1-hidden": ImageShape(1, 6, 1),
@@ -952,10 +956,8 @@ def test_sampler_agrees_with_the_exact_mean_interaction(kind, seed):
     rng = make_rng(seed, 36)
     x = rng.uniform(0, 255, size=shape.dims)
     v, n = make_model_setfn(model, x, rng.uniform(-1000, 1000, size=shape.dims), 0)
-    v = table_setfn(v, n)
-    per_pair = [shapley_interaction_exact(v, a, b, n)
-                for a, b in itertools.combinations(range(n), 2)]
-    assert len(per_pair) == n * (n - 1) // 2 and np.ptp(per_pair) > 1e-3
+    per_pair = shapley_interaction_matrix_exact(v, n)[np.triu_indices(n, 1)]
+    assert np.ptp(per_pair) > 1e-3
     est = expected_interaction_sampled(v, n, num_pairs=200, num_subsets=10,
                                        rng=make_rng(seed, 37))
     z = (est.value - np.mean(per_pair)) / est.stderr
