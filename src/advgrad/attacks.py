@@ -44,13 +44,13 @@ The loop calls the public gradient functions through this module's globals
 and the models' public `input_gradient`, so a profiler that rebinds them
 sees every step.
 
-Each step works in buffers it owns, with the operations of the public
-functions in the same order, so the bits are theirs: the momentum buffer
-takes ``g *= mu; grad /= l1; g += grad`` (`momentum_accumulate` returns
-``mu * g + grad / l1``), the iterate takes ``x += scale * direction`` (or
-``scale * sign(direction)``, as `apply_step`) and is clamped into the box in
-place, and `ensemble_gradient` adds every other model's gradient into the
-first one's.  The L1 norm is one ufunc reduction (`_l1`).
+The loop is the one definition of each step formula, worked in buffers it
+owns: the momentum buffer takes ``g *= mu; grad /= l1; g += grad``, that is
+``mu * g + grad / ||grad||_1`` with the L1 norm one ufunc reduction (`_l1`);
+the iterate takes ``x += scale * sign(direction)`` under the sign rule
+(sign(0) = 0) or ``x += scale * direction`` under a fixed or adaptive scale,
+and is clamped into the box in place.  `ensemble_gradient` adds every other
+model's gradient into the first one's.
 """
 
 from __future__ import annotations
@@ -76,13 +76,10 @@ __all__ = [
     "Emi",
     "AttackConfig",
     "AttackResult",
-    "momentum_accumulate",
     "dim_transform",
     "tim_smooth",
     "sim_gradient",
     "ensemble_gradient",
-    "ensemble_loss",
-    "apply_step",
     "project",
     "run_attack",
     "config_to_dict",
@@ -270,21 +267,6 @@ def _l1(grad):
     return np.add.reduce(np.abs(grad), axis=None)
 
 
-def momentum_accumulate(g_prev: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
-    """mu * g_prev + grad / ||grad||_1.
-
-    The attack loop already has the step's L1 norm and owns both arrays, so
-    it runs the same three operations in place, without this function's
-    checks and second norm.
-    """
-    if g_prev.shape != grad.shape:
-        raise ValueError("momentum and gradient shapes differ")
-    l1 = _l1(grad)
-    if l1 == 0.0:
-        raise DegenerateGradientError("zero gradient in momentum accumulation")
-    return mu * g_prev + grad / l1
-
-
 @functools.lru_cache(maxsize=128)
 def _dim_index(h: int, w: int, rh: int, rw: int):
     """Read-only np.ix_ index of the nearest-neighbour (rh, rw) shrink of an (h, w) image."""
@@ -398,15 +380,6 @@ def ensemble_gradient(models, x: np.ndarray, y) -> np.ndarray:
     return grad
 
 
-def ensemble_loss(models, x: np.ndarray, y: int) -> float:
-    """Mean of the per-model cross-entropy losses; one model's loss as is."""
-    if not models:
-        raise ValueError("need at least one source model")
-    if len(models) == 1:
-        return models[0].cross_entropy_loss(x, y)
-    return sum(m.cross_entropy_loss(x, y) for m in models) / len(models)
-
-
 def sim_gradient(models, x: np.ndarray, y, m: int) -> np.ndarray:
     """(1/m) sum_i grad of J(f(x / 2^i)); the 1/2^i chain-rule factor stays.
 
@@ -431,26 +404,6 @@ def _sim_scales(m: int, ndim: int) -> np.ndarray:
     scales = (0.5 ** np.arange(m)).reshape((m,) + (1,) * ndim)
     scales.flags.writeable = False
     return scales
-
-
-def apply_step(x_adv, direction, rule, gamma_override: float | None = None):
-    """One unprojected update, a fresh array; sign(0) = 0 in the sign rule.
-
-    The attack loop reads the rule's scale and kind once per attack and adds
-    the same update into its own iterate in place, without this function's
-    checks.
-    """
-    if x_adv.shape != direction.shape:
-        raise ValueError("iterate and direction shapes differ")
-    if isinstance(rule, SignStep):
-        return x_adv + rule.alpha * np.sign(direction)
-    if isinstance(rule, FixedScaleStep):
-        return x_adv + rule.gamma * direction
-    if isinstance(rule, AdaptiveStep):
-        if gamma_override is None:
-            raise ValueError("adaptive rule needs the per-step gamma")
-        return x_adv + gamma_override * direction
-    raise TypeError(f"unknown step rule {rule!r}")
 
 
 def _box(x_orig, epsilon):

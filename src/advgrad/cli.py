@@ -91,10 +91,18 @@ def _cmd_interaction(args):
     _run_and_print(cfg)
 
 
+# the metrics.csv columns report reads; seed is optional and defaults to 0
+_REPORT_COLUMNS = ("method", "source", "target", "asr", "mad", "rmsd", "epsilon", "steps")
+
+
 def _cmd_report(args):
-    rows = []
     with open(args.metrics, newline="") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in _REPORT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{args.metrics} has no {missing[0]!r} column")
+        rows = []
+        for rec in reader:
             rows.append(harness.MetricsRow(
                 method=rec["method"], source=rec["source"], target=rec["target"],
                 asr=float(rec["asr"]), mad=float(rec["mad"]),
@@ -156,10 +164,11 @@ def main(argv=None):
     p.set_defaults(func=_cmd_report)
 
     args = parser.parse_args(argv)
-    # a bad config, checkpoint or data file ends the run with its message
+    # a bad config, checkpoint or data file, or a path that cannot be opened
+    # (missing, a directory, unreadable), ends the run with its message
     try:
         args.func(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         sys.exit(str(err))
 
 

@@ -30,7 +30,6 @@ drift at 1e-12 relative at learning rate 1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ from .attacks import (
 )
 from .numerics import (
     ImageShape, _check_count, _check_seed, _conv3x3, _conv3x3_backward, _decode_arrays,
-    _encode_arrays, make_rng,
+    _encode_arrays, _read_checkpoint, _write_checkpoint, make_rng,
 )
 
 __all__ = [
@@ -55,6 +54,9 @@ __all__ = [
 ]
 
 GENERATOR_FORMAT = "advgrad-generator-v1"
+# every key of a generator checkpoint besides its format tag, all required
+_CHECKPOINT_KEYS = ("arch", "steps", "head_scale", "hidden", "conv_channels", "image_shape",
+                    "theta")
 _IN_EPS = 1e-5
 # train_generator draws its episodes in blocks of about this many bytes of
 # per-episode rows (iterate, gradient and box of each): 64 episodes at 8x8x1.
@@ -443,8 +445,7 @@ def run_attack_adaptive(gen: ScalingFactorGenerator, models, x, y,
 
 
 def save_generator(gen: ScalingFactorGenerator, path: str):
-    doc = {
-        "format": GENERATOR_FORMAT,
+    _write_checkpoint(path, GENERATOR_FORMAT, {
         "arch": gen.arch,
         "steps": gen.steps,
         "head_scale": gen.head_scale,
@@ -452,16 +453,13 @@ def save_generator(gen: ScalingFactorGenerator, path: str):
         "conv_channels": gen.conv_channels,
         "image_shape": list(gen.image_shape.dims),
         "theta": [_encode_arrays(step) for step in gen.theta],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    })
 
 
 def load_generator(path: str) -> ScalingFactorGenerator:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != GENERATOR_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
+    """Inverse of save_generator; a malformed checkpoint raises ValueError naming the problem."""
+    doc = _read_checkpoint(path, GENERATOR_FORMAT, _CHECKPOINT_KEYS, _CHECKPOINT_KEYS,
+                           "generator checkpoint")
     gen = ScalingFactorGenerator(
         doc["steps"], ImageShape(*doc["image_shape"]), arch=doc["arch"],
         head_scale=doc["head_scale"], hidden=doc["hidden"],

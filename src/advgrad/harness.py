@@ -36,6 +36,7 @@ __all__ = [
     "load_cifar_binary",
     "write_cifar_binary",
     "synth_dataset",
+    "build_dataset",
     "compute_metrics",
     "run_experiment",
     "emit_report",

@@ -21,15 +21,14 @@ column.  TinyConv's 2x2 pool adds four strided quarters on larger inputs
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import (
-    ImageShape, _check_count, _check_seed, _conv3x3, _conv3x3_backward, _decode_arrays,
-    _encode_arrays, make_rng,
+    ImageShape, _check_count, _check_keys, _check_seed, _conv3x3, _conv3x3_backward,
+    _decode_arrays, _encode_arrays, _read_checkpoint, _write_checkpoint, make_rng,
 )
 
 __all__ = [
@@ -142,6 +141,9 @@ class Model:
     """
 
     kind: str = ""
+    # the constructor arguments a checkpoint records, under "hyper", besides
+    # the image shape and class count
+    checkpoint_args: tuple[str, ...] = ()
 
     def __init__(self, image_shape: ImageShape, num_classes: int):
         self.check_image_shape(image_shape)
@@ -306,6 +308,7 @@ class SoftmaxLinear(Model):
 
 class TanhMLP(Model):
     kind = "mlp-1-hidden"
+    checkpoint_args = ("hidden",)
 
     def __init__(self, image_shape, num_classes, rng=None, hidden: int = 32):
         super().__init__(image_shape, num_classes)
@@ -397,6 +400,7 @@ class TinyConv(Model):
     """conv3x3 -> tanh -> avgpool2 -> conv3x3 -> tanh -> avgpool2 -> linear."""
 
     kind = "tiny-conv"
+    checkpoint_args = ("channels",)
 
     def __init__(self, image_shape, num_classes, rng=None, channels: tuple[int, int] = (6, 6)):
         super().__init__(image_shape, num_classes)
@@ -456,11 +460,16 @@ class TinyConv(Model):
 MODEL_CLASSES = {cls.kind: cls for cls in (SoftmaxLinear, TanhMLP, TinyConv)}
 
 
+def _model_class(kind) -> type[Model]:
+    # tuple membership compares with ==, so an unhashable kind is unknown too
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+    return MODEL_CLASSES[kind]
+
+
 def build_model(kind: str, image_shape: ImageShape, num_classes: int, seed: int = 0, **kwargs) -> Model:
     rng = make_rng(seed, stream=17)
-    if kind not in MODEL_CLASSES:
-        raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
-    return MODEL_CLASSES[kind](image_shape, num_classes, rng=rng, **kwargs)
+    return _model_class(kind)(image_shape, num_classes, rng=rng, **kwargs)
 
 
 def train_classifier(dataset: LabeledDataset, kind: str, cfg: TrainConfig, **kwargs):
@@ -495,34 +504,22 @@ def accuracy(model: Model, dataset: LabeledDataset) -> float:
 
 def save_model(model: Model, path: str):
     """Write a versioned JSON checkpoint (kind tag, shapes, parameter arrays)."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
+    _write_checkpoint(path, CHECKPOINT_FORMAT, {
         "kind": model.kind,
         "image_shape": list(model.image_shape.dims),
         "num_classes": model.num_classes,
-        "hyper": {},
+        "hyper": {name: getattr(model, name) for name in model.checkpoint_args},
         "params": _encode_arrays(model.params),
-    }
-    if isinstance(model, TanhMLP):
-        doc["hyper"]["hidden"] = model.hidden
-    if isinstance(model, TinyConv):
-        doc["hyper"]["channels"] = list(model.channels)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    })
 
 
 def load_model(path: str) -> Model:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {doc.get('format')!r}")
-    shape = ImageShape(*doc["image_shape"])
+    """Inverse of save_model; a malformed checkpoint raises ValueError naming the problem."""
+    doc = _read_checkpoint(path, CHECKPOINT_FORMAT,
+                           ("kind", "image_shape", "num_classes", "hyper", "params"),
+                           ("kind", "image_shape", "num_classes", "params"), "model checkpoint")
     hyper = doc.get("hyper", {})
-    kwargs = {}
-    if doc["kind"] == "mlp-1-hidden" and "hidden" in hyper:
-        kwargs["hidden"] = hyper["hidden"]
-    if doc["kind"] == "tiny-conv" and "channels" in hyper:
-        kwargs["channels"] = tuple(hyper["channels"])
-    model = build_model(doc["kind"], shape, doc["num_classes"], **kwargs)
+    _check_keys(hyper, _model_class(doc["kind"]).checkpoint_args, (), "model checkpoint hyper")
+    model = build_model(doc["kind"], ImageShape(*doc["image_shape"]), doc["num_classes"], **hyper)
     model.params.update(_decode_arrays(doc["params"], model.params, "model checkpoint"))
     return model

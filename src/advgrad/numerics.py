@@ -1,5 +1,7 @@
 """Shared numeric utilities: seeded RNG streams, finite-difference oracles,
-the Gaussian smoothing kernel, the conv primitive and the JSON codec helpers.
+the Gaussian smoothing kernel, the conv primitive and the JSON codec: the
+strict key check of configs and checkpoints, and the one checkpoint reader
+and writer.
 
 All array data is 64-bit float, and images are row-major ``(H, W, C)``
 arrays on the 0-255 pixel scale unless stated otherwise.
@@ -12,6 +14,7 @@ scatters the window gradients back with one `np.bincount`.
 
 from __future__ import annotations
 
+import json
 from dataclasses import MISSING, dataclass, fields
 from functools import lru_cache
 
@@ -35,8 +38,8 @@ class ImageShape:
     channels: int
 
     def __post_init__(self):
-        if self.height < 1 or self.width < 1 or self.channels < 1:
-            raise ValueError(f"all image dimensions must be >= 1, got {self}")
+        for name in ("height", "width", "channels"):
+            _check_count(f"image {name}", getattr(self, name), 1)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -261,6 +264,26 @@ def _check_keys(doc, known, required, what: str):
     for key in required:
         if key not in doc:
             raise ValueError(f"{what} is missing required key {key!r}")
+
+
+def _write_checkpoint(path: str, fmt: str, doc: dict):
+    """Write the JSON checkpoint ``{"format": fmt, **doc}`` to path."""
+    with open(path, "w") as fh:
+        json.dump({"format": fmt, **doc}, fh)
+
+
+def _read_checkpoint(path: str, fmt: str, known, required, what: str) -> dict:
+    """The JSON checkpoint at path.
+
+    ValueError unless it is an object tagged `fmt` whose other keys pass
+    `_check_keys` with `known` and `required`, the rule configs follow.
+    """
+    with open(path) as fh:
+        doc = json.load(fh)
+    if isinstance(doc, dict) and doc.get("format") != fmt:
+        raise ValueError(f"unsupported {what} format {doc.get('format')!r}, expected {fmt!r}")
+    _check_keys(doc, {"format", *known}, required, what)
+    return doc
 
 
 def _from_doc(cls, doc, what: str, convert=None, **runtime):

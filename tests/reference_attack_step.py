@@ -29,6 +29,8 @@ Some things differ from the library code they were copied from:
 `ScalingFactorGenerator._inputs`, `_forward` and `_backward_cache` of the
 single-image generator are functions taking the generator, and `_softplus`
 and `_sigmoid` are their scalar helpers, which the library no longer has.
+`momentum_accumulate` and `apply_step` are gone from the library too, whose
+loop holds the one definition of each step formula.
 """
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ import math
 import numpy as np
 
 from advgrad.attacks import (
-    AdaptiveStep, AttackResult, DegenerateGradientError, Dim, Emi, Sim, SignStep, Tim, Vt,
-    _box, _clamp, _tim_taps, apply_step,
+    AdaptiveStep, AttackResult, DegenerateGradientError, Dim, Emi, FixedScaleStep, Sim,
+    SignStep, Tim, Vt, _box, _clamp, _tim_taps,
 )
 from advgrad.generator import (
     ScalingFactorGenerator, _instance_norm, _instance_norm_backward,
@@ -54,6 +56,21 @@ def momentum_accumulate(g_prev: np.ndarray, grad: np.ndarray, mu: float) -> np.n
     if l1 == 0.0:
         raise DegenerateGradientError("zero gradient in momentum accumulation")
     return mu * g_prev + grad / l1
+
+
+def apply_step(x_adv, direction, rule, gamma_override: float | None = None):
+    """One unprojected update, a fresh array; sign(0) = 0 in the sign rule."""
+    if x_adv.shape != direction.shape:
+        raise ValueError("iterate and direction shapes differ")
+    if isinstance(rule, SignStep):
+        return x_adv + rule.alpha * np.sign(direction)
+    if isinstance(rule, FixedScaleStep):
+        return x_adv + rule.gamma * direction
+    if isinstance(rule, AdaptiveStep):
+        if gamma_override is None:
+            raise ValueError("adaptive rule needs the per-step gamma")
+        return x_adv + gamma_override * direction
+    raise TypeError(f"unknown step rule {rule!r}")
 
 
 def ensemble_gradient(models, x: np.ndarray, y: int) -> np.ndarray:

@@ -23,13 +23,10 @@ from advgrad.attacks import (
     Sim,
     Tim,
     Vt,
-    apply_step,
     config_from_dict,
     config_to_dict,
     dim_transform,
     ensemble_gradient,
-    ensemble_loss,
-    momentum_accumulate,
     project,
     run_attack,
     sim_gradient,
@@ -38,6 +35,7 @@ from advgrad.attacks import (
 from advgrad.generator import ScalingFactorGenerator
 from advgrad.models import build_model
 from advgrad.numerics import ImageShape, gaussian_kernel_2d, make_rng
+from reference_attack_step import momentum_accumulate
 
 SHAPE = ImageShape(8, 8, 1)
 
@@ -50,23 +48,47 @@ def random_image(seed=0):
     return make_rng(seed, 42).uniform(0.0, 255.0, size=SHAPE.dims)
 
 
+class FixedGradient:
+    """A source model whose input_gradient returns the next of `grads` at each
+    call, and the last one from then on; each call gets a fresh copy, which
+    the attack loop may change in place."""
+
+    num_classes = 2
+
+    def __init__(self, *grads):
+        self.grads = [np.array(g, dtype=np.float64) for g in grads]
+        self.calls = 0
+
+    def input_gradient(self, x, y):
+        grad = self.grads[min(self.calls, len(self.grads) - 1)]
+        self.calls += 1
+        return grad.copy()
+
+
+def attack_with(grads, x, rule, steps=1, momentum=None):
+    """The iterate after `steps` steps of run_attack from x with the gradients
+    `grads`, in a budget too wide to clamp."""
+    cfg = AttackConfig(epsilon=50.0, steps=steps, step_rule=rule, momentum=momentum)
+    return run_attack([FixedGradient(*grads)], [], x, 0, cfg).adversarial
+
+
 class TestStepRules:
     def test_sign_step_moves_by_alpha(self):
         x = np.zeros((2, 2, 1)) + 100.0
         d = np.array([[[3.0], [-0.5]], [[0.0], [2.0]]])
-        out = apply_step(x, d, SignStep(4.0))
+        out = attack_with([d], x, SignStep(4.0))
         assert np.array_equal(out, 100.0 + 4.0 * np.array([[[1.0], [-1.0]], [[0.0], [1.0]]]))
 
     def test_sign_of_zero_is_zero(self):
-        x = np.full((1, 1, 1), 10.0)
-        out = apply_step(x, np.zeros((1, 1, 1)), SignStep(5.0))
-        assert out[0, 0, 0] == 10.0
+        x = np.full((1, 2, 1), 10.0)
+        out = attack_with([[[[0.0], [1.0]]]], x, SignStep(5.0))
+        assert out[0, 0, 0] == 10.0 and out[0, 1, 0] == 15.0
 
     def test_fixed_scale_keeps_direction(self):
-        x = np.zeros((1, 2, 1))
+        x = np.full((1, 2, 1), 100.0)
         d = np.array([[[0.25], [-1.5]]])
-        out = apply_step(x, d, FixedScaleStep(2.0))
-        assert np.array_equal(out, 2.0 * d)
+        out = attack_with([d], x, FixedScaleStep(2.0))
+        assert np.array_equal(out - 100.0, 2.0 * d)
 
     @pytest.mark.parametrize("rule_cls", [SignStep, FixedScaleStep])
     def test_rejects_nonpositive_magnitude(self, rule_cls):
@@ -78,10 +100,6 @@ class TestStepRules:
     def test_rejects_non_finite_magnitude(self, rule_cls, value):
         with pytest.raises(ValueError, match="finite"):
             rule_cls(value)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_step(np.zeros((2, 2, 1)), np.zeros((2, 1, 1)), SignStep(1.0))
 
 
 class TestProjection:
@@ -126,26 +144,35 @@ class TestProjection:
 
 
 class TestMomentum:
+    """The loop's momentum buffer, mu * g + grad / ||grad||_1, seen through
+    a fixed scale of 1 from pixels at 100."""
+
     def test_hand_computed_accumulation(self):
-        # grad (0.5, -0.5) has L1 norm 1, so with mu=1 and g_prev=(0.5, -0.5)
-        # the update lands exactly on (1, -1)
-        g_prev = np.array([0.5, -0.5])
-        grad = np.array([0.5, -0.5])
-        out = momentum_accumulate(g_prev, grad, 1.0)
-        assert np.array_equal(out, np.array([1.0, -1.0]))
+        # grad (0.5, -0.5) has L1 norm 1, so with mu=1 the buffer is
+        # (0.5, -0.5) after one step and lands exactly on (1, -1) after two
+        x = np.full((1, 2, 1), 100.0)
+        out = attack_with([[[[0.5], [-0.5]]]], x, FixedScaleStep(1.0), steps=2, momentum=1.0)
+        assert np.array_equal(out[0, :, 0], [101.5, 98.5])
 
     def test_l1_normalization(self):
-        out = momentum_accumulate(np.zeros(3), np.array([2.0, -6.0, 0.0]), 0.9)
-        assert np.array_equal(out, np.array([0.25, -0.75, 0.0]))
-        assert np.abs(out).sum() == pytest.approx(1.0)
+        x = np.full((1, 3, 1), 100.0)
+        out = attack_with([[[[2.0], [-6.0], [0.0]]]], x, FixedScaleStep(1.0), momentum=0.9)
+        assert np.array_equal(out[0, :, 0] - 100.0, [0.25, -0.75, 0.0])
 
     def test_zero_decay_forgets_history(self):
-        out = momentum_accumulate(np.array([5.0, 5.0]), np.array([1.0, 0.0]), 0.0)
-        assert np.array_equal(out, np.array([1.0, 0.0]))
+        x = np.full((1, 2, 1), 100.0)
+        grads = [[[[1.0], [1.0]]], [[[1.0], [0.0]]]]
+        out = attack_with(grads, x, FixedScaleStep(1.0), steps=2, momentum=0.0)
+        # step one moves by (0.5, 0.5), step two by (1, 0) alone
+        assert np.array_equal(out[0, :, 0], [101.5, 100.5])
 
-    def test_zero_gradient_raises(self):
-        with pytest.raises(DegenerateGradientError):
-            momentum_accumulate(np.zeros(2), np.zeros(2), 1.0)
+    def test_zero_gradient_stops_the_attack(self):
+        # a zero gradient has no L1 norm to divide by: the attack stops there
+        x = np.full((1, 2, 1), 100.0)
+        cfg = AttackConfig(epsilon=50.0, steps=3, step_rule=FixedScaleStep(1.0), momentum=1.0)
+        res = run_attack([FixedGradient(np.zeros((1, 2, 1)))], [], x, 0, cfg)
+        assert res.early_stopped and res.steps_used == 0
+        assert np.array_equal(res.adversarial, x)
 
 
 class TestDimTransform:
@@ -280,13 +307,6 @@ class TestGradientHelpers:
         x = random_image(5)
         expected = sum(m.input_gradient(x, 1) for m in models) / 3
         assert np.allclose(ensemble_gradient(models, x, 1), expected, atol=1e-15)
-
-    def test_ensemble_loss_is_mean(self):
-        models = make_models(2)
-        x = random_image(6)
-        expected = (models[0].cross_entropy_loss(x, 0)
-                    + models[1].cross_entropy_loss(x, 0)) / 2
-        assert ensemble_loss(models, x, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError):

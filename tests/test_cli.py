@@ -153,6 +153,32 @@ def test_a_config_path_that_does_not_exist_exits_with_its_message(tmp_path):
         main(["attack", "--config", str(missing)])
 
 
+def test_a_directory_as_config_exits_with_its_message(tmp_path):
+    # opening a directory raises IsADirectoryError, an OSError but no FileNotFoundError
+    with pytest.raises(SystemExit, match=re.escape(f"Is a directory: '{tmp_path}'")):
+        main(["attack", "--config", str(tmp_path)])
+
+
+def test_report_names_a_missing_column(tmp_path):
+    path = tmp_path / "metrics.csv"
+    path.write_text("method,source\nbim,mlp\n")
+    with pytest.raises(SystemExit, match="has no 'target' column"):
+        main(["report", "--metrics", str(path)])
+
+
+def test_a_pool_checkpoint_without_kind_exits_with_its_message(tmp_path):
+    path = tmp_path / "a.json"
+    main(["train-model", "--kind", "softmax-linear", "--n", "30", "--epochs", "1",
+          "--out", str(path)])
+    doc = json.loads(path.read_text())
+    del doc["kind"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match="missing required key 'kind'"):
+        main(["train-generator", "--pool", str(path), str(path), "--n", "30",
+              "--steps", "2", "--total-steps", "3", "--out", str(tmp_path / "gen.json")])
+    assert not (tmp_path / "gen.json").exists()
+
+
 def test_verify_props_is_not_a_command(capsys):
     # its closed-form checks are acceptance criteria 2-5
     with pytest.raises(SystemExit) as exc:

@@ -611,6 +611,25 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=message):
             load_generator(str(path))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: [doc], "generator checkpoint must be a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "steps"},
+         "missing required key 'steps'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "image_shape"},
+         "missing required key 'image_shape'"),
+        (lambda doc: {**doc, "seed": 0}, "unknown key 'seed' in generator checkpoint"),
+        (lambda doc: {**doc, "image_shape": [8.0, 8, 1]},
+         "image height must be an integer, got 8.0"),
+    ], ids=["list", "no-steps", "no-image-shape", "unknown-key", "float-dim"])
+    def test_rejects_a_malformed_checkpoint(self, tmp_path, edit, message):
+        # unchecked, a list raised AttributeError, a missing key KeyError, and
+        # an unknown key loaded silently
+        path = tmp_path / "gen.json"
+        save_generator(small_generator(), str(path))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=message):
+            load_generator(str(path))
+
     def test_loads_the_v1_layout(self, tmp_path):
         # a checkpoint in the advgrad-generator-v1 layout, written by hand
         step = {

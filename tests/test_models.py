@@ -41,6 +41,11 @@ def random_image(rng, shape=SHAPE):
     return rng.uniform(0.0, 255.0, size=shape.dims)
 
 
+def without(key):
+    """A checkpoint edit that drops key from the document."""
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
 def tiny_dataset(n=30, seed=0, num_classes=3):
     rng = make_rng(seed, 50)
     images = rng.uniform(0.0, 255.0, size=(n,) + SHAPE.dims)
@@ -662,6 +667,30 @@ class TestCheckpoints:
         doc = json.loads(path.read_text())
         edit(doc["params"])
         path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        ("mlp-1-hidden", lambda doc: [doc], "model checkpoint must be a JSON object"),
+        ("mlp-1-hidden", without("kind"), "missing required key 'kind'"),
+        ("mlp-1-hidden", without("image_shape"), "missing required key 'image_shape'"),
+        ("mlp-1-hidden", lambda doc: {**doc, "kind": ["tiny-conv"]}, "unknown model kind"),
+        ("mlp-1-hidden", lambda doc: {**doc, "seed": 0},
+         "unknown key 'seed' in model checkpoint"),
+        ("mlp-1-hidden", lambda doc: {**doc, "hyper": {"hidden": 32, "width": 2}},
+         "unknown key 'width' in model checkpoint hyper"),
+        ("softmax-linear", lambda doc: {**doc, "hyper": {"hidden": 32}},
+         "unknown key 'hidden' in model checkpoint hyper"),
+        ("mlp-1-hidden", lambda doc: {**doc, "image_shape": [8.0, 8, 1]},
+         "image height must be an integer, got 8.0"),
+    ], ids=["list", "no-kind", "no-image-shape", "list-kind", "unknown-key", "unknown-hyper",
+            "hyper-of-another-kind", "float-dim"])
+    def test_rejects_a_malformed_checkpoint(self, tmp_path, kind, edit, message):
+        # unchecked, a list raised AttributeError, a missing key KeyError, and
+        # an unknown key loaded silently
+        path = tmp_path / "model.json"
+        save_model(build_model(kind, SHAPE, 3, seed=6), str(path))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=message):
             load_model(str(path))
 

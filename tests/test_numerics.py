@@ -28,7 +28,8 @@ class TestImageShape:
     def test_rgb_size(self):
         assert ImageShape(32, 32, 3).size == 3072
 
-    @pytest.mark.parametrize("dims", [(0, 8, 1), (8, 0, 1), (8, 8, 0), (-1, 8, 1)])
+    @pytest.mark.parametrize("dims", [(0, 8, 1), (8, 0, 1), (8, 8, 0), (-1, 8, 1),
+                                      (8.0, 8, 1), (True, 8, 1)])
     def test_rejects_degenerate_dims(self, dims):
         with pytest.raises(ValueError):
             ImageShape(*dims)
