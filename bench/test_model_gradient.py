@@ -8,6 +8,9 @@ return the same bits (``tests/test_models.py``).  Every kind runs at 8x8x1
 with 3 classes, on one (H, W, C) image (N = 1, the attack step's call), on
 14 rows (an experiment cell of 12 examples is of that size) and on 32 rows
 (the training minibatch and predict's chunk), with one label for every row.
+Batched predict of the MLP and the tiny convnet also runs on 480 rows, an
+eval set's accuracy pass, beside one forward pass per 32-row chunk (predict
+before whole chunks were stacked; the same classes).
 Run from the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_model_gradient.py --benchmark-max-time=1 \
@@ -21,10 +24,11 @@ The tier-1 suite does not collect this directory; ``tests/test_bench_smoke.py``
 runs each case once, untimed.
 """
 
+import numpy as np
 import pytest
 
 import reference_models
-from advgrad.models import MODEL_KINDS, build_model
+from advgrad.models import CHUNK_ROWS, MODEL_KINDS, build_model
 from advgrad.numerics import ImageShape, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
@@ -54,3 +58,18 @@ def test_input_gradient(benchmark, kind, rows, path):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_predict(benchmark, kind, rows, path):
     benchmark(_model(kind, path).predict, _inputs(rows))
+
+
+def _chunk_loop_predict(model, x):
+    """The classes of batch x from one forward pass per CHUNK_ROWS rows."""
+    return np.concatenate([
+        np.argmax(model._forward(model._standardize(x[start:start + CHUNK_ROWS]))[0], axis=1)
+        for start in range(0, len(x), CHUNK_ROWS)])
+
+
+@pytest.mark.parametrize("path", ("library", "chunk-loop"))
+@pytest.mark.parametrize("kind", ["mlp-1-hidden", "tiny-conv"])
+def test_predict_480_rows(benchmark, kind, path):
+    model, x = _model(kind, "library"), _inputs(480)
+    predict = model.predict if path == "library" else lambda x: _chunk_loop_predict(model, x)
+    assert np.array_equal(benchmark(predict, x), model.predict(x))

@@ -31,6 +31,7 @@ drift at 1e-12 relative at learning rate 1).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ from .attacks import (
     AdaptiveStep, AttackConfig, AttackResult, _attack_loop, _box, _clamp, project,
 )
 from .numerics import (
-    ImageShape, _check_count, _check_seed, _conv3x3, _conv3x3_backward, _decode_arrays,
-    _encode_arrays, _read_checkpoint, _write_checkpoint, make_rng,
+    ImageShape, _check_count, _check_pair, _check_seed, _conv3x3, _conv3x3_backward,
+    _decode_arrays, _encode_arrays, _image_shape, _read_checkpoint, _write_checkpoint, make_rng,
 )
 
 __all__ = [
@@ -115,12 +116,9 @@ class ScalingFactorGenerator:
         if arch not in ("mlp", "conv"):
             raise ValueError(f"unknown generator architecture {arch!r}")
         # a NaN fails every comparison, so the check asks for the valid range
-        if not 0 < head_scale < math.inf:
+        if not (isinstance(head_scale, numbers.Real) and 0 < head_scale < math.inf):
             raise ValueError(f"head scale must be positive and finite, got {head_scale!r}")
-        if not isinstance(hidden, (tuple, list)) or len(hidden) != 2:
-            raise ValueError(f"hidden must be two integers, got {hidden!r}")
-        for i, width in enumerate(hidden):
-            _check_count(f"hidden[{i}]", width, 1)
+        _check_pair("hidden", hidden)
         _check_count("conv_channels", conv_channels, 1)
         if arch == "conv" and (image_shape.height < 8 or image_shape.height % 8
                                or image_shape.width % 8):
@@ -461,7 +459,7 @@ def load_generator(path: str) -> ScalingFactorGenerator:
     doc = _read_checkpoint(path, GENERATOR_FORMAT, _CHECKPOINT_KEYS, _CHECKPOINT_KEYS,
                            "generator checkpoint")
     gen = ScalingFactorGenerator(
-        doc["steps"], ImageShape(*doc["image_shape"]), arch=doc["arch"],
+        doc["steps"], _image_shape(doc["image_shape"], "generator checkpoint"), arch=doc["arch"],
         head_scale=doc["head_scale"], hidden=doc["hidden"],
         conv_channels=doc["conv_channels"],
     )

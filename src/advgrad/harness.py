@@ -26,7 +26,9 @@ from .models import (
     load_model,
     train_classifier,
 )
-from .numerics import ImageShape, _check_count, _check_keys, _check_seed, _from_doc, make_rng
+from .numerics import (
+    ImageShape, _check_count, _check_keys, _check_seed, _from_doc, _image_shape, make_rng,
+)
 
 __all__ = [
     "MetricsRow",
@@ -297,16 +299,10 @@ def build_dataset(spec: dict) -> LabeledDataset:
     _check_keys(spec, {"kind", "seed", "n", "image_shape", "num_classes"}, ("kind", "n"),
                 "dataset spec")
     n, num_classes = spec["n"], spec.get("num_classes", 3)
-    dims = spec.get("image_shape", (8, 8, 1))
     _check_count("dataset spec: n", n, 2)
     _check_count("dataset spec: num_classes", num_classes, 1)
-    if not isinstance(dims, (list, tuple)) or len(dims) != 3:
-        raise ValueError("dataset spec: image_shape must be [height, width, channels], "
-                         f"got {dims!r}")
-    for name, value in zip(("height", "width", "channels"), dims):
-        _check_count(f"dataset spec: image_shape {name}", value, 1)
-    return synth_dataset(kind, n, ImageShape(*dims), spec.get("seed", 0),
-                         num_classes=num_classes)
+    shape = _image_shape(spec.get("image_shape", (8, 8, 1)), "dataset spec")
+    return synth_dataset(kind, n, shape, spec.get("seed", 0), num_classes=num_classes)
 
 
 def _prepare_models(specs, references, train_set: LabeledDataset, labels):

@@ -69,18 +69,6 @@ __all__ = [
 ]
 
 EXACT_PLAYER_LIMIT = 20
-# rows per GEMM when a model set function scores its masks.  A matrix
-# product's row bits depend on its row count, so this also fixes the bits of
-# every reward; and it keeps the im2col buffers, and so peak memory, small on
-# large images
-SETFN_CHUNK = 32
-# bytes of standardized input per stacked forward pass of a model set function,
-# or one chunk if that is more: 4 chunks at 8x8x1, 1 at 16x16x3.  That input is
-# the select's int64 temporary viewed as float64, so the budget bounds it too.
-# It keeps a pass's temporaries below glibc's 128 KiB mmap threshold, so they
-# reuse heap memory; 576 rows in one pass took about 112 minor page faults per
-# estimate
-SETFN_BLOCK_BYTES = 1 << 16
 # rows per v.batch call when the exact routines tabulate all 2^n subsets
 _TABLE_BLOCK = 1 << 14
 
@@ -272,12 +260,11 @@ def make_model_setfn(model, x: np.ndarray, delta: np.ndarray, y: int):
     on their IEEE bit patterns, equal to np.where bit for bit, whose cost does
     not depend on the mask.  np.where's per-unit branch mispredicts on the
     sampler's random masks: at the workload setting it takes 98 us of an
-    estimate, and this select 41 us.  The rows run through the model in chunks of
-    SETFN_CHUNK, one GEMM per chunk: the whole chunks in stacks of at most
-    SETFN_BLOCK_BYTES of input (at least one chunk) per forward pass, and a
-    last, shorter chunk in a pass of its own.  So every reward has the bits
-    of a forward pass over its own chunk.  The inputs are checked here, once,
-    because the batched path skips the model's per-call input check.
+    estimate, and this select 41 us.  The model's _chunk_logits scores the
+    rows and fixes their bits; each of its blocks selects its own rows, so
+    the select's int64 temporary stays within the model's block budget.  The
+    inputs are checked here, once, because the batched path skips the
+    model's per-call input check.
     """
     dims = _check_image_shapes(model, x, delta, "delta")
     x = np.asarray(x, dtype=np.float64)
@@ -290,22 +277,10 @@ def make_model_setfn(model, x: np.ndarray, delta: np.ndarray, y: int):
     clean = model._standardize(x).reshape(-1)
     select = _exact_select(model._standardize(x + flat.reshape(dims)).reshape(-1), clean)
     rivals = np.delete(np.arange(model.num_classes), y)
-    block_rows = SETFN_CHUNK * max(1, SETFN_BLOCK_BYTES // (SETFN_CHUNK * clean.nbytes))
-
-    def forward(rows, lead):
-        logits, _ = model._forward(select(rows).reshape(lead + dims))
-        return logits.reshape(len(rows), -1)
 
     def batch(masks):
         masks = _check_masks(masks, flat.size)
-        logits = np.empty((len(masks), model.num_classes))
-        whole = len(masks) - len(masks) % SETFN_CHUNK
-        for start in range(0, whole, block_rows):
-            stop = min(start + block_rows, whole)
-            logits[start:stop] = forward(masks[start:stop], (-1, SETFN_CHUNK))
-        if whole < len(masks):
-            # padded to a whole chunk, these rows would take other bits
-            logits[whole:] = forward(masks[whole:], (-1,))
+        logits = model._chunk_logits(len(masks), lambda a, b: select(masks[a:b]))
         return logits[:, rivals].max(axis=1) - logits[:, y]
 
     return _subset_setfn(batch, flat.size)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (
-    ImageShape, _check_count, _check_keys, _check_seed, _conv3x3, _conv3x3_backward,
-    _decode_arrays, _encode_arrays, _read_checkpoint, _write_checkpoint, make_rng,
+    ImageShape, _check_count, _check_keys, _check_pair, _check_seed, _conv3x3, _conv3x3_backward,
+    _decode_arrays, _encode_arrays, _image_shape, _read_checkpoint, _write_checkpoint, make_rng,
 )
 
 __all__ = [
@@ -49,9 +49,15 @@ MODEL_KINDS = ("softmax-linear", "mlp-1-hidden", "tiny-conv")
 
 CHECKPOINT_FORMAT = "advgrad-model-v1"
 
-# rows per forward pass when predict scores a batch: minibatch-sized chunks
-# keep the im2col buffers, and so peak memory, small
-PREDICT_CHUNK = 32
+# _chunk_logits scores many rows CHUNK_ROWS per GEMM.  A product's row bits
+# depend on its row count, so this fixes the bits of batched predict and of
+# interaction's model set function.  Whole chunks are stacked up to
+# BLOCK_BYTES of standardized input per forward pass (at least one chunk: 4 at
+# 8x8x1, 1 at 16x16x3), below glibc's 128 KiB mmap threshold, so temporaries
+# reuse heap memory (576 rows in one pass took about 112 minor page faults per
+# interaction estimate); small chunks keep the im2col buffers small.
+CHUNK_ROWS = 32
+BLOCK_BYTES = 1 << 16
 
 
 @dataclass
@@ -147,6 +153,7 @@ class Model:
 
     def __init__(self, image_shape: ImageShape, num_classes: int):
         self.check_image_shape(image_shape)
+        _check_count("num_classes", num_classes, 1)
         self.image_shape = image_shape
         self.num_classes = num_classes
         self.params: dict[str, np.ndarray] = {}
@@ -216,22 +223,37 @@ class Model:
         out, _ = self._forward(self._standardize(self._check_input(x)))
         return out
 
+    def _chunk_logits(self, count: int, rows) -> np.ndarray:
+        """(count, num_classes) logits; rows(a, b) gives standardized rows
+        [a, b) in any shape that holds b - a images.  One GEMM per CHUNK_ROWS
+        rows: whole chunks in stacks of up to BLOCK_BYTES of input (at least
+        one chunk) per forward pass, then a last, shorter chunk in a pass of
+        its own (padded, its rows would take other bits).  So each row has
+        the bits of a forward pass over its own chunk."""
+        dims = self.image_shape.dims
+        block = CHUNK_ROWS * max(1, BLOCK_BYTES // (CHUNK_ROWS * 8 * self.image_shape.size))
+        logits = np.empty((count, self.num_classes))
+        whole = count - count % CHUNK_ROWS
+        for start in range(0, whole, block):
+            stop = min(start + block, whole)
+            stack, _ = self._forward(rows(start, stop).reshape((-1, CHUNK_ROWS) + dims))
+            logits[start:stop] = stack.reshape(stop - start, -1)
+        if whole < count:
+            logits[whole:] = self._forward(rows(whole, count).reshape((-1,) + dims))[0]
+        return logits
+
     def predict(self, x: np.ndarray):
         """The class of one (H, W, C) image as an int, or the (N,) int64 classes
-        of an (N, H, W, C) batch, which runs the core PREDICT_CHUNK rows at a
-        time.  np.argmax breaks ties toward the lowest class index.  A batch
-        row's logits can differ from the image's own in the last bits, so a
+        of an (N, H, W, C) batch, whose logits come from _chunk_logits.
+        np.argmax breaks ties toward the lowest class index.  A batch row's
+        logits can differ from the image's own in the last bits, so a
         near-tie may go the other way."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4:
             return int(np.argmax(self.logits(x)))
         self._check_rows(x)
-        classes = np.empty(len(x), dtype=np.int64)
-        for start in range(0, len(x), PREDICT_CHUNK):
-            chunk = slice(start, start + PREDICT_CHUNK)
-            logits, _ = self._forward(self._standardize(x[chunk]))
-            classes[chunk] = np.argmax(logits, axis=1)
-        return classes
+        logits = self._chunk_logits(len(x), lambda a, b: self._standardize(x[a:b]))
+        return np.argmax(logits, axis=1).astype(np.int64, copy=False)
 
     def cross_entropy_loss(self, x: np.ndarray, y: int) -> float:
         _check_label(y, self.num_classes)
@@ -312,6 +334,7 @@ class TanhMLP(Model):
 
     def __init__(self, image_shape, num_classes, rng=None, hidden: int = 32):
         super().__init__(image_shape, num_classes)
+        _check_count("hidden", hidden, 1)
         self.hidden = hidden
         d = image_shape.size
         rng = rng or make_rng(0)
@@ -404,6 +427,7 @@ class TinyConv(Model):
 
     def __init__(self, image_shape, num_classes, rng=None, channels: tuple[int, int] = (6, 6)):
         super().__init__(image_shape, num_classes)
+        _check_pair("channels", channels)
         self.channels = tuple(channels)
         c1, c2 = self.channels
         rng = rng or make_rng(0)
@@ -520,6 +544,7 @@ def load_model(path: str) -> Model:
                            ("kind", "image_shape", "num_classes", "params"), "model checkpoint")
     hyper = doc.get("hyper", {})
     _check_keys(hyper, _model_class(doc["kind"]).checkpoint_args, (), "model checkpoint hyper")
-    model = build_model(doc["kind"], ImageShape(*doc["image_shape"]), doc["num_classes"], **hyper)
+    model = build_model(doc["kind"], _image_shape(doc["image_shape"], "model checkpoint"),
+                        doc["num_classes"], **hyper)
     model.params.update(_decode_arrays(doc["params"], model.params, "model checkpoint"))
     return model

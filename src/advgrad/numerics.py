@@ -89,6 +89,25 @@ def _check_count(name: str, value, least=None):
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
+def _check_pair(name: str, values):
+    """ValueError unless values is a list or tuple of two integers >= 1."""
+    if not isinstance(values, (tuple, list)) or len(values) != 2:
+        raise ValueError(f"{name} must be two integers, got {values!r}")
+    for i, value in enumerate(values):
+        _check_count(f"{name}[{i}]", value, 1)
+
+
+def _image_shape(dims, what: str) -> ImageShape:
+    """The ImageShape of a JSON [height, width, channels] list; ValueError
+    naming `what`, the checkpoint or spec it was read from, otherwise."""
+    if not isinstance(dims, (list, tuple)) or len(dims) != 3:
+        raise ValueError(f"{what}: image_shape must be [height, width, channels], got {dims!r}")
+    try:
+        return ImageShape(*dims)
+    except ValueError as err:
+        raise ValueError(f"{what}: {err}") from None
+
+
 def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function of a vector.
 

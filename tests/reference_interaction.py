@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from advgrad.interaction import EXACT_PLAYER_LIMIT, SETFN_CHUNK, _check_masks
+from advgrad.interaction import EXACT_PLAYER_LIMIT, _check_masks
+from advgrad.models import CHUNK_ROWS as SETFN_CHUNK
 
 
 def model_setfn_batch(model, x: np.ndarray, delta: np.ndarray, y: int):

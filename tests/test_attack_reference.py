@@ -74,13 +74,13 @@ class TestRunAttack:
         counts=st.sampled_from(["small", "default"]),
         momentum=st.sampled_from([None, 1.0, 0.5]),
         rule=st.sampled_from(["sign", "fixed", "adaptive"]),
-        targeted=st.booleans(),
+        target_label=st.sampled_from([None, 2]),
         epsilon=st.sampled_from([0.0, 8.0, 64.0, math.inf]),
         steps=st.integers(0, 4),
         seed=st.integers(0, 2**16),
     )
     def test_equals_the_reference_loop(self, kind, shape, n_models, transforms, counts,
-                                       momentum, rule, targeted, epsilon, steps, seed):
+                                       momentum, rule, target_label, epsilon, steps, seed):
         models = [build_model(kind, shape, 3, seed=seed + s) for s in range(n_models)]
         x = make_rng(seed, 63).uniform(0.0, 255.0, size=shape.dims)
         if rule == "sign":
@@ -93,7 +93,7 @@ class TestRunAttack:
                 steps, shape, hidden=(4, 2), seed=seed, head_scale=1e3))
         kwargs = dict(epsilon=epsilon, steps=steps, step_rule=step_rule, momentum=momentum,
                       transforms=tuple(TRANSFORMS[counts][t] for t in transforms),
-                      targeted=targeted, target_label=2 if targeted else None)
+                      target_label=target_label)
         if epsilon == math.inf and "vt" in transforms:
             # VT's neighbour radius beta * epsilon would be infinite
             with pytest.raises(ValueError, match="finite epsilon"):

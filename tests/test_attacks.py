@@ -377,7 +377,7 @@ class TestAttackLoop:
         x = random_image(13)
         target = (models[0].predict(x) + 1) % 3
         cfg = AttackConfig(epsilon=64.0, steps=10, step_rule=SignStep(6.4),
-                           targeted=True, target_label=target)
+                           target_label=target)
         res = run_attack(models, models, x, (target + 1) % 3, cfg, make_rng(0))
         before = models[0].cross_entropy_loss(x, target)
         after = models[0].cross_entropy_loss(res.adversarial, target)
@@ -386,7 +386,7 @@ class TestAttackLoop:
     def test_targeted_rejects_matching_label(self):
         models = make_models(1)
         cfg = AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0),
-                           targeted=True, target_label=1)
+                           target_label=1)
         with pytest.raises(ValueError):
             run_attack(models, models, random_image(14), 1, cfg, make_rng(0))
 
@@ -404,7 +404,7 @@ class TestAttackLoop:
     def test_rejects_a_target_label_the_models_do_not_have(self, steps):
         models = make_models(1)
         cfg = AttackConfig(epsilon=8.0, steps=steps, step_rule=SignStep(1.0),
-                           targeted=True, target_label=9)
+                           target_label=9)
         with pytest.raises(ValueError, match="label 9 out of range"):
             run_attack(models, models, random_image(14), 0, cfg, make_rng(0))
 
@@ -416,14 +416,17 @@ class TestAttackLoop:
         with pytest.raises(ValueError, match="out of range for 2 classes"):
             run_attack(source, target, random_image(14), 2, cfg, make_rng(0))
 
-    def test_targeted_config_needs_label(self):
-        with pytest.raises(ValueError):
+    def test_targeted_is_not_a_constructor_argument(self):
+        # it was a field that had to equal target_label is not None
+        with pytest.raises(TypeError, match="targeted"):
             AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0), targeted=True)
 
-    def test_target_label_needs_targeted(self):
-        # an untargeted config with a target label ran and was scored untargeted
-        with pytest.raises(ValueError, match="target_label is set but targeted is False"):
-            AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0), target_label=2)
+    def test_a_target_label_makes_the_config_targeted(self):
+        untargeted = AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0))
+        targeted = dataclasses.replace(untargeted, target_label=2)
+        assert (untargeted.targeted, targeted.targeted) == (False, True)
+        with pytest.raises(AttributeError):
+            targeted.targeted = False
 
     # NaN fails every comparison, so a `value < 0` check lets it through
     @pytest.mark.parametrize("field,value", [("epsilon", math.nan), ("momentum", math.nan),
@@ -553,7 +556,7 @@ class TestAttackLoop:
         x = random_image(20)
         cfg = AttackConfig(epsilon=8.0, steps=3, step_rule=AdaptiveStep(gen), momentum=1.0,
                            transforms=(Dim(), Tim(), Sim(), Vt(n=2), Emi(n=2)),
-                           targeted=True, target_label=2)
+                           target_label=2)
         res = run_attack(models, models, x, 0, cfg, make_rng(1))
         again = run_attack(models, models, x, 0, cfg, make_rng(1))
         assert np.array_equal(res.adversarial, again.adversarial)
@@ -565,8 +568,7 @@ class TestAttackLoop:
     NO_TRANSFORMS = [
         AttackConfig(epsilon=16.0, steps=4, step_rule=SignStep(4.0)),
         AttackConfig(epsilon=16.0, steps=4, step_rule=FixedScaleStep(64.0), momentum=1.0),
-        AttackConfig(epsilon=16.0, steps=4, step_rule=SignStep(4.0), targeted=True,
-                     target_label=2),
+        AttackConfig(epsilon=16.0, steps=4, step_rule=SignStep(4.0), target_label=2),
         AttackConfig(epsilon=16.0, steps=3, momentum=1.0, step_rule=AdaptiveStep(
             ScalingFactorGenerator(3, SHAPE, hidden=(4, 2), head_scale=1e3))),
     ]
@@ -766,7 +768,7 @@ class TestBatchedPipeline:
                 steps, shape, hidden=(4, 2), seed=seed, head_scale=1e3)),
         }[rule]()
         cfg = AttackConfig(epsilon=16.0, steps=steps, step_rule=step_rule, momentum=momentum,
-                           transforms=tuple(transforms), targeted=targeted,
+                           transforms=tuple(transforms),
                            target_label=2 if targeted else None)
         rng_new, rng_ref = make_rng(seed, 64), make_rng(seed, 64)
         new = run_attack(models, models, x, 0, cfg, rng_new)
@@ -910,7 +912,7 @@ class TestBatchedLoop:
         }[rule]()
         cfg = AttackConfig(epsilon=16.0, steps=steps, step_rule=step_rule, momentum=momentum,
                            transforms=tuple(self.TRANSFORMS[t] for t in transforms),
-                           targeted=targeted, target_label=2 if targeted else None)
+                           target_label=2 if targeted else None)
         targets = models[:1] + [build_model("tiny-conv", shape, 3, seed=9)]
         batch_rngs, row_rngs = self.streams(cfg, seed, n), self.streams(cfg, seed, n)
         rows = attacks._attack_loop(sources, targets, images, labels, cfg, batch_rngs)
@@ -1022,7 +1024,7 @@ class TestConfigSerialization:
             epsilon=8.0, steps=10, step_rule=SignStep(0.8), momentum=1.0,
             transforms=(Dim(p=0.5), Tim(k=5, sigma=1.2), Sim(m=3), Vt(n=4, beta=1.0),
                         Emi(n=5, eta=3.0)),
-            targeted=True, target_label=2,
+            target_label=2,
         )
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
@@ -1052,7 +1054,7 @@ class TestConfigSerialization:
         cfg = AttackConfig(
             epsilon=data.draw(st.floats(0.0, 255.0), label="epsilon"), steps=steps,
             step_rule=rule, momentum=data.draw(st.none() | st.floats(0.0, 2.0), label="mu"),
-            transforms=transforms, targeted=target is not None, target_label=target,
+            transforms=transforms, target_label=target,
         )
         assert config_from_dict(config_to_dict(cfg), generator=gen) == cfg
 
@@ -1101,9 +1103,11 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="generator instance"):
             config_from_dict({**self.BASE, "step_rule": {"type": "adaptive"}})
 
-    def test_a_target_label_without_targeted_in_a_doc_raises(self):
-        with pytest.raises(ValueError, match="target_label is set but targeted is False"):
-            config_from_dict({**self.BASE, "target_label": 2})
+    def test_a_targeted_key_in_a_doc_is_unknown(self):
+        # target_label alone makes a config targeted
+        assert config_from_dict({**self.BASE, "target_label": 2}).targeted
+        with pytest.raises(ValueError, match="unknown key 'targeted' in attack config"):
+            config_from_dict({**self.BASE, "targeted": True, "target_label": 2})
 
     def test_dict_is_json_serializable(self):
         import json

@@ -179,6 +179,25 @@ def test_a_pool_checkpoint_without_kind_exits_with_its_message(tmp_path):
     assert not (tmp_path / "gen.json").exists()
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["hyper"].update(hidden=2.5), "hidden must be an integer, got 2.5"),
+    (lambda doc: doc.update(num_classes="3"), "num_classes must be an integer, got '3'"),
+    (lambda doc: doc.update(image_shape=8), "image_shape must be"),
+], ids=["float-hidden", "string-classes", "int-shape"])
+def test_a_pool_checkpoint_with_a_bad_value_exits_with_its_message(tmp_path, edit, message):
+    # these ended in a TypeError traceback
+    path = tmp_path / "a.json"
+    main(["train-model", "--kind", "mlp-1-hidden", "--n", "30", "--epochs", "1",
+          "--out", str(path)])
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=re.escape(message)):
+        main(["train-generator", "--pool", str(path), str(path), "--n", "30",
+              "--steps", "2", "--total-steps", "3", "--out", str(tmp_path / "gen.json")])
+    assert not (tmp_path / "gen.json").exists()
+
+
 def test_verify_props_is_not_a_command(capsys):
     # its closed-form checks are acceptance criteria 2-5
     with pytest.raises(SystemExit) as exc:

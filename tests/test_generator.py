@@ -619,8 +619,15 @@ class TestCheckpoints:
          "missing required key 'image_shape'"),
         (lambda doc: {**doc, "seed": 0}, "unknown key 'seed' in generator checkpoint"),
         (lambda doc: {**doc, "image_shape": [8.0, 8, 1]},
-         "image height must be an integer, got 8.0"),
-    ], ids=["list", "no-steps", "no-image-shape", "unknown-key", "float-dim"])
+         "generator checkpoint: image height must be an integer, got 8.0"),
+        # these raised TypeError from the comparison or from ImageShape(*...)
+        (lambda doc: {**doc, "head_scale": "x"},
+         "head scale must be positive and finite, got 'x'"),
+        (lambda doc: {**doc, "image_shape": 8},
+         r"generator checkpoint: image_shape must be \[height, width, channels\], got 8"),
+        (lambda doc: {**doc, "hidden": [4, 2.5]}, r"hidden\[1\] must be an integer, got 2.5"),
+    ], ids=["list", "no-steps", "no-image-shape", "unknown-key", "float-dim", "string-scale",
+            "int-shape", "float-hidden"])
     def test_rejects_a_malformed_checkpoint(self, tmp_path, edit, message):
         # unchecked, a list raised AttributeError, a missing key KeyError, and
         # an unknown key loaded silently

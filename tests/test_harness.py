@@ -213,7 +213,7 @@ class TestMetrics:
         target = max(set(preds), key=preds.count)
         y = next(c for c in range(3) if c != target)
         cfg = AttackConfig(epsilon=8.0, steps=0, step_rule=SignStep(1.0),
-                           targeted=True, target_label=target)
+                           target_label=target)
         res = run_attack(models[:1], models, x, y, cfg)
         assert res.success == [p == target for p in preds]
         assert 0 < sum(res.success) < len(models)
@@ -390,7 +390,7 @@ class TestExperimentRunner:
             tmp_path, dataset={"kind": "idx", "images": ip, "labels": lp},
             models=models, generator_checkpoint=self.gen_checkpoint(tmp_path),
             eval_count=12, attacks=[{"name": "ada", "config": {
-                "epsilon": 32.0, "steps": 3, "momentum": 1.0, "targeted": True,
+                "epsilon": 32.0, "steps": 3, "momentum": 1.0,
                 "target_label": 2, "step_rule": {"type": "adaptive"}}}])
         paths = run_experiment(cfg)
         with open(paths["results"], newline="") as fh:
@@ -408,8 +408,7 @@ class TestExperimentRunner:
         # examples of class 0, which a target_label 0 attack cannot target
         cfg = self.base_config(tmp_path, eval_count=12, epsilon_grid=[8.0],
                                attacks=[{"name": "tgt", "config": {
-                                   "epsilon": 32.0, "steps": 3, "targeted": True,
-                                   "target_label": 0,
+                                   "epsilon": 32.0, "steps": 3, "target_label": 0,
                                    "step_rule": {"type": "sign", "alpha": 12.0}}}])
         cfg.interaction = {"examples": 4, "num_pairs": 2, "num_subsets": 2}
         paths = run_experiment(cfg)
@@ -437,7 +436,7 @@ class TestExperimentRunner:
         cfg = self.base_config(tmp_path, dataset={
             "kind": "blobs", "n": 20, "image_shape": [8, 8, 1], "seed": 0,
             "num_classes": 1}, attacks=[{"name": "tgt", "config": {
-                "epsilon": 8.0, "steps": 2, "targeted": True, "target_label": 0,
+                "epsilon": 8.0, "steps": 2, "target_label": 0,
                 "step_rule": {"type": "sign", "alpha": 4.0}}}])
         with pytest.raises(ValueError, match="every eval example"):
             run_experiment(cfg)
@@ -519,7 +518,7 @@ class TestExperimentRunner:
         "plain": {"epsilon": 16.0, "steps": 3, "step_rule": {"type": "sign", "alpha": 4.0}},
         "transforms": {"epsilon": 16.0, "steps": 3, "momentum": 1.0,
                        "step_rule": {"type": "fixed", "gamma": 8.0}, "transforms": STACK},
-        "targeted": {"epsilon": 16.0, "steps": 3, "targeted": True, "target_label": 0,
+        "targeted": {"epsilon": 16.0, "steps": 3, "target_label": 0,
                      "step_rule": {"type": "sign", "alpha": 4.0}, "transforms": STACK[:1]},
         "adaptive": {"epsilon": 16.0, "steps": 3, "momentum": 1.0,
                      "step_rule": {"type": "adaptive"}},
@@ -646,7 +645,8 @@ class TestExperimentRunner:
         ("dataset spec: n must be >= 2, got 1", {"n": 1}),
         ("dataset spec: image_shape must be [height, width, channels], got [8, 8]",
          {"n": 10, "image_shape": [8, 8]}),
-        ("dataset spec: image_shape width must be >= 1, got 0",
+        # ImageShape's own check, named with the block by the shared parser
+        ("dataset spec: image width must be >= 1, got 0",
          {"n": 10, "image_shape": [8, 0, 1]}),
     ], ids=["float-n", "no-classes", "one-example", "two-dims", "zero-width"])
     def test_a_bad_synthetic_dataset_block_is_named_and_fails_before_training(
@@ -699,7 +699,7 @@ class TestExperimentRunner:
         trained = []
         monkeypatch.setattr(harness, "train_classifier", lambda *args: trained.append(args))
         cfg = self.base_config(tmp_path, attacks=[{"name": "tgt", "config": {
-            "epsilon": 8.0, "steps": 2, "targeted": True, "target_label": 5,
+            "epsilon": 8.0, "steps": 2, "target_label": 5,
             "step_rule": {"type": "sign", "alpha": 4.0}}}])
         with pytest.raises(ValueError, match=re.escape(
                 "model spec 'mlp': label 5 out of range for 3 classes")):
@@ -823,12 +823,11 @@ class TestAttackCell:
     CONFIGS = {
         "untargeted": AttackConfig(epsilon=64.0, steps=3, step_rule=SignStep(24.0)),
         "targeted": AttackConfig(epsilon=64.0, steps=3, step_rule=SignStep(24.0), momentum=1.0,
-                                 targeted=True, target_label=1),
+                                 target_label=1),
         "transforms": AttackConfig(epsilon=64.0, steps=3, step_rule=FixedScaleStep(32.0),
                                    momentum=1.0, transforms=TRANSFORMS),
         "targeted-transforms": AttackConfig(epsilon=64.0, steps=3, step_rule=SignStep(24.0),
-                                            transforms=TRANSFORMS[:2], targeted=True,
-                                            target_label=0),
+                                            transforms=TRANSFORMS[:2], target_label=0),
         "adaptive": AttackConfig(epsilon=64.0, steps=3, step_rule=attacks.AdaptiveStep(GEN),
                                  momentum=1.0),
     }
@@ -943,7 +942,7 @@ class TestBatchedSweep:
         if transforms:
             config["transforms"] = self.STACK
         if targeted:
-            config.update(targeted=True, target_label=0)
+            config.update(target_label=0)
         cfg = ExperimentConfig.from_dict({
             "dataset": {"kind": "blobs", "n": 40, "image_shape": [8, 8, 1],
                         "seed": data_seed, "num_classes": 3},

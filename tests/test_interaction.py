@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 import reference_interaction
 from advgrad.interaction import (
     EXACT_PLAYER_LIMIT,
-    SETFN_BLOCK_BYTES,
-    SETFN_CHUNK,
     AnalyticGame,
     _exact_select,
     coefficients,
@@ -34,7 +32,7 @@ from advgrad.interaction import (
     shapley_value_exact,
     simulate_raw,
 )
-from advgrad.models import MODEL_KINDS, build_model
+from advgrad.models import BLOCK_BYTES, CHUNK_ROWS, MODEL_KINDS, build_model
 from advgrad.numerics import ImageShape, make_rng
 
 
@@ -256,7 +254,7 @@ class TestModelSetfnChecks:
 class TestBatchedSetfn:
     def masks(self, rng, n):
         # a row count off the chunk grid, with the empty and the full subset
-        masks = rng.random((2 * SETFN_CHUNK + 5, n)) < 0.5
+        masks = rng.random((2 * CHUNK_ROWS + 5, n)) < 0.5
         masks[0], masks[-1] = False, True
         return masks
 
@@ -379,9 +377,12 @@ def test_exact_select_is_np_where_bit_for_bit(rows, density, values, seed):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("scorer", ["predict", "setfn"])
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("dims,chunks", [((8, 8, 1), 4), ((4, 4, 2), 8), ((16, 16, 3), 1)])
-def test_no_forward_pass_takes_more_than_the_block_budget(monkeypatch, kind, dims, chunks):
+def test_no_forward_pass_takes_more_than_the_block_budget(monkeypatch, scorer, kind, dims,
+                                                          chunks):
+    # batched predict and v.batch score their 600 rows through one chunk rule
     shape = ImageShape(*dims)
     model = build_model(kind, shape, 3, seed=0)
     rng = make_rng(0, 45)
@@ -389,12 +390,15 @@ def test_no_forward_pass_takes_more_than_the_block_budget(monkeypatch, kind, dim
                             rng.uniform(-8, 8, size=dims), 0)
     inputs, forward = [], model._forward
     monkeypatch.setattr(model, "_forward", lambda z: inputs.append(z.shape) or forward(z))
-    v.batch(rng.random((600, n)) < 0.5)
+    if scorer == "predict":
+        model.predict(rng.uniform(0, 255, size=(600,) + dims))
+    else:
+        v.batch(rng.random((600, n)) < 0.5)
     # whole chunks in stacks of up to the budget, or of one chunk, then the 24
     # rows left; tiny-conv passes each batch of a stack to _forward again
-    one_chunk = SETFN_CHUNK * n * 8
-    assert max(math.prod(s) * 8 for s in inputs) <= max(SETFN_BLOCK_BYTES, one_chunk)
-    assert inputs[0] == (chunks, SETFN_CHUNK) + dims and inputs[-1] == (24,) + dims
+    one_chunk = CHUNK_ROWS * n * 8
+    assert max(math.prod(s) * 8 for s in inputs) <= max(BLOCK_BYTES, one_chunk)
+    assert inputs[0] == (chunks, CHUNK_ROWS) + dims and inputs[-1] == (24,) + dims
     assert sum(s[0] * s[1] for s in inputs if len(s) == 5) + 24 == 600
 
 

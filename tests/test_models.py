@@ -333,18 +333,22 @@ class TestBatchedPredict:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(KINDS),
            dims=st.sampled_from([(8, 8, 1), (4, 4, 2), (16, 16, 3)]),
-           n=st.integers(1, 70), seed=st.integers(0, 2**16))
+           n=st.integers(1, 300), seed=st.integers(0, 2**16))
     @example(kind="tiny-conv", dims=(16, 16, 3), n=31, seed=0)
     @example(kind="mlp-1-hidden", dims=(8, 8, 1), n=32, seed=1)
     @example(kind="softmax-linear", dims=(4, 4, 2), n=33, seed=2)
+    # one whole stack of 4 chunks at 8x8x1, one more row, and several stacks
+    @example(kind="mlp-1-hidden", dims=(8, 8, 1), n=128, seed=3)
+    @example(kind="softmax-linear", dims=(8, 8, 1), n=129, seed=4)
+    @example(kind="tiny-conv", dims=(4, 4, 2), n=300, seed=5)
     def test_a_batch_predicts_what_each_image_predicts(self, kind, dims, n, seed):
         model = build_model(kind, ImageShape(*dims), 4, seed=seed)
         x = make_rng(seed, 51).uniform(0.0, 255.0, size=(n,) + dims)
         classes = model.predict(x)
         assert classes.shape == (n,) and classes.dtype == np.int64
         each = np.array([model.logits(image) for image in x])
-        chunks = [model._forward(model._standardize(x[start:start + models.PREDICT_CHUNK]))[0]
-                  for start in range(0, n, models.PREDICT_CHUNK)]
+        chunks = [model._forward(model._standardize(x[start:start + models.CHUNK_ROWS]))[0]
+                  for start in range(0, n, models.CHUNK_ROWS)]
         np.testing.assert_allclose(np.concatenate(chunks), each, rtol=1e-12, atol=1e-12)
         assert np.array_equal(classes, np.argmax(np.concatenate(chunks), axis=1))
         top = np.sort(each, axis=1)
@@ -682,9 +686,26 @@ class TestCheckpoints:
         ("softmax-linear", lambda doc: {**doc, "hyper": {"hidden": 32}},
          "unknown key 'hidden' in model checkpoint hyper"),
         ("mlp-1-hidden", lambda doc: {**doc, "image_shape": [8.0, 8, 1]},
-         "image height must be an integer, got 8.0"),
+         "model checkpoint: image height must be an integer, got 8.0"),
+        # these raised TypeError or OverflowError from numpy or ImageShape(*...)
+        ("mlp-1-hidden", lambda doc: {**doc, "hyper": {"hidden": 2.5}},
+         "hidden must be an integer, got 2.5"),
+        ("mlp-1-hidden", lambda doc: {**doc, "hyper": {"hidden": 0}},
+         "hidden must be >= 1, got 0"),
+        ("tiny-conv", lambda doc: {**doc, "hyper": {"channels": 6}},
+         "channels must be two integers, got 6"),
+        ("tiny-conv", lambda doc: {**doc, "hyper": {"channels": [6, "6"]}},
+         r"channels\[1\] must be an integer, got '6'"),
+        ("mlp-1-hidden", lambda doc: {**doc, "num_classes": "3"},
+         "num_classes must be an integer, got '3'"),
+        ("mlp-1-hidden", lambda doc: {**doc, "image_shape": 8},
+         r"model checkpoint: image_shape must be \[height, width, channels\], got 8"),
+        ("mlp-1-hidden", lambda doc: {**doc, "image_shape": [8, 8]},
+         r"model checkpoint: image_shape must be \[height, width, channels\], got \[8, 8\]"),
     ], ids=["list", "no-kind", "no-image-shape", "list-kind", "unknown-key", "unknown-hyper",
-            "hyper-of-another-kind", "float-dim"])
+            "hyper-of-another-kind", "float-dim", "float-hidden", "no-hidden",
+            "one-channel-count", "string-channel", "string-classes", "int-shape",
+            "two-dims"])
     def test_rejects_a_malformed_checkpoint(self, tmp_path, kind, edit, message):
         # unchecked, a list raised AttributeError, a missing key KeyError, and
         # an unknown key loaded silently
