@@ -66,7 +66,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .models import _check_label
-from .numerics import _check_count, _from_doc, gaussian_kernel_2d, make_rng
+from .numerics import (
+    _check_count, _check_json, _check_real, _from_doc, gaussian_kernel_2d, make_rng,
+)
 
 __all__ = [
     "DegenerateGradientError",
@@ -105,8 +107,7 @@ class SignStep:
     alpha: float
 
     def __post_init__(self):
-        if not 0 < self.alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+        _check_real("alpha", self.alpha, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,7 @@ class FixedScaleStep:
     gamma: float
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
+        _check_real("gamma", self.gamma, "(0, inf)")
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,8 @@ class Dim:
     min_fraction: float = 0.9
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if not 0.0 < self.min_fraction <= 1.0:
-            raise ValueError("min_fraction must lie in (0, 1]")
+        _check_real("p", self.p, "[0, 1]")
+        _check_real("min_fraction", self.min_fraction, "(0, 1]")
 
 
 @dataclass(frozen=True)
@@ -152,11 +150,11 @@ class Tim:
     sigma: float | None = None
 
     def __post_init__(self):
-        _check_count("k", self.k)
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError("k must be odd and >= 1")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        _check_count("k", self.k, 1)
+        if self.k % 2 == 0:
+            raise ValueError(f"k must be odd, got {self.k}")
+        if self.sigma is not None:
+            _check_real("sigma", self.sigma, "(0, inf]")
 
 
 @dataclass(frozen=True)
@@ -178,8 +176,7 @@ class Vt:
 
     def __post_init__(self):
         _check_count("n", self.n, 1)
-        if not 0 <= self.beta < math.inf:
-            raise ValueError("beta must be finite and >= 0")
+        _check_real("beta", self.beta, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -191,8 +188,7 @@ class Emi:
 
     def __post_init__(self):
         _check_count("n", self.n, 1)
-        if not 0 <= self.eta < math.inf:
-            raise ValueError("eta must be finite and >= 0")
+        _check_real("eta", self.eta, "[0, inf)")
 
 
 @dataclass(frozen=True)
@@ -216,13 +212,11 @@ class AttackConfig:
     target_label: int | None = None
 
     def __post_init__(self):
-        # a NaN fails every comparison, so each check asks for the valid range;
         # epsilon = inf is a valid budget (no L-infinity bound)
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be >= 0")
+        _check_real("epsilon", self.epsilon, "[0, inf]")
         _check_count("steps", self.steps, 0)
-        if self.momentum is not None and not 0 <= self.momentum < math.inf:
-            raise ValueError("momentum decay must be finite and >= 0")
+        if self.momentum is not None:
+            _check_real("momentum", self.momentum, "[0, inf)")
         _kind(self.step_rule, "step rule")
         object.__setattr__(self, "transforms", tuple(self.transforms))
         kinds = [_kind(t, "transform") for t in self.transforms]
@@ -284,8 +278,7 @@ def dim_transform(x: np.ndarray, p: float, rng: np.random.Generator,
     """With probability p, nearest-neighbor shrink then random zero-pad back."""
     if x.ndim != 3:
         raise ValueError("dim_transform expects an (H, W, C) image")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    _check_real("p", p, "[0, 1]")
     if rng.random() >= p:
         return x
     h, w, _ = x.shape
@@ -390,8 +383,7 @@ def sim_gradient(models, x: np.ndarray, y, m: int) -> np.ndarray:
     ensemble_gradient takes them.  The m scaled copies of every point go to
     the models as one batch.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_count("m", m, 1)
     x = np.asarray(x, dtype=np.float64)
     scales = _sim_scales(m, x.ndim)
     copies = scales * x
@@ -434,8 +426,7 @@ def project(x_adv, x_orig, epsilon):
     """
     if x_adv.shape != x_orig.shape:
         raise ValueError("shapes differ in projection")
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be >= 0")
+    _check_real("epsilon", epsilon, "[0, inf]")
     # _box clamps its bounds in place, so they must be float64 even for an
     # integer original
     return _clamp(x_adv, *_box(np.asarray(x_orig, dtype=np.float64), epsilon))
@@ -724,7 +715,7 @@ def _encode(obj, what):
 
 def _decode(doc, what, **runtime):
     kind = doc.get("type") if isinstance(doc, dict) else None
-    cls = _KINDS[what].get(kind)
+    cls = _KINDS[what].get(kind) if isinstance(kind, str) else None
     if cls is None:  # a missing "type" reads as None
         raise ValueError(f"unknown {what} type {kind!r}")
     return _from_doc(cls, {k: v for k, v in doc.items() if k != "type"}, what, **runtime)
@@ -744,5 +735,6 @@ def config_from_dict(doc: dict, generator=None) -> AttackConfig:
     """
     return _from_doc(AttackConfig, doc, "attack config", {
         "step_rule": lambda rule: _decode(rule, "step rule", generator=generator),
-        "transforms": lambda ts: tuple(_decode(t, "transform") for t in ts),
+        "transforms": lambda ts: tuple(_decode(t, "transform")
+                                       for t in _check_json("transforms", ts, list)),
     })

@@ -6,6 +6,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 from . import harness
 from .generator import GeneratorTrainConfig, save_generator, train_generator
@@ -80,14 +81,14 @@ def _cmd_attack(args):
 def _cmd_sweep(args):
     cfg = _load_experiment(args.config)
     if not cfg.epsilon_grid:
-        cfg.epsilon_grid = list(harness.DEFAULT_EPSILON_GRID)
+        cfg = replace(cfg, epsilon_grid=list(harness.DEFAULT_EPSILON_GRID))
     _run_and_print(cfg)
 
 
 def _cmd_interaction(args):
     cfg = _load_experiment(args.config)
     if cfg.interaction is None:
-        cfg.interaction = {}
+        cfg = replace(cfg, interaction={})
     _run_and_print(cfg)
 
 

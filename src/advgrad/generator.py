@@ -30,8 +30,6 @@ drift at 1e-12 relative at learning rate 1).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +39,9 @@ from .attacks import (
     AdaptiveStep, AttackConfig, AttackResult, _attack_loop, _box, _clamp, project,
 )
 from .numerics import (
-    ImageShape, _check_count, _check_pair, _check_seed, _conv3x3, _conv3x3_backward,
-    _decode_arrays, _encode_arrays, _image_shape, _read_checkpoint, _write_checkpoint, make_rng,
+    ImageShape, _check_count, _check_json, _check_pair, _check_real, _check_seed, _conv3x3,
+    _conv3x3_backward, _decode_arrays, _encode_arrays, _image_shape, _read_checkpoint,
+    _write_checkpoint, make_rng,
 )
 
 __all__ = [
@@ -66,7 +65,7 @@ _IN_EPS = 1e-5
 _BLOCK_BYTES = 1 << 17
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorTrainConfig:
     total_steps: int
     attack_steps: int
@@ -75,11 +74,8 @@ class GeneratorTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a NaN fails every comparison, so each check asks for the valid range
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning rate must be positive and finite")
-        if not self.epsilon >= 0:
-            raise ValueError("epsilon must be >= 0")
+        _check_real("learning_rate", self.learning_rate, "(0, inf)")
+        _check_real("epsilon", self.epsilon, "[0, inf]")
         _check_count("attack_steps", self.attack_steps, 1)
         _check_count("total_steps", self.total_steps, 0)
         _check_seed("seed", self.seed)
@@ -115,9 +111,7 @@ class ScalingFactorGenerator:
         _check_count("steps", steps, 1)
         if arch not in ("mlp", "conv"):
             raise ValueError(f"unknown generator architecture {arch!r}")
-        # a NaN fails every comparison, so the check asks for the valid range
-        if not (isinstance(head_scale, numbers.Real) and 0 < head_scale < math.inf):
-            raise ValueError(f"head scale must be positive and finite, got {head_scale!r}")
+        _check_real("head_scale", head_scale, "(0, inf)")
         _check_pair("hidden", hidden)
         _check_count("conv_channels", conv_channels, 1)
         if arch == "conv" and (image_shape.height < 8 or image_shape.height % 8
@@ -458,6 +452,7 @@ def load_generator(path: str) -> ScalingFactorGenerator:
     """Inverse of save_generator; a malformed checkpoint raises ValueError naming the problem."""
     doc = _read_checkpoint(path, GENERATOR_FORMAT, _CHECKPOINT_KEYS, _CHECKPOINT_KEYS,
                            "generator checkpoint")
+    _check_json("generator checkpoint theta", doc["theta"], list)
     gen = ScalingFactorGenerator(
         doc["steps"], _image_shape(doc["image_shape"], "generator checkpoint"), arch=doc["arch"],
         head_scale=doc["head_scale"], hidden=doc["hidden"],

@@ -27,7 +27,8 @@ from .models import (
     train_classifier,
 )
 from .numerics import (
-    ImageShape, _check_count, _check_keys, _check_seed, _from_doc, _image_shape, make_rng,
+    ImageShape, _check_count, _check_json, _check_keys, _check_real, _check_seed, _from_doc,
+    _image_shape, make_rng,
 )
 
 __all__ = [
@@ -139,22 +140,20 @@ def synth_dataset(kind: str, n: int, image_shape: ImageShape, seed: int,
 
     Labels are balanced to within one example by construction.
     """
-    _check_count("n", n)
-    if n < 2:
-        raise ValueError("need at least two examples")
+    _check_count("n", n, 2)
     _check_count("num_classes", num_classes, 1)
     rng = make_rng(seed, stream=11)
     h, w, c = image_shape.dims
     labels = np.arange(n) % num_classes
-    images = np.zeros((n, h, w, c))
     ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    # one noise draw of all n images has the bits of n draws of one image each
     if kind == "blobs":
         templates = rng.uniform(48.0, 208.0, size=(num_classes, h, w, c))
-        for i in range(n):
-            images[i] = templates[labels[i]] + rng.normal(0.0, 20.0, size=(h, w, c))
+        images = templates[labels] + rng.normal(0.0, 20.0, size=(n, h, w, c))
     elif kind == "two-moons-image":
         if num_classes != 2:
             raise ValueError("two-moons-image is a 2-class dataset")
+        images = np.zeros((n, h, w, c))
         for i in range(n):
             t = rng.uniform(0.0, np.pi)
             if labels[i] == 0:
@@ -165,11 +164,10 @@ def synth_dataset(kind: str, n: int, image_shape: ImageShape, seed: int,
             img = 200.0 * bump[..., None] + rng.normal(0.0, 10.0, size=(h, w, c))
             images[i] = img
     elif kind == "striped-digits":
-        for i in range(n):
-            angle = np.pi * labels[i] / num_classes
-            phase = ii * np.cos(angle) + jj * np.sin(angle)
-            img = 128.0 + 90.0 * np.sin(2.0 * np.pi * phase / max(h, w) * 2.0)
-            images[i] = img[..., None] + rng.normal(0.0, 15.0, size=(h, w, c))
+        angle = (np.pi * labels / num_classes)[:, None, None]
+        phase = ii * np.cos(angle) + jj * np.sin(angle)
+        stripes = 128.0 + 90.0 * np.sin(2.0 * np.pi * phase / max(h, w) * 2.0)
+        images = stripes[..., None] + rng.normal(0.0, 15.0, size=(n, h, w, c))
     else:
         raise ValueError(f"unknown synthetic dataset kind {kind!r}")
     return LabeledDataset(np.clip(images, 0.0, 255.0), labels, num_classes)
@@ -191,8 +189,7 @@ class MetricsRow:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.asr <= 1.0:
-            raise ValueError("asr must lie in [0, 1]")
+        _check_real("asr", self.asr, "[0, 1]")
         if self.mad > self.rmsd + 1e-9 or self.rmsd > self.epsilon + 1e-9:
             raise ValueError("expected mad <= rmsd <= epsilon")
 
@@ -226,9 +223,10 @@ def compute_metrics(originals, adversarials, success, *,
 _INTERACTION_COUNTS = {"examples": 50, "num_pairs": 10, "num_subsets": 5}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment document; run_experiment parses the nested JSON blocks."""
+    """An experiment document, frozen so that its checks hold for its lifetime;
+    run_experiment parses the nested JSON blocks."""
 
     dataset: dict
     models: list
@@ -244,23 +242,20 @@ class ExperimentConfig:
     interaction: dict | None = None
 
     def __post_init__(self):
-        self._check()
-
-    def _check(self):
-        """ValueError if a field is out of range; run_experiment checks again,
-        since a field may be set after construction."""
-        if not self.attacks:
-            raise ValueError("need at least one attack config")
-        if not self.targets:
-            raise ValueError("need at least one evaluation target")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        for name in ("models", "attacks", "sources", "targets", "seeds", "epsilon_grid"):
+            value = getattr(self, name)
+            if value is not None or name != "epsilon_grid":
+                _check_json(name, value, list)
+            if not value and name in ("attacks", "sources", "targets", "seeds"):
+                raise ValueError(f"{name} must hold at least one entry")
+        _check_json("output_dir", self.output_dir, str)
+        if self.generator_checkpoint is not None:
+            _check_json("generator_checkpoint", self.generator_checkpoint, str)
         for k, seed in enumerate(self.seeds):
             _check_seed("seeds entry", seed)  # make_rng's rule
             if seed in self.seeds[:k]:
                 raise ValueError(f"seeds entry {seed!r} is repeated")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction!r}")
+        _check_real("train_fraction", self.train_fraction, "(0, 1)")
         _check_count("eval_count", self.eval_count, 1)
         if self.interaction is not None:
             _check_keys(self.interaction, _INTERACTION_COUNTS.keys() | {"methods", "model"}, (),
@@ -268,10 +263,7 @@ class ExperimentConfig:
             for key in _INTERACTION_COUNTS:
                 if key in self.interaction:
                     _check_count(f"interaction {key}", self.interaction[key], 1)
-            methods = self.interaction.get("methods", [])
-            if not isinstance(methods, list):
-                raise ValueError("interaction methods must be a list of attack names, "
-                                 f"got {methods!r}")
+            methods = _check_json("interaction methods", self.interaction.get("methods", []), list)
             names = [doc.get("name") for doc in self.attacks if isinstance(doc, dict)]
             for name in methods:
                 if not isinstance(name, str) or name not in names:
@@ -280,21 +272,22 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         """Build from a JSON document; an unknown or missing key raises ValueError."""
-        return _from_doc(cls, doc, "experiment config", {"seeds": list})
+        return _from_doc(cls, doc, "experiment config")
 
 
 def build_dataset(spec: dict) -> LabeledDataset:
     """Load or synthesize a dataset; `seed`, valid for every kind, also seeds the split."""
-    kind = None
-    if isinstance(spec, dict):
-        kind = spec.get("kind")
-        _check_seed("dataset spec: seed", spec.get("seed", 0))  # make_rng's rule
+    kind = _check_json("dataset spec", spec, dict).get("kind")
+    _check_seed("dataset spec: seed", spec.get("seed", 0))  # make_rng's rule
     if kind == "idx":
         _check_keys(spec, {"kind", "seed", "images", "labels"}, ("images", "labels"),
                     "dataset spec")
+        for key in ("images", "labels"):
+            _check_json(f"dataset spec: {key}", spec[key], str)
         return load_idx(spec["images"], spec["labels"])
     if kind == "cifar":
         _check_keys(spec, {"kind", "seed", "path"}, ("path",), "dataset spec")
+        _check_json("dataset spec: path", spec["path"], str)
         return load_cifar_binary(spec["path"])
     _check_keys(spec, {"kind", "seed", "n", "image_shape", "num_classes"}, ("kind", "n"),
                 "dataset spec")
@@ -319,8 +312,7 @@ def _prepare_models(specs, references, train_set: LabeledDataset, labels):
     for doc in specs:
         if isinstance(doc, dict) and "checkpoint" in doc:
             _check_keys(doc, {"name", "checkpoint"}, ("name",), "model spec")
-            if not os.path.exists(doc["checkpoint"]):
-                raise FileNotFoundError(f"missing model checkpoint {doc['checkpoint']!r}")
+            _check_json("model spec checkpoint", doc["checkpoint"], str)
             plan = (doc["checkpoint"], None)
         else:
             _check_keys(doc, {"name", "kind", *(f.name for f in fields(TrainConfig))},
@@ -333,14 +325,15 @@ def _prepare_models(specs, references, train_set: LabeledDataset, labels):
             except ValueError as err:
                 raise ValueError(f"model spec {doc['name']!r}: {err}") from None
             plan = (doc["kind"], train)
+        _check_json("model spec name", doc["name"], str)
         if doc["name"] in plans:
             raise ValueError(f"two model specs are named {doc['name']!r}")
         plans[doc["name"]] = plan
-    for where, name in references:
-        if name not in plans:
-            raise ValueError(f"{where} entry {name!r} names no model spec")
     loaded = {name: load_model(source) for name, (source, train) in plans.items()
               if train is None}
+    for where, name in references:
+        if not isinstance(name, str) or name not in plans:
+            raise ValueError(f"{where} entry {name!r} names no model spec")
     shape = train_set.image_shape.dims
     for name, (source, train) in plans.items():
         model = loaded.get(name)
@@ -432,7 +425,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     sources[0]).  Per-example RNG streams derive from (seed, example index),
     so runs are deterministic.
     """
-    cfg._check()
     dataset = build_dataset(cfg.dataset)
     spec = cfg.interaction  # None skips the interaction pass; {} runs it with defaults
     if spec is not None:
@@ -443,24 +435,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     n_train = int(cfg.train_fraction * len(dataset))
     train_set = dataset.subset(order[:n_train])
     eval_set = dataset.subset(order[n_train:][: cfg.eval_count])
-    gen = None
-    if cfg.generator_checkpoint:
-        if not os.path.exists(cfg.generator_checkpoint):
-            raise FileNotFoundError(f"missing generator checkpoint {cfg.generator_checkpoint!r}")
-        gen = gen_mod.load_generator(cfg.generator_checkpoint)
+    gen = gen_mod.load_generator(cfg.generator_checkpoint) if cfg.generator_checkpoint else None
     for doc in cfg.attacks:
         _check_keys(doc, {"name", "config"}, ("name", "config"), "attack entry")
+        _check_json("attack name", doc["name"], str)
     methods = {doc["name"]: attacks.config_from_dict(doc["config"], generator=gen)
                for doc in cfg.attacks}
     if len(methods) < len(cfg.attacks):
         raise ValueError("attack names must be unique")
+    # the sweep's configs, built so that AttackConfig checks the grid before training
+    sweep = [(method, replace(acfg, epsilon=eps)) for eps in cfg.epsilon_grid or ()
+             for method, acfg in methods.items()]
     skipped = {name: int(np.sum(eval_set.labels == acfg.target_label))
                for name, acfg in methods.items() if acfg.targeted}
     for name, n_skipped in skipped.items():
         if n_skipped == len(eval_set):
             raise ValueError(f"targeted attack {name!r}: every eval example has the target label")
     references = [("targets", name) for name in cfg.targets]
-    references += [("sources", part) for name in cfg.sources for part in name.split("+")]
+    references += [("sources", part) for name in cfg.sources
+                   for part in (name.split("+") if isinstance(name, str) else [name])]
     if spec is not None:
         references.append(("interaction model", spec.get("model", cfg.targets[0])))
     labels = [int(y) for y in np.unique(eval_set.labels)]
@@ -507,16 +500,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     ))
 
     sweep_data = []
-    for eps in cfg.epsilon_grid or ():
-        for method, acfg in methods.items():
-            for source_name in cfg.sources:
-                # ASR only: a fresh sweep cell is attacked in one batched call
-                _, success = cell(replace(acfg, epsilon=eps), source_name, cfg.seeds[0],
-                                  batched=True)
-                for t_idx, target_name in enumerate(cfg.targets):
-                    sweep_data.append({"method": method, "epsilon": eps, "source": source_name,
-                                       "target": target_name,
-                                       "asr": float(np.mean(success[:, t_idx]))})
+    for method, acfg in sweep:
+        for source_name in cfg.sources:
+            # ASR only: a fresh sweep cell is attacked in one batched call
+            _, success = cell(acfg, source_name, cfg.seeds[0], batched=True)
+            for t_idx, target_name in enumerate(cfg.targets):
+                sweep_data.append({"method": method, "epsilon": acfg.epsilon,
+                                   "source": source_name, "target": target_name,
+                                   "asr": float(np.mean(success[:, t_idx]))})
 
     _write_csv(os.path.join(cfg.output_dir, "results.csv"),
                ["example_id", "method", "source", "target", "success",

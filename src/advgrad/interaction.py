@@ -128,8 +128,7 @@ def coefficients_exact(m: int, mu) -> tuple[Fraction, Fraction, Fraction, Fracti
     power is never evaluated at a negative exponent; 0^0 counts as 1.
     Exact as long as mu is a float or Fraction (floats are dyadic).
     """
-    if m < 1:
-        raise ValueError("step index m must be >= 1")
+    _check_count("m", m, 1)
     mu = Fraction(mu)
     a = sum((mu ** (i - 1) for i in range(1, m + 1)), Fraction(0))
     b = sum(((m - i + 1) * (i - 1) * mu ** (i - 2) for i in range(2, m + 1)), Fraction(0))
@@ -154,8 +153,7 @@ def simulate_raw(game: AnalyticGame, mu: float, gamma: float, m: int):
     g_t = mu * g_{t-1} + grad L(x0 + delta_{t-1}),  delta_t += gamma * g_t.
     Exact for the quadratic game; returns (g_m, delta_m).
     """
-    if m < 1:
-        raise ValueError("step count m must be >= 1")
+    _check_count("m", m, 1)
     g_acc = np.zeros_like(game.g)
     delta = np.zeros_like(game.g)
     for _ in range(m):
@@ -384,12 +382,9 @@ def expected_interaction_sampled(v, n: int, num_pairs: int, num_subsets: int,
     sqrt(num_pairs), and 0.0 for one pair.  n and the counts must be integers,
     not bool: n at least 2 and the counts at least 1.
     """
-    for name, count in (("n", n), ("num_pairs", num_pairs), ("num_subsets", num_subsets)):
-        _check_count(name, count)
-    if n < 2:
-        raise ValueError("need at least two players")
-    if num_pairs < 1 or num_subsets < 1:
-        raise ValueError("need at least one pair and one subset")
+    _check_count("n", n, 2)
+    _check_count("num_pairs", num_pairs, 1)
+    _check_count("num_subsets", num_subsets, 1)
     _check_batch(v)
     rng = rng if rng is not None else make_rng(0)
     k = num_pairs * num_subsets

@@ -21,14 +21,14 @@ column.  TinyConv's 2x2 pool adds four strided quarters on larger inputs
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import (
-    ImageShape, _check_count, _check_keys, _check_pair, _check_seed, _conv3x3, _conv3x3_backward,
-    _decode_arrays, _encode_arrays, _image_shape, _read_checkpoint, _write_checkpoint, make_rng,
+    ImageShape, _check_count, _check_keys, _check_pair, _check_real, _check_seed, _conv3x3,
+    _conv3x3_backward, _decode_arrays, _encode_arrays, _image_shape, _read_checkpoint,
+    _write_checkpoint, make_rng,
 )
 
 __all__ = [
@@ -70,10 +70,15 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        # Model._check_batch's rule; an empty label list reads as float64
+        if labels.size and labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got {labels.dtype}")
+        self.labels = labels.astype(np.int64)
+        _check_count("num_classes", self.num_classes, 1)
         if self.images.ndim != 4:
             raise ValueError("images must have shape (n, H, W, C)")
-        if len(self.labels) != len(self.images):
+        if self.labels.shape != (len(self.images),):
             raise ValueError("images and labels must have matching length")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels must lie in [0, num_classes)")
@@ -92,7 +97,7 @@ class LabeledDataset:
         return LabeledDataset(self.images[idx], self.labels[idx], self.num_classes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 15
     batch_size: int = 32
@@ -103,8 +108,7 @@ class TrainConfig:
         _check_count("epochs", self.epochs, 0)
         _check_count("batch_size", self.batch_size, 1)
         _check_seed("seed", self.seed)
-        if not 0 < self.learning_rate < math.inf:  # NaN fails the comparison
-            raise ValueError("learning rate must be positive and finite")
+        _check_real("learning_rate", self.learning_rate, "(0, inf)")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -132,9 +136,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _check_label(y: int, num_classes: int):
     """ValueError unless y is an int or numpy integer (not a bool) in [0, num_classes)."""
-    # bool is an int subclass, and a float label would only fail later in indexing
-    if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
-        raise ValueError(f"label must be an integer, got {y!r}")
+    _check_count("label", y)
     if not 0 <= y < num_classes:
         raise ValueError(f"label {y} out of range for {num_classes} classes")
 

@@ -3,6 +3,12 @@ the Gaussian smoothing kernel, the conv primitive and the JSON codec: the
 strict key check of configs and checkpoints, and the one checkpoint reader
 and writer.
 
+Every number setting is checked by one of two rules: a count by
+`_check_count` (an int or numpy integer, not a bool, at least a given least),
+a real value by `_check_real` (an int, float or numpy real, not a bool, in an
+interval written as its message prints it, such as "(0, inf)"; NaN lies in none).
+Any other JSON value is checked for its type by `_check_json`.
+
 All array data is 64-bit float, and images are row-major ``(H, W, C)``
 arrays on the 0-255 pixel scale unless stated otherwise.
 
@@ -89,6 +95,32 @@ def _check_count(name: str, value, least=None):
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
+def _check_real(name: str, value, interval: str):
+    """ValueError unless value is an int, a float or a numpy real, not a bool,
+    in `interval`, written as the message prints it: "(0, inf)", "[0, 1]"."""
+    low, high, closed_low, closed_high = _interval(interval)
+    if (not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+            and (low <= value if closed_low else low < value)
+            and (value <= high if closed_high else value < high)):
+        return
+    raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+
+
+@lru_cache(maxsize=None)
+def _interval(interval: str):
+    """(low, high, closed_low, closed_high) of an interval written "(0, inf]"."""
+    low, high = interval[1:-1].split(", ")
+    return float(low), float(high), interval[0] == "[", interval[-1] == "]"
+
+
+def _check_json(what: str, value, kind):
+    """value, if it is of JSON type `kind` (dict, list or str); ValueError otherwise."""
+    if not isinstance(value, kind):
+        names = {dict: "object", list: "list", str: "string"}
+        raise ValueError(f"{what} must be a JSON {names[kind]}, got {value!r}")
+    return value
+
+
 def _check_pair(name: str, values):
     """ValueError unless values is a list or tuple of two integers >= 1."""
     if not isinstance(values, (tuple, list)) or len(values) != 2:
@@ -114,8 +146,7 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     This is the independent oracle for every analytic gradient in the
     package; it must not share code with the paths it checks.
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
+    _check_real("h", h, "(0, inf]")
     x = np.asarray(x, dtype=np.float64)
     grad = np.zeros_like(x)
     flat = grad.reshape(-1)
@@ -133,8 +164,7 @@ def finite_diff_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 def finite_diff_hessian(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Symmetrized central second-difference Hessian estimate."""
-    if h <= 0:
-        raise ValueError("step size h must be positive")
+    _check_real("h", h, "(0, inf]")
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     n = x.size
     hess = np.zeros((n, n))
@@ -151,10 +181,10 @@ def finite_diff_hessian(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
 
 def gaussian_kernel_2d(k: int, sigma: float) -> np.ndarray:
     """k-by-k Gaussian kernel, centered, normalized to sum exactly 1."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"kernel size must be odd and >= 1, got {k}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_count("k", k, 1)
+    if k % 2 == 0:
+        raise ValueError(f"kernel size k must be odd, got {k}")
+    _check_real("sigma", sigma, "(0, inf]")
     half = k // 2
     coords = np.arange(-half, half + 1, dtype=np.float64)
     ii, jj = np.meshgrid(coords, coords, indexing="ij")
@@ -261,23 +291,30 @@ def _decode_arrays(doc: dict, like: dict, what: str) -> dict:
     ValueError unless the names and shapes are those of the arrays in `like`,
     the parameters of the object the checkpoint is loaded into; a missing or
     misshapen array would otherwise stay at its initial value or fail later.
+    Each entry is an object with a ``shape`` list of counts and a ``data`` list.
     """
-    arrays = {k: np.asarray(spec["data"], dtype=np.float64).reshape(spec["shape"])
-              for k, spec in doc.items()}
-    if arrays.keys() != like.keys():
-        raise ValueError(f"{what} holds arrays {sorted(arrays)}, expected {sorted(like)}")
-    for k, v in like.items():
-        if arrays[k].shape != np.shape(v):
-            raise ValueError(f"{what} array {k!r} has shape {arrays[k].shape}, "
-                             f"expected {np.shape(v)}")
+    if _check_json(f"{what} arrays", doc, dict).keys() != like.keys():
+        raise ValueError(f"{what} holds arrays {sorted(doc)}, expected {sorted(like)}")
+    arrays = {}
+    for k, spec in doc.items():
+        entry = f"{what} array {k!r}"
+        _check_keys(spec, ("shape", "data"), ("shape", "data"), entry)
+        for size in _check_json(f"{entry} shape", spec["shape"], list):
+            _check_count(f"{entry} shape entry", size, 0)
+        shape = tuple(spec["shape"])
+        if shape != np.shape(like[k]):
+            raise ValueError(f"{entry} has shape {shape}, expected {np.shape(like[k])}")
+        data = _check_json(f"{entry} data", spec["data"], list)
+        try:
+            arrays[k] = np.asarray(data, dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError):
+            raise ValueError(f"{entry} data are not numbers that fill its shape") from None
     return arrays
 
 
 def _check_keys(doc, known, required, what: str):
     """ValueError naming the key if `doc` has a key outside `known` or lacks a `required` one."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {doc!r}")
-    for key in doc:
+    for key in _check_json(what, doc, dict):
         if key not in known:
             raise ValueError(f"unknown key {key!r} in {what}")
     for key in required:

@@ -1,16 +1,22 @@
 """End-to-end smoke tests for the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from advgrad import cli
+from advgrad import cli, harness
 from advgrad.cli import main
 from advgrad.generator import load_generator
 from advgrad.harness import synth_dataset, write_idx
 from advgrad.models import TrainConfig, load_model, train_classifier
 from advgrad.numerics import ImageShape
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_train_model_writes_checkpoint(tmp_path, capsys):
@@ -68,7 +74,7 @@ def test_train_generator_requires_two_checkpoints(tmp_path):
               "--out", str(tmp_path / "gen2.json")])
     # a NaN head scale passed a `<= 0` check and trained a NaN theta
     for value in ("nan", "inf"):
-        with pytest.raises(SystemExit, match="head scale must be positive and finite"):
+        with pytest.raises(SystemExit, match=r"head_scale must be a real number in \(0, inf\)"):
             main(["train-generator", "--pool", str(a), str(b), "--n", "30", "--steps", "2",
                   "--total-steps", "3", "--head-scale", value,
                   "--out", str(tmp_path / "gen3.json")])
@@ -147,6 +153,55 @@ def test_a_config_without_models_exits_with_its_message(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+JSON_STRINGS = [
+    (lambda doc: doc["attacks"][0]["config"].update(epsilon="16"),
+     "epsilon must be a real number in [0, inf], got '16'"),
+    (lambda doc: doc["attacks"][0]["config"]["step_rule"].update(alpha="1.6"),
+     "alpha must be a real number in (0, inf), got '1.6'"),
+    (lambda doc: doc["attacks"][0]["config"].update(momentum="1"),
+     "momentum must be a real number in [0, inf), got '1'"),
+    (lambda doc: doc["attacks"][0]["config"].update(transforms=[{"type": "tim", "sigma": "1"}]),
+     "sigma must be a real number in (0, inf], got '1'"),
+    (lambda doc: doc["models"][0].update(learning_rate="0.1"),
+     "model spec 'mlp': learning_rate must be a real number in (0, inf), got '0.1'"),
+    (lambda doc: doc.update(epsilon_grid=[8.0, "x"]),
+     "epsilon must be a real number in [0, inf], got 'x'"),
+    (lambda doc: doc.update(train_fraction="0.5"),
+     "train_fraction must be a real number in (0, 1), got '0.5'"),
+]
+
+
+@pytest.mark.parametrize("command", ["attack", "sweep", "interaction"])
+@pytest.mark.parametrize("edit,message", JSON_STRINGS,
+                         ids=["epsilon", "alpha", "momentum", "tim-sigma", "learning-rate",
+                              "grid-entry", "train-fraction"])
+def test_a_json_string_for_a_real_setting_exits_with_its_message(tmp_path, monkeypatch, command,
+                                                                 edit, message):
+    # each of these ended in a TypeError traceback
+    monkeypatch.setattr(harness, "train_classifier", lambda *args: pytest.fail("a model trained"))
+    doc = json.loads(experiment_config(tmp_path).read_text())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    # a str code is printed to stderr and exits with status 1
+    assert exc.value.code == message
+
+
+def test_a_json_string_exits_with_status_1_and_no_traceback(tmp_path):
+    doc = json.loads(experiment_config(tmp_path).read_text())
+    doc["attacks"][0]["config"]["epsilon"] = "16"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    src = os.pathsep.join(p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "advgrad.cli", "attack", "--config", str(path)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "epsilon must be a real number in [0, inf], got '16'\n"
+
+
 def test_a_config_path_that_does_not_exist_exits_with_its_message(tmp_path):
     missing = tmp_path / "missing.json"
     with pytest.raises(SystemExit, match=re.escape(f"No such file or directory: '{missing}'")):
@@ -183,7 +238,9 @@ def test_a_pool_checkpoint_without_kind_exits_with_its_message(tmp_path):
     (lambda doc: doc["hyper"].update(hidden=2.5), "hidden must be an integer, got 2.5"),
     (lambda doc: doc.update(num_classes="3"), "num_classes must be an integer, got '3'"),
     (lambda doc: doc.update(image_shape=8), "image_shape must be"),
-], ids=["float-hidden", "string-classes", "int-shape"])
+    (lambda doc: doc["params"].update(W1=5),
+     "model checkpoint array 'W1' must be a JSON object, got 5"),
+], ids=["float-hidden", "string-classes", "int-shape", "int-array"])
 def test_a_pool_checkpoint_with_a_bad_value_exits_with_its_message(tmp_path, edit, message):
     # these ended in a TypeError traceback
     path = tmp_path / "a.json"

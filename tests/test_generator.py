@@ -71,7 +71,7 @@ class TestConstruction:
     @pytest.mark.parametrize("head_scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_a_head_scale_that_is_not_positive_and_finite(self, head_scale):
         # NaN and inf passed a `head_scale <= 0` check; NaN trained to a NaN theta
-        with pytest.raises(ValueError, match="head scale must be positive and finite"):
+        with pytest.raises(ValueError, match=r"head_scale must be a real number in \(0, inf\)"):
             ScalingFactorGenerator(3, SHAPE, head_scale=head_scale)
 
     @pytest.mark.parametrize("kwargs,message", [
@@ -111,7 +111,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
     def test_train_config_rejects_non_finite_learning_rate(self, learning_rate):
-        with pytest.raises(ValueError, match="learning rate"):
+        with pytest.raises(ValueError, match="learning_rate"):
             GeneratorTrainConfig(total_steps=1, attack_steps=2, learning_rate=learning_rate,
                                  epsilon=8.0)
 
@@ -465,7 +465,8 @@ class TestTraining:
 
         monkeypatch.setattr(generator, "make_rng", no_draws)
         for head_scale in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="head scale must be positive and finite"):
+            with pytest.raises(ValueError,
+                               match=r"head_scale must be a real number in \(0, inf\)"):
                 train_generator(ds, pool, cfg, head_scale=head_scale, hidden=(12, 6))
         with pytest.raises(ValueError, match=r"hidden\[1\] must be >= 1"):
             train_generator(ds, pool, cfg, hidden=(12, 0))
@@ -622,12 +623,20 @@ class TestCheckpoints:
          "generator checkpoint: image height must be an integer, got 8.0"),
         # these raised TypeError from the comparison or from ImageShape(*...)
         (lambda doc: {**doc, "head_scale": "x"},
-         "head scale must be positive and finite, got 'x'"),
+         r"head_scale must be a real number in \(0, inf\), got 'x'"),
         (lambda doc: {**doc, "image_shape": 8},
          r"generator checkpoint: image_shape must be \[height, width, channels\], got 8"),
         (lambda doc: {**doc, "hidden": [4, 2.5]}, r"hidden\[1\] must be an integer, got 2.5"),
+        (lambda doc: {**doc, "head_scale": True},
+         r"head_scale must be a real number in \(0, inf\), got True"),
+        # these raised TypeError from len() or from the array decoding
+        (lambda doc: {**doc, "theta": 5}, "generator checkpoint theta must be a JSON list, got 5"),
+        (lambda doc: {**doc, "theta": [5] * len(doc["theta"])},
+         "step 0 of the generator checkpoint arrays must be a JSON object, got 5"),
+        (lambda doc: {**doc, "theta": [{**doc["theta"][0], "W1": 5}, *doc["theta"][1:]]},
+         "step 0 of the generator checkpoint array 'W1' must be a JSON object, got 5"),
     ], ids=["list", "no-steps", "no-image-shape", "unknown-key", "float-dim", "string-scale",
-            "int-shape", "float-hidden"])
+            "int-shape", "float-hidden", "bool-scale", "int-theta", "int-step", "int-array"])
     def test_rejects_a_malformed_checkpoint(self, tmp_path, edit, message):
         # unchecked, a list raised AttributeError, a missing key KeyError, and
         # an unknown key loaded silently

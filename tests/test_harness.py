@@ -1,7 +1,9 @@
 """Tests for dataset I/O, metrics, the experiment runner, and self-checks."""
 
 import csv
+import dataclasses
 import json
+import math
 import re
 import struct
 import warnings
@@ -29,7 +31,7 @@ from advgrad import attacks, harness, interaction
 from advgrad.attacks import (
     AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Sim, Tim, Vt, run_attack,
 )
-from advgrad.generator import ScalingFactorGenerator, save_generator
+from advgrad.generator import GeneratorTrainConfig, ScalingFactorGenerator, save_generator
 from advgrad.models import (
     LabeledDataset, TrainConfig, build_model, save_model, train_classifier,
 )
@@ -151,6 +153,24 @@ class TestSynthDataset:
         with pytest.raises(ValueError):
             synth_dataset("imagenet", 10, SHAPE, seed=0)
 
+    @pytest.mark.parametrize("shape,n,num_classes", [
+        ((8, 8, 1), 40, 3), ((6, 4, 2), 13, 4), ((5, 7, 3), 7, 10)])
+    def test_striped_digits_equals_the_per_example_loop(self, shape, n, num_classes):
+        # the stripes come from the labels as one array and the noise is one
+        # draw, with the bits of this loop
+        h, w, c = shape
+        rng = make_rng(9, stream=11)
+        ii, jj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+        expected = np.zeros((n, h, w, c))
+        for i in range(n):
+            angle = np.pi * (i % num_classes) / num_classes
+            phase = ii * np.cos(angle) + jj * np.sin(angle)
+            img = 128.0 + 90.0 * np.sin(2.0 * np.pi * phase / max(h, w) * 2.0)
+            expected[i] = img[..., None] + rng.normal(0.0, 15.0, size=(h, w, c))
+        ds = synth_dataset("striped-digits", n, ImageShape(*shape), seed=9,
+                           num_classes=num_classes)
+        assert np.array_equal(ds.images, np.clip(expected, 0.0, 255.0))
+
     def test_moons_requires_two_classes(self):
         with pytest.raises(ValueError):
             synth_dataset("two-moons-image", 10, SHAPE, seed=0, num_classes=3)
@@ -161,7 +181,7 @@ class TestSynthDataset:
         ({"num_classes": 2.0}, "num_classes must be an integer, got 2.0"),
         ({"num_classes": True}, "num_classes must be an integer, got True"),
         ({"n": 10.0}, "n must be an integer, got 10.0"),
-        ({"n": 1}, "need at least two examples"),
+        ({"n": 1}, "n must be >= 2, got 1"),
     ], ids=["no-classes", "negative-classes", "float-classes", "bool-classes", "float-n",
             "one-example"])
     def test_rejects_a_bad_count_by_name(self, kwargs, message):
@@ -331,8 +351,8 @@ class TestExperimentRunner:
         assert {float(r["epsilon"]) for r in rows} == {2.0, 8.0}
 
     def test_interaction_histogram_output(self, tmp_path):
-        cfg = self.base_config(tmp_path)
-        cfg.interaction = {"examples": 3, "num_pairs": 3, "num_subsets": 2}
+        cfg = self.base_config(tmp_path,
+                               interaction={"examples": 3, "num_pairs": 3, "num_subsets": 2})
         paths = run_experiment(cfg)
         with open(paths["interaction"], newline="") as fh:
             raw = list(csv.DictReader(fh))
@@ -347,8 +367,8 @@ class TestExperimentRunner:
         cfg = self.base_config(tmp_path, attacks=[
             {"name": "dim", "config": {
                 "epsilon": 8.0, "steps": 3, "step_rule": {"type": "sign", "alpha": 2.0},
-                "transforms": [{"type": "dim", "p": 1.0, "min_fraction": 0.5}]}}])
-        cfg.interaction = {"examples": 3, "num_pairs": 3, "num_subsets": 2}
+                "transforms": [{"type": "dim", "p": 1.0, "min_fraction": 0.5}]}}],
+            interaction={"examples": 3, "num_pairs": 3, "num_subsets": 2})
         attacked, scored = [], []
         run_attack, make_setfn = attacks.run_attack, interaction.make_model_setfn
 
@@ -409,8 +429,8 @@ class TestExperimentRunner:
         cfg = self.base_config(tmp_path, eval_count=12, epsilon_grid=[8.0],
                                attacks=[{"name": "tgt", "config": {
                                    "epsilon": 32.0, "steps": 3, "target_label": 0,
-                                   "step_rule": {"type": "sign", "alpha": 12.0}}}])
-        cfg.interaction = {"examples": 4, "num_pairs": 2, "num_subsets": 2}
+                                   "step_rule": {"type": "sign", "alpha": 12.0}}}],
+                               interaction={"examples": 4, "num_pairs": 2, "num_subsets": 2})
         paths = run_experiment(cfg)
         with open(paths["results"], newline="") as fh:
             results = list(csv.DictReader(fh))
@@ -607,7 +627,7 @@ class TestExperimentRunner:
          {"models": [MLP, {**CONV, "kind": "convnet"}]}),
         ("two model specs are named 'mlp'", {"models": [MLP, {**CONV, "name": "mlp"}]}),
         ("interaction methods entry 'BIM' names no attack", {"interaction": {"methods": ["BIM"]}}),
-        ("interaction methods must be a list of attack names, got 'bim'",
+        ("interaction methods must be a JSON list, got 'bim'",
          {"interaction": {"methods": "bim"}}),
     ]
 
@@ -624,6 +644,43 @@ class TestExperimentRunner:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_experiment(self.base_config(tmp_path, **override))
         assert trained == []
+
+    BIM = {"epsilon": 8.0, "steps": 1, "step_rule": {"type": "sign", "alpha": 2.0}}
+    BAD_TYPES = [
+        ("sources entry 5 names no model spec", {"sources": ["mlp", 5]}),
+        ("targets entry ['mlp'] names no model spec", {"targets": [["mlp"]]}),
+        ("interaction model entry {'a': 1} names no model spec",
+         {"interaction": {"model": {"a": 1}}}),
+        ("model spec name must be a JSON string, got ['mlp']",
+         {"models": [{**MLP, "name": ["mlp"]}, CONV]}),
+        ("model spec checkpoint must be a JSON string, got 5",
+         {"models": [{"name": "mlp", "checkpoint": 5}, CONV]}),
+        ("attack name must be a JSON string, got ['bim']",
+         {"attacks": [{"name": ["bim"], "config": BIM}]}),
+        ("unknown step rule type ['sign']",
+         {"attacks": [{"name": "bim", "config": {**BIM, "step_rule": {"type": ["sign"]}}}]}),
+        ("transforms must be a JSON list, got 5",
+         {"attacks": [{"name": "bim", "config": {**BIM, "transforms": 5}}]}),
+        ("dataset spec must be a JSON object, got 5", {"dataset": 5}),
+        ("dataset spec: images must be a JSON string, got 5",
+         {"dataset": {"kind": "idx", "images": 5, "labels": "labels.idx"}}),
+        ("dataset spec: path must be a JSON string, got []",
+         {"dataset": {"kind": "cifar", "path": []}}),
+    ]
+
+    @pytest.mark.parametrize("message,override", BAD_TYPES,
+                             ids=["source", "target", "interaction-model", "model-name",
+                                  "checkpoint", "attack-name", "rule-type", "transforms",
+                                  "dataset", "idx-path", "cifar-path"])
+    def test_a_value_of_the_wrong_json_type_fails_before_training(self, tmp_path, monkeypatch,
+                                                                  message, override):
+        # these raised TypeError or AttributeError: a name that was not a
+        # string failed in a dict lookup or a split, and an int path was
+        # opened as a file descriptor
+        monkeypatch.setattr(harness, "train_classifier",
+                            lambda *args: pytest.fail("a model trained"))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(self.base_config(tmp_path, **override))
 
     @pytest.mark.parametrize("message,override", [
         ("model spec 'conv': seed must be >= 0, got -1", {"models": [MLP, {**CONV, "seed": -1}]}),
@@ -726,8 +783,8 @@ class TestExperimentRunner:
             return estimates[-1]
 
         monkeypatch.setattr(interaction, "expected_interaction_sampled", spy)
-        cfg = self.base_config(tmp_path)
-        cfg.interaction = {"examples": 3, "num_pairs": 3, "num_subsets": 2}
+        cfg = self.base_config(tmp_path,
+                               interaction={"examples": 3, "num_pairs": 3, "num_subsets": 2})
         rows = read_csv(run_experiment(cfg)["interaction"])
         assert len(rows) == len(estimates) == 3
         assert all(e.stderr > 0 for e in estimates)
@@ -764,6 +821,9 @@ class TestExperimentRunner:
             self.base_config(tmp_path, attacks=[])
         with pytest.raises(ValueError):
             self.base_config(tmp_path, seeds=[])
+        # no sources failed only in emit_report, after every model had trained
+        with pytest.raises(ValueError, match="sources must hold at least one entry"):
+            self.base_config(tmp_path, sources=[])
 
     BAD_VALUES = [
         ("train_fraction", {"train_fraction": 1.0}),
@@ -796,13 +856,53 @@ class TestExperimentRunner:
         with pytest.raises(ValueError, match=what):
             self.base_config(tmp_path, **override)
 
-    def test_value_set_after_construction_fails_before_training(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("make,field", [
+        (lambda: TrainConfig(), "learning_rate"),
+        (lambda: GeneratorTrainConfig(total_steps=1, attack_steps=1, learning_rate=0.1,
+                                      epsilon=8.0), "epsilon"),
+        (lambda: ExperimentConfig(dataset={}, models=[], attacks=[{}], sources=["a"],
+                                  targets=["a"], seeds=[0], output_dir="out"), "interaction"),
+    ], ids=["train", "generator-train", "experiment"])
+    def test_configs_are_frozen(self, make, field):
+        # an assignment would skip the checks of __post_init__, which run once
+        cfg = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, {"num_pairs": 0} if field == "interaction" else math.nan)
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, **{field: {"num_pairs": 0} if field == "interaction"
+                                        else math.nan})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("models", {"name": "mlp"}, "models must be a JSON list, got {'name': 'mlp'}"),
+        ("attacks", "bim", "attacks must be a JSON list, got 'bim'"),
+        ("targets", "conv", "targets must be a JSON list, got 'conv'"),
+        ("seeds", 5, "seeds must be a JSON list, got 5"),
+        ("epsilon_grid", 8.0, "epsilon_grid must be a JSON list, got 8.0"),
+        ("output_dir", 5, "output_dir must be a JSON string, got 5"),
+        ("generator_checkpoint", ["g.json"],
+         "generator_checkpoint must be a JSON string, got ['g.json']"),
+        ("train_fraction", "0.5", "train_fraction must be a real number in (0, 1), got '0.5'"),
+    ])
+    def test_a_value_of_the_wrong_json_type_fails_when_the_config_is_built(
+            self, tmp_path, field, value, message):
+        # "seeds": 5 raised TypeError, "sources": "mlp" named entry 'm', and
+        # "epsilon_grid": 8.0 raised TypeError after every matrix cell
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.base_config(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("override,message", [
+        ({"epsilon_grid": [8.0, -1]}, "epsilon must be a real number in [0, inf], got -1"),
+        ({"epsilon_grid": [8.0, "x"]}, "epsilon must be a real number in [0, inf], got 'x'"),
+        ({"epsilon_grid": [True]}, "epsilon must be a real number in [0, inf], got True"),
+        ({"sources": "mlp"}, "sources must be a JSON list, got 'mlp'"),
+    ], ids=["grid-negative", "grid-string", "grid-bool", "sources-string"])
+    def test_a_bad_grid_entry_or_source_list_fails_before_any_model_trains(
+            self, tmp_path, monkeypatch, override, message):
+        # a grid entry of -1 failed only after every matrix cell had been attacked
         monkeypatch.setattr(harness, "train_classifier",
                             lambda *args: pytest.fail("a model trained"))
-        cfg = self.base_config(tmp_path)
-        cfg.interaction = {"examples": 2, "num_pairs": 0}
-        with pytest.raises(ValueError, match="interaction num_pairs"):
-            run_experiment(cfg)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(self.base_config(tmp_path, **override))
 
 
 class TestAttackCell:

@@ -637,8 +637,8 @@ class TestSampledInteraction:
         ((True, 3), "num_pairs must be an integer, got True"),
         ((2, 3.0), "num_subsets must be an integer, got 3.0"),
         ((2, np.bool_(True)), "num_subsets must be an integer, got .*True"),
-        ((0, 3), "at least one pair"),
-        ((2, -1), "at least one pair and one subset"),
+        ((0, 3), "num_pairs must be >= 1, got 0"),
+        ((2, -1), "num_subsets must be >= 1, got -1"),
     ], ids=["pairs-float", "pairs-bool", "subsets-float", "subsets-numpy-bool", "no-pair",
             "negative-subsets"])
     def test_bad_counts_are_rejected_before_any_draw(self, n, counts, message):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ class TestLabeledDataset:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 4, 4, 1)), np.zeros(3, dtype=int), 2)
+
+    @pytest.mark.parametrize("labels,num_classes,message", [
+        ([0.5, 1.7], 3, "labels must be integers, got float64"),
+        ([True, False], 3, "labels must be integers, got bool"),
+        (["0", "1"], 3, "labels must be integers, got <U1"),
+        ([0, 1], 3.0, "num_classes must be an integer, got 3.0"),
+        ([0, 1], 0, "num_classes must be >= 1, got 0"),
+    ], ids=["floats", "bools", "strings", "float-classes", "no-classes"])
+    def test_rejects_labels_that_are_not_integers(self, labels, num_classes, message):
+        # [0.5, 1.7] was truncated to [0, 1] without a word
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LabeledDataset(np.zeros((2, 2, 2, 1)), labels, num_classes)
+
+    def test_an_empty_label_list_stays_valid(self):
+        ds = LabeledDataset(np.zeros((0, 2, 2, 1)), [], 3)
+        assert len(ds) == 0 and ds.labels.dtype == np.int64
 
 
 class TestForward:
@@ -604,7 +621,7 @@ class TestTraining:
 
     @pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
     def test_rejects_non_finite_learning_rate(self, learning_rate):
-        with pytest.raises(ValueError, match="learning rate"):
+        with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -702,10 +719,34 @@ class TestCheckpoints:
          r"model checkpoint: image_shape must be \[height, width, channels\], got 8"),
         ("mlp-1-hidden", lambda doc: {**doc, "image_shape": [8, 8]},
          r"model checkpoint: image_shape must be \[height, width, channels\], got \[8, 8\]"),
+        # these raised TypeError from the array decoding
+        ("mlp-1-hidden", lambda doc: {**doc, "params": 5},
+         "model checkpoint arrays must be a JSON object, got 5"),
+        ("mlp-1-hidden", lambda doc: {**doc, "params": {**doc["params"], "W1": 5}},
+         "model checkpoint array 'W1' must be a JSON object, got 5"),
+        ("mlp-1-hidden", lambda doc: {**doc, "params": {**doc["params"], "W1": {
+            "shape": "x", "data": [0.0]}}},
+         "model checkpoint array 'W1' shape must be a JSON list, got 'x'"),
+        ("mlp-1-hidden", lambda doc: {**doc, "params": {**doc["params"], "W1": {
+            "shape": [32, 64.0], "data": [0.0]}}},
+         "model checkpoint array 'W1' shape entry must be an integer, got 64.0"),
+        ("mlp-1-hidden", lambda doc: {**doc, "params": {**doc["params"], "W1": {
+            "shape": [32, 64], "data": [0.0]}}},
+         "model checkpoint array 'W1' data are not numbers that fill its shape"),
+        ("mlp-1-hidden", lambda doc: {**doc, "params": {**doc["params"], "b1": {
+            "shape": [32], "data": ["x"] * 32}}},
+         "model checkpoint array 'b1' data are not numbers that fill its shape"),
+        ("mlp-1-hidden", lambda doc: {**doc, "params": {**doc["params"], "b1": {
+            "shape": [32], "data": [{}] * 32}}},
+         "model checkpoint array 'b1' data are not numbers that fill its shape"),
+        ("mlp-1-hidden", lambda doc: {**doc, "params": {**doc["params"], "b1": {
+            "shape": [32], "data": 5}}},
+         "model checkpoint array 'b1' data must be a JSON list, got 5"),
     ], ids=["list", "no-kind", "no-image-shape", "list-kind", "unknown-key", "unknown-hyper",
             "hyper-of-another-kind", "float-dim", "float-hidden", "no-hidden",
             "one-channel-count", "string-channel", "string-classes", "int-shape",
-            "two-dims"])
+            "two-dims", "int-params", "int-array", "string-shape", "float-shape-entry",
+            "short-data", "string-data", "object-data", "int-data"])
     def test_rejects_a_malformed_checkpoint(self, tmp_path, kind, edit, message):
         # unchecked, a list raised AttributeError, a missing key KeyError, and
         # an unknown key loaded silently

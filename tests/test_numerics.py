@@ -1,11 +1,20 @@
 """Tests for the shared numeric utilities."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sliding_window_conv as sliding
+from advgrad.attacks import (
+    AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Tim, Vt, dim_transform, project,
+)
+from advgrad.generator import GeneratorTrainConfig, ScalingFactorGenerator
+from advgrad.harness import ExperimentConfig
+from advgrad.models import TrainConfig
 from advgrad.numerics import (
     ImageShape,
     _conv3x3,
@@ -33,6 +42,78 @@ class TestImageShape:
     def test_rejects_degenerate_dims(self, dims):
         with pytest.raises(ValueError):
             ImageShape(*dims)
+
+
+def _experiment(train_fraction):
+    return ExperimentConfig(dataset={}, models=[], attacks=[{}], sources=["a"], targets=["a"],
+                            seeds=[0], output_dir="out", train_fraction=train_fraction)
+
+
+# every real-valued setting: (name, a call that sets it to v, its interval, a
+# value inside it); each is checked by _check_real
+REAL_SETTINGS = [
+    ("alpha", lambda v: SignStep(v), "(0, inf)", 2),
+    ("gamma", lambda v: FixedScaleStep(v), "(0, inf)", 16),
+    ("p", lambda v: Dim(p=v), "[0, 1]", 1),
+    ("min_fraction", lambda v: Dim(min_fraction=v), "(0, 1]", 1),
+    ("sigma", lambda v: Tim(sigma=v), "(0, inf]", 1),
+    ("beta", lambda v: Vt(beta=v), "[0, inf)", 2),
+    ("eta", lambda v: Emi(eta=v), "[0, inf)", 7),
+    ("epsilon", lambda v: AttackConfig(epsilon=v, steps=1, step_rule=SignStep(1.0)),
+     "[0, inf]", 16),
+    ("momentum", lambda v: AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0),
+                                        momentum=v), "[0, inf)", 1),
+    ("p", lambda v: dim_transform(np.zeros((4, 4, 1)), v, make_rng(0)), "[0, 1]", 1),
+    ("epsilon", lambda v: project(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), v), "[0, inf]", 8),
+    ("learning_rate", lambda v: TrainConfig(learning_rate=v), "(0, inf)", 1),
+    ("learning_rate", lambda v: GeneratorTrainConfig(total_steps=1, attack_steps=1,
+                                                     learning_rate=v, epsilon=8.0),
+     "(0, inf)", 1),
+    ("epsilon", lambda v: GeneratorTrainConfig(total_steps=1, attack_steps=1,
+                                               learning_rate=0.1, epsilon=v), "[0, inf]", 8),
+    ("head_scale", lambda v: ScalingFactorGenerator(1, ImageShape(2, 2, 1), head_scale=v,
+                                                    hidden=(2, 2)), "(0, inf)", 10),
+    ("train_fraction", _experiment, "(0, 1)", 0.5),
+    ("sigma", lambda v: gaussian_kernel_2d(3, v), "(0, inf]", 1),
+    ("h", lambda v: finite_diff_gradient(lambda x: 0.0, np.zeros(1), h=v), "(0, inf]", 1),
+    ("h", lambda v: finite_diff_hessian(lambda x: 0.0, np.zeros(1), h=v), "(0, inf]", 1),
+]
+REAL_IDS = ["SignStep", "FixedScaleStep", "Dim-p", "Dim-min_fraction", "Tim", "Vt", "Emi",
+            "AttackConfig-epsilon", "AttackConfig-momentum", "dim_transform", "project",
+            "TrainConfig", "GeneratorTrainConfig-learning_rate", "GeneratorTrainConfig-epsilon",
+            "ScalingFactorGenerator", "ExperimentConfig", "gaussian_kernel_2d",
+            "finite_diff_gradient", "finite_diff_hessian"]
+
+
+def just_outside(interval):
+    """The floats next to the interval's ends that lie outside it."""
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    out = [np.nextafter(low, -math.inf) if interval[0] == "[" else low]
+    if interval[-1] == ")":
+        out.append(high)
+    elif high < math.inf:
+        out.append(np.nextafter(high, math.inf))
+    return out
+
+
+class TestRealSettings:
+    @pytest.mark.parametrize("name,make,interval,inside", REAL_SETTINGS, ids=REAL_IDS)
+    def test_rejects_a_string_a_bool_nan_and_a_value_just_outside(self, name, make, interval,
+                                                                  inside):
+        # a string raised TypeError from a comparison, and True ran as 1
+        for value in ["1", str(inside), True, False, np.bool_(True), math.nan, np.float32("nan"),
+                      [inside], *just_outside(interval)]:
+            message = f"{name} must be a real number in {interval}, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(value)
+
+    @pytest.mark.parametrize("name,make,interval,inside", REAL_SETTINGS, ids=REAL_IDS)
+    def test_accepts_a_json_int_a_float_and_numpy_reals(self, name, make, interval, inside):
+        values = [inside, float(inside), np.float64(inside), np.float32(inside)]
+        if float(inside).is_integer():
+            values += [int(inside), np.int64(inside), np.uint8(inside)]
+        for value in values:
+            make(value)
 
 
 class TestMakeRng:
