@@ -212,8 +212,7 @@ class AttackConfig:
     target_label: int | None = None
 
     def __post_init__(self):
-        # epsilon = inf is a valid budget (no L-infinity bound)
-        _check_real("epsilon", self.epsilon, "[0, inf]")
+        _check_real("epsilon", self.epsilon, "[0, inf]")  # inf: no L-infinity bound
         _check_count("steps", self.steps, 0)
         if self.momentum is not None:
             _check_real("momentum", self.momentum, "[0, inf)")
