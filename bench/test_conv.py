@@ -20,7 +20,7 @@ from advgrad.numerics import ImageShape, make_rng
 
 KERNELS = {
     "index-table": (numerics._conv3x3, numerics._conv3x3_backward),
-    "sliding-window": (sliding._conv3x3,
+    "sliding-window": (lambda x, W, b, stride=1, work=None: sliding._conv3x3(x, W, b, stride),
                        lambda dout, cache, W, params=True, inputs=True:
                        sliding._conv3x3_backward(dout, cache, W)),
 }

@@ -10,7 +10,11 @@ with 3 classes, on one (H, W, C) image (N = 1, the attack step's call), on
 (the training minibatch and predict's chunk), with one label for every row.
 Batched predict of the MLP and the tiny convnet also runs on 480 rows, an
 eval set's accuracy pass, beside one forward pass per 32-row chunk (predict
-before whole chunks were stacked; the same classes).
+before whole chunks were stacked; the same classes).  One tiny-conv SGD
+epoch runs at the ``transfer`` workload's setting (480 blob images, batch
+32) through `train_classifier`, which also builds the model and scores it
+once: with its workspace, and allocating every minibatch's arrays afresh
+(the same bits).
 Run from the repository root:
 
     PYTHONPATH=src python -m pytest bench/test_model_gradient.py --benchmark-max-time=1 \
@@ -28,7 +32,9 @@ import numpy as np
 import pytest
 
 import reference_models
-from advgrad.models import CHUNK_ROWS, MODEL_KINDS, build_model
+from advgrad import models
+from advgrad.harness import synth_dataset
+from advgrad.models import CHUNK_ROWS, MODEL_KINDS, TrainConfig, build_model, train_classifier
 from advgrad.numerics import ImageShape, make_rng
 
 SHAPE = ImageShape(8, 8, 1)
@@ -73,3 +79,14 @@ def test_predict_480_rows(benchmark, kind, path):
     model, x = _model(kind, "library"), _inputs(480)
     predict = model.predict if path == "library" else lambda x: _chunk_loop_predict(model, x)
     assert np.array_equal(benchmark(predict, x), model.predict(x))
+
+
+@pytest.mark.parametrize("path", ("workspace", "allocating"))
+def test_tiny_conv_sgd_epoch(benchmark, path, monkeypatch):
+    dataset = synth_dataset("blobs", 480, SHAPE, seed=0, num_classes=3)
+    if path == "allocating":
+        loss_backward = models.Model._loss_backward
+        monkeypatch.setattr(models.Model, "_loss_backward",
+                            lambda self, x, y, params, inputs=True, work=None:
+                            loss_backward(self, x, y, params, inputs))
+    benchmark(train_classifier, dataset, "tiny-conv", TrainConfig(epochs=1, seed=100))

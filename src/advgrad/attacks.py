@@ -278,6 +278,7 @@ def dim_transform(x: np.ndarray, p: float, rng: np.random.Generator,
     if x.ndim != 3:
         raise ValueError("dim_transform expects an (H, W, C) image")
     _check_real("p", p, "[0, 1]")
+    _check_real("min_fraction", min_fraction, "(0, 1]")
     if rng.random() >= p:
         return x
     h, w, _ = x.shape
@@ -656,8 +657,10 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
         if not math.isfinite(top):
             raise DegenerateGradientError(f"non-finite gradient at step {t}")
         if mu is not None:
-            # mu * g_mom + grad / l1 in place: the step owns grad
-            g_mom *= mu
+            # mu * g_mom + grad / l1 in place: the step owns grad; a product
+            # by 1.0 keeps every bit, so mu = 1.0 skips it
+            if mu != 1.0:
+                g_mom *= mu
             grad /= l1
             g_mom += grad
             direction = g_mom

@@ -404,7 +404,8 @@ def train_generator(dataset, model_pool, cfg: GeneratorTrainConfig,
         if n:
             upstream = (answer[:n] * g).reshape(n, -1).sum(axis=1)
             for k, grad in gen._backward(params, cache, upstream).items():
-                grad *= cfg.learning_rate  # in place: no second temporary of W1's size
+                if cfg.learning_rate != 1.0:  # a product by 1.0 keeps every bit
+                    grad *= cfg.learning_rate  # in place: no second temporary of W1's size
                 params[k] += grad
         g_at[r0 - entering:r0 + keep] = answer[n:]
         base, a, b = base - 1, a + 1, a + 1 + keep

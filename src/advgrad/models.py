@@ -17,6 +17,12 @@ run in place on fresh arrays; the softmax calls np.maximum.reduce and
 np.add.reduce directly; a batch with one label subtracts its one-hot as one
 column.  TinyConv's 2x2 pool adds four strided quarters on larger inputs
 (`_avgpool2`).
+
+Training keeps one workspace per `train_classifier` call, a dict that
+TinyConv's conv layers write their large minibatch arrays into (see
+`numerics._work_buffer`): glibc can hand fresh arrays of that size (100 to
+220 KB at batch 32 on 8x8x1 images) back to the OS when they are freed, and
+the next minibatch then faults their pages in again.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 from .numerics import (
     ImageShape, _check_count, _check_keys, _check_pair, _check_real, _check_seed, _conv3x3,
     _conv3x3_backward, _decode_arrays, _encode_arrays, _image_shape, _read_checkpoint,
-    _write_checkpoint, make_rng,
+    _work_buffer, _write_checkpoint, make_rng,
 )
 
 __all__ = [
@@ -204,21 +210,25 @@ class Model:
         z -= 0.5
         return z
 
-    def _forward(self, z: np.ndarray):
+    def _forward(self, z: np.ndarray, work=None):
         """Return (logits, cache) for standardized z of shape (N, H, W, C) or (H, W, C).
 
         Logits are (N, num_classes) or (num_classes,); the cache feeds _backward.
         z may also be a stack (M, N, H, W, C) of M batches, for logits of shape
         (M, N, num_classes) equal bit for bit to M calls on the batches: each
         batch runs its own GEMMs, whose row bits depend on the row count.  A
-        stack's cache feeds no _backward.
+        stack's cache feeds no _backward.  `work` is a training workspace
+        (see `numerics._work_buffer`) for this batch and its _backward; only
+        TinyConv keeps arrays there, with the bits of fresh ones.
         """
         raise NotImplementedError
 
-    def _backward(self, dlogits: np.ndarray, cache, params: bool, inputs: bool = True):
+    def _backward(self, dlogits: np.ndarray, cache, params: bool, inputs: bool = True,
+                  work=None):
         """Return (dz, param_grads): dz has z's shape, or is None when inputs is
         False; param_grads are summed over the batch, or None when params is
-        False.  Parameter gradients need a batched z."""
+        False.  Parameter gradients need a batched z.  `work` is the
+        workspace the cache's _forward was given."""
         raise NotImplementedError
 
     def logits(self, x: np.ndarray) -> np.ndarray:
@@ -263,11 +273,12 @@ class Model:
 
     # -- gradients ---------------------------------------------------------
 
-    def _loss_backward(self, x: np.ndarray, y, params: bool, inputs: bool = True):
+    def _loss_backward(self, x: np.ndarray, y, params: bool, inputs: bool = True, work=None):
         """Cross-entropy backward for one image and an int label, or for a batch
         (N, H, W, C) and a 0-d or (N,) label array.  Returns (dx on the 0-255 scale or
-        None when inputs is False, param_grads summed over the batch or None)."""
-        logits, cache = self._forward(self._standardize(x))
+        None when inputs is False, param_grads summed over the batch or None).
+        `work` is a training workspace for _forward and _backward."""
+        logits, cache = self._forward(self._standardize(x), work)
         dlogits = _softmax(logits)
         if dlogits.ndim == 1:
             dlogits[y] -= 1.0
@@ -275,7 +286,7 @@ class Model:
             dlogits[:, y] -= 1.0  # one label: its one-hot is one column
         else:
             dlogits[np.arange(len(dlogits)), y] -= 1.0
-        dz, grads = self._backward(dlogits, cache, params, inputs)
+        dz, grads = self._backward(dlogits, cache, params, inputs, work)
         if inputs:
             dz /= 255.0  # _backward's dz is a fresh array
         return dz, grads
@@ -314,7 +325,7 @@ class SoftmaxLinear(Model):
             "b": np.zeros(num_classes),
         }
 
-    def _forward(self, z):
+    def _forward(self, z, work=None):
         # (H, W, C) -> (d,), (N, H, W, C) -> (N, d) and (M, N, H, W, C) ->
         # (M, N, d); a stack goes to np.matmul, one GEMM per batch
         zf = z.reshape(z.shape[:-3] + (-1,))
@@ -322,7 +333,7 @@ class SoftmaxLinear(Model):
         logits += self.params["b"]
         return logits, zf
 
-    def _backward(self, dlogits, zf, params, inputs=True):
+    def _backward(self, dlogits, zf, params, inputs=True, work=None):
         grads = {"W": np.dot(dlogits.T, zf), "b": dlogits.sum(axis=0)} if params else None
         if not inputs:
             return None, grads
@@ -349,7 +360,7 @@ class TanhMLP(Model):
             "b2": np.zeros(num_classes),
         }
 
-    def _forward(self, z):
+    def _forward(self, z, work=None):
         zf = z.reshape(z.shape[:-3] + (-1,))
         dot = np.dot if zf.ndim < 3 else np.matmul  # as in SoftmaxLinear
         h = dot(zf, self.params["W1"].T)
@@ -359,7 +370,7 @@ class TanhMLP(Model):
         logits += self.params["b2"]
         return logits, (zf, h)
 
-    def _backward(self, dlogits, cache, params, inputs=True):
+    def _backward(self, dlogits, cache, params, inputs=True, work=None):
         zf, h = cache
         slope = h * h
         np.subtract(1.0, slope, out=slope)
@@ -415,10 +426,34 @@ def _avgpool2_strided(x):
 
 
 def _avgpool2_backward(d):
+    """The gradient of _avgpool2 for the gradient d of its output: d / 4 on
+    each of a window's four inputs.  The reference of `_pool_tanh_backward`."""
     n, h, w, c = d.shape
     out = np.empty((n, h, 2, w, 2, c))
     out[...] = (d / 4.0)[:, :, None, :, None]
     return out.reshape(n, 2 * h, 2 * w, c)
+
+
+def _pool_tanh_backward(d, t, out=None):
+    """The gradient through ``_avgpool2(t)``, t = tanh(a), with respect to a:
+    ``_avgpool2_backward(d) * (1 - t * t)`` bit for bit (the product
+    commutes), formed in one array, `out` if given."""
+    n, h, w, c = d.shape
+    out = np.multiply(t, t, out=out)
+    np.subtract(1.0, out, out=out)
+    windows = out.reshape(n, h, 2, w, 2, c)
+    np.multiply(windows, (d / 4.0)[:, :, None, :, None], out=windows)
+    return out
+
+
+def _layer_workspaces(work):
+    """The workspaces of TinyConv's two conv layers in its training workspace
+    `work`, or (None, None) without one.  Each layer has its own: with
+    channels (4, C2) on one-channel images the layers' im2col columns have
+    one shape."""
+    if work is None:
+        return None, None
+    return work.setdefault("conv1", {}), work.setdefault("conv2", {})
 
 
 class TinyConv(Model):
@@ -450,29 +485,32 @@ class TinyConv(Model):
         if image_shape.height % 4 or image_shape.width % 4:
             raise ValueError("tiny-conv needs height and width divisible by 4")
 
-    def _forward(self, z):
+    def _forward(self, z, work=None):
         if z.ndim == 5:
             # one batch at a time: merged, the batches would grow the im2col
             # buffers with the stack, and a product's row bits can change with
             # its row count
             return np.stack([self._forward(batch)[0] for batch in z]), None
+        work1, work2 = _layer_workspaces(work)
         lead = z.shape[:-3]
-        c1, conv1 = _conv3x3(z.reshape((-1,) + z.shape[-3:]), self.params["W1"], self.params["b1"])
-        t1 = np.tanh(c1)
-        c2, conv2 = _conv3x3(_avgpool2(t1), self.params["W2"], self.params["b2"])
-        t2 = np.tanh(c2)
+        c1, conv1 = _conv3x3(z.reshape((-1,) + z.shape[-3:]), self.params["W1"], self.params["b1"],
+                             work=work1)
+        t1 = np.tanh(c1, out=c1)
+        c2, conv2 = _conv3x3(_avgpool2(t1), self.params["W2"], self.params["b2"], work=work2)
+        t2 = np.tanh(c2, out=c2)
         flat = _avgpool2(t2).reshape(len(t2), -1)
         logits = flat @ self.params["W3"].T + self.params["b3"]
         return logits.reshape(lead + (-1,)), (lead, conv1, t1, conv2, t2, flat)
 
-    def _backward(self, dlogits, cache, params, inputs=True):
+    def _backward(self, dlogits, cache, params, inputs=True, work=None):
         lead, conv1, t1, conv2, t2, flat = cache
+        work1, work2 = _layer_workspaces(work)
         dlogits = dlogits.reshape(len(flat), -1)
         n, h, w, c = t2.shape
         dp2 = (dlogits @ self.params["W3"]).reshape(n, h // 2, w // 2, c)
-        dc2 = _avgpool2_backward(dp2) * (1.0 - t2 * t2)
+        dc2 = _pool_tanh_backward(dp2, t2, _work_buffer(work2, "dpre", t2.shape))
         dp1, dW2, db2 = _conv3x3_backward(dc2, conv2, self.params["W2"], params)
-        dc1 = _avgpool2_backward(dp1) * (1.0 - t1 * t1)
+        dc1 = _pool_tanh_backward(dp1, t1, _work_buffer(work1, "dpre", t1.shape))
         dz, dW1, db1 = _conv3x3_backward(dc1, conv1, self.params["W1"], params, inputs=inputs)
         grads = None
         if params:
@@ -508,13 +546,14 @@ def train_classifier(dataset: LabeledDataset, kind: str, cfg: TrainConfig, **kwa
     model = build_model(kind, dataset.image_shape, dataset.num_classes, seed=cfg.seed, **kwargs)
     rng = make_rng(cfg.seed, stream=1)
     n = len(dataset)
+    work = {}  # every minibatch's large arrays, one set per batch shape
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             # the input gradient is not needed, so the first layer's is never formed
             _, grads = model._loss_backward(dataset.images[batch], dataset.labels[batch],
-                                            params=True, inputs=False)
+                                            params=True, inputs=False, work=work)
             scale = cfg.learning_rate / len(batch)
             for k in model.params:
                 model.params[k] -= scale * grads[k]

@@ -15,7 +15,9 @@ arrays on the 0-255 pixel scale unless stated otherwise.
 The conv primitive (`_conv3x3`, `_conv3x3_backward`) is im2col on cached,
 read-only flat-index tables, built once per ``(H, W, C, stride)``: the forward
 pass gathers the 3x3 windows in one indexing call, and the backward pass
-scatters the window gradients back with one `np.bincount`.
+scatters the window gradients back with one `np.bincount`.  Given a workspace
+(a dict, see `_work_buffer`), it writes its large arrays into buffers kept
+there, so a training loop's minibatches reuse them instead of allocating.
 """
 
 from __future__ import annotations
@@ -56,6 +58,33 @@ class ImageShape:
         return self.height * self.width * self.channels
 
 
+@lru_cache(maxsize=None)
+def _philox_key_class():
+    """The seed-sequence class of make_rng, made on first use: subclassing
+    numpy's ISeedSequence imports numpy.random, which takes about 12 ms that
+    importing advgrad need not pay."""
+
+    class PhiloxKey(np.random.bit_generator.ISeedSequence):
+        """A seed sequence whose state is a given Philox key.
+
+        Philox takes its key from its seed sequence as ``generate_state(2,
+        np.uint64)``, so ``Philox(PhiloxKey(key))`` has the state of
+        ``Philox(key=key)``, without the OS-entropy SeedSequence that
+        ``Philox(key=...)`` builds and drops (make_rng took 11.5 us with it
+        and takes 4.6 us without, timeit on a 2-core Xeon).
+        """
+
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key
+
+    return PhiloxKey
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator; identical (seed, stream) pairs reproduce the
     same draw sequence regardless of what other streams are doing.
@@ -66,7 +95,8 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """
     _check_seed("seed", seed)
     _check_seed("stream", stream)
-    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_philox_key_class()(key)))
 
 
 def _check_seed(name: str, value):
@@ -228,18 +258,41 @@ def _conv3x3_scatter(h: int, w: int, c: int, stride: int, n: int) -> np.ndarray:
     return bins
 
 
-def _conv3x3(x: np.ndarray, W: np.ndarray, b: np.ndarray, stride: int = 1):
+def _work_buffer(work, name: str, shape: tuple):
+    """The float64 array kept under ``(name, shape)`` in workspace `work`,
+    zero-filled when first made; None when work is None.
+
+    A workspace is a dict one caller keeps for a run of calls (a training
+    run's minibatches) and gives each of them; a call of another shape gets
+    buffers of its own.  The next call overwrites them, so nothing returned
+    may outlive the call's use of it.  Numpy's ``out=None`` allocates, so an operation that takes
+    its out from here allocates as before when there is no workspace.
+    """
+    if work is None:
+        return None
+    key = (name, shape)
+    buf = work.get(key)
+    if buf is None:
+        buf = work[key] = np.zeros(shape)
+    return buf
+
+
+def _conv3x3(x: np.ndarray, W: np.ndarray, b: np.ndarray, stride: int = 1, work=None):
     """3x3 convolution with zero padding 1 over a batch ``x`` of shape (N, H, W, Cin).
 
     ``W`` is (3, 3, Cin, Cout) and ``b`` is (Cout,).  im2col by one gather
     through the cached `_conv3x3_gather` table of the input shape (padding taps
     read a trailing zero column), then one matmul.  Returns ``(out, cache)``:
     ``out`` has shape (N, (H - 1) // stride + 1, (W - 1) // stride + 1, Cout)
-    and ``cache`` feeds `_conv3x3_backward`.
+    and ``cache`` feeds `_conv3x3_backward`.  With a workspace `work` (one per
+    layer, see `_work_buffer`) the padded input, the columns, ``out`` and the
+    backward pass's window gradients are its buffers.
     """
     n, h, w, c = x.shape
     ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-    padded = np.zeros((n, h * w * c + 1))
+    padded = _work_buffer(work, "padded", (n, h * w * c + 1))  # the last column stays 0
+    if padded is None:
+        padded = np.zeros((n, h * w * c + 1))
     padded[:, :-1] = x.reshape(n, -1)
     # every index is in range; mode="clip" only skips numpy's slower checked gather.
     # take beats plain indexing (padded[:, table]) at the sizes attacks run and
@@ -247,9 +300,13 @@ def _conv3x3(x: np.ndarray, W: np.ndarray, b: np.ndarray, stride: int = 1):
     # 5000 calls, take against indexing in us): at 8x8x1 0.8 vs 1.7 (N=1), 2.0
     # vs 5.2 (N=5), 10.0 vs 7.9 (N=32); at 4x4x6 1.0 vs 2.2, 2.8 vs 7.2 and
     # 14.7 vs 11.6.  So take stays, with no branch on the batch size
-    cols = padded.take(_conv3x3_gather(h, w, c, stride), axis=1, mode="clip").reshape(-1, 9 * c)
-    out = cols @ W.reshape(9 * c, -1) + b
-    return out.reshape(n, ho, wo, -1), (cols, x.shape, stride)
+    table = _conv3x3_gather(h, w, c, stride)
+    cols = padded.take(table, axis=1, mode="clip",
+                       out=_work_buffer(work, "cols", (n, table.size))).reshape(-1, 9 * c)
+    out = np.matmul(cols, W.reshape(9 * c, -1),
+                    out=_work_buffer(work, "out", (len(cols), W.shape[-1])))
+    out += b
+    return out.reshape(n, ho, wo, -1), (cols, x.shape, stride, work)
 
 
 def _conv3x3_backward(dout: np.ndarray, cache, W: np.ndarray, params: bool = True,
@@ -263,14 +320,15 @@ def _conv3x3_backward(dout: np.ndarray, cache, W: np.ndarray, params: bool = Tru
     order of the tap that reaches it: the same sums, bit for bit, as adding the
     nine shifted tap planes into a zero-padded buffer one after another.
     """
-    cols, (n, h, w, c), s = cache
+    cols, (n, h, w, c), s, work = cache
     d2 = dout.reshape(-1, dout.shape[3])
     dx = None
     if inputs:
         # the window gradients, last window first: reversing the upstream rows copies
         # 9 * C / Cout times less than reversing the product, and the contiguous
         # copy keeps the product in BLAS, which rounds each row as before
-        dcols = np.ascontiguousarray(d2[::-1]) @ W.reshape(9 * c, -1).T
+        dcols = np.matmul(np.ascontiguousarray(d2[::-1]), W.reshape(9 * c, -1).T,
+                          out=_work_buffer(work, "dcols", cols.shape))
         size = h * w * c + 1
         dx = np.bincount(_conv3x3_scatter(h, w, c, s, n), weights=dcols.reshape(-1),
                          minlength=n * size).reshape(n, size)[:, :-1].reshape(n, h, w, c)
@@ -305,6 +363,9 @@ def _decode_arrays(doc: dict, like: dict, what: str) -> dict:
         if shape != np.shape(like[k]):
             raise ValueError(f"{entry} has shape {shape}, expected {np.shape(like[k])}")
         data = _check_json(f"{entry} data", spec["data"], list)
+        # np.asarray would parse a numeric string and take a bool as 0 or 1
+        if not set(map(type, data)) <= {int, float}:
+            raise ValueError(f"{entry} data are not numbers that fill its shape")
         try:
             arrays[k] = np.asarray(data, dtype=np.float64).reshape(shape)
         except (TypeError, ValueError):

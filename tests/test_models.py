@@ -19,6 +19,7 @@ from advgrad.models import (
     _avgpool2_backward,
     _avgpool2_strided,
     _log_softmax,
+    _pool_tanh_backward,
     _softmax,
     TrainConfig,
     accuracy,
@@ -311,7 +312,7 @@ class TestBatchedCore:
     def test_tiny_conv_convolves_a_stack_one_batch_at_a_time(self, monkeypatch):
         # so its im2col buffers stay the size of one batch's
         rows, conv = [], models._conv3x3
-        monkeypatch.setattr(models, "_conv3x3", lambda x, *args: rows.append(len(x))
+        monkeypatch.setattr(models, "_conv3x3", lambda x, *args, work=None: rows.append(len(x))
                             or conv(x, *args))
         build_model("tiny-conv", SHAPE, 3, seed=6)._forward(np.zeros((3, 32) + SHAPE.dims))
         assert rows == [32] * 6
@@ -486,6 +487,18 @@ class TestConvKernel:
         if c > 1:
             assert same_bits(_avgpool2_strided(x), want)
 
+    @pytest.mark.parametrize("shape", [(1, 4, 4, 6), (7, 2, 3, 1), (32, 4, 4, 6)])
+    def test_fused_pool_and_tanh_backward_matches_the_product_bit_for_bit(self, shape):
+        rng = make_rng(20)
+        n, h, w, c = shape
+        d = rng.normal(size=shape)
+        t = np.tanh(rng.normal(size=(n, 2 * h, 2 * w, c)))
+        want = _avgpool2_backward(d) * (1.0 - t * t)
+        assert same_bits(_pool_tanh_backward(d, t), want)
+        out = np.full(t.shape, np.nan)
+        assert _pool_tanh_backward(d, t, out) is out
+        assert same_bits(out, want)
+
     def test_only_parameter_gradients_ask_the_kernel_for_weight_gradients(self, monkeypatch):
         model = build_model("tiny-conv", SHAPE, 3, seed=0)
         asked = []
@@ -510,7 +523,8 @@ class TestConvKernel:
         cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.2, seed=1)
         model, acc = train_classifier(ds, "tiny-conv", cfg)
         with monkeypatch.context() as patch:
-            patch.setattr(models, "_conv3x3", sliding._conv3x3)
+            patch.setattr(models, "_conv3x3",
+                          lambda x, W, b, stride=1, work=None: sliding._conv3x3(x, W, b, stride))
             patch.setattr(models, "_conv3x3_backward",
                           lambda dout, cache, W, params=True, inputs=True:
                           sliding._conv3x3_backward(dout, cache, W))
@@ -633,7 +647,7 @@ class TestTraining:
         with monkeypatch.context() as patch:
             # the training path as it was: the input gradient formed, then dropped
             patch.setattr(models.Model, "_loss_backward",
-                          lambda self, x, y, params, inputs=True:
+                          lambda self, x, y, params, inputs=True, work=None:
                           loss_backward(self, x, y, params))
             reference, ref_acc = train_classifier(ds, kind, cfg)
         assert acc == ref_acc
@@ -655,6 +669,79 @@ class TestTraining:
         assert scattered == [(4, 4, 6)] * 3
         model.input_gradient(random_image(make_rng(10)), 1)
         assert scattered[3:] == [(4, 4, 6), (8, 8, 1)]
+
+
+def allocating_training(monkeypatch, dataset, kind, cfg, **kwargs):
+    """train_classifier with every minibatch's arrays allocated afresh: the
+    workspace it passes to _loss_backward is dropped."""
+    loss_backward = models.Model._loss_backward
+    with monkeypatch.context() as patch:
+        patch.setattr(models.Model, "_loss_backward",
+                      lambda self, x, y, params, inputs=True, work=None:
+                      loss_backward(self, x, y, params, inputs))
+        return train_classifier(dataset, kind, cfg, **kwargs)
+
+
+class TestTrainingWorkspace:
+    """train_classifier's one workspace per call, which TinyConv's conv layers
+    write their minibatch arrays into, against fresh arrays per minibatch."""
+
+    # 40 images at batch 16 leave a short last minibatch of 8
+    @pytest.mark.parametrize("batch_size", [16, 1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_training_is_bit_identical_to_allocating_each_minibatch(self, kind, batch_size,
+                                                                   monkeypatch):
+        ds = tiny_dataset(40, seed=12)
+        cfg = TrainConfig(epochs=2, batch_size=batch_size, seed=5)
+        model, acc = train_classifier(ds, kind, cfg)
+        reference, ref_acc = allocating_training(monkeypatch, ds, kind, cfg)
+        assert acc == ref_acc
+        for k in reference.params:
+            assert same_bits(model.params[k], reference.params[k])
+
+    def test_conv_layers_with_equal_column_shapes_keep_their_own_buffers(self, monkeypatch):
+        # channels (4, 4) on 8x8x1 images: both layers' im2col columns are
+        # (16, 576) at batch 16, and a shared buffer would lose layer 1's
+        ds = tiny_dataset(40, seed=13)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=6)
+        model, acc = train_classifier(ds, "tiny-conv", cfg, channels=(4, 4))
+        reference, ref_acc = allocating_training(monkeypatch, ds, "tiny-conv", cfg,
+                                                 channels=(4, 4))
+        assert acc == ref_acc
+        for k in reference.params:
+            assert same_bits(model.params[k], reference.params[k])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_buffer_is_made_once_per_run_and_reused_by_every_minibatch(self, kind,
+                                                                           monkeypatch):
+        loss_backward = models.Model._loss_backward
+        seen = []  # per minibatch: its row count and the id of every workspace buffer
+
+        def spy(self, x, y, params, inputs=True, work=None):
+            out = loss_backward(self, x, y, params, inputs, work)
+            seen.append((len(x), {(layer, key): id(buf)
+                                  for layer, bufs in work.items() for key, buf in bufs.items()}))
+            return out
+
+        monkeypatch.setattr(models.Model, "_loss_backward", spy)
+        train_classifier(tiny_dataset(40, seed=14), kind,
+                         TrainConfig(epochs=3, batch_size=16, seed=7))
+        assert [rows for rows, _ in seen] == [16, 16, 8] * 3
+        final = seen[-1][1]
+        if kind != "tiny-conv":
+            assert final == {}  # the dense models keep no arrays
+            return
+        # per batch shape: each layer's padded input, columns, output and
+        # pre-activation gradient, and layer 2's window gradients
+        names = [(layer, name) for layer, (name, shape) in final]
+        assert sorted(set(names)) == [
+            ("conv1", "cols"), ("conv1", "dpre"), ("conv1", "out"), ("conv1", "padded"),
+            ("conv2", "cols"), ("conv2", "dcols"), ("conv2", "dpre"), ("conv2", "out"),
+            ("conv2", "padded")]
+        assert len(names) == 2 * 9
+        assert seen[2][1] == final  # every buffer made in the first epoch
+        for _, ids in seen:
+            assert ids.items() <= final.items()  # none replaced or dropped
 
 
 class TestCheckpoints:
@@ -742,11 +829,19 @@ class TestCheckpoints:
         ("mlp-1-hidden", lambda doc: {**doc, "params": {**doc["params"], "b1": {
             "shape": [32], "data": 5}}},
          "model checkpoint array 'b1' data must be a JSON list, got 5"),
+        # numpy parsed these as 1.5, 2.0 and 1.0
+        ("softmax-linear", lambda doc: {**doc, "params": {**doc["params"], "b": {
+            "shape": [3], "data": ["1.5", "2", 0.0]}}},
+         "model checkpoint array 'b' data are not numbers that fill its shape"),
+        ("softmax-linear", lambda doc: {**doc, "params": {**doc["params"], "b": {
+            "shape": [3], "data": [True, 0.0, 0.0]}}},
+         "model checkpoint array 'b' data are not numbers that fill its shape"),
     ], ids=["list", "no-kind", "no-image-shape", "list-kind", "unknown-key", "unknown-hyper",
             "hyper-of-another-kind", "float-dim", "float-hidden", "no-hidden",
             "one-channel-count", "string-channel", "string-classes", "int-shape",
             "two-dims", "int-params", "int-array", "string-shape", "float-shape-entry",
-            "short-data", "string-data", "object-data", "int-data"])
+            "short-data", "string-data", "object-data", "int-data", "numeric-string-data",
+            "bool-data"])
     def test_rejects_a_malformed_checkpoint(self, tmp_path, kind, edit, message):
         # unchecked, a list raised AttributeError, a missing key KeyError, and
         # an unknown key loaded silently

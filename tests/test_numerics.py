@@ -64,6 +64,10 @@ REAL_SETTINGS = [
     ("momentum", lambda v: AttackConfig(epsilon=8.0, steps=1, step_rule=SignStep(1.0),
                                         momentum=v), "[0, inf)", 1),
     ("p", lambda v: dim_transform(np.zeros((4, 4, 1)), v, make_rng(0)), "[0, 1]", 1),
+    # unchecked, 0.0 shrank a side to nothing in 14 of 50 seeds and NaN
+    # raised from math.ceil
+    ("min_fraction", lambda v: dim_transform(np.zeros((4, 4, 1)), 1.0, make_rng(0),
+                                             min_fraction=v), "(0, 1]", 1),
     ("epsilon", lambda v: project(np.zeros((1, 1, 1)), np.zeros((1, 1, 1)), v), "[0, inf]", 8),
     ("learning_rate", lambda v: TrainConfig(learning_rate=v), "(0, inf)", 1),
     ("learning_rate", lambda v: GeneratorTrainConfig(total_steps=1, attack_steps=1,
@@ -79,7 +83,8 @@ REAL_SETTINGS = [
     ("h", lambda v: finite_diff_hessian(lambda x: 0.0, np.zeros(1), h=v), "(0, inf]", 1),
 ]
 REAL_IDS = ["SignStep", "FixedScaleStep", "Dim-p", "Dim-min_fraction", "Tim", "Vt", "Emi",
-            "AttackConfig-epsilon", "AttackConfig-momentum", "dim_transform", "project",
+            "AttackConfig-epsilon", "AttackConfig-momentum", "dim_transform",
+            "dim_transform-min_fraction", "project",
             "TrainConfig", "GeneratorTrainConfig-learning_rate", "GeneratorTrainConfig-epsilon",
             "ScalingFactorGenerator", "ExperimentConfig", "gaussian_kernel_2d",
             "finite_diff_gradient", "finite_diff_hessian"]
@@ -144,6 +149,12 @@ class TestMakeRng:
         old = np.random.Generator(np.random.Philox(key=[seed, stream]))
         assert np.array_equal(make_rng(seed, stream).integers(0, 2**63, size=8),
                               old.integers(0, 2**63, size=8))
+
+    @pytest.mark.parametrize("seed,stream", [(0, 0), (7, 3), (2**63 - 1, 1000), (2**63, 5),
+                                             (2**63 + 1, 5), (2**63 + 1000, 5), (2**64 - 1, 5)])
+    def test_the_state_is_that_of_a_philox_keyed_directly(self, seed, stream):
+        keyed = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        assert repr(make_rng(seed, stream).bit_generator.state) == repr(keyed.state)
 
     def test_seeds_from_2_to_the_63_get_distinct_keys(self):
         # a list key turned these into float64: the first three shared one
