@@ -53,8 +53,10 @@ owns: the momentum buffer takes ``g *= mu; grad /= l1; g += grad``, that is
 ``mu * g + grad / ||grad||_1`` with the L1 norm one ufunc reduction (`_l1`);
 the iterate takes ``x += scale * sign(direction)`` under the sign rule
 (sign(0) = 0) or ``x += scale * direction`` under a fixed or adaptive scale,
-and is clamped into the box in place.  `ensemble_gradient` adds every other
-model's gradient into the first one's.
+and is clamped into the box in place.  The step and the |grad| of the L1
+norm are written into two buffers made once per attack (a batch's live rows
+use a prefix of each), so past its gradient call a step allocates nothing.
+`ensemble_gradient` adds every other model's gradient into the first one's.
 """
 
 from __future__ import annotations
@@ -91,6 +93,11 @@ __all__ = [
     "config_to_dict",
     "config_from_dict",
 ]
+
+
+# the ceiling of an attack's steps, and so of a scaling-factor generator's,
+# which has one parameter set per step; the paper runs 10
+MAX_STEPS = 1000
 
 
 class DegenerateGradientError(RuntimeError):
@@ -213,7 +220,7 @@ class AttackConfig:
 
     def __post_init__(self):
         _check_real("epsilon", self.epsilon, "[0, inf]")  # inf: no L-infinity bound
-        _check_count("steps", self.steps, 0)
+        _check_count("steps", self.steps, 0, MAX_STEPS)
         if self.momentum is not None:
             _check_real("momentum", self.momentum, "[0, inf)")
         _kind(self.step_rule, "step rule")
@@ -257,10 +264,10 @@ class AttackResult:
 # -- pipeline pieces --------------------------------------------------------
 
 
-def _l1(grad):
+def _l1(grad, out=None):
     """||grad||_1 as one ufunc reduction over the whole array, the bits of
-    np.abs(grad).sum()."""
-    return np.add.reduce(np.abs(grad), axis=None)
+    np.abs(grad).sum(); |grad| is written to `out` if given."""
+    return np.add.reduce(np.abs(grad, out=out), axis=None)
 
 
 @functools.lru_cache(maxsize=128)
@@ -454,10 +461,11 @@ class _Pipeline:
                    vt.beta * cfg.epsilon if vt is not None else 0.0)
 
 
-def _row_l1(grad):
+def _row_l1(grad, out=None):
     """||row||_1 of each row of an (N, H, W, C) batch, as an (N, 1, 1, 1)
-    column; each row has the bits of `_l1` on that row alone."""
-    return np.add.reduce(np.abs(grad), axis=(1, 2, 3), keepdims=True)
+    column; each row has the bits of `_l1` on that row alone.  |grad| is
+    written to `out` if given."""
+    return np.add.reduce(np.abs(grad, out=out), axis=(1, 2, 3), keepdims=True)
 
 
 def _uniform(rng, low, high, size):
@@ -610,8 +618,11 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
     adaptive = isinstance(rule, AdaptiveStep)
     sign = isinstance(rule, SignStep)
     scale = None if adaptive else (rule.alpha if sign else rule.gamma)
-    attack_label = cfg.target_label if cfg.targeted else y
+    targeted = cfg.targeted
+    attack_label = cfg.target_label if targeted else y
     x_adv = x.copy()
+    # each step's step and |grad| go here, the live rows of a batch in a prefix
+    step_buf, abs_buf = np.empty_like(x), np.empty_like(x)
     n = len(x) if batch else 1
     steps_used, early = [cfg.steps] * n, [False] * n
     gammas = [[] for _ in range(n)] if adaptive else None  # the trace of each row
@@ -630,10 +641,10 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
             elif dim is not None:
                 x_eval = dim_transform(x_adv, dim.p, rng, dim.min_fraction)
             grad = _pipeline_gradient(source_models, x_eval, attack_label, pipe, state, rng)
-        if cfg.targeted:
+        if targeted:
             grad = -grad  # descend the target's loss
         if batch:
-            l1 = _row_l1(grad)
+            l1 = _row_l1(grad, abs_buf[:len(grad)])
             stop = l1.reshape(-1) == 0.0
             if stop.any():
                 out[live[stop]] = x_adv[stop]
@@ -647,10 +658,12 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
                 g_mom = g_mom[keep] if g_mom is not None else None
                 state = {k: v[keep] for k, v in state.items()}
                 rng = [r for r, kept in zip(rng, keep) if kept] if rng is not None else None
-                attack_label = attack_label if cfg.targeted else attack_label[keep]
+                attack_label = attack_label if targeted else attack_label[keep]
             top = l1.max()
+            step = step_buf[:len(live)]
         else:
-            l1 = top = _l1(grad)
+            l1 = top = _l1(grad, abs_buf)
+            step = step_buf
             if l1 == 0.0:
                 steps_used[0], early[0] = t, True
                 break
@@ -676,7 +689,12 @@ def _attack_loop(source_models, target_models, x, y, cfg, rng):
             else:
                 scale = gamma
                 gammas[0].append(gamma)
-        x_adv += scale * (np.sign(direction) if sign else direction)
+        if sign:
+            np.sign(direction, out=step)
+            step *= scale
+        else:
+            np.multiply(scale, direction, out=step)
+        x_adv += step
         _clamp(x_adv, lo, hi, out=x_adv)
 
     traces = gammas if adaptive else [[scale] * s for s in steps_used]

@@ -36,7 +36,7 @@ import numpy as np
 
 # project is re-exported: callers and the benchmark's tracer use generator.project
 from .attacks import (
-    AdaptiveStep, AttackConfig, AttackResult, _attack_loop, _box, _clamp, project,
+    MAX_STEPS, AdaptiveStep, AttackConfig, AttackResult, _attack_loop, _box, _clamp, project,
 )
 from .numerics import (
     ImageShape, _check_count, _check_json, _check_pair, _check_real, _check_seed, _conv3x3,
@@ -63,6 +63,9 @@ _IN_EPS = 1e-5
 # Smaller blocks train slower: 8 episodes per block took 77 ms against 73 ms
 # for the transfer setting's 300 episodes (2-core Xeon, OpenBLAS)
 _BLOCK_BYTES = 1 << 17
+# the ceiling of GeneratorTrainConfig.total_steps, the training episodes; the
+# CLI's default is 2000
+MAX_TOTAL_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,8 @@ class GeneratorTrainConfig:
     def __post_init__(self):
         _check_real("learning_rate", self.learning_rate, "(0, inf)")
         _check_real("epsilon", self.epsilon, "[0, inf]")
-        _check_count("attack_steps", self.attack_steps, 1)
-        _check_count("total_steps", self.total_steps, 0)
+        _check_count("attack_steps", self.attack_steps, 1, MAX_STEPS)
+        _check_count("total_steps", self.total_steps, 0, MAX_TOTAL_STEPS)
         _check_seed("seed", self.seed)
 
 
@@ -108,7 +111,7 @@ class ScalingFactorGenerator:
     def __init__(self, steps: int, image_shape: ImageShape, arch: str = "mlp",
                  seed: int = 0, head_scale: float = 10.0,
                  hidden: tuple[int, int] = (512, 128), conv_channels: int = 32):
-        _check_count("steps", steps, 1)
+        _check_count("steps", steps, 1, MAX_STEPS)  # one parameter set per step
         if arch not in ("mlp", "conv"):
             raise ValueError(f"unknown generator architecture {arch!r}")
         _check_real("head_scale", head_scale, "(0, inf)")
@@ -454,14 +457,16 @@ def load_generator(path: str) -> ScalingFactorGenerator:
     doc = _read_checkpoint(path, GENERATOR_FORMAT, _CHECKPOINT_KEYS, _CHECKPOINT_KEYS,
                            "generator checkpoint")
     _check_json("generator checkpoint theta", doc["theta"], list)
+    # counted before the generator builds one parameter set per step
+    _check_count("steps", doc["steps"], 1, MAX_STEPS)
+    if len(doc["theta"]) != doc["steps"]:
+        raise ValueError(f"generator checkpoint holds {len(doc['theta'])} step sets "
+                         f"for {doc['steps']} steps")
     gen = ScalingFactorGenerator(
         doc["steps"], _image_shape(doc["image_shape"], "generator checkpoint"), arch=doc["arch"],
         head_scale=doc["head_scale"], hidden=doc["hidden"],
         conv_channels=doc["conv_channels"],
     )
-    if len(doc["theta"]) != gen.steps:
-        raise ValueError(f"generator checkpoint holds {len(doc['theta'])} step sets "
-                         f"for {gen.steps} steps")
     gen.theta = [_decode_arrays(step, like, f"step {t} of the generator checkpoint")
                  for t, (step, like) in enumerate(zip(doc["theta"], gen.theta))]
     return gen

@@ -14,8 +14,9 @@ or one batch run np.dot, which costs less per call than ``@``; an
 the batches into one GEMM whose row bits differ.  Bias adds, tanh, the
 softmax's exp and normalization, the tanh slope and the final 1/255 scale
 run in place on fresh arrays; the softmax calls np.maximum.reduce and
-np.add.reduce directly; a batch with one label subtracts its one-hot as one
-column.  TinyConv's 2x2 pool adds four strided quarters on larger inputs
+np.add.reduce directly, or for a vector of a few classes takes its max and
+sum in Python with the same bits; a batch with one label subtracts its
+one-hot as one column.  TinyConv's 2x2 pool adds four strided quarters on larger inputs
 (`_avgpool2`).
 
 Training keeps one workspace per `train_classifier` call, a dict that
@@ -65,6 +66,13 @@ CHECKPOINT_FORMAT = "advgrad-model-v1"
 CHUNK_ROWS = 32
 BLOCK_BYTES = 1 << 16
 
+# the ceiling of TrainConfig.epochs, whose default is 15
+MAX_EPOCHS = 1000
+
+# _softmax normalizes a logit vector shorter than this in Python (3.6 against
+# 2.2 us for 3 classes, min of 60 interleaved rounds on a 2-core Xeon)
+SHORT_SOFTMAX = 8
+
 
 @dataclass
 class LabeledDataset:
@@ -111,7 +119,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("epochs", self.epochs, 0)
+        _check_count("epochs", self.epochs, 0, MAX_EPOCHS)
         _check_count("batch_size", self.batch_size, 1)
         _check_seed("seed", self.seed)
         _check_real("learning_rate", self.learning_rate, "(0, inf)")
@@ -122,7 +130,26 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
     The ufunc reductions are called directly, without the .max() and .sum()
     wrappers; a vector takes them whole, the same bits as the keepdims form.
+
+    A vector of fewer than SHORT_SOFTMAX logits (an attack step's few classes)
+    takes its max and its sum in Python, over ``tolist()``; exp stays np.exp.
+    numpy's add.reduce adds fewer than 8 values in order, starting from 0.0,
+    so the loop below gives its bits; from 8 values on it sums pairwise and
+    the rounding can differ.  Python's max can differ from
+    np.maximum.reduce only in the sign of a zero, which the shift and exp
+    erase, and by skipping a NaN.  So a sum that comes out NaN (a NaN or +inf
+    logit, or every logit -inf) is redone by the ufuncs, which also fixes the
+    NaN's bits.
     """
+    if logits.ndim == 1 and len(logits) < SHORT_SOFTMAX:
+        e = logits - max(logits.tolist())
+        np.exp(e, out=e)
+        total = 0.0
+        for value in e.tolist():
+            total += value  # not sum(): Python 3.12 compensates it
+        if total == total:  # not NaN
+            e /= total
+            return e
     if logits.ndim == 1:
         e = logits - np.maximum.reduce(logits)
         np.exp(e, out=e)
@@ -262,7 +289,7 @@ class Model:
         near-tie may go the other way."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 4:
-            return int(np.argmax(self.logits(x)))
+            return int(self.logits(x).argmax())  # np.argmax's wrapper costs 1 us
         self._check_rows(x)
         logits = self._chunk_logits(len(x), lambda a, b: self._standardize(x[a:b]))
         return np.argmax(logits, axis=1).astype(np.int64, copy=False)
@@ -410,7 +437,9 @@ def _avgpool2(x):
     """
     n, h, w, c = x.shape
     if c == 1 or x.size < POOL_STRIDED_SIZE:
-        return x.reshape(n, h // 2, 2, w // 2, 2, c).sum(axis=(2, 4)) / 4.0
+        out = np.add.reduce(x.reshape(n, h // 2, 2, w // 2, 2, c), axis=(2, 4))
+        out /= 4.0
+        return out
     return _avgpool2_strided(x)
 
 
@@ -499,7 +528,8 @@ class TinyConv(Model):
         c2, conv2 = _conv3x3(_avgpool2(t1), self.params["W2"], self.params["b2"], work=work2)
         t2 = np.tanh(c2, out=c2)
         flat = _avgpool2(t2).reshape(len(t2), -1)
-        logits = flat @ self.params["W3"].T + self.params["b3"]
+        logits = flat @ self.params["W3"].T
+        logits += self.params["b3"]
         return logits.reshape(lead + (-1,)), (lead, conv1, t1, conv2, t2, flat)
 
     def _backward(self, dlogits, cache, params, inputs=True, work=None):

@@ -35,6 +35,7 @@ from advgrad.attacks import (
 from advgrad.generator import ScalingFactorGenerator
 from advgrad.models import build_model
 from advgrad.numerics import ImageShape, gaussian_kernel_2d, make_rng
+import reference_attack_step as reference
 from reference_attack_step import momentum_accumulate
 
 SHAPE = ImageShape(8, 8, 1)
@@ -329,6 +330,33 @@ class TestGradientHelpers:
 
 
 class TestAttackLoop:
+    @pytest.mark.parametrize("rule", ["sign", "fixed", "adaptive"])
+    def test_consecutive_attacks_keep_their_own_results(self, rule):
+        # the loop writes each step into buffers made per attack, so a result
+        # stays as returned while later attacks run, and equals the loop that
+        # allocated every step
+        models = make_models(1, kind="mlp-1-hidden")
+        step_rule = {"sign": SignStep(1.6), "fixed": FixedScaleStep(16.0),
+                     "adaptive": AdaptiveStep(ScalingFactorGenerator(
+                         4, SHAPE, hidden=(4, 2), head_scale=1e3))}[rule]
+        cfg = AttackConfig(epsilon=8.0, steps=4, step_rule=step_rule, momentum=1.0)
+        images = [random_image(seed) for seed in range(3)]
+        results = [run_attack(models, models, x, 0, cfg) for x in images]
+        for res, x in zip(results, images):
+            want = reference._attack_loop(models, models, x, 0, cfg, make_rng(0))
+            assert np.array_equal(res.adversarial, want.adversarial)
+            assert res.step_trace == want.step_trace
+        for a, b in zip(results, results[1:]):
+            assert not np.shares_memory(a.adversarial, b.adversarial)
+        # a batch's live rows use a prefix of the buffers, made per call too
+        first = attacks._attack_loop(models, models, np.stack(images), np.array([0, 1, 2]),
+                                     cfg, None)
+        kept = [(r.adversarial.copy(), list(r.step_trace)) for r in first]
+        attacks._attack_loop(models, models, np.stack(images[::-1]), np.array([2, 0, 1]),
+                             cfg, None)
+        for res, (adversarial, trace) in zip(first, kept):
+            assert np.array_equal(res.adversarial, adversarial) and res.step_trace == trace
+
     def test_budget_respected(self):
         models = make_models(1, kind="mlp-1-hidden")
         x = random_image(9)

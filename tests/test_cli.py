@@ -189,6 +189,26 @@ def test_a_json_string_for_a_real_setting_exits_with_its_message(tmp_path, monke
     assert exc.value.code == message
 
 
+@pytest.mark.parametrize("command", ["attack", "sweep", "interaction"])
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["attacks"][0]["config"].update(steps=2**70),
+     f"steps must be <= 1000, got {2**70}"),
+    (lambda doc: doc["models"][0].update(epochs=2**70),
+     f"model spec 'mlp': epochs must be <= 1000, got {2**70}"),
+], ids=["steps", "epochs"])
+def test_a_count_past_its_ceiling_exits_before_any_model_trains(tmp_path, monkeypatch, command,
+                                                                edit, message):
+    # unchecked, these ran without end
+    monkeypatch.setattr(harness, "train_classifier", lambda *args: pytest.fail("a model trained"))
+    doc = json.loads(experiment_config(tmp_path).read_text())
+    edit(doc)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path)])
+    assert exc.value.code == message
+
+
 def test_a_json_string_exits_with_status_1_and_no_traceback(tmp_path):
     doc = json.loads(experiment_config(tmp_path).read_text())
     doc["attacks"][0]["config"]["epsilon"] = "16"

@@ -612,6 +612,19 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=message):
             load_generator(str(path))
 
+    def test_counts_the_step_sets_before_building_one_per_step(self, tmp_path, monkeypatch):
+        # a one-set checkpoint claiming 1000 steps built 1000 parameter sets
+        # (1 GB at 8x8x1 with the default widths) before it failed
+        path = tmp_path / "gen.json"
+        save_generator(small_generator(steps=1), str(path))
+        doc = json.loads(path.read_text())
+        doc["steps"] = 1000
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(generator, "make_rng",
+                            lambda *args, **kwargs: pytest.fail("a parameter set was built"))
+        with pytest.raises(ValueError, match="holds 1 step sets for 1000 steps"):
+            load_generator(str(path))
+
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: [doc], "generator checkpoint must be a JSON object"),
         (lambda doc: {k: v for k, v in doc.items() if k != "steps"},

@@ -425,6 +425,34 @@ class TestSoftmax:
     def test_equal_logits_give_equal_probabilities(self):
         assert np.array_equal(_softmax(np.full(4, 3.5)), np.full(4, 0.25))
 
+    # below SHORT_SOFTMAX logits a vector takes its max and sum in Python;
+    # NaN and +-inf at any position, and +-0.0 ties, must keep the ufuncs' bits
+    @settings(max_examples=500, deadline=None)
+    @given(logits=hnp.arrays(np.float64, st.integers(1, models.SHORT_SOFTMAX - 1),
+                             elements=st.one_of(LOGITS, st.sampled_from(
+                                 [math.nan, -math.nan, math.inf, -math.inf]))))
+    @example(logits=np.array([1.0, math.nan, 2.0]))
+    @example(logits=np.array([-0.0, 0.0, -0.0]))
+    @example(logits=np.array([-math.inf, -math.inf]))
+    def test_a_short_vector_equals_the_ufunc_form_bit_for_bit(self, logits):
+        assert len(logits) < models.SHORT_SOFTMAX
+        with np.errstate(invalid="ignore"):  # inf - inf
+            e = logits - np.maximum.reduce(logits)
+            np.exp(e, out=e)
+            e /= np.add.reduce(e)
+            assert same_bits(_softmax(logits), e)
+
+    def test_a_ten_class_one_image_gradient_keeps_the_reference_bits(self):
+        # ten logits take the ufuncs' pairwise sum, as before the short path
+        for kind in KINDS:
+            for seed in range(4):
+                model = build_model(kind, SHAPE, 10, seed=seed)
+                twin = reference_models.reference_copy(model)
+                x = random_image(make_rng(seed, 54))
+                for label in (0, 9):
+                    assert same_bits(model.input_gradient(x, label),
+                                     twin.input_gradient(x, label))
+
 
 class TestLabelCheck:
     BAD = [True, False, np.True_, 1.0, np.float64(1.0), "1", None]
@@ -849,6 +877,21 @@ class TestCheckpoints:
         save_model(build_model(kind, SHAPE, 3, seed=6), str(path))
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match=message):
+            load_model(str(path))
+
+    # json reads the first three as nan, inf and inf; the last is an int past
+    # the float range, which raised OverflowError from np.asarray
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e400", "10**400"])
+    def test_rejects_a_non_finite_array_entry(self, tmp_path, token):
+        # a NaN bias loaded, and predict then gave class 0 for every image
+        path = tmp_path / "model.json"
+        save_model(build_model("softmax-linear", SHAPE, 3, seed=6), str(path))
+        doc = json.loads(path.read_text())
+        doc["params"]["b"]["data"][1] = "TOKEN"
+        path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+        message = "model checkpoint array 'b' data are not all finite floats"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_model(str(path))
 
     def test_loads_the_v1_layout(self, tmp_path):

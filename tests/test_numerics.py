@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sliding_window_conv as sliding
+from advgrad import generator
 from advgrad.attacks import (
-    AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Tim, Vt, dim_transform, project,
+    MAX_STEPS, AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Tim, Vt, config_from_dict,
+    dim_transform, project,
 )
-from advgrad.generator import GeneratorTrainConfig, ScalingFactorGenerator
+from advgrad.generator import (
+    MAX_TOTAL_STEPS, GeneratorTrainConfig, ScalingFactorGenerator, load_generator, save_generator,
+)
 from advgrad.harness import ExperimentConfig
-from advgrad.models import TrainConfig
+from advgrad.models import MAX_EPOCHS, TrainConfig
 from advgrad.numerics import (
     ImageShape,
     _conv3x3,
@@ -119,6 +123,62 @@ class TestRealSettings:
             values += [int(inside), np.int64(inside), np.uint8(inside)]
         for value in values:
             make(value)
+
+
+ONE_STEP_GENERATOR = ScalingFactorGenerator(1, ImageShape(2, 2, 1), hidden=(2, 2))
+
+
+def _generator_checkpoint(steps, tmp_path):
+    """Load a one-step generator checkpoint whose steps key was set to steps."""
+    path = tmp_path / "gen.json"
+    save_generator(ONE_STEP_GENERATOR, str(path))
+    path.write_text(path.read_text().replace('"steps": 1,', f'"steps": {steps},'))
+    return load_generator(str(path))
+
+
+# every count that sets a loop length or a number of parameter sets: (name, a
+# call that sets it to v, its ceiling); each is checked by _check_count
+COUNT_CEILINGS = [
+    ("steps", lambda v, _: AttackConfig(epsilon=8.0, steps=v, step_rule=SignStep(1.0)),
+     MAX_STEPS),
+    ("steps", lambda v, _: config_from_dict(
+        {"epsilon": 8.0, "steps": v, "step_rule": {"type": "sign", "alpha": 1.0}}), MAX_STEPS),
+    ("epochs", lambda v, _: TrainConfig(epochs=v), MAX_EPOCHS),
+    ("total_steps", lambda v, _: GeneratorTrainConfig(total_steps=v, attack_steps=1,
+                                                      learning_rate=1.0, epsilon=8.0),
+     MAX_TOTAL_STEPS),
+    ("attack_steps", lambda v, _: GeneratorTrainConfig(total_steps=1, attack_steps=v,
+                                                       learning_rate=1.0, epsilon=8.0),
+     MAX_STEPS),
+    ("steps", lambda v, _: ScalingFactorGenerator(v, ImageShape(2, 2, 1), hidden=(2, 2)),
+     MAX_STEPS),
+    ("steps", _generator_checkpoint, MAX_STEPS),
+]
+COUNT_IDS = ["AttackConfig", "config_from_dict", "TrainConfig",
+             "GeneratorTrainConfig-total_steps", "GeneratorTrainConfig-attack_steps",
+             "ScalingFactorGenerator", "generator-checkpoint"]
+
+
+class TestCountCeilings:
+    @pytest.mark.parametrize("name,make,ceiling", COUNT_CEILINGS, ids=COUNT_IDS)
+    def test_a_count_past_its_ceiling_fails_in_its_check(self, name, make, ceiling,
+                                                         tmp_path, monkeypatch):
+        # unchecked, 2**70 steps or epochs ran without end, and a generator
+        # built one parameter set per step; no stream may be made before the check
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator stream was made before the checks")
+
+        monkeypatch.setattr(generator, "make_rng", no_draws)
+        for value in (ceiling + 1, 2**70):
+            message = f"{name} must be <= {ceiling}, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(value, tmp_path)
+
+    @pytest.mark.parametrize("name,make,ceiling", COUNT_CEILINGS, ids=COUNT_IDS)
+    def test_a_count_at_its_ceiling_passes_its_check(self, name, make, ceiling, tmp_path):
+        if make is _generator_checkpoint:
+            ceiling = 1  # the checkpoint holds one step set; the builder covers the ceiling
+        make(ceiling, tmp_path)
 
 
 class TestMakeRng:
