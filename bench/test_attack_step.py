@@ -3,7 +3,10 @@
 Each case runs the library code and, beside it, the loop it replaced, which
 rebuilt the per-attack invariants on every step
 (``tests/reference_attack_step.py``): a 10-step attack by an MLP at 8x8x1 for
-the sign, fixed-scale and momentum rules; one attack step with each transform
+the sign, fixed-scale and momentum rules; the experiment workload's plain
+10-step scaled attack (momentum, no targets) from the MLP and a
+softmax-linear model, whose steps are almost nothing but the two models'
+one-image input gradients; one attack step with each transform
 alone, with the full transform stack, and with the full stack on two source
 models (the MLP and a softmax-linear model); a 20-episode generator
 training run (5 attack steps, MLP and tiny-conv pool), whose reference runs
@@ -57,6 +60,8 @@ RULES = {
     "momentum": AttackConfig(epsilon=EPS, steps=STEPS, step_rule=SignStep(EPS / STEPS),
                              momentum=1.0),
 }
+# perfbench/experiment.json's "scaled" attack
+SCALED = AttackConfig(epsilon=16.0, steps=10, step_rule=FixedScaleStep(16.0), momentum=1.0)
 STACK = AttackConfig(epsilon=16.0, steps=1, step_rule=FixedScaleStep(16.0), momentum=1.0,
                      transforms=(Dim(), Tim(), Sim(m=2), Vt(n=4), Emi(n=3)))
 # DIM at p=1, so that its one step always resizes
@@ -78,8 +83,7 @@ def score_each_image(target_models, adversarials, labels, acfg):
 SCORERS = {"batched": _score_cell, "per-image": score_each_image}
 CELL_ATTACKS = {
     "bim": AttackConfig(epsilon=16.0, steps=10, step_rule=SignStep(1.6)),
-    "scaled": AttackConfig(epsilon=16.0, steps=10, step_rule=FixedScaleStep(16.0),
-                           momentum=1.0),
+    "scaled": SCALED,
     "stack": dataclasses.replace(STACK, steps=10),
 }
 
@@ -110,6 +114,13 @@ def image():
 @pytest.mark.parametrize("rule", RULES)
 def test_attack_10_steps(benchmark, mlp, image, rule, loop):
     benchmark(LOOPS[loop], [mlp], [mlp], image, 0, RULES[rule], None)
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_scaled_attack_10_steps_two_sources(benchmark, mlp, image, loop):
+    sources = [mlp, build_model("softmax-linear", SHAPE, 3, seed=1)]
+    result = benchmark(LOOPS[loop], sources, [], image, 0, SCALED, None)
+    assert result.steps_used == STEPS
 
 
 @pytest.mark.parametrize("loop", LOOPS)

@@ -99,6 +99,10 @@ __all__ = [
 # which has one parameter set per step; the paper runs 10
 MAX_STEPS = 1000
 
+# the ceiling of Sim.m, Vt.n and Emi.n, which set the rows of each step's
+# gradient batch, ((Emi.n or 1) + Vt.n) * Sim.m per image
+MAX_TRANSFORM_COUNT = 1000
+
 
 class DegenerateGradientError(RuntimeError):
     """Raised when the attack gradient vanishes or is not finite."""
@@ -171,7 +175,7 @@ class Sim:
     m: int = 2
 
     def __post_init__(self):
-        _check_count("m", self.m, 1)
+        _check_count("m", self.m, 1, MAX_TRANSFORM_COUNT)
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,7 @@ class Vt:
     beta: float = 1.5
 
     def __post_init__(self):
-        _check_count("n", self.n, 1)
+        _check_count("n", self.n, 1, MAX_TRANSFORM_COUNT)
         _check_real("beta", self.beta, "[0, inf)")
 
 
@@ -194,7 +198,7 @@ class Emi:
     eta: float = 7.0
 
     def __post_init__(self):
-        _check_count("n", self.n, 1)
+        _check_count("n", self.n, 1, MAX_TRANSFORM_COUNT)
         _check_real("eta", self.eta, "[0, inf)")
 
 
@@ -390,7 +394,7 @@ def sim_gradient(models, x: np.ndarray, y, m: int) -> np.ndarray:
     ensemble_gradient takes them.  The m scaled copies of every point go to
     the models as one batch.
     """
-    _check_count("m", m, 1)
+    _check_count("m", m, 1, MAX_TRANSFORM_COUNT)
     x = np.asarray(x, dtype=np.float64)
     scales = _sim_scales(m, x.ndim)
     copies = scales * x

@@ -19,6 +19,16 @@ sum in Python with the same bits; a batch with one label subtracts its
 one-hot as one column.  TinyConv's 2x2 pool adds four strided quarters on larger inputs
 (`_avgpool2`).
 
+A one-image `input_gradient` of the dense models, the call each source model
+gets at each plain attack step, runs `_image_gradient`: the same operations
+as `_loss_backward` in one method, after one conversion of x and the shape
+and label checks.  The hops through `_loss_backward`, `_standardize`,
+`_forward` and `_backward` and their lookups are a large share of so small a
+call: on one 8x8x1 image with 3 classes the one pass takes the MLP from
+11.4 to 10.5 us and the linear model from 7.4 to 6.8 us (min over 6
+alternating processes, 2-core Xeon).  TinyConv's one image and every batch
+take `_loss_backward`.
+
 Training keeps one workspace per `train_classifier` call, a dict that
 TinyConv's conv layers write their large minibatch arrays into (see
 `numerics._work_buffer`): glibc can hand fresh arrays of that size (100 to
@@ -329,8 +339,15 @@ class Model:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 4:
             return self._loss_backward(x, self._check_batch(x, y), params=False)[0]
-        x = self._check_input(x)
+        if x.shape != self.image_shape.dims:  # _check_input's check, on x converted once
+            raise ValueError(
+                f"input shape {x.shape} does not match model shape {self.image_shape.dims}"
+            )
         _check_label(y, self.num_classes)
+        return self._image_gradient(x, y)
+
+    def _image_gradient(self, x: np.ndarray, y: int) -> np.ndarray:
+        """input_gradient of one checked float64 image and label: a fresh array."""
         return self._loss_backward(x, y, params=False)[0]
 
     def parameter_gradients(self, x: np.ndarray, y: int) -> dict[str, np.ndarray]:
@@ -366,6 +383,19 @@ class SoftmaxLinear(Model):
             return None, grads
         dz = np.dot(dlogits, self.params["W"])
         return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
+
+    def _image_gradient(self, x, y):
+        # _loss_backward on one image in one pass, with its bits
+        z = x / 255.0
+        z -= 0.5
+        W = self.params["W"]
+        logits = np.dot(z.reshape(-1), W.T)
+        logits += self.params["b"]
+        e = _softmax(logits)
+        e[y] -= 1.0
+        dz = np.dot(e, W)
+        dz /= 255.0
+        return dz.reshape(x.shape)
 
 
 class TanhMLP(Model):
@@ -415,6 +445,28 @@ class TanhMLP(Model):
             return None, grads
         dz = np.dot(da1, self.params["W1"])
         return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
+
+    def _image_gradient(self, x, y):
+        # _loss_backward on one image in one pass, with its bits; the tanh
+        # slope 1 - h * h is formed in h's array once h has served the forward
+        p = self.params
+        z = x / 255.0
+        z -= 0.5
+        W1, W2 = p["W1"], p["W2"]
+        h = np.dot(z.reshape(-1), W1.T)
+        h += p["b1"]
+        np.tanh(h, out=h)
+        logits = np.dot(h, W2.T)
+        logits += p["b2"]
+        e = _softmax(logits)
+        e[y] -= 1.0
+        da1 = np.dot(e, W2)
+        np.multiply(h, h, out=h)
+        np.subtract(1.0, h, out=h)
+        da1 *= h
+        dz = np.dot(da1, W1)
+        dz /= 255.0
+        return dz.reshape(x.shape)
 
 
 # the least input size at which _avgpool2 adds the strided quarters; below it

@@ -121,9 +121,10 @@ def _check_finite(value, where: str):
 def _check_count(name: str, value, least=None, most=None):
     """ValueError unless value is an int or numpy integer, not a bool, and
     (if given) at least least and at most most.  A count that sets a loop
-    length or a number of parameter sets has a ceiling `most`, so that a
-    config or checkpoint asking for 2**70 steps fails here instead of running
-    without end."""
+    length, a number of parameter sets or the rows of a batch has a ceiling
+    `most`, so that a config or checkpoint asking for 2**70 steps fails here
+    instead of running without end, and one asking for 10**9 SIM copies
+    fails before any array of that length is allocated."""
     # bool is an int subclass, and a float count fails only later, if at all:
     # deep in numpy, or at the first attack step after every model has trained
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

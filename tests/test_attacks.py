@@ -767,6 +767,31 @@ class TestBatchedPipeline:
         run_attack(models, [], random_image(23), 0, cfg, make_rng(5))
         assert shapes == [[SHAPE.dims] * 2] * 2
 
+    def test_plain_step_makes_one_ensemble_and_one_input_gradient_call_per_model(self, monkeypatch):
+        # the experiment's plain scaled attack from mlp+lin, with no targets;
+        # perfbench's grad_evals_per_step and input_gradient.calls count these
+        models = [build_model("mlp-1-hidden", SHAPE, 3, seed=0),
+                  build_model("softmax-linear", SHAPE, 3, seed=1)]
+        ensemble_calls, passes = [], []
+        inner = attacks.ensemble_gradient
+
+        def ensemble_spy(sources, x, y):
+            ensemble_calls.append(np.shape(x))
+            return inner(sources, x, y)
+
+        monkeypatch.setattr(attacks, "ensemble_gradient", ensemble_spy)
+        shapes = count_input_gradient_calls(models)
+        for model in models:
+            def one_pass(x, y, _inner=model._image_gradient, _kind=model.kind):
+                passes.append(_kind)
+                return _inner(x, y)
+            model._image_gradient = one_pass
+        cfg = AttackConfig(epsilon=16.0, steps=3, step_rule=FixedScaleStep(16.0), momentum=1.0)
+        assert run_attack(models, [], random_image(26), 0, cfg).steps_used == 3
+        assert ensemble_calls == [SHAPE.dims] * 3
+        assert shapes == [[SHAPE.dims] * 3] * 2
+        assert passes == ["mlp-1-hidden", "softmax-linear"] * 3
+
     @settings(max_examples=80, deadline=None)
     @given(
         kind=st.sampled_from(["softmax-linear", "mlp-1-hidden", "tiny-conv"]),

@@ -921,6 +921,80 @@ class TestCheckpoints:
         assert json.loads((tmp_path / "again.json").read_text()) == doc
 
 
+class TestOnePassImageGradient:
+    """A dense model's one-image input_gradient runs `_image_gradient`, the
+    operations of `_loss_backward` in one pass: the same bits, a fresh array
+    and the same checks, on both sides of SHORT_SOFTMAX."""
+
+    DENSE = ("softmax-linear", "mlp-1-hidden")
+    SHAPES = (ImageShape(4, 4, 2), ImageShape(8, 8, 1), ImageShape(16, 16, 3))
+
+    @staticmethod
+    def same_bits_or_nan(a, b):
+        """same_bits, with NaN entries equal whatever their bits."""
+        nan = np.isnan(a)
+        return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+                and same_bits(a[~nan], b[~nan]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(DENSE), shape=st.sampled_from(SHAPES),
+           classes=st.integers(2, 10), seed=st.integers(0, 2**16),
+           weight_scale=st.sampled_from([1.0, 8.0, 40.0]), nan_pixel=st.booleans())
+    @example(kind="mlp-1-hidden", shape=SHAPE, classes=3, seed=0, weight_scale=1.0,
+             nan_pixel=True)
+    @example(kind="softmax-linear", shape=ImageShape(16, 16, 3), classes=10, seed=1,
+             weight_scale=40.0, nan_pixel=True)
+    def test_equals_the_loss_backward_and_the_reference_bit_for_bit(
+            self, kind, shape, classes, seed, weight_scale, nan_pixel):
+        model = build_model(kind, shape, classes, seed=seed)
+        for value in model.params.values():
+            value *= weight_scale
+        rng = make_rng(seed, 55)
+        x = rng.uniform(0.0, 255.0, size=shape.dims)
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = 255.0
+        if nan_pixel:
+            x[tuple(rng.integers(0, n) for n in shape.dims)] = math.nan
+        label = seed % classes
+        with np.errstate(invalid="ignore"):
+            got = model.input_gradient(x, label)
+            assert self.same_bits_or_nan(got, model._loss_backward(x, label, params=False)[0])
+            twin = reference_models.reference_copy(model)
+            assert self.same_bits_or_nan(got, twin.input_gradient(x, label))
+        assert np.isnan(got).all() == nan_pixel
+
+    @pytest.mark.parametrize("kind", DENSE)
+    def test_returns_a_fresh_writable_array(self, kind):
+        # ensemble_gradient adds the other models' gradients into the first's
+        model = build_model(kind, SHAPE, 3, seed=0)
+        x, other = random_image(make_rng(56)), random_image(make_rng(57))
+        first = model.input_gradient(x, 1)
+        kept = first.copy()
+        second = model.input_gradient(other, 2)
+        assert first.flags.writeable and same_bits(first, kept)
+        for array in [second, x, *model.params.values()]:
+            assert not np.shares_memory(first, array)
+        first += second
+        assert same_bits(model.input_gradient(x, 1), kept)
+
+    BAD = [
+        ("shape", np.zeros((4, 4, 1)), 0,
+         "input shape (4, 4, 1) does not match model shape (8, 8, 1)"),
+        ("bool label", np.zeros(SHAPE.dims), True, "label must be an integer, got True"),
+        ("label range", np.zeros(SHAPE.dims), 3, "label 3 out of range for 3 classes"),
+    ]
+
+    @pytest.mark.parametrize("kind", DENSE)
+    @pytest.mark.parametrize("x,y,message", [b[1:] for b in BAD], ids=[b[0] for b in BAD])
+    def test_bad_input_raises_before_the_one_pass(self, kind, x, y, message, monkeypatch):
+        model = build_model(kind, SHAPE, 3, seed=0)
+        passes = []
+        monkeypatch.setattr(model, "_image_gradient", lambda *args: passes.append(args))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            model.input_gradient(x, y)
+        assert passes == []
+
+
 class TestReferencePath:
     """The model path against its verbatim copy from before its numpy calls
     were cut (``tests/reference_models.py``): np.dot in place of ``@`` on one

@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sliding_window_conv as sliding
-from advgrad import generator
+from advgrad import attacks, generator
 from advgrad.attacks import (
-    MAX_STEPS, AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Tim, Vt, config_from_dict,
-    dim_transform, project,
+    MAX_STEPS, MAX_TRANSFORM_COUNT, AttackConfig, Dim, Emi, FixedScaleStep, SignStep, Sim, Tim,
+    Vt, config_from_dict, dim_transform, project, sim_gradient,
 )
 from advgrad.generator import (
     MAX_TOTAL_STEPS, GeneratorTrainConfig, ScalingFactorGenerator, load_generator, save_generator,
 )
 from advgrad.harness import ExperimentConfig
-from advgrad.models import MAX_EPOCHS, TrainConfig
+from advgrad.models import MAX_EPOCHS, TrainConfig, build_model
 from advgrad.numerics import (
     ImageShape,
     _conv3x3,
@@ -136,8 +136,9 @@ def _generator_checkpoint(steps, tmp_path):
     return load_generator(str(path))
 
 
-# every count that sets a loop length or a number of parameter sets: (name, a
-# call that sets it to v, its ceiling); each is checked by _check_count
+# every count that sets a loop length, a number of parameter sets or the rows
+# of a gradient batch: (name, a call that sets it to v, its ceiling); each is
+# checked by _check_count
 COUNT_CEILINGS = [
     ("steps", lambda v, _: AttackConfig(epsilon=8.0, steps=v, step_rule=SignStep(1.0)),
      MAX_STEPS),
@@ -153,23 +154,37 @@ COUNT_CEILINGS = [
     ("steps", lambda v, _: ScalingFactorGenerator(v, ImageShape(2, 2, 1), hidden=(2, 2)),
      MAX_STEPS),
     ("steps", _generator_checkpoint, MAX_STEPS),
+    ("m", lambda v, _: Sim(m=v), MAX_TRANSFORM_COUNT),
+    ("n", lambda v, _: Vt(n=v), MAX_TRANSFORM_COUNT),
+    ("n", lambda v, _: Emi(n=v), MAX_TRANSFORM_COUNT),
+    ("n", lambda v, _: config_from_dict(
+        {"epsilon": 8.0, "steps": 1, "step_rule": {"type": "sign", "alpha": 1.0},
+         "transforms": [{"type": "vt", "n": v}]}), MAX_TRANSFORM_COUNT),
+    ("m", lambda v, _: sim_gradient([build_model("softmax-linear", ImageShape(2, 2, 1), 2)],
+                                    np.zeros((2, 2, 1)), 0, v), MAX_TRANSFORM_COUNT),
 ]
 COUNT_IDS = ["AttackConfig", "config_from_dict", "TrainConfig",
              "GeneratorTrainConfig-total_steps", "GeneratorTrainConfig-attack_steps",
-             "ScalingFactorGenerator", "generator-checkpoint"]
+             "ScalingFactorGenerator", "generator-checkpoint", "Sim", "Vt", "Emi",
+             "config_from_dict-vt", "sim_gradient"]
 
 
 class TestCountCeilings:
     @pytest.mark.parametrize("name,make,ceiling", COUNT_CEILINGS, ids=COUNT_IDS)
     def test_a_count_past_its_ceiling_fails_in_its_check(self, name, make, ceiling,
                                                          tmp_path, monkeypatch):
-        # unchecked, 2**70 steps or epochs ran without end, and a generator
-        # built one parameter set per step; no stream may be made before the check
+        # unchecked, 2**70 steps or epochs ran without end, a generator built
+        # one parameter set per step, and SIM built 10**9 scales (gigabytes);
+        # no stream may be made, and no SIM scale built, before the check
         def no_draws(*args, **kwargs):
             raise AssertionError("a generator stream was made before the checks")
 
+        def no_scales(*args):
+            raise AssertionError("SIM scales were built before the checks")
+
         monkeypatch.setattr(generator, "make_rng", no_draws)
-        for value in (ceiling + 1, 2**70):
+        monkeypatch.setattr(attacks, "_sim_scales", no_scales)
+        for value in (ceiling + 1, 10**9, 2**70):
             message = f"{name} must be <= {ceiling}, got {value!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 make(value, tmp_path)
