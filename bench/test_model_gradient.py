@@ -84,9 +84,17 @@ def test_predict_480_rows(benchmark, kind, path):
 @pytest.mark.parametrize("path", ("workspace", "allocating"))
 def test_tiny_conv_sgd_epoch(benchmark, path, monkeypatch):
     dataset = synth_dataset("blobs", 480, SHAPE, seed=0, num_classes=3)
+    cfg, calls = TrainConfig(epochs=1, seed=100), []
     if path == "allocating":
-        loss_backward = models.Model._loss_backward
-        monkeypatch.setattr(models.Model, "_loss_backward",
-                            lambda self, x, y, params, inputs=True, work=None:
-                            loss_backward(self, x, y, params, inputs))
-    benchmark(train_classifier, dataset, "tiny-conv", TrainConfig(epochs=1, seed=100))
+        loss_backward = models.TinyConv._loss_backward
+
+        def without_workspace(self, x, y, params, inputs=True, work=None):
+            calls.append(len(x))
+            return loss_backward(self, x, y, params, inputs)
+
+        monkeypatch.setattr(models.TinyConv, "_loss_backward", without_workspace)
+    benchmark(train_classifier, dataset, "tiny-conv", cfg)
+    if path == "allocating":
+        # once per minibatch, in whole epochs of 480 / 32 minibatches
+        assert calls and calls == [cfg.batch_size] * len(calls)
+        assert len(calls) % (len(dataset) // cfg.batch_size) == 0

@@ -6,28 +6,25 @@ the 0-255 pixel scale; each model standardizes internally (divide by 255,
 subtract 0.5), so all gradients returned here are with respect to 0-255
 pixels.
 
-An attack step makes one gradient call on one image, so the dense models'
-path is held near its floor of numpy calls, each kept cheap, with the bits of
-the plain ``@`` forms (``tests/reference_models.py``).  Products of one row
-or one batch run np.dot, which costs less per call than ``@``; an
-(M, N, d) stack runs np.matmul, one GEMM per batch, since np.dot would merge
-the batches into one GEMM whose row bits differ.  Bias adds, tanh, the
-softmax's exp and normalization, the tanh slope and the final 1/255 scale
-run in place on fresh arrays; the softmax calls np.maximum.reduce and
-np.add.reduce directly, or for a vector of a few classes takes its max and
-sum in Python with the same bits; a batch with one label subtracts its
-one-hot as one column.  TinyConv's 2x2 pool adds four strided quarters on larger inputs
-(`_avgpool2`).
-
-A one-image `input_gradient` of the dense models, the call each source model
-gets at each plain attack step, runs `_image_gradient`: the same operations
-as `_loss_backward` in one method, after one conversion of x and the shape
-and label checks.  The hops through `_loss_backward`, `_standardize`,
-`_forward` and `_backward` and their lookups are a large share of so small a
-call: on one 8x8x1 image with 3 classes the one pass takes the MLP from
-11.4 to 10.5 us and the linear model from 7.4 to 6.8 us (min over 6
-alternating processes, 2-core Xeon).  TinyConv's one image and every batch
-take `_loss_backward`.
+Each model implements two numeric methods.  `_forward(z, work=None)` gives
+(logits, cache) for `logits`, `predict`'s chunks and the interaction stacks.
+`_loss_backward(x, y, params, inputs=True, work=None)` is the cross-entropy
+backward in one pass: one image, a batch, or an SGD minibatch with its
+parameter gradients.  A one-image `input_gradient` calls it as
+``self._loss_backward(x, y, False)[0]``, the call each source model gets at
+each plain attack step, so the dense models run it near its floor of numpy
+calls, each kept cheap, with the bits of the plain ``@`` forms
+(``tests/reference_models.py``).  Products of one row or one batch run
+np.dot, which costs less per call than ``@``; an (M, N, d) stack runs
+np.matmul, one GEMM per batch, since np.dot would merge the batches into one
+GEMM whose row bits differ.  Bias adds, tanh, the softmax's exp and
+normalization, the tanh slope and the final 1/255 scale run in place on fresh
+arrays; the softmax calls np.maximum.reduce and np.add.reduce directly, or
+for a vector of a few classes takes its max and sum in Python with the same
+bits; a batch with one label subtracts its one-hot as one column
+(`_subtract_one_hot`).  TinyConv's `_loss_backward` runs its `_forward` and
+its private `_backward`; its 2x2 pool adds four strided quarters on larger
+inputs (`_avgpool2`).
 
 Training keeps one workspace per `train_classifier` call, a dict that
 TinyConv's conv layers write their large minibatch arrays into (see
@@ -94,18 +91,12 @@ class LabeledDataset:
 
     def __post_init__(self):
         self.images = np.asarray(self.images, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        # Model._check_batch's rule; an empty label list reads as float64
-        if labels.size and labels.dtype.kind not in "iu":
-            raise ValueError(f"labels must be integers, got {labels.dtype}")
-        self.labels = labels.astype(np.int64)
         _check_count("num_classes", self.num_classes, 1)
+        self.labels = _check_labels(self.labels, self.num_classes).astype(np.int64)
         if self.images.ndim != 4:
             raise ValueError("images must have shape (n, H, W, C)")
         if self.labels.shape != (len(self.images),):
             raise ValueError("images and labels must have matching length")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError("labels must lie in [0, num_classes)")
         # min() and max() propagate NaN, which fails both comparisons
         if self.images.size and not (0 <= self.images.min() and self.images.max() <= 255):
             raise ValueError("pixels must be finite and lie in [0, 255]")
@@ -139,7 +130,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of one logit vector or a batch of them.
 
     The ufunc reductions are called directly, without the .max() and .sum()
-    wrappers; a vector takes them whole, the same bits as the keepdims form.
+    wrappers, in their keepdims form, so a vector has the bits of a batch row.
 
     A vector of fewer than SHORT_SOFTMAX logits (an attack step's few classes)
     takes its max and its sum in Python, over ``tolist()``; exp stays np.exp.
@@ -160,11 +151,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
         if total == total:  # not NaN
             e /= total
             return e
-    if logits.ndim == 1:
-        e = logits - np.maximum.reduce(logits)
-        np.exp(e, out=e)
-        e /= np.add.reduce(e)
-        return e
     e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)
@@ -184,11 +170,42 @@ def _check_label(y: int, num_classes: int):
         raise ValueError(f"label {y} out of range for {num_classes} classes")
 
 
+def _check_labels(labels, num_classes: int) -> np.ndarray:
+    """labels as an array, ValueError unless its dtype is an integer one and
+    each label lies in [0, num_classes).  An empty list reads as float64, so
+    an empty array of any dtype passes, as int64."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        if labels.size:
+            raise ValueError(f"labels must be integers, got {labels.dtype}")
+        return labels.astype(np.int64)
+    if labels.ndim == 0:  # int() costs less than min() and max()
+        bad = not 0 <= int(labels) < num_classes
+    else:
+        bad = labels.size and (labels.min() < 0 or labels.max() >= num_classes)
+    if bad:
+        raise ValueError(f"labels out of range for {num_classes} classes")
+    return labels
+
+
+def _subtract_one_hot(p: np.ndarray, y):
+    """p -= one_hot(y) in place, for the probabilities p of one image and an
+    int label, or of a batch and a 0-d label (one column: it is not
+    repeated) or (N,) labels."""
+    if p.ndim == 1:
+        p[y] -= 1.0
+    elif y.ndim == 0:
+        p[:, y] -= 1.0
+    else:
+        p[np.arange(len(p)), y] -= 1.0
+
+
 class Model:
-    """Base classifier: subclasses implement the batch-first _forward and _backward.
+    """Base classifier: subclasses implement two numeric methods, _forward
+    and _loss_backward, each on one image or a batch.
 
     The public methods take one image; predict and input_gradient also take a
-    batch, and train_classifier runs the core on whole minibatches.
+    batch, and train_classifier runs _loss_backward on whole minibatches.
     """
 
     kind: str = ""
@@ -225,21 +242,11 @@ class Model:
 
     def _check_batch(self, x: np.ndarray, y):
         """Labels for batch x from one integer label or an (N,) integer array:
-        a 0-d label for every row, or the (N,) labels.  _loss_backward takes
-        a 0-d label's one-hot as one column, the (N,) labels with np.arange(N)."""
+        a 0-d label for every row, or the (N,) labels (see _subtract_one_hot)."""
         self._check_rows(x)
-        labels = np.asarray(y)
-        if labels.dtype.kind not in "iu":
-            raise ValueError(f"labels must be integers, got {labels.dtype}")
-        if labels.ndim == 0:
-            # one label is one column of the one-hot, so it is not repeated
-            if not 0 <= int(labels) < self.num_classes:
-                raise ValueError(f"labels out of range for {self.num_classes} classes")
-            return labels
-        if labels.shape != (len(x),):
+        labels = _check_labels(y, self.num_classes)
+        if labels.ndim and labels.shape != (len(x),):
             raise ValueError(f"got {labels.shape} labels for a batch of {len(x)} images")
-        if len(labels) and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError(f"labels out of range for {self.num_classes} classes")
         return labels
 
     def _standardize(self, x: np.ndarray) -> np.ndarray:
@@ -250,22 +257,14 @@ class Model:
     def _forward(self, z: np.ndarray, work=None):
         """Return (logits, cache) for standardized z of shape (N, H, W, C) or (H, W, C).
 
-        Logits are (N, num_classes) or (num_classes,); the cache feeds _backward.
-        z may also be a stack (M, N, H, W, C) of M batches, for logits of shape
+        Logits are (N, num_classes) or (num_classes,); the cache feeds
+        TinyConv's _backward and is None for the dense models.  z may also be
+        a stack (M, N, H, W, C) of M batches, for logits of shape
         (M, N, num_classes) equal bit for bit to M calls on the batches: each
-        batch runs its own GEMMs, whose row bits depend on the row count.  A
-        stack's cache feeds no _backward.  `work` is a training workspace
-        (see `numerics._work_buffer`) for this batch and its _backward; only
+        batch runs its own GEMMs, whose row bits depend on the row count.
+        `work` is a training workspace (see `numerics._work_buffer`); only
         TinyConv keeps arrays there, with the bits of fresh ones.
         """
-        raise NotImplementedError
-
-    def _backward(self, dlogits: np.ndarray, cache, params: bool, inputs: bool = True,
-                  work=None):
-        """Return (dz, param_grads): dz has z's shape, or is None when inputs is
-        False; param_grads are summed over the batch, or None when params is
-        False.  Parameter gradients need a batched z.  `work` is the
-        workspace the cache's _forward was given."""
         raise NotImplementedError
 
     def logits(self, x: np.ndarray) -> np.ndarray:
@@ -311,22 +310,14 @@ class Model:
     # -- gradients ---------------------------------------------------------
 
     def _loss_backward(self, x: np.ndarray, y, params: bool, inputs: bool = True, work=None):
-        """Cross-entropy backward for one image and an int label, or for a batch
-        (N, H, W, C) and a 0-d or (N,) label array.  Returns (dx on the 0-255 scale or
-        None when inputs is False, param_grads summed over the batch or None).
-        `work` is a training workspace for _forward and _backward."""
-        logits, cache = self._forward(self._standardize(x), work)
-        dlogits = _softmax(logits)
-        if dlogits.ndim == 1:
-            dlogits[y] -= 1.0
-        elif y.ndim == 0:
-            dlogits[:, y] -= 1.0  # one label: its one-hot is one column
-        else:
-            dlogits[np.arange(len(dlogits)), y] -= 1.0
-        dz, grads = self._backward(dlogits, cache, params, inputs, work)
-        if inputs:
-            dz /= 255.0  # _backward's dz is a fresh array
-        return dz, grads
+        """Cross-entropy backward, one pass from the 0-255 pixels, for one
+        checked float64 image and an int label, or for a batch (N, H, W, C)
+        and a 0-d or (N,) label array.  Returns (dx, a fresh array of x's
+        shape on the 0-255 scale, or None when inputs is False; param_grads
+        summed over the batch, or None when params is False).  Parameter
+        gradients need a batch.  `work` is a training workspace, as for
+        _forward."""
+        raise NotImplementedError
 
     def input_gradient(self, x: np.ndarray, y) -> np.ndarray:
         """Exact gradient of the cross-entropy loss w.r.t. 0-255 pixels.
@@ -337,18 +328,12 @@ class Model:
         gradient in the last bits (a batch runs matrix-matrix products).
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 4:
-            return self._loss_backward(x, self._check_batch(x, y), params=False)[0]
-        if x.shape != self.image_shape.dims:  # _check_input's check, on x converted once
-            raise ValueError(
-                f"input shape {x.shape} does not match model shape {self.image_shape.dims}"
-            )
+        if x.shape != self.image_shape.dims:
+            if x.ndim == 4:
+                return self._loss_backward(x, self._check_batch(x, y), False)[0]
+            self._check_input(x)  # raises its shape error
         _check_label(y, self.num_classes)
-        return self._image_gradient(x, y)
-
-    def _image_gradient(self, x: np.ndarray, y: int) -> np.ndarray:
-        """input_gradient of one checked float64 image and label: a fresh array."""
-        return self._loss_backward(x, y, params=False)[0]
+        return self._loss_backward(x, y, False)[0]
 
     def parameter_gradients(self, x: np.ndarray, y: int) -> dict[str, np.ndarray]:
         x = self._check_input(x)
@@ -375,27 +360,24 @@ class SoftmaxLinear(Model):
         zf = z.reshape(z.shape[:-3] + (-1,))
         logits = (np.dot if zf.ndim < 3 else np.matmul)(zf, self.params["W"].T)
         logits += self.params["b"]
-        return logits, zf
+        return logits, None  # _loss_backward runs its own forward
 
-    def _backward(self, dlogits, zf, params, inputs=True, work=None):
-        grads = {"W": np.dot(dlogits.T, zf), "b": dlogits.sum(axis=0)} if params else None
-        if not inputs:
-            return None, grads
-        dz = np.dot(dlogits, self.params["W"])
-        return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
-
-    def _image_gradient(self, x, y):
-        # _loss_backward on one image in one pass, with its bits
+    def _loss_backward(self, x, y, params, inputs=True, work=None):
         z = x / 255.0
         z -= 0.5
+        # (H, W, C) -> (d,) and (N, H, W, C) -> (N, d); ravel costs the least
+        zf = z.reshape(len(z), -1) if z.ndim == 4 else z.ravel()
         W = self.params["W"]
-        logits = np.dot(z.reshape(-1), W.T)
-        logits += self.params["b"]
-        e = _softmax(logits)
-        e[y] -= 1.0
+        e = np.dot(zf, W.T)
+        e += self.params["b"]
+        e = _softmax(e)
+        _subtract_one_hot(e, y)
+        grads = {"W": np.dot(e.T, zf), "b": e.sum(axis=0)} if params else None
+        if not inputs:
+            return None, grads
         dz = np.dot(e, W)
         dz /= 255.0
-        return dz.reshape(x.shape)
+        return dz.reshape(x.shape), grads
 
 
 class TanhMLP(Model):
@@ -425,48 +407,36 @@ class TanhMLP(Model):
         np.tanh(h, out=h)
         logits = dot(h, self.params["W2"].T)
         logits += self.params["b2"]
-        return logits, (zf, h)
+        return logits, None  # as in SoftmaxLinear
 
-    def _backward(self, dlogits, cache, params, inputs=True, work=None):
-        zf, h = cache
-        slope = h * h
-        np.subtract(1.0, slope, out=slope)
-        da1 = np.dot(dlogits, self.params["W2"])
-        da1 *= slope
-        grads = None
-        if params:
-            grads = {
-                "W2": np.dot(dlogits.T, h),
-                "b2": dlogits.sum(axis=0),
-                "W1": np.dot(da1.T, zf),
-                "b1": da1.sum(axis=0),
-            }
-        if not inputs:
-            return None, grads
-        dz = np.dot(da1, self.params["W1"])
-        return dz.reshape(dz.shape[:-1] + self.image_shape.dims), grads
-
-    def _image_gradient(self, x, y):
-        # _loss_backward on one image in one pass, with its bits; the tanh
-        # slope 1 - h * h is formed in h's array once h has served the forward
+    def _loss_backward(self, x, y, params, inputs=True, work=None):
+        # the tanh slope 1 - h * h is formed in h's array once h has served
+        # the forward and W2's gradient
         p = self.params
         z = x / 255.0
         z -= 0.5
+        zf = z.reshape(len(z), -1) if z.ndim == 4 else z.ravel()  # as in SoftmaxLinear
         W1, W2 = p["W1"], p["W2"]
-        h = np.dot(z.reshape(-1), W1.T)
+        h = np.dot(zf, W1.T)
         h += p["b1"]
         np.tanh(h, out=h)
-        logits = np.dot(h, W2.T)
-        logits += p["b2"]
-        e = _softmax(logits)
-        e[y] -= 1.0
+        e = np.dot(h, W2.T)
+        e += p["b2"]
+        e = _softmax(e)
+        _subtract_one_hot(e, y)
+        grads = {"W2": np.dot(e.T, h), "b2": e.sum(axis=0)} if params else None
         da1 = np.dot(e, W2)
         np.multiply(h, h, out=h)
         np.subtract(1.0, h, out=h)
         da1 *= h
+        if params:
+            grads["W1"] = np.dot(da1.T, zf)
+            grads["b1"] = da1.sum(axis=0)
+        if not inputs:
+            return None, grads
         dz = np.dot(da1, W1)
         dz /= 255.0
-        return dz.reshape(x.shape)
+        return dz.reshape(x.shape), grads
 
 
 # the least input size at which _avgpool2 adds the strided quarters; below it
@@ -584,7 +554,19 @@ class TinyConv(Model):
         logits += self.params["b3"]
         return logits.reshape(lead + (-1,)), (lead, conv1, t1, conv2, t2, flat)
 
+    def _loss_backward(self, x, y, params, inputs=True, work=None):
+        logits, cache = self._forward(self._standardize(x), work)
+        dlogits = _softmax(logits)
+        _subtract_one_hot(dlogits, y)
+        dz, grads = self._backward(dlogits, cache, params, inputs, work)
+        if inputs:
+            dz /= 255.0  # _backward's dz is a fresh array
+        return dz, grads
+
     def _backward(self, dlogits, cache, params, inputs=True, work=None):
+        """(dz of z's shape, or None when inputs is False; param_grads or
+        None) from the logit gradient and _forward's cache of one image or a
+        batch; `work` is the workspace _forward was given."""
         lead, conv1, t1, conv2, t2, flat = cache
         work1, work2 = _layer_workspaces(work)
         dlogits = dlogits.reshape(len(flat), -1)

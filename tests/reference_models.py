@@ -4,10 +4,10 @@ one-hot and the reshaped-sum pool, kept verbatim as the bit-for-bit reference
 of `advgrad.models` (tests) and as its timing baseline (``bench/``).
 
 Each class subclasses the library model of its kind and overrides only the
-methods copied here, and `_image_gradient`, so that a one-image
-input_gradient runs the copied `_loss_backward`; checks, parameters and every
-other method are the library's.  `reference_copy` gives a library model's reference twin, sharing
-its parameter arrays.
+methods copied here, so that every input_gradient and parameter_gradients
+call runs the copied `_loss_backward`; checks, parameters and every other
+method are the library's.  `reference_copy` gives a library model's reference
+twin, sharing its parameter arrays.
 """
 
 import numpy as np
@@ -51,11 +51,6 @@ class _ReferenceLoss:
             dlogits[y] -= 1.0
         dz, grads = self._backward(dlogits, cache, params, inputs)
         return (dz / 255.0 if inputs else None), grads
-
-    def _image_gradient(self, x: np.ndarray, y: int) -> np.ndarray:
-        # the one-image input_gradient through _loss_backward above, not
-        # through the dense models' one-pass forms
-        return self._loss_backward(x, y, params=False)[0]
 
 
 class ReferenceSoftmaxLinear(_ReferenceLoss, SoftmaxLinear):

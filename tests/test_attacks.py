@@ -782,10 +782,11 @@ class TestBatchedPipeline:
         monkeypatch.setattr(attacks, "ensemble_gradient", ensemble_spy)
         shapes = count_input_gradient_calls(models)
         for model in models:
-            def one_pass(x, y, _inner=model._image_gradient, _kind=model.kind):
+            def one_pass(x, y, params, inputs=True, work=None,
+                         _inner=model._loss_backward, _kind=model.kind):
                 passes.append(_kind)
-                return _inner(x, y)
-            model._image_gradient = one_pass
+                return _inner(x, y, params, inputs, work)
+            model._loss_backward = one_pass
         cfg = AttackConfig(epsilon=16.0, steps=3, step_rule=FixedScaleStep(16.0), momentum=1.0)
         assert run_attack(models, [], random_image(26), 0, cfg).steps_used == 3
         assert ensemble_calls == [SHAPE.dims] * 3

@@ -79,7 +79,7 @@ class TestLabeledDataset:
             LabeledDataset(images, np.zeros(2, dtype=int), 2)
 
     def test_rejects_out_of_range_labels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("labels out of range for 3 classes")):
             LabeledDataset(np.zeros((2, 4, 4, 1)), np.array([0, 5]), 3)
 
     def test_rejects_length_mismatch(self):
@@ -671,13 +671,18 @@ class TestTraining:
         ds = tiny_dataset(40, seed=8)
         cfg = TrainConfig(epochs=2, batch_size=16, seed=4)
         model, acc = train_classifier(ds, kind, cfg)
-        loss_backward = models.Model._loss_backward
-        with monkeypatch.context() as patch:
+        cls = models.MODEL_CLASSES[kind]
+        loss_backward, rows = cls._loss_backward, []
+
+        def formed_then_dropped(self, x, y, params, inputs=True, work=None):
             # the training path as it was: the input gradient formed, then dropped
-            patch.setattr(models.Model, "_loss_backward",
-                          lambda self, x, y, params, inputs=True, work=None:
-                          loss_backward(self, x, y, params))
+            rows.append(len(x))
+            return loss_backward(self, x, y, params)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "_loss_backward", formed_then_dropped)
             reference, ref_acc = train_classifier(ds, kind, cfg)
+        assert rows == [16, 16, 8] * 2  # the patch ran once per minibatch
         assert acc == ref_acc
         for k in reference.params:
             assert np.array_equal(model.params[k], reference.params[k])
@@ -701,13 +706,20 @@ class TestTraining:
 
 def allocating_training(monkeypatch, dataset, kind, cfg, **kwargs):
     """train_classifier with every minibatch's arrays allocated afresh: the
-    workspace it passes to _loss_backward is dropped."""
-    loss_backward = models.Model._loss_backward
+    workspace it passes to _loss_backward is dropped.  Fails unless the
+    patched _loss_backward ran once per minibatch."""
+    cls = models.MODEL_CLASSES[kind]
+    loss_backward, calls = cls._loss_backward, []
+
+    def without_workspace(self, x, y, params, inputs=True, work=None):
+        calls.append(len(x))
+        return loss_backward(self, x, y, params, inputs)
+
     with monkeypatch.context() as patch:
-        patch.setattr(models.Model, "_loss_backward",
-                      lambda self, x, y, params, inputs=True, work=None:
-                      loss_backward(self, x, y, params, inputs))
-        return train_classifier(dataset, kind, cfg, **kwargs)
+        patch.setattr(cls, "_loss_backward", without_workspace)
+        out = train_classifier(dataset, kind, cfg, **kwargs)
+    assert len(calls) == cfg.epochs * math.ceil(len(dataset) / cfg.batch_size)
+    return out
 
 
 class TestTrainingWorkspace:
@@ -742,7 +754,8 @@ class TestTrainingWorkspace:
     @pytest.mark.parametrize("kind", KINDS)
     def test_each_buffer_is_made_once_per_run_and_reused_by_every_minibatch(self, kind,
                                                                            monkeypatch):
-        loss_backward = models.Model._loss_backward
+        cls = models.MODEL_CLASSES[kind]
+        loss_backward = cls._loss_backward
         seen = []  # per minibatch: its row count and the id of every workspace buffer
 
         def spy(self, x, y, params, inputs=True, work=None):
@@ -751,7 +764,7 @@ class TestTrainingWorkspace:
                                   for layer, bufs in work.items() for key, buf in bufs.items()}))
             return out
 
-        monkeypatch.setattr(models.Model, "_loss_backward", spy)
+        monkeypatch.setattr(cls, "_loss_backward", spy)
         train_classifier(tiny_dataset(40, seed=14), kind,
                          TrainConfig(epochs=3, batch_size=16, seed=7))
         assert [rows for rows, _ in seen] == [16, 16, 8] * 3
@@ -922,9 +935,9 @@ class TestCheckpoints:
 
 
 class TestOnePassImageGradient:
-    """A dense model's one-image input_gradient runs `_image_gradient`, the
-    operations of `_loss_backward` in one pass: the same bits, a fresh array
-    and the same checks, on both sides of SHORT_SOFTMAX."""
+    """A dense model's one-image input_gradient runs its one-pass
+    `_loss_backward`: the reference twin's bits, a fresh array and the same
+    checks, on both sides of SHORT_SOFTMAX."""
 
     DENSE = ("softmax-linear", "mlp-1-hidden")
     SHAPES = (ImageShape(4, 4, 2), ImageShape(8, 8, 1), ImageShape(16, 16, 3))
@@ -989,7 +1002,7 @@ class TestOnePassImageGradient:
     def test_bad_input_raises_before_the_one_pass(self, kind, x, y, message, monkeypatch):
         model = build_model(kind, SHAPE, 3, seed=0)
         passes = []
-        monkeypatch.setattr(model, "_image_gradient", lambda *args: passes.append(args))
+        monkeypatch.setattr(model, "_loss_backward", lambda *args: passes.append(args))
         with pytest.raises(ValueError, match=re.escape(message)):
             model.input_gradient(x, y)
         assert passes == []
@@ -1056,7 +1069,14 @@ class TestReferencePath:
         z = z.reshape(stack + SHAPE.dims)
         assert same_bits(model._forward(z)[0], twin._forward(z)[0])
         x, y = self.images(seed, 16), make_rng(seed, 53).integers(0, 4, size=16)
-        dx, grads = model._loss_backward(x, y, params=True)
-        ref_dx, ref_grads = twin._loss_backward(x, y, params=True)
-        assert same_bits(dx, ref_dx)
-        assert all(same_bits(grads[k], ref_grads[k]) for k in ref_grads)
+        # a full and a short last minibatch, and a 0-d label for every row,
+        # each also in train_classifier's call
+        for rows, labels in ((16, y), (7, y[:7]), (16, np.array(seed % 4))):
+            dx, grads = model._loss_backward(x[:rows], labels, params=True)
+            ref_dx, ref_grads = twin._loss_backward(x[:rows], labels, params=True)
+            assert same_bits(dx, ref_dx)
+            assert all(same_bits(grads[k], ref_grads[k]) for k in ref_grads)
+            none, grads = model._loss_backward(x[:rows], labels, params=True, inputs=False,
+                                               work={})
+            assert none is None and set(grads) == set(ref_grads)
+            assert all(same_bits(grads[k], ref_grads[k]) for k in ref_grads)
